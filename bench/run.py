@@ -7,14 +7,15 @@ Run from anywhere inside a checkout; the package is imported from the
 checkout's ``src``.  Inputs are generated from ``--seed`` before any
 timing (see workloads.py, which also records why each workload was
 chosen) and the program receives only the generated files.  Each
-repetition runs in a fresh ``worker.py`` process; repetitions continue
-until ``--seconds`` have passed (at least ``MIN_REPS``), and the metrics
-are medians over them.  With ``--trace 0`` the last stdout line carries
-the end-to-end metrics; with ``--trace 1`` every repetition runs twice,
-untraced and traced, the two must agree bit for bit, and the last line
-carries the per-layer metrics.  Earlier stdout lines record the machine
-and every repetition.  Runs use no CPU pinning and no frequency or cache
-control.
+repetition runs in a fresh ``worker.py`` process, as many at once as
+keep every CPU busy (see ``THREADS`` in workloads.py), a new one starting
+as soon as one ends; repetitions start until ``--seconds`` have passed
+(at least ``MIN_REPS``), and the metrics are medians over them.  With
+``--trace 0`` the last stdout line carries the end-to-end metrics; with
+``--trace 1`` every repetition runs twice, untraced and traced, the two
+must agree bit for bit, and the last line carries the per-layer
+metrics.  Earlier stdout lines record the machine and every repetition.
+Runs use no CPU pinning and no frequency or cache control.
 
 End-to-end metrics:
   setup_s       median over fresh processes of `import spectral_cheb` plus
@@ -23,8 +24,9 @@ End-to-end metrics:
   solve_s       median wall time of the training call / the 12-call sweep
   step_p50_ms   median step over all repetitions; a step is one optimizer
                 iteration or one `estimate` call
-  step_tail_ms  TAIL_PERCENTILE of the same steps (the details line states
-                the percentile and the step count)
+  step_tail_ms  median over repetitions of each one's TAIL_PERCENTILE step
+                (logdet-sparse: of the steps of all repetitions); the
+                details line states the percentile and the step count
   peak_rss_mb   median peak resident set of the worker processes
   test_rmse     held-out error, root mean square over repetitions:
                 mc-svrg: completed matrix against every ground-truth entry
@@ -37,6 +39,7 @@ End-to-end metrics:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -54,17 +57,27 @@ ROOT = BENCH.parent
 PACKAGE = ROOT / "src" / "spectral_cheb" / "__init__.py"
 
 # fewest repetitions per run; logdet-sparse needs more for its tail
-MIN_REPS = {"mc-svrg": 3, "gp-sgd-512": 3, "logdet-sparse": 6}
+MIN_REPS = {"mc-svrg": 4, "gp-sgd-512": 4, "logdet-sparse": 6}
 SETUP_SAMPLES = 5  # set-up is measured at least this often per run
 IMPORTTIME_SAMPLES = 3
 DEADLINE_S = 165.0  # no repetition starts that could end after this
 CALIBRATION_LOOP = 2_000_000
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+MAX_WORKERS = 4  # repetitions at once at most, to bound memory (~170 MB each)
+POLL_S = 0.05  # how long to wait on one running worker before checking the next
 
 STEPS_PER_REP = {"mc-svrg": 400, "gp-sgd-512": 100, "logdet-sparse": 12}
-# step_tail_ms percentile: the highest whole percentile with at least ten
-# steps beyond it in the smallest run
+# step_tail_ms: the highest whole percentile with at least ten steps
+# beyond it, taken in each repetition and the median reported; a
+# repetition of fewer than TAIL_MIN_STEPS steps (logdet-sparse's 12) is
+# too short, so there the percentile is taken over the steps of all
+# repetitions, at least MIN_REPS of them.  Per repetition, the ten-run
+# spread of gp-sgd-512's tail was about half that of pooled steps.
+TAIL_MIN_STEPS = 100
+TAIL_POOLED = {name: steps < TAIL_MIN_STEPS for name, steps in STEPS_PER_REP.items()}
 TAIL_PERCENTILE = {
-    name: math.floor(100.0 * (1.0 - 10.0 / (MIN_REPS[name] * steps)))
+    name: math.floor(100.0 * (1.0 - 10.0 / (steps * MIN_REPS[name] if TAIL_POOLED[name]
+                                            else steps)))
     for name, steps in STEPS_PER_REP.items()
 }
 
@@ -78,7 +91,7 @@ END_TO_END_UNITS = {
 }
 
 
-def machine_info(threads: int) -> dict:
+def machine_info(env: dict, width: int) -> dict:
     import mpmath
     import numpy
     import scipy
@@ -91,8 +104,7 @@ def machine_info(threads: int) -> dict:
     started = time.perf_counter()
     sum(i * i % 7 for i in range(CALIBRATION_LOOP))
     calibration_s = time.perf_counter() - started
-    env = {k: os.environ.get(k, "unset")
-           for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    threads = {k: env.get(k, "unset") for k in ("SPECTRAL_CHEB_THREADS", *BLAS_THREADS)}
     return {
         "nproc": os.cpu_count(),
         "affinity_cpus": len(os.sched_getaffinity(0)),
@@ -101,8 +113,8 @@ def machine_info(threads: int) -> dict:
         "scipy": scipy.__version__,
         "mpmath": mpmath.__version__,
         "blas": blas,
-        "blas_env": env,
-        "SPECTRAL_CHEB_THREADS": threads,
+        "worker_threads": threads,
+        "workers_at_once": width,
         f"calibration_s ({CALIBRATION_LOOP:,}-step pure-Python loop)": calibration_s,
         "control": "no CPU pinning, no frequency or cache control",
     }
@@ -135,37 +147,92 @@ def prepare_inputs(workload: str, rep_seed: int, work: Path, wl) -> Path:
     return inputs
 
 
+class Worker:
+    """One running ``worker.py`` process."""
+
+    def __init__(self, cmd: list[str], env: dict, ends_at: float, seed: int, trace: int):
+        self.cmd, self.ends_at, self.seed, self.trace = cmd, ends_at, seed, trace
+        self.result: dict | None = None
+        self.started = time.monotonic()
+        self.proc = subprocess.Popen(cmd, env=env, cwd=ROOT, text=True,
+                                     stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+
+    def done(self, wait: float) -> bool:
+        """Whether the worker has ended, waiting up to ``wait`` seconds.
+        Once it has, ``result`` holds its output, None if it failed."""
+        try:
+            out, err = self.proc.communicate(timeout=wait)
+        except subprocess.TimeoutExpired:
+            if time.monotonic() < self.ends_at:
+                return False
+            self.stop()
+            print(f"worker timed out: {' '.join(self.cmd)}", file=sys.stderr)
+            return True
+        wall = time.monotonic() - self.started
+        if err:
+            sys.stderr.write(err)
+        if self.proc.returncode != 0:
+            print(f"worker exited {self.proc.returncode}: {' '.join(self.cmd)}", file=sys.stderr)
+            return True
+        try:
+            self.result = json.loads(out.strip().splitlines()[-1])
+        except (IndexError, json.JSONDecodeError):
+            print(f"worker printed no result: {' '.join(self.cmd)}", file=sys.stderr)
+            return True
+        self.result["seed"], self.result["wall_s"] = self.seed, wall
+        return True
+
+    def stop(self) -> None:
+        if self.proc.poll() is None:
+            self.proc.kill()
+        self.proc.wait()
+
+
 class Runner:
     def __init__(self, workload: str, threads: int, deadline: float):
         self.workload = workload
         self.deadline = deadline
         self.env = dict(os.environ)
-        self.env["SPECTRAL_CHEB_THREADS"] = str(threads)
+        for key in ("SPECTRAL_CHEB_THREADS", *BLAS_THREADS):
+            self.env[key] = str(threads)
         src = str(ROOT / "src")
         self.env["PYTHONPATH"] = src + os.pathsep + self.env.get("PYTHONPATH", "")
 
-    def worker(self, inputs: Path, seed: int, trace: int = 0, setup_only: bool = False):
+    def start(self, inputs: Path, seed: int, trace: int = 0,
+              setup_only: bool = False) -> Worker:
         cmd = [sys.executable, str(BENCH / "worker.py"), "--workload", self.workload,
                "--inputs", str(inputs), "--seed", str(seed), "--trace", str(trace)]
         if setup_only:
             cmd.append("--setup-only")
-        timeout = max(1.0, self.deadline + 10.0 - time.monotonic())
+        return Worker(cmd, self.env, self.deadline + 10.0, seed, trace)
+
+    def stream(self, jobs, width: int):
+        """Run the jobs, each a tuple of ``start`` arguments, ``width`` at a
+        time, starting the next as soon as one ends, and yield each worker
+        as it ends.  ``jobs`` is read only when a slot is free, so it can
+        decide then whether to go on.  Close the generator to stop what
+        still runs."""
+        running = []
+        jobs = iter(jobs)
         try:
-            done = subprocess.run(cmd, env=self.env, capture_output=True, text=True,
-                                  timeout=timeout, cwd=ROOT)
-        except subprocess.TimeoutExpired:
-            print(f"worker timed out: {' '.join(cmd)}", file=sys.stderr)
-            return None
-        if done.stderr:
-            sys.stderr.write(done.stderr)
-        if done.returncode != 0:
-            print(f"worker exited {done.returncode}: {' '.join(cmd)}", file=sys.stderr)
-            return None
-        try:
-            return json.loads(done.stdout.strip().splitlines()[-1])
-        except (IndexError, json.JSONDecodeError):
-            print(f"worker printed no result: {' '.join(cmd)}", file=sys.stderr)
-            return None
+            while True:
+                while len(running) < width and (job := next(jobs, None)) is not None:
+                    running.append(self.start(*job))
+                if not running:
+                    return
+                for worker in list(running):
+                    if worker.done(POLL_S):
+                        running.remove(worker)
+                        yield worker
+        finally:
+            for worker in running:
+                worker.stop()
+
+    def worker(self, inputs: Path, seed: int, trace: int = 0,
+               setup_only: bool = False) -> dict | None:
+        """Run one worker and return its result, None if it failed."""
+        [worker] = self.stream([(inputs, seed, trace, setup_only)], 1)
+        return worker.result
 
     def import_times(self) -> dict:
         """Cumulative `-X importtime` of the package and of degree_dist."""
@@ -203,8 +270,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--trace", type=int, default=0, choices=[0, 1])
     args = parser.parse_args(argv)
-    # on SIGTERM unwind normally: subprocess.run kills and reaps the
-    # running worker, and the work directory is removed
+    # on SIGTERM unwind normally: the running workers are killed and
+    # reaped, and the work directory is removed
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
 
     if not PACKAGE.is_file():
@@ -233,49 +300,50 @@ def main(argv=None) -> int:
 
 def run(args, wl, work: Path, deadline: float) -> int:
     workload = args.workload
-    machine = machine_info(wl.THREADS[workload])
-    print(json.dumps({"machine": machine}))
-    runner = Runner(workload, wl.THREADS[workload], deadline)
+    threads = wl.THREADS[workload]
+    runner = Runner(workload, threads, deadline)
+    # enough repetitions at once to keep every CPU busy (see workloads.THREADS)
+    width = max(1, min(MAX_WORKERS, len(os.sched_getaffinity(0)) // threads))
+    print(json.dumps({"machine": machine_info(runner.env, width)}))
 
     first = prepare_inputs(workload, wl.rep_seed(args.seed, 0), work, wl)
     runner.worker(first, wl.rep_seed(args.seed, 0), setup_only=True)  # warm caches
 
-    steps_per_rep = STEPS_PER_REP[workload]
-    reps, traced, attempted, failed, mismatches = [], [], 0, 0, []
+    min_reps = MIN_REPS[workload]
     measure_start = time.monotonic()
     ticks_start = cpu_ticks()
-    rep = 0
-    min_reps = MIN_REPS[workload]
-    while rep < min_reps or time.monotonic() - measure_start < args.seconds:
-        slowest = max((r["wall_s"] for r in reps), default=0.0) * (2 if args.trace else 1)
-        if rep >= min_reps and time.monotonic() + 1.5 * slowest > deadline:
-            break
-        seed = wl.rep_seed(args.seed, rep)
-        inputs = prepare_inputs(workload, seed, work, wl)
-        t0 = time.monotonic()
-        result = runner.worker(inputs, seed)
-        wall = time.monotonic() - t0
-        attempted += steps_per_rep
-        if result is None:
-            failed += steps_per_rep
-        else:
-            result["seed"], result["wall_s"] = seed, wall
-            failed += result.get("failed_steps", 0 if result["ok"] else steps_per_rep)
-            reps.append(result)
-        if args.trace:
-            traced_result = runner.worker(inputs, seed, trace=1)
+    walls = []
+
+    def jobs():
+        rep = 0
+        while rep < min_reps or time.monotonic() - measure_start < args.seconds:
+            slowest = max(walls, default=0.0) * (2 if args.trace else 1)
+            if rep >= min_reps and time.monotonic() + 1.5 * slowest > deadline:
+                return
+            seed = wl.rep_seed(args.seed, rep)
+            inputs = prepare_inputs(workload, seed, work, wl)
+            yield inputs, seed, 0
+            if args.trace:
+                yield inputs, seed, 1
+            rep += 1
+
+    steps_per_rep = STEPS_PER_REP[workload]
+    plain, traced, attempted, failed = {}, {}, 0, 0
+    with contextlib.closing(runner.stream(jobs(), width)) as ended:
+        for worker in ended:
             attempted += steps_per_rep
-            if traced_result is None:
+            result = worker.result
+            if result is None:
                 failed += steps_per_rep
-            else:
-                failed += traced_result.get("failed_steps",
-                                            0 if traced_result["ok"] else steps_per_rep)
-                traced.append(traced_result)
-                if result is None or traced_result["fingerprint"] != result["fingerprint"]:
-                    mismatches.append(seed)
-        rep += 1
-        if time.monotonic() > deadline:
-            break
+                continue
+            failed += result.get("failed_steps", 0 if result["ok"] else steps_per_rep)
+            (traced if worker.trace else plain)[worker.seed] = result
+            if not worker.trace:
+                walls.append(result["wall_s"])
+    reps = [plain[seed] for seed in sorted(plain)]
+    mismatches = [seed for seed, t in sorted(traced.items())
+                  if seed not in plain or t["fingerprint"] != plain[seed]["fingerprint"]]
+    traced = [traced[seed] for seed in sorted(traced)]
 
     setups = [r["setup_s"] for r in reps]
     while len(setups) < SETUP_SAMPLES and time.monotonic() < deadline:
@@ -303,7 +371,9 @@ def run(args, wl, work: Path, deadline: float) -> int:
         # share of the machine's CPU time the hypervisor stole during the
         # repetitions; bursts of ~14% slowed every timing by up to a third
         "steal_share": steal_share,
-        "step_tail": f"p{percentile} of {len(steps)} steps",
+        "step_tail": (f"p{percentile} of {len(steps)} steps" if TAIL_POOLED[workload] else
+                      f"median over {len(reps)} repetitions of p{percentile} of "
+                      f"{STEPS_PER_REP[workload]} steps"),
         # a known defect kept in view: SGD can end the GP at a higher NLL
         # than it started from
         "final_nll_above_initial": [r["seed"] for r in reps
@@ -338,7 +408,9 @@ def run(args, wl, work: Path, deadline: float) -> int:
                 "setup_s": statistics.median(setups),
                 "solve_s": median_of(reps, "solve_s"),
                 "step_p50_ms": statistics.median(steps),
-                "step_tail_ms": tail_ms(steps, percentile),
+                "step_tail_ms": (tail_ms(steps, percentile) if TAIL_POOLED[workload] else
+                                 statistics.median(tail_ms(r["steps_ms"], percentile)
+                                                   for r in reps)),
                 "peak_rss_mb": median_of(reps, "peak_rss_mb"),
                 # pooled over repetitions: root of the mean squared error
                 "test_rmse": math.sqrt(statistics.fmean(r["test_rmse"] ** 2 for r in reps)),

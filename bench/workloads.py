@@ -90,9 +90,18 @@ LOGDET_FLAGS = {"N": 30, "M": 64}
 # the tolerance is nearly four times that.
 LOGDET_REL_TOL = 1e-2
 
-# SPECTRAL_CHEB_THREADS per workload: logdet-sparse runs at 2 (its
-# estimates are bit-identical at 1 and 2 threads); the training
-# workloads keep the package default of 1.
+# Threads of each worker, for the package (SPECTRAL_CHEB_THREADS) and
+# for BLAS alike.  run.py starts as many repetitions at once as the CPUs
+# hold, a new one as soon as one ends: on 2 vCPUs, two training
+# repetitions at a time and one logdet-sparse repetition at 2 threads
+# (its estimates are bit-identical at 1 and 2 threads).  Measured on 2
+# vCPUs: one at a time, a 30 s mc-svrg run fitted 4-5 repetitions and
+# its test_rmse spread 0.08 over five seeds; two at a time it fits ~8
+# and test_rmse spread 0.02-0.03.  Timings are set mostly by the host:
+# a lone single-threaded NumPy/Python loop ran at one of two speeds
+# ~1.6x apart (18 or 28 ms a call; CPU time equal to wall time, steal
+# ~1%), each lasting seconds to minutes, so ten-run timing spreads
+# ranged 0.06-0.27 with either layout.
 THREADS = {"mc-svrg": 1, "gp-sgd-512": 1, "logdet-sparse": 2}
 
 
