@@ -58,7 +58,6 @@ from .grad_est import (
     grad_estimate_lowrank,
     sample_lowrank_grads,
     sample_spectral_grads,
-    second_kind_vector_identity_check,
     sum_prime_weights,
     validate_param_oracle,
 )

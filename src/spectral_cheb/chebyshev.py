@@ -237,14 +237,23 @@ def estimate_rho(series: ChebSeries, j_min: int, j_max: int) -> float:
     """Fit the geometric decay rate of |b_j| over j in [j_min, j_max].
 
     Returns exp(-slope) of the least-squares line through log|b_j|; the
-    documented fallback when the ellipse parameter is not supplied.
+    documented fallback when the ellipse parameter is not supplied.  The
+    window ends at the last coefficient above the 1e-14 quadrature floor,
+    since fast decay reaches that floor inside the requested range.
     """
     if not j_max > j_min + 3:
         raise ParameterError(f"need j_max > j_min + 3, got [{j_min}, {j_max}]")
     if j_min < 0 or j_max > series.degree:
         raise ParameterError(f"fit range [{j_min}, {j_max}] outside stored degrees")
-    j = np.arange(j_min, j_max + 1)
     b = np.abs(series.coeffs[j_min : j_max + 1])
+    above = np.nonzero(b > 1e-14)[0]
+    b = b[: above[-1] + 1] if above.size else b[:0]
+    if b.size < 5:
+        raise EstimationError(
+            f"fewer than 5 coefficients above 1e-14 from degree {j_min}; "
+            "decay rate not resolvable"
+        )
+    j = np.arange(j_min, j_min + b.size)
     if np.any(b <= 1e-14):
         raise EstimationError(
             "coefficients in the fit range are below 1e-14; decay rate not resolvable"

@@ -12,7 +12,6 @@ reduction downstream relies on.
 from __future__ import annotations
 
 import dataclasses
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -21,16 +20,7 @@ import numpy as np
 from .chebyshev import ChebSeries, Interval
 from .degree_dist import DegreeDistribution, sample_degree, weighted_coefficients
 from .exceptions import NumericError, ParameterError
-from .probes import (
-    MatvecCounter,
-    ProbePlan,
-    _CHUNK,
-    _thread_count,
-    degree_rng,
-    probe_rng,
-    rademacher_probe,
-)
-from .reference import _matrix_cheb_second
+from .probes import MatvecCounter, ProbePlan, _map_probe_chunks, _probe_columns, degree_rng
 
 __all__ = [
     "ParamMatrixOracle",
@@ -40,7 +30,6 @@ __all__ = [
     "grad_estimate_generic",
     "grad_estimate_lowrank",
     "sample_spectral_grads",
-    "second_kind_vector_identity_check",
     "validate_param_oracle",
 ]
 
@@ -149,17 +138,16 @@ def _check_finite(arr: np.ndarray, what: str, probe_start: int, degree: int):
 
 def _generic_block(pm: ParamMatrixOracle, bhat: np.ndarray, n: int,
                    probes: np.ndarray, probe_start: int) -> np.ndarray:
-    """Per-probe coordinate sums sum_j bhat_j v^T dw_j/dtheta_i.
+    """Per-probe coordinate sums sum_j bhat_j v^T dw_j/dtheta_i for n >= 1.
 
     Returns an (m, param_dim) array.  The derivative recursion is
     dw_{j+1} = (4/(b-a)) dA w_j + 2 shifted(A) dw_j - dw_{j-1} with
-    dw_1 = (2/(b-a)) dA v, dw_0 = 0.
+    dw_1 = (2/(b-a)) dA v, dw_0 = 0, so a degree-0 truncation has no
+    parameter signal and callers return zeros without probing.
     """
     iv = pm.eig_interval
     m = probes.shape[1]
     acc = np.zeros((m, pm.param_dim))
-    if n == 0:
-        return acc  # dw_0 = 0: degree-0 truncation has no parameter signal
     w_prev, w_cur = probes, _shifted(pm, probes)  # w_0, w_1
     dw_prev = [np.zeros_like(probes) for _ in range(pm.param_dim)]
     dw_cur = [(2.0 / iv.width) * pm.mv_partial(i, probes) for i in range(pm.param_dim)]
@@ -181,26 +169,6 @@ def _generic_block(pm: ParamMatrixOracle, bhat: np.ndarray, n: int,
     return acc
 
 
-def _run_chunked(dim: int, master_seed: int, m_probes: int, eval_index: int, block_fn):
-    starts = range(0, m_probes, _CHUNK)
-
-    def run(start: int):
-        stop = min(start + _CHUNK, m_probes)
-        probes = np.column_stack(
-            [rademacher_probe(dim, probe_rng(master_seed, k, eval_index))
-             for k in range(start, stop)]
-        )
-        return block_fn(probes, start)
-
-    workers = _thread_count()
-    if workers > 1 and m_probes > _CHUNK:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run, starts))
-    else:
-        parts = [run(s) for s in starts]
-    return np.concatenate(parts, axis=0)
-
-
 def grad_estimate_generic(
     pm: ParamMatrixOracle,
     series: ChebSeries,
@@ -212,24 +180,26 @@ def grad_estimate_generic(
 
     Every coordinate shares the single drawn degree and the same probe
     set; ``degree`` overrides the draw for callers sharing randomness
-    across evaluations.
+    across evaluations.  A degree-0 draw returns exact zeros without
+    building probes or touching the oracle.
     """
     if series.interval != pm.eig_interval:
         raise ParameterError("series interval does not match the oracle's")
     n = sample_degree(dist, degree_rng(plan.master_seed, 0)) if degree is None else degree
     plan.degree_sample = n
+    if n == 0:
+        return GradSample(value=np.zeros(pm.param_dim), plan=plan, degree=0)
     bhat = weighted_coefficients(series, dist, n).bhat
-    per_probe = _run_chunked(
-        pm.dim, plan.master_seed, plan.M, 0,
-        lambda probes, start: _generic_block(pm, bhat, n, probes, start),
-    )
+    per_probe = np.concatenate(_map_probe_chunks(
+        plan, pm.dim, lambda probes, start: _generic_block(pm, bhat, n, probes, start)
+    ))
     return GradSample(value=per_probe.mean(axis=0), plan=plan, degree=n)
 
 
 def _lowrank_block(lr: LowRankPSD, bhat: np.ndarray, n: int,
                    probes: np.ndarray, probe_start: int) -> np.ndarray:
-    """Amortized gradient contribution of a probe block, already summed
-    over the block's columns; returns a (d, r) array.
+    """Amortized gradient contribution of a probe block for n >= 1,
+    already summed over the block's columns; returns a (d, r) array.
 
     Uses w_j = T_j(shifted A) v and y_j = U_j(shifted A) v via
     y_{j+1} = 2 w_{j+1} + y_{j-1}, then
@@ -238,8 +208,6 @@ def _lowrank_block(lr: LowRankPSD, bhat: np.ndarray, n: int,
     interval-mapped operator and the remaining 2 from symmetrizing the
     rank-one partials.
     """
-    if n == 0:
-        return np.zeros_like(lr.theta)
     w_seq = [probes]  # w_0 .. w_{n-1}
     if n >= 2:
         w_seq.append(_shifted(lr, probes))
@@ -271,20 +239,21 @@ def grad_estimate_lowrank(
 ) -> GradSample:
     """Amortized gradient of tr f(theta theta^T + eps I) w.r.t. the
     factor; algebraically identical to the generic path on the flattened
-    parameterization but costs O(M (n^2 d + n d r)) with no d x d work."""
+    parameterization but costs O(M (n^2 d + n d r)) with no d x d work.
+    Chunk sums are added in chunk order whatever the thread count; a
+    degree-0 draw returns exact zeros without building probes."""
     if series.interval != lr.eig_interval:
         raise ParameterError("series interval does not match the oracle's")
     n = sample_degree(dist, degree_rng(plan.master_seed, 0)) if degree is None else degree
     plan.degree_sample = n
-    bhat = weighted_coefficients(series, dist, n).bhat
     total = np.zeros_like(lr.theta)
-    for start in range(0, plan.M, _CHUNK):
-        stop = min(start + _CHUNK, plan.M)
-        probes = np.column_stack(
-            [rademacher_probe(lr.dim, probe_rng(plan.master_seed, k, 0))
-             for k in range(start, stop)]
-        )
-        total += _lowrank_block(lr, bhat, n, probes, start)
+    if n == 0:
+        return GradSample(value=total, plan=plan, degree=0)
+    bhat = weighted_coefficients(series, dist, n).bhat
+    for part in _map_probe_chunks(
+        plan, lr.dim, lambda probes, start: _lowrank_block(lr, bhat, n, probes, start)
+    ):
+        total += part
     return GradSample(value=total / plan.M, plan=plan, degree=n)
 
 
@@ -306,13 +275,15 @@ def sample_spectral_grads(
     out = np.empty((num_samples, pm.param_dim))
     block_samples = max(1, 256 // M)
     for n in np.unique(degrees):
-        bhat = weighted_coefficients(series, dist, int(n)).bhat
         idx = np.nonzero(degrees == n)[0]
+        if n == 0:
+            out[idx] = 0.0
+            continue
+        bhat = weighted_coefficients(series, dist, int(n)).bhat
         for start in range(0, idx.size, block_samples):
             chunk = idx[start : start + block_samples]
-            probes = np.column_stack(
-                [rademacher_probe(pm.dim, probe_rng(master_seed, k, int(t)))
-                 for t in chunk for k in range(M)]
+            probes = np.hstack(
+                [_probe_columns(pm.dim, master_seed, int(t), 0, M) for t in chunk]
             )
             sums = _generic_block(pm, bhat, int(n), probes, 0)
             out[chunk] = sums.reshape(chunk.size, M, pm.param_dim).mean(axis=1)
@@ -337,16 +308,16 @@ def sample_lowrank_grads(
     out = np.empty((num_samples, lr.dim, lr.rank))
     for n in np.unique(degrees):
         n = int(n)
-        bhat = weighted_coefficients(series, dist, n).bhat
         idx = np.nonzero(degrees == n)[0]
+        if n == 0:
+            out[idx] = 0.0
+            continue
+        bhat = weighted_coefficients(series, dist, n).bhat
         for start in range(0, idx.size, 256):
             chunk = idx[start : start + 256]
-            probes = np.column_stack(
-                [rademacher_probe(lr.dim, probe_rng(master_seed, 0, int(t))) for t in chunk]
+            probes = np.hstack(
+                [_probe_columns(lr.dim, master_seed, int(t), 0, 1) for t in chunk]
             )
-            if n == 0:
-                out[chunk] = 0.0
-                continue
             w_seq = [probes]
             if n >= 2:
                 w_seq.append(_shifted(lr, probes))
@@ -366,33 +337,6 @@ def sample_lowrank_grads(
             grads *= 4.0 / lr.eig_interval.width
             out[chunk] = grads
     return out
-
-
-def second_kind_vector_identity_check(
-    matrix: np.ndarray, v: np.ndarray, n: int, interval: Interval | None = None
-) -> bool:
-    """Confirm y_j from the amortized recurrence equals U_j(shifted A) v
-    and that 2 w_j = y_j - y_{j-2} for j >= 2, to 1e-9."""
-    if n > 64:
-        raise ParameterError("identity check capped at degree 64")
-    matrix = np.asarray(matrix, dtype=float)
-    if interval is None:
-        interval = Interval(-1.0, 1.0)
-    shifted = (2.0 * matrix - (interval.b + interval.a) * np.eye(matrix.shape[0])) / interval.width
-    v = np.asarray(v, dtype=float)
-    w_seq = [v, shifted @ v]
-    y_seq = [v, 2.0 * (shifted @ v)]
-    for j in range(2, n + 1):
-        w_seq.append(2.0 * shifted @ w_seq[-1] - w_seq[-2])
-        y_seq.append(2.0 * w_seq[j] + y_seq[j - 2])
-    scale = max(1.0, float(np.linalg.norm(v)))
-    for j in range(n + 1):
-        dense = _matrix_cheb_second(shifted, j) @ v
-        if np.max(np.abs(y_seq[j] - dense)) > 1e-9 * scale:
-            return False
-        if j >= 2 and np.max(np.abs(2.0 * w_seq[j] - (y_seq[j] - y_seq[j - 2]))) > 1e-9 * scale:
-            return False
-    return True
 
 
 def validate_param_oracle(pm: ParamMatrixOracle, rng: np.random.Generator,

@@ -73,7 +73,19 @@ class SpectralModel:
             self.series, self.dist = self.refresh(theta, seed, mean_degree)
 
     def grad_sample(self, theta: np.ndarray, seed: int, m_probes: int,
-                    degree: int | None = None) -> GradSample:
+                    degree: int | None = None, plan: ProbePlan | None = None) -> GradSample:
+        """Gradient estimate at ``theta`` from ``ProbePlan(seed, m_probes)``.
+
+        Passing another evaluation's ``plan`` (built from the same seed
+        and probe count) reuses its probe block instead of rebuilding it.
+        """
+        if plan is None:
+            plan = ProbePlan(seed, m_probes)
+        elif (plan.master_seed, plan.M) != (seed, m_probes):
+            raise ParameterError(
+                f"plan ({plan.master_seed}, {plan.M}) does not match "
+                f"seed {seed} and {m_probes} probes"
+            )
         if degree is None:
             degree = sample_degree(self.dist, degree_rng(seed, 0))
         if degree > self.series.degree:
@@ -85,17 +97,16 @@ class SpectralModel:
                 )
             self.series = self.extend_series(self.series.interval, degree)
         oracle = self.oracle_at(theta)
-        plan = ProbePlan(seed, m_probes)
         if isinstance(oracle, LowRankPSD):
             return grad_estimate_lowrank(oracle, self.series, self.dist, plan, degree=degree)
         return grad_estimate_generic(oracle, self.series, self.dist, plan, degree=degree)
 
-    def objective_estimate(self, theta: np.ndarray, eval_seed: int, m_probes: int,
-                           degree: int) -> float:
+    def objective_estimate(self, theta: np.ndarray, plan: ProbePlan, degree: int) -> float:
+        """Fixed-degree estimate of tr f(A(theta)) on ``plan``'s probes."""
         oracle = self.oracle_at(theta)
         plain = MatrixOracle(dim=oracle.dim, matvec=oracle.mv, eig_interval=oracle.eig_interval)
         n = min(degree, self.series.degree)
-        return estimate_spectral_sum_fixed(plain, self.series, n, ProbePlan(eval_seed, m_probes))
+        return estimate_spectral_sum_fixed(plain, self.series, n, plan)
 
 
 def _zero_value(theta):
@@ -210,10 +221,11 @@ def box_projection(theta: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return np.clip(theta, lo, hi)
 
 
-def _estimate_objective(obj: Objective, cfg, theta: np.ndarray, degree: int) -> float:
+def _estimate_objective(obj: Objective, plan: ProbePlan, theta: np.ndarray,
+                        degree: int) -> float:
     value = float(obj.g_value(theta))
     if obj.spectral is not None:
-        value += obj.spectral.objective_estimate(theta, cfg.eval_seed, cfg.M, degree)
+        value += obj.spectral.objective_estimate(theta, plan, degree)
     return value
 
 
@@ -227,10 +239,12 @@ def sgd_run(
 
     One gradient sample per iteration: a drawn degree shared across the
     parameter coordinates plus M Rademacher probes, then a projected
-    step.  Deterministic given the config's master seed.
+    step.  Deterministic given the config's master seed.  The objective
+    log uses one probe plan, seeded by ``cfg.eval_seed``, for the run.
     """
     theta = np.asarray(theta0, dtype=float).copy()
     seeds = _iteration_seeds(cfg.master_seed, cfg.T)
+    log_plan = ProbePlan(cfg.eval_seed, cfg.M)
     trajectory = np.empty((cfg.T + 1,) + theta.shape)
     trajectory[0] = theta
     start = time.perf_counter()
@@ -250,7 +264,7 @@ def sgd_run(
         trajectory[t + 1] = theta
         if callback is not None:
             objective = (
-                _estimate_objective(obj, cfg, theta, cfg.N)
+                _estimate_objective(obj, log_plan, theta, cfg.N)
                 if cfg.log_objective
                 else float("nan")
             )
@@ -281,13 +295,15 @@ def svrg_run(
     Each outer epoch anchors at theta_tilde with its exact spectral
     gradient; every inner step draws one probe set and one degree and
     evaluates the estimator at both the current iterate and the anchor
-    with that identical randomness.  The epoch output is the average of
-    the inner iterates.  Returns the anchors theta_tilde^(0..S).
+    with that identical randomness, sharing one probe plan between the
+    two.  The epoch output is the average of the inner iterates.
+    Returns the anchors theta_tilde^(0..S).
     """
     theta_tilde = np.asarray(theta0, dtype=float).copy()
     anchors = np.empty((cfg.S + 1,) + theta_tilde.shape)
     anchors[0] = theta_tilde
     seeds = _iteration_seeds(cfg.master_seed, cfg.S * cfg.T)
+    log_plan = ProbePlan(cfg.eval_seed, cfg.M)
     start = time.perf_counter()
     for s in range(1, cfg.S + 1):
         if obj.spectral is not None:
@@ -300,7 +316,7 @@ def svrg_run(
             if obj.spectral is not None:
                 cur = obj.spectral.grad_sample(theta, seed, cfg.M)
                 anchor = obj.spectral.grad_sample(
-                    theta_tilde, seed, cfg.M, degree=cur.degree
+                    theta_tilde, seed, cfg.M, degree=cur.degree, plan=cur.plan
                 )
                 correction = cur.value - anchor.value
                 degree = cur.degree
@@ -313,7 +329,7 @@ def svrg_run(
             inner_sum += theta
             if callback is not None:
                 objective = (
-                    _estimate_objective(obj, cfg, theta, cfg.N)
+                    _estimate_objective(obj, log_plan, theta, cfg.N)
                     if cfg.log_objective
                     else float("nan")
                 )

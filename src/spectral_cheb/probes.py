@@ -3,10 +3,14 @@ estimators, and power-method eigenvalue bounding.
 
 The estimators never materialize the shifted matrix; the interval map is
 applied inside the matvec.  Every probe owns an rng stream derived from
-(master_seed, probe index), so results do not depend on evaluation order,
-and the probe loop parallelizes over fixed-size chunks capped by the
-SPECTRAL_CHEB_THREADS environment variable with a deterministic ordered
-reduction.
+(master_seed, evaluation index, probe index), so results do not depend
+on evaluation order.  A ``ProbePlan`` owns the probe block of its
+evaluation: each fixed-size chunk of columns is built once, on first
+use, kept read-only on the plan and handed to every estimator that
+shares the plan, as SVRG's current and anchor evaluations do.  The
+probe loop parallelizes over those chunks, capped by the
+SPECTRAL_CHEB_THREADS environment variable, with a deterministic
+ordered reduction.
 """
 
 from __future__ import annotations
@@ -84,15 +88,32 @@ class MatrixOracle:
 @dataclass
 class ProbePlan:
     """Randomness of one estimator evaluation: the master seed, the probe
-    count, and (once drawn) the truncation degree."""
+    count, (once drawn) the truncation degree, and the probe block.
+
+    Probe columns are built on first use and kept, read-only, for as long
+    as the plan lives, so every evaluation sharing the plan sees the same
+    arrays without rebuilding them.
+    """
 
     master_seed: int
     M: int
     degree_sample: int | None = None
+    _blocks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.M < 1:
             raise ParameterError(f"need at least one probe, got M = {self.M}")
+
+    def probes(self, dim: int, start: int, stop: int) -> np.ndarray:
+        """Read-only (dim, stop - start) block of probes start..stop-1."""
+        key = (dim, start, stop)
+        block = self._blocks.get(key)
+        if block is None:
+            block = _probe_columns(dim, self.master_seed, 0, start, stop)
+            block.flags.writeable = False
+            # concurrent chunks use disjoint keys; setdefault keeps one array per key
+            block = self._blocks.setdefault(key, block)
+        return block
 
 
 def probe_rng(master_seed: int, k: int, eval_index: int = 0) -> np.random.Generator:
@@ -115,6 +136,16 @@ def rademacher_probe(dim: int, seed) -> np.ndarray:
         raise ParameterError(f"dimension must be >= 1, got {dim}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     return rng.integers(0, 2, size=dim).astype(float) * 2.0 - 1.0
+
+
+def _probe_columns(dim: int, master_seed: int, eval_index: int,
+                   start: int, stop: int) -> np.ndarray:
+    """Probes start..stop-1 of evaluation ``eval_index`` as the columns of
+    a (dim, stop - start) array; the only place probe streams are drawn."""
+    return np.column_stack(
+        [rademacher_probe(dim, probe_rng(master_seed, k, eval_index))
+         for k in range(start, stop)]
+    )
 
 
 def _thread_count() -> int:
@@ -149,27 +180,28 @@ def _bilinear_block(oracle: MatrixOracle, coeffs: np.ndarray, n: int,
     return acc
 
 
-def _probe_contributions(oracle: MatrixOracle, coeffs: np.ndarray, n: int,
-                         master_seed: int, m_probes: int, eval_index: int) -> np.ndarray:
-    """Per-probe bilinear sums, chunked; chunk boundaries are fixed so the
-    reduction order is independent of the worker count."""
-    starts = range(0, m_probes, _CHUNK)
+def _map_probe_chunks(plan: ProbePlan, dim: int, block_fn) -> list:
+    """``block_fn(probes, start)`` on each fixed chunk of the plan's probes,
+    results in chunk order; chunk boundaries are fixed so the reduction
+    order is independent of the worker count."""
+    starts = range(0, plan.M, _CHUNK)
 
-    def run_chunk(start: int) -> np.ndarray:
-        stop = min(start + _CHUNK, m_probes)
-        block = np.column_stack(
-            [rademacher_probe(oracle.dim, probe_rng(master_seed, k, eval_index))
-             for k in range(start, stop)]
-        )
-        return _bilinear_block(oracle, coeffs, n, block)
+    def run(start: int):
+        return block_fn(plan.probes(dim, start, min(start + _CHUNK, plan.M)), start)
 
     workers = _thread_count()
-    if workers > 1 and m_probes > _CHUNK:
+    if workers > 1 and plan.M > _CHUNK:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run_chunk, starts))
-    else:
-        parts = [run_chunk(s) for s in starts]
-    return np.concatenate(parts)
+            return list(pool.map(run, starts))
+    return [run(s) for s in starts]
+
+
+def _probe_contributions(oracle: MatrixOracle, coeffs: np.ndarray, n: int,
+                         plan: ProbePlan) -> np.ndarray:
+    """Per-probe bilinear sums over the plan's probes."""
+    return np.concatenate(_map_probe_chunks(
+        plan, oracle.dim, lambda probes, start: _bilinear_block(oracle, coeffs, n, probes)
+    ))
 
 
 def estimate_spectral_sum_fixed(
@@ -187,7 +219,7 @@ def estimate_spectral_sum_fixed(
         )
     if n < 0 or n > series.degree:
         raise ParameterError(f"degree {n} outside stored series degree {series.degree}")
-    contrib = _probe_contributions(A, series.coeffs, n, plan.master_seed, plan.M, 0)
+    contrib = _probe_contributions(A, series.coeffs, n, plan)
     return float(np.sum(contrib) / plan.M)
 
 
@@ -213,7 +245,7 @@ def estimate_spectral_sum_unbiased(
     n = sample_degree(dist, degree_rng(plan.master_seed, 0)) if degree is None else degree
     plan.degree_sample = n
     wc = weighted_coefficients(series, dist, n)
-    contrib = _probe_contributions(A, wc.bhat, n, plan.master_seed, plan.M, 0)
+    contrib = _probe_contributions(A, wc.bhat, n, plan)
     return float(np.sum(contrib) / plan.M)
 
 
@@ -244,9 +276,8 @@ def sample_spectral_sums(
         idx = np.nonzero(degrees == n)[0]
         for start in range(0, idx.size, block_samples):
             chunk = idx[start : start + block_samples]
-            probes = np.column_stack(
-                [rademacher_probe(A.dim, probe_rng(master_seed, k, int(t)))
-                 for t in chunk for k in range(M)]
+            probes = np.hstack(
+                [_probe_columns(A.dim, master_seed, int(t), 0, M) for t in chunk]
             )
             sums = _bilinear_block(A, wc.bhat, int(n), probes)
             out[chunk] = sums.reshape(chunk.size, M).mean(axis=1)

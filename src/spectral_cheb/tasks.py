@@ -617,15 +617,29 @@ def _gp_model(gp: GPProblem, counter: MatvecCounter, refresh_every: int) -> Spec
     holder: dict = {"interval": None}
 
     def oracle_at(phi):
+        # kernel and partials are built on first use: degree-0 draws need
+        # neither, and the objective log never needs the partials
         theta = np.exp(phi)
-        a_mat = gp.kernel(theta)
-        partials = _gp_partials_logspace(gp, theta)
+        a_mat = partials = None
+
+        def apply(_phi, x):
+            nonlocal a_mat
+            if a_mat is None:
+                a_mat = gp.kernel(theta)
+            return a_mat @ x
+
+        def apply_partial(i, _phi, x):
+            nonlocal partials
+            if partials is None:
+                partials = _gp_partials_logspace(gp, theta)
+            return partials[i] @ x
+
         return ParamMatrixOracle(
             dim=gp.dim,
             param_dim=3,
             theta=np.asarray(phi, dtype=float),
-            apply=lambda _phi, x: a_mat @ x,
-            apply_partial=lambda i, _phi, x: partials[i] @ x,
+            apply=apply,
+            apply_partial=apply_partial,
             eig_interval=holder["interval"],
             counter=counter,
         )
@@ -712,7 +726,12 @@ def gp_train(
         projection=lambda phi: np.clip(phi, lo, hi),
     )
     records: list[IterationRecord] = []
-    sink = callback if callback is not None else records.append
+
+    def sink(rec):
+        records.append(rec)
+        if callback is not None:
+            callback(rec)
+
     trajectory = sgd_run(obj, phi0, cfg, callback=sink)
     nll_curve = np.array([gp_negloglik(gp, np.exp(phi)) for phi in trajectory])
     return GPResult(theta=np.exp(trajectory[-1]), records=records, nll_curve=nll_curve)

@@ -1,10 +1,13 @@
 """Shared test utilities: random feasible pmfs, dense matrix factories,
-and the quadrature used by Monte-Carlo variance oracles."""
+the quadrature used by Monte-Carlo variance oracles, and the dense check
+of the second-kind recurrence behind the amortized gradient."""
 
 import numpy as np
 
-from spectral_cheb.chebyshev import ChebSeries, eval_series
+from spectral_cheb.chebyshev import ChebSeries, Interval, eval_series
 from spectral_cheb.degree_dist import DegreeDistribution, tabulated_distribution
+from spectral_cheb.exceptions import ParameterError
+from spectral_cheb.reference import _matrix_cheb_second
 
 
 def random_feasible_pmf(rng: np.random.Generator, mean_n: int) -> DegreeDistribution:
@@ -87,3 +90,30 @@ def weighted_norm_sq(series: ChebSeries, coeffs, f, quad_points: int = 2048) -> 
     p = eval_series(ChebSeries(iv, np.asarray(coeffs, dtype=float)), x)
     g = p - f(x)
     return float(np.pi / quad_points * np.sum(g * g))
+
+
+def second_kind_vector_identity_check(
+    matrix: np.ndarray, v: np.ndarray, n: int, interval: Interval | None = None
+) -> bool:
+    """Confirm y_j from the amortized recurrence equals U_j(shifted A) v
+    and that 2 w_j = y_j - y_{j-2} for j >= 2, to 1e-9."""
+    if n > 64:
+        raise ParameterError("identity check capped at degree 64")
+    matrix = np.asarray(matrix, dtype=float)
+    if interval is None:
+        interval = Interval(-1.0, 1.0)
+    shifted = (2.0 * matrix - (interval.b + interval.a) * np.eye(matrix.shape[0])) / interval.width
+    v = np.asarray(v, dtype=float)
+    w_seq = [v, shifted @ v]
+    y_seq = [v, 2.0 * (shifted @ v)]
+    for j in range(2, n + 1):
+        w_seq.append(2.0 * shifted @ w_seq[-1] - w_seq[-2])
+        y_seq.append(2.0 * w_seq[j] + y_seq[j - 2])
+    scale = max(1.0, float(np.linalg.norm(v)))
+    for j in range(n + 1):
+        dense = _matrix_cheb_second(shifted, j) @ v
+        if np.max(np.abs(y_seq[j] - dense)) > 1e-9 * scale:
+            return False
+        if j >= 2 and np.max(np.abs(2.0 * w_seq[j] - (y_seq[j] - y_seq[j - 2]))) > 1e-9 * scale:
+            return False
+    return True

@@ -1,5 +1,6 @@
 """Tests for the command-line surface."""
 
+import math
 import subprocess
 import sys
 
@@ -33,6 +34,19 @@ def write_identity(tmp_path, dim=5):
     path = tmp_path / "identity.txt"
     rows = [" ".join("1" if i == j else "0" for j in range(dim)) for i in range(dim)]
     path.write_text("\n".join(rows) + "\n")
+    return path
+
+
+def write_shifted_grid_laplacian(tmp_path, sigma, side=20):
+    """MatrixMarket file of the side x side grid Laplacian plus sigma I."""
+    import scipy.io
+    import scipy.sparse
+
+    path = tmp_path / f"laplacian_{sigma}.mtx"
+    line = scipy.sparse.diags([-np.ones(side - 1), 2.0 * np.ones(side), -np.ones(side - 1)],
+                              [-1, 0, 1])
+    matrix = scipy.sparse.kronsum(line, line) + sigma * scipy.sparse.identity(side * side)
+    scipy.io.mmwrite(str(path), scipy.sparse.csr_matrix(matrix))
     return path
 
 
@@ -96,6 +110,26 @@ class TestEstimate:
         b = run_cli(args)
         assert a.returncode == b.returncode == 0
         assert a.stdout == b.stdout
+
+    def test_rho_fitted_on_shifted_laplacian(self, tmp_path, capsys):
+        # fast coefficient decay reaches the 1e-14 floor inside the fit window
+        path = write_shifted_grid_laplacian(tmp_path, 0.5)
+        assert main(["estimate", str(path), "--func", "log", "--a", "0.5", "--N", "30",
+                     "--M", "8", "--seed", "2"]) == 0
+        out = capsys.readouterr()
+        assert math.isfinite(float(out.out))
+        assert "rho = 1.6" in out.err
+
+    def test_resolvable_rho_output_unchanged(self, tmp_path, capsys):
+        path = write_shifted_grid_laplacian(tmp_path, 0.05)
+        assert main(["estimate", str(path), "--func", "log", "--a", "0.05", "--N", "30",
+                     "--M", "8", "--seed", "2"]) == 0
+        out = capsys.readouterr()
+        assert out.out == "480.34670080319654\n"
+        assert out.err == (
+            "sampled degree n = 30\nprobes M = 8\n"
+            "fixed-degree-30 bias bound: 16061.7 (rho = 1.18195, U ~ 275.134)\n"
+        )
 
     def test_asymmetric_matrix_is_data_error(self, tmp_path):
         path = tmp_path / "bad.txt"

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from helpers import random_spd, random_symmetric
+from helpers import random_spd, random_symmetric, second_kind_vector_identity_check
 
 from spectral_cheb.chebyshev import (
     Interval,
@@ -25,11 +25,10 @@ from spectral_cheb.grad_est import (
     grad_estimate_lowrank,
     sample_lowrank_grads,
     sample_spectral_grads,
-    second_kind_vector_identity_check,
     sum_prime_weights,
     validate_param_oracle,
 )
-from spectral_cheb.probes import ProbePlan
+from spectral_cheb.probes import MatvecCounter, ProbePlan
 from spectral_cheb.reference import (
     exact_spectral_grad_generic,
     exact_spectral_grad_lowrank,
@@ -292,3 +291,58 @@ class TestOracleValidation:
         oracle.apply_partial = lambda i, th, x: 2.0 * (b1 @ x)
         with pytest.raises(ParameterError, match="finite differences"):
             validate_param_oracle(oracle, np.random.default_rng(0))
+
+
+class TestSharedProbePlan:
+    def _lowrank(self):
+        rng = np.random.default_rng(43)
+        theta = rng.uniform(0.0, 0.4, size=(7, 3))
+        lr = LowRankPSD(theta, 0.1, Interval(0.05, 2.5))
+        series = compute_coefficients(np.sqrt, lr.eig_interval, degree=60)
+        return lr, series, optimal_distribution(2.0, 5)
+
+    def _generic(self):
+        rng = np.random.default_rng(44)
+        base = random_spd(rng, 8, 0.5, 1.5)
+        oracle = affine_oracle(base, [random_symmetric(rng, 8, 0.05)], [0.2], Interval(0.2, 2.0))
+        series = compute_coefficients(np.log, oracle.eig_interval, degree=60)
+        return oracle, series, optimal_distribution(1.8, 5)
+
+    def test_shared_plan_matches_fresh_plans(self):
+        for estimate, (op, series, dist), moved in (
+            (grad_estimate_lowrank, self._lowrank(), lambda th: th + 0.05),
+            (grad_estimate_generic, self._generic(), lambda th: th - 0.1),
+        ):
+            shared = ProbePlan(21, 40)
+            for oracle in (op, op.at(moved(op.theta))):
+                for n in (6, 2):
+                    got = estimate(oracle, series, dist, shared, degree=n)
+                    fresh = estimate(oracle, series, dist, ProbePlan(21, 40), degree=n)
+                    np.testing.assert_array_equal(got.value, fresh.value)
+
+    def test_degree_zero_builds_no_probes(self, monkeypatch):
+        import spectral_cheb.probes as probes_module
+
+        streams = []
+        real = probes_module.probe_rng
+        monkeypatch.setattr(probes_module, "probe_rng",
+                            lambda *args: streams.append(args) or real(*args))
+        lr, lr_series, lr_dist = self._lowrank()
+        lr.counter = MatvecCounter()
+        low = grad_estimate_lowrank(lr, lr_series, lr_dist, ProbePlan(5, 8), degree=0)
+        np.testing.assert_array_equal(low.value, np.zeros_like(lr.theta))
+        pm, series, dist = self._generic()
+        pm.counter = lr.counter
+        gen = grad_estimate_generic(pm, series, dist, ProbePlan(5, 8), degree=0)
+        np.testing.assert_array_equal(gen.value, np.zeros(pm.param_dim))
+        assert streams == [] and lr.counter.count == 0
+        grad_estimate_generic(pm, series, dist, ProbePlan(5, 8), degree=1)
+        assert len(streams) == 8
+
+    def test_lowrank_thread_count_does_not_change_bits(self, monkeypatch):
+        lr, series, dist = self._lowrank()
+        values = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("SPECTRAL_CHEB_THREADS", threads)
+            values.append(grad_estimate_lowrank(lr, series, dist, ProbePlan(9, 70), degree=9))
+        assert values[0].value.tobytes() == values[1].value.tobytes()

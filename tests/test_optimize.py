@@ -217,6 +217,25 @@ class TestSVRG:
             assert dist[1] < dist[0]
             assert dist[2] < dist[1]
 
+    def test_probe_streams_per_run_and_per_step(self, monkeypatch):
+        # the objective log builds its M probes once per run, and the
+        # current/anchor pair of a step shares one probe block
+        import spectral_cheb.probes as probes_module
+
+        seeds = []
+        real = probes_module.probe_rng
+        monkeypatch.setattr(probes_module, "probe_rng",
+                            lambda *args: seeds.append(args[0]) or real(*args))
+        obj, exact_grad, _, _ = self._setup()
+        cfg = SVRGConfig(S=2, T=6, eta=0.02, M=3, N=1, master_seed=6)
+        records = []
+        svrg_run(obj, np.array([0.3, 0.3]), cfg, exact_grad, callback=records.append)
+        assert len(records) == 12
+        assert seeds.count(cfg.eval_seed) == cfg.M
+        probed_steps = sum(rec.degree > 0 for rec in records)
+        assert 0 < probed_steps < len(records)
+        assert len(seeds) - cfg.M == cfg.M * probed_steps
+
     def test_deterministic(self):
         obj, exact_grad, _, _ = self._setup()
         cfg = SVRGConfig(S=2, T=10, eta=0.02, M=2, N=3, master_seed=6, log_objective=False)

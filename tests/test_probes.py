@@ -258,3 +258,60 @@ class TestLoadMatrix:
     def test_missing_file(self):
         with pytest.raises(FileNotFoundError):
             load_matrix("/nonexistent/matrix.mtx")
+
+
+class TestProbePlan:
+    def test_blocks_are_read_only_and_kept(self):
+        plan = ProbePlan(3, 40)
+        block = plan.probes(12, 0, 32)
+        assert not block.flags.writeable
+        with pytest.raises(ValueError):
+            block[0, 0] = 0.0
+        assert plan.probes(12, 0, 32) is block
+        np.testing.assert_array_equal(block[:, 5], rademacher_probe(12, probe_rng(3, 5)))
+
+    def test_shared_plan_matches_fresh_plans(self):
+        rng = np.random.default_rng(19)
+        _, oracle = spd_oracle(rng, 10)
+        series = compute_coefficients(np.exp, oracle.eig_interval, degree=40)
+        shared = ProbePlan(8, 40)
+        for n in (7, 3, 7):
+            fresh = estimate_spectral_sum_fixed(oracle, series, n, ProbePlan(8, 40))
+            assert estimate_spectral_sum_fixed(oracle, series, n, shared) == fresh
+
+
+class TestSingleProbeBuilder:
+    GUARDED = {"probe_rng", "rademacher_probe"}
+
+    def test_probe_streams_only_drawn_by_the_block_helper(self):
+        import ast
+        from pathlib import Path
+
+        import spectral_cheb
+
+        offenders, helper_refs = [], 0
+        for path in sorted(Path(spectral_cheb.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            parents = {child: node for node in ast.walk(tree)
+                       for child in ast.iter_child_nodes(node)}
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                elif isinstance(node, ast.alias) and path.name != "__init__.py":
+                    name = node.name
+                else:
+                    continue
+                if name not in self.GUARDED:
+                    continue
+                scope = node
+                while scope is not None and not isinstance(scope, ast.FunctionDef):
+                    scope = parents.get(scope)
+                if path.name == "probes.py" and scope is not None \
+                        and scope.name == "_probe_columns":
+                    helper_refs += 1
+                else:
+                    offenders.append(f"{path.name}:{node.lineno}")
+        assert offenders == []
+        assert helper_refs == 2

@@ -233,6 +233,16 @@ class TestGPTraining:
         assert result.nll_curve[-1] <= nll_true + 0.02 * abs(nll_true)
         assert result.nll_curve[-1] < result.nll_curve[0]
 
+    def test_callback_and_records_both_kept(self):
+        x, y = synthetic_gp_data(20, [0.4, 1.0, 0.8], seed=11)
+        gp = GPProblem(x, y, np.array([0.5, 0.8, 1.0]))
+        cfg = SGDConfig(T=4, M=2, N=4, master_seed=13, step_rule="exp_decay",
+                        step0=2e-3, log_objective=False)
+        seen = []
+        result = gp_train(gp, cfg, callback=seen.append)
+        assert len(result.records) == 4
+        assert len(seen) == 4 and all(a is b for a, b in zip(seen, result.records))
+
     def test_curve_reproducible(self):
         x, y = synthetic_gp_data(30, [0.4, 1.0, 0.8], seed=11)
         gp = GPProblem(x, y, np.array([0.5, 0.8, 1.0]))
