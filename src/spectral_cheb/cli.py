@@ -254,8 +254,12 @@ def cmd_estimate(args) -> int:
     print(f"sampled degree n = {plan.degree_sample}", file=sys.stderr)
     print(f"probes M = {args.M}", file=sys.stderr)
     if rho is not None:
-        j = np.arange(series.degree + 1, dtype=float)
-        big_u = float(np.max(np.abs(series.coeffs) * rho**j)) / 2.0
+        # coefficients at the 1e-14 quadrature floor carry no decay
+        # information, as in estimate_rho; rho^j would blow them up
+        above = np.nonzero(np.abs(series.coeffs) > 1e-14)[0]
+        resolved = series.coeffs[: above[-1] + 1 if above.size else 1]
+        j = np.arange(resolved.size, dtype=float)
+        big_u = float(np.max(np.abs(resolved) * rho**j)) / 2.0
         bound = dim * truncation_error_bound(AnalyticitySpec(rho, big_u), mean_degree)
         print(
             f"fixed-degree-{mean_degree} bias bound: {bound:.6g} "

@@ -1,12 +1,18 @@
 """Unbiased stochastic gradients of spectral sums.
 
-Two paths compute the gradient of v^T p_hat_n(A(theta)) v: a generic
-coupled recursion driving one derivative sequence per parameter
-coordinate, and an amortized form for A = theta theta^T + eps I that
-assembles the full d x r gradient from first/second-kind vector
-sequences without touching a d x d matrix.  Both share the drawn degree
-and the probe set across every coordinate, which is what the variance
-reduction downstream relies on.
+One reverse-mode kernel differentiates v^T p_hat_n(B) v, B the
+interval-mapped operator, through the three-term recurrence.  Its
+forward pass stores the first-kind vectors w_i = T_i(B) v for i < n; its
+backward Clenshaw pass forms s_i = sum_k bhat_{i+1+k} U_k(B) v from
+s_i = bhat_{i+1} v + 2 B s_{i+1} - s_{i+2}, starting at s_{n-1} =
+bhat_n v.  The gradient is (2/(b-a)) sum_i' w_i^T dA s_i, and each
+oracle contracts it in one place: the generic ``ParamMatrixOracle``
+applies each coordinate's partial to a block of stacked s_i and dots it
+column-wise with the w_i; ``LowRankPSD`` (A = theta theta^T + eps I)
+folds the symmetric rank-one partials into 2 sum_i' w_i (s_i^T theta)
+without touching a d x d matrix.  Every coordinate shares the drawn
+degree and the probe set, which is what the variance reduction
+downstream relies on.
 """
 
 from __future__ import annotations
@@ -32,6 +38,10 @@ __all__ = [
     "sample_spectral_grads",
     "validate_param_oracle",
 ]
+
+# s_i vectors per contraction: the backward pass never holds more than
+# this many next to the stored forward sequence
+_DEGREE_BLOCK = 32
 
 
 @dataclass
@@ -66,6 +76,18 @@ class ParamMatrixOracle:
 
     def at(self, theta: np.ndarray) -> "ParamMatrixOracle":
         return dataclasses.replace(self, theta=np.asarray(theta, dtype=float))
+
+    def contract(self, w: np.ndarray, s: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """Per-column sum_b weights_b w_b^T (dA/dtheta_i) s_b for (d, blk, m)
+        blocks w and s, shape (m, param_dim): one partial matvec per
+        coordinate on the stacked s."""
+        d, blk, m = s.shape
+        flat = s.reshape(d, blk * m)
+        out = np.empty((m, self.param_dim))
+        for i in range(self.param_dim):
+            ds = self.mv_partial(i, flat).reshape(d, blk, m)
+            out[:, i] = weights @ np.einsum("dbk,dbk->bk", w, ds)
+        return out
 
 
 @dataclass
@@ -104,6 +126,19 @@ class LowRankPSD:
     def at(self, theta: np.ndarray) -> "LowRankPSD":
         return dataclasses.replace(self, theta=np.asarray(theta, dtype=float))
 
+    def contract(self, w: np.ndarray, s: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """Per-column 2 sum_b weights_b w_b (s_b^T theta) for (d, blk, m)
+        blocks w and s, shape (m, d, r).  Each partial of theta theta^T
+        contributes (w s^T + s w^T) theta; over a whole backward pass
+        sum_i' w_i s_i^T is symmetric, so the two halves are equal."""
+        d, blk, m = s.shape
+        s_theta = (self.theta.T @ s.reshape(d, blk * m)).reshape(-1, blk, m)
+        s_theta *= (2.0 * weights)[:, None]
+        # contiguous per-column operands: each column's product is the
+        # same BLAS call however many columns the block holds
+        return np.matmul(np.ascontiguousarray(w.transpose(2, 0, 1)),
+                         np.ascontiguousarray(s_theta.transpose(2, 1, 0)))
+
 
 @dataclass
 class GradSample:
@@ -124,9 +159,43 @@ def sum_prime_weights(count: int) -> np.ndarray:
     return w
 
 
-def _shifted(oracle, x):
+def _shifted(oracle, x, scale=1.0):
+    """scale * B x for the interval-mapped B = (2A - (b+a)I)/(b-a)."""
     iv = oracle.eig_interval
-    return (2.0 * oracle.mv(x) - (iv.b + iv.a) * x) / iv.width
+    return (2.0 * scale / iv.width) * oracle.mv(x) - (scale * (iv.b + iv.a) / iv.width) * x
+
+
+def _adjoint_block(op, bhat: np.ndarray, n: int, probes: np.ndarray,
+                   probe_start: int) -> np.ndarray:
+    """Gradient of v^T p_hat_n(B) v for each column v of a (d, m) probe
+    block, n >= 1: one row per column, shaped by the oracle's ``contract``.
+
+    2(n - 1) matvecs of A per column, whatever the oracle.  The forward
+    sequence w_0..w_{n-1} is stored; the s_i are contracted against it in
+    blocks of ``_DEGREE_BLOCK`` as the backward pass produces them.
+    """
+    d, m = probes.shape
+    w = np.empty((d, n, m))
+    w[:, 0] = probes
+    if n >= 2:
+        w[:, 1] = _shifted(op, probes)
+    for i in range(2, n):
+        np.subtract(_shifted(op, w[:, i - 1], 2.0), w[:, i - 2], out=w[:, i])
+    weights = sum_prime_weights(n) * (2.0 / op.eig_interval.width)
+    acc = 0.0
+    s_next, s_after = 0.0, 0.0  # s_{i+1}, s_{i+2}
+    for top in range(n, 0, -_DEGREE_BLOCK):
+        low = max(0, top - _DEGREE_BLOCK)
+        s = np.empty((d, top - low, m))
+        for i in range(top - 1, low - 1, -1):
+            s_cur = bhat[i + 1] * probes
+            if i < n - 1:
+                s_cur += _shifted(op, s_next, 2.0) - s_after
+            s[:, i - low] = s_cur
+            s_next, s_after = s_cur, s_next
+        acc = acc + op.contract(w[:, low:top], s, weights[low:top])
+    _check_finite(acc, "gradient contribution", probe_start, n)
+    return acc
 
 
 def _check_finite(arr: np.ndarray, what: str, probe_start: int, degree: int):
@@ -136,37 +205,18 @@ def _check_finite(arr: np.ndarray, what: str, probe_start: int, degree: int):
         )
 
 
-def _generic_block(pm: ParamMatrixOracle, bhat: np.ndarray, n: int,
-                   probes: np.ndarray, probe_start: int) -> np.ndarray:
-    """Per-probe coordinate sums sum_j bhat_j v^T dw_j/dtheta_i for n >= 1.
-
-    Returns an (m, param_dim) array.  The derivative recursion is
-    dw_{j+1} = (4/(b-a)) dA w_j + 2 shifted(A) dw_j - dw_{j-1} with
-    dw_1 = (2/(b-a)) dA v, dw_0 = 0, so a degree-0 truncation has no
-    parameter signal and callers return zeros without probing.
-    """
-    iv = pm.eig_interval
-    m = probes.shape[1]
-    acc = np.zeros((m, pm.param_dim))
-    w_prev, w_cur = probes, _shifted(pm, probes)  # w_0, w_1
-    dw_prev = [np.zeros_like(probes) for _ in range(pm.param_dim)]
-    dw_cur = [(2.0 / iv.width) * pm.mv_partial(i, probes) for i in range(pm.param_dim)]
-    for i in range(pm.param_dim):
-        acc[:, i] += bhat[1] * np.einsum("dk,dk->k", probes, dw_cur[i])
-    for j in range(2, n + 1):
-        # dw_j needs w_{j-1}, which is w_cur at this point
-        for i in range(pm.param_dim):
-            dw_next = (
-                (4.0 / iv.width) * pm.mv_partial(i, w_cur)
-                + 2.0 * _shifted(pm, dw_cur[i])
-                - dw_prev[i]
-            )
-            acc[:, i] += bhat[j] * np.einsum("dk,dk->k", probes, dw_next)
-            dw_prev[i], dw_cur[i] = dw_cur[i], dw_next
-        if j < n:
-            w_prev, w_cur = w_cur, 2.0 * _shifted(pm, w_cur) - w_prev
-    _check_finite(acc, "gradient contribution", probe_start, n)
-    return acc
+def _grad_estimate(op, series, dist, plan, degree, zero) -> GradSample:
+    if series.interval != op.eig_interval:
+        raise ParameterError("series interval does not match the oracle's")
+    n = sample_degree(dist, degree_rng(plan.master_seed, 0)) if degree is None else degree
+    plan.degree_sample = n
+    if n == 0:
+        return GradSample(value=zero, plan=plan, degree=0)
+    bhat = weighted_coefficients(series, dist, n).bhat
+    per_probe = np.concatenate(_map_probe_chunks(
+        plan, op.dim, lambda probes, start: _adjoint_block(op, bhat, n, probes, start)
+    ))
+    return GradSample(value=per_probe.mean(axis=0), plan=plan, degree=n)
 
 
 def grad_estimate_generic(
@@ -180,54 +230,11 @@ def grad_estimate_generic(
 
     Every coordinate shares the single drawn degree and the same probe
     set; ``degree`` overrides the draw for callers sharing randomness
-    across evaluations.  A degree-0 draw returns exact zeros without
-    building probes or touching the oracle.
+    across evaluations.  Costs 2(n - 1) matvecs of A and n partial
+    matvecs per coordinate for each probe.  A degree-0 draw returns exact
+    zeros without building probes or touching the oracle.
     """
-    if series.interval != pm.eig_interval:
-        raise ParameterError("series interval does not match the oracle's")
-    n = sample_degree(dist, degree_rng(plan.master_seed, 0)) if degree is None else degree
-    plan.degree_sample = n
-    if n == 0:
-        return GradSample(value=np.zeros(pm.param_dim), plan=plan, degree=0)
-    bhat = weighted_coefficients(series, dist, n).bhat
-    per_probe = np.concatenate(_map_probe_chunks(
-        plan, pm.dim, lambda probes, start: _generic_block(pm, bhat, n, probes, start)
-    ))
-    return GradSample(value=per_probe.mean(axis=0), plan=plan, degree=n)
-
-
-def _lowrank_block(lr: LowRankPSD, bhat: np.ndarray, n: int,
-                   probes: np.ndarray, probe_start: int) -> np.ndarray:
-    """Amortized gradient contribution of a probe block for n >= 1,
-    already summed over the block's columns; returns a (d, r) array.
-
-    Uses w_j = T_j(shifted A) v and y_j = U_j(shifted A) v via
-    y_{j+1} = 2 w_{j+1} + y_{j-1}, then
-    grad = (4/(b-a)) sum_i' w_i (sum_{j>=i} bhat_{j+1} y_{j-i})^T theta,
-    where the inner chain factor 2/(b-a) comes from differentiating the
-    interval-mapped operator and the remaining 2 from symmetrizing the
-    rank-one partials.
-    """
-    w_seq = [probes]  # w_0 .. w_{n-1}
-    if n >= 2:
-        w_seq.append(_shifted(lr, probes))
-        for _ in range(2, n):
-            w_seq.append(2.0 * _shifted(lr, w_seq[-1]) - w_seq[-2])
-    y_seq = [probes]
-    if n >= 2:
-        y_seq.append(2.0 * w_seq[1])
-        for j in range(2, n):
-            y_seq.append(2.0 * w_seq[j] + y_seq[j - 2])
-    y_stack = np.stack(y_seq, axis=0)  # (n, d, m)
-    weights = sum_prime_weights(n)
-    grad = np.zeros_like(lr.theta)
-    for i in range(n):
-        coeffs = bhat[i + 1 : n + 1]
-        s_i = np.tensordot(coeffs, y_stack[: n - i], axes=(0, 0))  # (d, m)
-        grad += weights[i] * (w_seq[i] @ (s_i.T @ lr.theta))
-    grad *= 4.0 / lr.eig_interval.width
-    _check_finite(grad, "amortized gradient", probe_start, n)
-    return grad
+    return _grad_estimate(pm, series, dist, plan, degree, np.zeros(pm.param_dim))
 
 
 def grad_estimate_lowrank(
@@ -239,22 +246,38 @@ def grad_estimate_lowrank(
 ) -> GradSample:
     """Amortized gradient of tr f(theta theta^T + eps I) w.r.t. the
     factor; algebraically identical to the generic path on the flattened
-    parameterization but costs O(M (n^2 d + n d r)) with no d x d work.
-    Chunk sums are added in chunk order whatever the thread count; a
+    parameterization but costs O(M n d r) with no d x d work.  Per-probe
+    values are averaged in probe order whatever the thread count; a
     degree-0 draw returns exact zeros without building probes."""
-    if series.interval != lr.eig_interval:
+    return _grad_estimate(lr, series, dist, plan, degree, np.zeros_like(lr.theta))
+
+
+def _sample_grads(op, series, dist, master_seed, num_samples, M, shape) -> np.ndarray:
+    """Rows of independent draws, grouped by degree and blocked over
+    probes; row t reproduces the single estimate at evaluation index t,
+    bit for bit when its block holds that sample alone."""
+    if series.interval != op.eig_interval:
         raise ParameterError("series interval does not match the oracle's")
-    n = sample_degree(dist, degree_rng(plan.master_seed, 0)) if degree is None else degree
-    plan.degree_sample = n
-    total = np.zeros_like(lr.theta)
-    if n == 0:
-        return GradSample(value=total, plan=plan, degree=0)
-    bhat = weighted_coefficients(series, dist, n).bhat
-    for part in _map_probe_chunks(
-        plan, lr.dim, lambda probes, start: _lowrank_block(lr, bhat, n, probes, start)
-    ):
-        total += part
-    return GradSample(value=total / plan.M, plan=plan, degree=n)
+    degrees = np.array(
+        [sample_degree(dist, degree_rng(master_seed, t)) for t in range(num_samples)]
+    )
+    out = np.empty((num_samples,) + shape)
+    block_samples = max(1, 256 // M)
+    for n in np.unique(degrees):
+        n = int(n)
+        idx = np.nonzero(degrees == n)[0]
+        if n == 0:
+            out[idx] = 0.0
+            continue
+        bhat = weighted_coefficients(series, dist, n).bhat
+        for start in range(0, idx.size, block_samples):
+            chunk = idx[start : start + block_samples]
+            probes = np.hstack(
+                [_probe_columns(op.dim, master_seed, int(t), 0, M) for t in chunk]
+            )
+            per_probe = _adjoint_block(op, bhat, n, probes, 0)
+            out[chunk] = per_probe.reshape((chunk.size, M) + shape).mean(axis=1)
+    return out
 
 
 def sample_spectral_grads(
@@ -265,29 +288,9 @@ def sample_spectral_grads(
     num_samples: int,
     M: int = 1,
 ) -> np.ndarray:
-    """Independent gradient draws, grouped by degree and blocked over
-    probes; row t reproduces grad_estimate_generic at evaluation index t."""
-    if series.interval != pm.eig_interval:
-        raise ParameterError("series interval does not match the oracle's")
-    degrees = np.array(
-        [sample_degree(dist, degree_rng(master_seed, t)) for t in range(num_samples)]
-    )
-    out = np.empty((num_samples, pm.param_dim))
-    block_samples = max(1, 256 // M)
-    for n in np.unique(degrees):
-        idx = np.nonzero(degrees == n)[0]
-        if n == 0:
-            out[idx] = 0.0
-            continue
-        bhat = weighted_coefficients(series, dist, int(n)).bhat
-        for start in range(0, idx.size, block_samples):
-            chunk = idx[start : start + block_samples]
-            probes = np.hstack(
-                [_probe_columns(pm.dim, master_seed, int(t), 0, M) for t in chunk]
-            )
-            sums = _generic_block(pm, bhat, int(n), probes, 0)
-            out[chunk] = sums.reshape(chunk.size, M, pm.param_dim).mean(axis=1)
-    return out
+    """Independent gradient draws, shape (num_samples, param_dim); row t
+    reproduces grad_estimate_generic at evaluation index t."""
+    return _sample_grads(pm, series, dist, master_seed, num_samples, M, (pm.param_dim,))
 
 
 def sample_lowrank_grads(
@@ -300,43 +303,7 @@ def sample_lowrank_grads(
     """Independent single-probe amortized gradient draws, shape
     (num_samples, d, r); row t reproduces grad_estimate_lowrank at
     evaluation index t with M = 1."""
-    if series.interval != lr.eig_interval:
-        raise ParameterError("series interval does not match the oracle's")
-    degrees = np.array(
-        [sample_degree(dist, degree_rng(master_seed, t)) for t in range(num_samples)]
-    )
-    out = np.empty((num_samples, lr.dim, lr.rank))
-    for n in np.unique(degrees):
-        n = int(n)
-        idx = np.nonzero(degrees == n)[0]
-        if n == 0:
-            out[idx] = 0.0
-            continue
-        bhat = weighted_coefficients(series, dist, n).bhat
-        for start in range(0, idx.size, 256):
-            chunk = idx[start : start + 256]
-            probes = np.hstack(
-                [_probe_columns(lr.dim, master_seed, int(t), 0, 1) for t in chunk]
-            )
-            w_seq = [probes]
-            if n >= 2:
-                w_seq.append(_shifted(lr, probes))
-                for _ in range(2, n):
-                    w_seq.append(2.0 * _shifted(lr, w_seq[-1]) - w_seq[-2])
-            y_seq = [probes]
-            if n >= 2:
-                y_seq.append(2.0 * w_seq[1])
-                for j in range(2, n):
-                    y_seq.append(2.0 * w_seq[j] + y_seq[j - 2])
-            y_stack = np.stack(y_seq, axis=0)
-            weights = sum_prime_weights(n)
-            grads = np.zeros((chunk.size, lr.dim, lr.rank))
-            for i in range(n):
-                s_i = np.tensordot(bhat[i + 1 : n + 1], y_stack[: n - i], axes=(0, 0))
-                grads += weights[i] * np.einsum("dk,kr->kdr", w_seq[i], s_i.T @ lr.theta)
-            grads *= 4.0 / lr.eig_interval.width
-            out[chunk] = grads
-    return out
+    return _sample_grads(lr, series, dist, master_seed, num_samples, 1, lr.theta.shape)
 
 
 def validate_param_oracle(pm: ParamMatrixOracle, rng: np.random.Generator,

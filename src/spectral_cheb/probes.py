@@ -9,14 +9,15 @@ evaluation: each fixed-size chunk of columns is built once, on first
 use, kept read-only on the plan and handed to every estimator that
 shares the plan, as SVRG's current and anchor evaluations do.  The
 probe loop parallelizes over those chunks, capped by the
-SPECTRAL_CHEB_THREADS environment variable, with a deterministic
-ordered reduction.
+SPECTRAL_CHEB_THREADS environment variable, on one thread pool per
+process and worker count, with a deterministic ordered reduction.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -180,6 +181,23 @@ def _bilinear_block(oracle: MatrixOracle, coeffs: np.ndarray, n: int,
     return acc
 
 
+_POOLS: dict = {}  # (pid, workers) -> ThreadPoolExecutor, made on first use
+_POOLS_LOCK = threading.Lock()
+
+
+def _pool(workers: int) -> ThreadPoolExecutor:
+    """The process's pool of ``workers`` threads; a forked child builds
+    its own instead of using the parent's."""
+    key = (os.getpid(), workers)
+    with _POOLS_LOCK:
+        pool = _POOLS.get(key)
+        if pool is None:
+            pool = _POOLS[key] = ThreadPoolExecutor(
+                max_workers=workers, thread_name_prefix="spectral-cheb"
+            )
+        return pool
+
+
 def _map_probe_chunks(plan: ProbePlan, dim: int, block_fn) -> list:
     """``block_fn(probes, start)`` on each fixed chunk of the plan's probes,
     results in chunk order; chunk boundaries are fixed so the reduction
@@ -191,8 +209,7 @@ def _map_probe_chunks(plan: ProbePlan, dim: int, block_fn) -> list:
 
     workers = _thread_count()
     if workers > 1 and plan.M > _CHUNK:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(run, starts))
+        return list(_pool(workers).map(run, starts))
     return [run(s) for s in starts]
 
 

@@ -13,6 +13,7 @@ power method on an epoch schedule.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
@@ -268,7 +269,7 @@ def synthetic_gp_data(d: int, theta: Sequence[float], seed: int, input_dim: int 
     Gaussian process with the RBF kernel at ``theta``."""
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(9,)))
     x = np.sort(rng.uniform(0.0, 4.0, size=(d, input_dim)), axis=0)
-    kernel = _rbf_kernel(x, np.asarray(theta, dtype=float))
+    kernel = _rbf_kernel(_sq_dists(x), np.asarray(theta, dtype=float))
     chol = np.linalg.cholesky(kernel)
     y = chol @ rng.standard_normal(d)
     return x, y
@@ -496,9 +497,24 @@ def _sq_dists(x: np.ndarray) -> np.ndarray:
     return np.sum(diff * diff, axis=-1)
 
 
-def _rbf_kernel(x: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    noise, scale, length = theta
-    return scale**2 * np.exp(-_sq_dists(x) / (2.0 * length**2)) + noise**2 * np.eye(x.shape[0])
+def _rbf_exp(sq: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    return np.exp(-sq / (2.0 * theta[2] ** 2))
+
+
+def _rbf_kernel(sq: np.ndarray, theta: np.ndarray, exp_term: np.ndarray | None = None):
+    """RBF kernel from squared distances; ``exp_term`` reuses a computed
+    exp(-sq / (2 length^2))."""
+    noise, scale, _ = theta
+    if exp_term is None:
+        exp_term = _rbf_exp(sq, theta)
+    return scale**2 * exp_term + noise**2 * np.eye(sq.shape[0])
+
+
+def _rbf_partials(sq: np.ndarray, theta: np.ndarray, exp_term: np.ndarray):
+    """Dense dA/dphi_i for phi = log theta and i = 1, 2; dA/dphi_0 is
+    2 noise^2 I."""
+    _, scale, length = theta
+    return [2.0 * scale**2 * exp_term, scale**2 * exp_term * (sq / length**2)]
 
 
 @dataclass
@@ -506,12 +522,14 @@ class GPProblem:
     """Zero-mean GP regression with a dense RBF kernel.
 
     theta = (noise, signal scale, lengthscale), all positive; the kernel
-    is scale^2 exp(-||x_i - x_j||^2 / (2 length^2)) + noise^2 I.
+    is scale^2 exp(-||x_i - x_j||^2 / (2 length^2)) + noise^2 I.  The
+    squared distances ``sq_dists`` are computed once, at construction.
     """
 
     x: np.ndarray
     y: np.ndarray
     theta: np.ndarray
+    sq_dists: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.x = np.atleast_2d(np.asarray(self.x, dtype=float))
@@ -525,13 +543,14 @@ class GPProblem:
             raise ParameterError("input/output counts differ")
         if self.x.shape[0] > 512:
             raise ParameterError("dense desk scale capped at 512 points")
+        self.sq_dists = _sq_dists(self.x)
 
     @property
     def dim(self) -> int:
         return self.y.size
 
     def kernel(self, theta=None) -> np.ndarray:
-        return _rbf_kernel(self.x, self.theta if theta is None else np.asarray(theta))
+        return _rbf_kernel(self.sq_dists, self.theta if theta is None else np.asarray(theta))
 
 
 @dataclass
@@ -602,51 +621,71 @@ def gp_negloglik(
 
 def _gp_partials_logspace(gp: GPProblem, theta: np.ndarray):
     """Dense dA/dphi_i for phi = log theta."""
-    noise, scale, length = theta
-    sq = _sq_dists(gp.x)
-    k0 = np.exp(-sq / (2.0 * length**2))
-    eye = np.eye(gp.dim)
-    return [
-        2.0 * noise**2 * eye,
-        2.0 * scale**2 * k0,
-        scale**2 * k0 * (sq / length**2),
-    ]
+    return [2.0 * theta[0] ** 2 * np.eye(gp.dim),
+            *_rbf_partials(gp.sq_dists, theta, _rbf_exp(gp.sq_dists, theta))]
 
 
-def _gp_model(gp: GPProblem, counter: MatvecCounter, refresh_every: int) -> SpectralModel:
+class _GPIterate:
+    """The arrays gp_train needs at one log-parameter iterate, each built
+    once, on first use: the exp term, the kernel, the CG solution of the
+    data term, and the partials.  Degree-0 draws need no kernel matvecs
+    and the objective log no partials."""
+
+    def __init__(self, gp: GPProblem, phi: np.ndarray):
+        self.gp = gp
+        self.theta = np.exp(phi)
+        self._arrays: dict = {}
+        self._lock = threading.RLock()  # probe chunks may ask from worker threads
+
+    def _built(self, name: str, build: Callable[[], object]):
+        with self._lock:
+            if name not in self._arrays:
+                self._arrays[name] = build()
+            return self._arrays[name]
+
+    @property
+    def exp_term(self) -> np.ndarray:
+        return self._built("exp_term", lambda: _rbf_exp(self.gp.sq_dists, self.theta))
+
+    @property
+    def kernel(self) -> np.ndarray:
+        return self._built(
+            "kernel", lambda: _rbf_kernel(self.gp.sq_dists, self.theta, self.exp_term)
+        )
+
+    @property
+    def alpha(self) -> np.ndarray:
+        return self._built("alpha", lambda: _cg_solve(self.kernel, self.gp.y))
+
+    def partial_mv(self, i: int, x: np.ndarray) -> np.ndarray:
+        """dA/dphi_i x; dA/dphi_0 = 2 noise^2 I is applied as a scaling."""
+        if i == 0:
+            return 2.0 * self.theta[0] ** 2 * x
+        partials = self._built(
+            "partials", lambda: _rbf_partials(self.gp.sq_dists, self.theta, self.exp_term)
+        )
+        return partials[i - 1] @ x
+
+
+def _gp_model(gp: GPProblem, iterate_at: Callable[[np.ndarray], _GPIterate],
+              counter: MatvecCounter, refresh_every: int) -> SpectralModel:
     holder: dict = {"interval": None}
 
     def oracle_at(phi):
-        # kernel and partials are built on first use: degree-0 draws need
-        # neither, and the objective log never needs the partials
-        theta = np.exp(phi)
-        a_mat = partials = None
-
-        def apply(_phi, x):
-            nonlocal a_mat
-            if a_mat is None:
-                a_mat = gp.kernel(theta)
-            return a_mat @ x
-
-        def apply_partial(i, _phi, x):
-            nonlocal partials
-            if partials is None:
-                partials = _gp_partials_logspace(gp, theta)
-            return partials[i] @ x
-
+        iterate = iterate_at(phi)
         return ParamMatrixOracle(
             dim=gp.dim,
             param_dim=3,
             theta=np.asarray(phi, dtype=float),
-            apply=apply,
-            apply_partial=apply_partial,
+            apply=lambda _phi, x: iterate.kernel @ x,
+            apply_partial=lambda i, _phi, x: iterate.partial_mv(i, x),
             eig_interval=holder["interval"],
             counter=counter,
         )
 
     def refresh(phi, seed, mean_degree):
         theta = np.exp(phi)
-        a_mat = gp.kernel(theta)
+        a_mat = iterate_at(phi).kernel
         # noise floor bounds the spectrum below; keep a stale-safe margin
         lower = 0.5 * theta[0] ** 2
         probe = MatrixOracle.from_dense(a_mat, Interval(lower, lower + 1.0))
@@ -700,21 +739,26 @@ def gp_train(
     refreshes.
     """
     counter = MatvecCounter()
-    model = _gp_model(gp, counter, refresh_every)
-    d = gp.dim
-    const = 0.5 * d * math.log(2.0 * math.pi)
+    current: dict = {"key": None}
+
+    def iterate_at(phi) -> _GPIterate:
+        # one iterate shared by the gradient, the objective log, the oracle
+        # and the interval refresh; moving on drops the previous arrays
+        phi = np.asarray(phi, dtype=float)
+        if current["key"] != phi.tobytes():
+            current.update(key=phi.tobytes(), iterate=_GPIterate(gp, phi))
+        return current["iterate"]
+
+    model = _gp_model(gp, iterate_at, counter, refresh_every)
+    const = 0.5 * gp.dim * math.log(2.0 * math.pi)
 
     def g_value(phi):
-        a_mat = gp.kernel(np.exp(phi))
-        alpha = _cg_solve(a_mat, gp.y)
-        return 0.5 * float(gp.y @ alpha) + const
+        return 0.5 * float(gp.y @ iterate_at(phi).alpha) + const
 
     def g_grad(phi):
-        theta = np.exp(phi)
-        a_mat = gp.kernel(theta)
-        alpha = _cg_solve(a_mat, gp.y)
-        partials = _gp_partials_logspace(gp, theta)
-        return np.array([-0.5 * float(alpha @ (p @ alpha)) for p in partials])
+        iterate = iterate_at(phi)
+        alpha = iterate.alpha
+        return np.array([-0.5 * float(alpha @ iterate.partial_mv(i, alpha)) for i in range(3)])
 
     phi0 = np.log(gp.theta)
     lo = phi0 - log_halfwidth

@@ -1,6 +1,7 @@
 """Tests for the command-line surface."""
 
 import math
+import re
 import subprocess
 import sys
 
@@ -119,6 +120,9 @@ class TestEstimate:
         out = capsys.readouterr()
         assert math.isfinite(float(out.out))
         assert "rho = 1.6" in out.err
+        # U and the bound come from coefficients above the quadrature floor
+        match = re.search(r"bias bound: (\S+) \(rho = \S+, U ~ (\S+)\)", out.err)
+        assert float(match.group(2)) < 10 and float(match.group(1)) < 1e-2
 
     def test_resolvable_rho_output_unchanged(self, tmp_path, capsys):
         path = write_shifted_grid_laplacian(tmp_path, 0.05)
@@ -128,7 +132,7 @@ class TestEstimate:
         assert out.out == "480.34670080319654\n"
         assert out.err == (
             "sampled degree n = 30\nprobes M = 8\n"
-            "fixed-degree-30 bias bound: 16061.7 (rho = 1.18195, U ~ 275.134)\n"
+            "fixed-degree-30 bias bound: 59.2842 (rho = 1.18195, U ~ 1.01553)\n"
         )
 
     def test_asymmetric_matrix_is_data_error(self, tmp_path):

@@ -204,6 +204,18 @@ class TestLowRankGradient:
                 low.value, gen.value.reshape(d, r), atol=1e-10
             )
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 40, 300])
+    def test_matches_generic_at_fixed_degrees(self, n):
+        rng = np.random.default_rng(45)
+        theta = rng.uniform(0.1, 0.6, size=(6, 2))
+        b_hi = 0.3 + float(np.linalg.norm(theta, 2)) ** 2
+        lr = LowRankPSD(theta, 0.3, Interval(0.3 * 0.999, b_hi * 1.05))
+        series = compute_coefficients(np.sqrt, lr.eig_interval, degree=300)
+        dist = deterministic_distribution(n)
+        low = grad_estimate_lowrank(lr, series, dist, ProbePlan(46, 3))
+        gen = grad_estimate_generic(lowrank_as_generic(lr), series, dist, ProbePlan(46, 3))
+        np.testing.assert_allclose(low.value, gen.value.reshape(6, 2), atol=1e-10)
+
     def test_zero_factor_gives_zero_gradient(self):
         lr = LowRankPSD(np.zeros((5, 2)), 0.5, Interval(0.25, 1.0))
         series = compute_coefficients(np.sqrt, lr.eig_interval, degree=30)
@@ -239,6 +251,8 @@ class TestLowRankGradient:
             # so agreement is exact up to float reassociation only
             single = sample_lowrank_grads(lr, series, dist, 14, t + 1)[t]
             np.testing.assert_allclose(batch[t], single, rtol=1e-12, atol=1e-14)
+        alone = grad_estimate_lowrank(lr, series, dist, ProbePlan(14, 1))
+        np.testing.assert_array_equal(batch[0], alone.value)
 
 
 class TestDegreeSharing:
@@ -346,3 +360,68 @@ class TestSharedProbePlan:
             monkeypatch.setenv("SPECTRAL_CHEB_THREADS", threads)
             values.append(grad_estimate_lowrank(lr, series, dist, ProbePlan(9, 70), degree=9))
         assert values[0].value.tobytes() == values[1].value.tobytes()
+
+
+class TestAdjointKernel:
+    """The single reverse-mode kernel behind every gradient path."""
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 40])
+    @pytest.mark.parametrize("m_probes", [5, 40])
+    def test_generic_matvec_columns(self, n, m_probes):
+        rng = np.random.default_rng(47)
+        base = random_spd(rng, 9, 0.5, 1.5)
+        partials = [random_symmetric(rng, 9, 0.05) for _ in range(3)]
+        oracle = affine_oracle(base, partials, [0.1, 0.2, 0.3], Interval(0.2, 2.0))
+        partial_cols = MatvecCounter()
+        apply_partial = oracle.apply_partial
+
+        def counted_partial(i, th, x):
+            partial_cols.count += x.shape[1]
+            return apply_partial(i, th, x)
+
+        oracle.apply_partial = counted_partial
+        oracle.counter = MatvecCounter()
+        series = compute_coefficients(np.log, oracle.eig_interval, degree=60)
+        grad_estimate_generic(oracle, series, deterministic_distribution(n),
+                              ProbePlan(48, m_probes))
+        assert partial_cols.count == m_probes * 3 * n
+        assert oracle.counter.count - partial_cols.count == m_probes * 2 * (n - 1)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 40])
+    def test_lowrank_matvec_columns(self, n):
+        rng = np.random.default_rng(49)
+        lr = LowRankPSD(rng.uniform(0.0, 0.4, size=(7, 3)), 0.1, Interval(0.05, 2.5),
+                        counter=MatvecCounter())
+        series = compute_coefficients(np.sqrt, lr.eig_interval, degree=60)
+        grad_estimate_lowrank(lr, series, deterministic_distribution(n), ProbePlan(50, 40))
+        assert lr.counter.count == 40 * 2 * (n - 1)
+
+    def test_generic_thread_count_does_not_change_bits(self, monkeypatch):
+        rng = np.random.default_rng(51)
+        base = random_spd(rng, 8, 0.5, 1.5)
+        oracle = affine_oracle(base, [random_symmetric(rng, 8, 0.05)], [0.2], Interval(0.2, 2.0))
+        series = compute_coefficients(np.log, oracle.eig_interval, degree=60)
+        dist = optimal_distribution(1.8, 5)
+        values = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("SPECTRAL_CHEB_THREADS", threads)
+            values.append(grad_estimate_generic(oracle, series, dist, ProbePlan(9, 70), degree=45))
+        np.testing.assert_array_equal(values[0].value, values[1].value)
+
+    def test_only_the_kernel_runs_the_recurrence(self):
+        import ast
+        from pathlib import Path
+
+        import spectral_cheb.grad_est as grad_est
+
+        tree = ast.parse(Path(grad_est.__file__).read_text())
+        parents = {child: node for node in ast.walk(tree)
+                   for child in ast.iter_child_nodes(node)}
+        scopes = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and node.id == "_shifted":
+                scope = parents.get(node)
+                while scope is not None and not isinstance(scope, ast.FunctionDef):
+                    scope = parents.get(scope)
+                scopes.append(None if scope is None else scope.name)
+        assert scopes and set(scopes) == {"_adjoint_block"}

@@ -185,6 +185,45 @@ class TestUnbiasedEstimator:
         threaded = estimate_spectral_sum_unbiased(oracle, series, dist, ProbePlan(9, 130))
         assert serial == threaded
 
+    def test_concurrent_callers_share_one_pool(self, monkeypatch):
+        import sys
+        import threading
+
+        import spectral_cheb.probes as probes_module
+
+        rng = np.random.default_rng(18)
+        _, oracle = spd_oracle(rng, 15)
+        series = compute_coefficients(np.exp, oracle.eig_interval, degree=40)
+        dist = optimal_distribution(2.0, 6)
+        monkeypatch.setenv("SPECTRAL_CHEB_THREADS", "1")
+        serial = estimate_spectral_sum_unbiased(oracle, series, dist, ProbePlan(9, 130))
+        built = []
+        real_pool = probes_module.ThreadPoolExecutor
+        monkeypatch.setattr(probes_module, "ThreadPoolExecutor",
+                            lambda **kw: built.append(kw) or real_pool(**kw))
+        monkeypatch.setattr(probes_module, "_POOLS", {})
+        monkeypatch.setenv("SPECTRAL_CHEB_THREADS", "3")
+        results = []
+
+        def caller():
+            for _ in range(3):
+                plan = ProbePlan(9, 130)
+                results.append(estimate_spectral_sum_unbiased(oracle, series, dist, plan))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            callers = [threading.Thread(target=caller) for _ in range(4)]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        assert results == [serial] * 12
+        assert len(built) == 1
+
 
 class TestHutchinsonMoments:
     def test_mean_and_variance(self):

@@ -243,6 +243,58 @@ class TestGPTraining:
         assert len(result.records) == 4
         assert len(seen) == 4 and all(a is b for a, b in zip(seen, result.records))
 
+    def test_one_kernel_and_one_solve_per_iterate(self, monkeypatch):
+        import spectral_cheb.tasks as tasks_module
+
+        x, y = synthetic_gp_data(30, [0.4, 1.0, 0.8], seed=11)
+        gp = GPProblem(x, y, np.array([0.5, 0.8, 1.0]))
+        kernels, solves = [], []
+        real_kernel, real_cg = tasks_module._rbf_kernel, tasks_module._cg_solve
+        monkeypatch.setattr(tasks_module, "_rbf_kernel", lambda sq, theta, *rest: (
+            kernels.append(np.asarray(theta).tobytes()) or real_kernel(sq, theta, *rest)))
+        monkeypatch.setattr(tasks_module, "_cg_solve", lambda a_mat, rhs: (
+            solves.append(a_mat.tobytes()) or real_cg(a_mat, rhs)))
+        # the exact NLL curve after training builds its own kernels
+        monkeypatch.setattr(tasks_module, "gp_negloglik", lambda gp, theta: 0.0)
+        cfg = SGDConfig(T=12, M=4, N=6, master_seed=13, step_rule="exp_decay", step0=2e-3)
+        gp_train(gp, cfg, refresh_every=5)
+        # every iterate takes a gradient step and all but the first are logged
+        assert len(kernels) == len(set(kernels)) == cfg.T + 1
+        assert len(solves) == len(set(solves)) == cfg.T + 1
+
+    def test_iterate_builds_once_under_concurrent_readers(self, monkeypatch):
+        import sys
+        import threading
+
+        import spectral_cheb.tasks as tasks_module
+
+        x, y = synthetic_gp_data(30, [0.4, 1.0, 0.8], seed=11)
+        gp = GPProblem(x, y, np.array([0.5, 0.8, 1.0]))
+        kernels = []
+        real_kernel = tasks_module._rbf_kernel
+        monkeypatch.setattr(tasks_module, "_rbf_kernel", lambda *args: (
+            kernels.append(1) or real_kernel(*args)))
+        iterate = tasks_module._GPIterate(gp, np.log(gp.theta))
+        probe = np.ones((30, 2))
+        seen = []
+
+        def reader():
+            seen.append((iterate.kernel @ probe, iterate.partial_mv(2, probe)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            readers = [threading.Thread(target=reader) for _ in range(8)]
+            for t in readers:
+                t.start()
+            for t in readers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in readers)
+        assert len(seen) == 8 and len(kernels) == 1
+        np.testing.assert_array_equal(seen[0][0], gp.kernel() @ probe)
+
     def test_curve_reproducible(self):
         x, y = synthetic_gp_data(30, [0.4, 1.0, 0.8], seed=11)
         gp = GPProblem(x, y, np.array([0.5, 0.8, 1.0]))
