@@ -1,8 +1,9 @@
 """Unbiased log-determinant estimation from matrix-vector products alone.
 
 Hutchinson probing turns tr f(A) into quadratic forms; the Chebyshev
-recurrence evaluates them with n matvecs per probe; randomizing the
-truncation degree removes the bias of a fixed-degree expansion.  The
+recurrence evaluates a degree-n form with ceil(n/2) matvecs per probe;
+randomizing the truncation degree removes the bias of a fixed-degree
+expansion.  The
 estimate touches A only through matvecs, so it scales to matrices far
 beyond what an exact factorization could handle.
 """

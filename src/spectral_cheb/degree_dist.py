@@ -18,7 +18,6 @@ from enum import Enum
 from typing import IO
 
 import numpy as np
-from scipy import stats
 
 from .chebyshev import ChebSeries
 from .exceptions import (
@@ -220,6 +219,8 @@ def poisson_distribution(meanN: float) -> DegreeDistribution:
     """Poisson baseline, tabulated and renormalized to unit mass."""
     if not meanN > 0:
         raise ParameterError(f"mean degree must be positive, got {meanN}")
+    from scipy import stats  # deferred: the import costs ~0.5 s and only the baselines use it
+
     return _tabulate(
         stats.poisson(mu=meanN), meanN, DistributionKind.POISSON, {"N": float(meanN)}
     )
@@ -232,6 +233,8 @@ def negbinomial_distribution(meanN: float, r: float = 5.0) -> DegreeDistribution
     if not r >= 1:
         raise ParameterError(f"shape parameter must be >= 1, got {r}")
     p = r / (r + meanN)
+    from scipy import stats
+
     return _tabulate(
         stats.nbinom(n=r, p=p),
         meanN,

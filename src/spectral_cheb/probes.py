@@ -2,15 +2,19 @@
 estimators, and power-method eigenvalue bounding.
 
 The estimators never materialize the shifted matrix; the interval map is
-applied inside the matvec.  Every probe owns an rng stream derived from
-(master_seed, evaluation index, probe index), so results do not depend
-on evaluation order.  A ``ProbePlan`` owns the probe block of its
-evaluation: each fixed-size chunk of columns is built once, on first
+applied, in place, to each matvec's result.  A degree-n estimate costs
+ceil(n/2) matvecs per probe: with w_j = T_j(B) v, the moments
+mu_k = v^T T_k(B) v follow from mu_{2j} = 2 w_j^T w_j - mu_0 and
+mu_{2j+1} = 2 w_{j+1}^T w_j - mu_1.  Every probe owns an rng stream
+derived from (master_seed, evaluation index, probe index), so results do
+not depend on evaluation order.  A ``ProbePlan`` owns the probe block of
+its evaluation: each fixed-size chunk of columns is built once, on first
 use, kept read-only on the plan and handed to every estimator that
 shares the plan, as SVRG's current and anchor evaluations do.  The
 probe loop parallelizes over those chunks, capped by the
 SPECTRAL_CHEB_THREADS environment variable, on one thread pool per
-process and worker count, with a deterministic ordered reduction.
+process and worker count, with a deterministic ordered reduction;
+chunks too small for a second thread to pay off run inline.
 """
 
 from __future__ import annotations
@@ -46,6 +50,12 @@ __all__ = [
 ]
 
 _CHUNK = 32  # probes per work unit; fixed so thread count never changes results
+# dim * chunk width below which chunks run inline: under ~2^15 entries a
+# chunk's NumPy calls are too short to release the GIL for long, and a
+# second thread only adds hand-offs (2 vCPUs, estimates at M = 64: blocks
+# of d = 16 to 576 ran up to 2.4x slower at 2 threads, sparse d >= 1024
+# up to 2x faster)
+_MIN_THREADED_ENTRIES = 1 << 15
 
 
 class MatvecCounter:
@@ -62,8 +72,8 @@ class MatrixOracle:
     """Symmetric operator exposed through its matvec.
 
     ``matvec`` must accept a (d,) vector or a (d, m) block and return the
-    same shape; ``eig_interval`` declares bounds containing every
-    eigenvalue.
+    same shape, in a fresh array the estimators may overwrite;
+    ``eig_interval`` declares bounds containing every eigenvalue.
     """
 
     dim: int
@@ -143,10 +153,10 @@ def _probe_columns(dim: int, master_seed: int, eval_index: int,
                    start: int, stop: int) -> np.ndarray:
     """Probes start..stop-1 of evaluation ``eval_index`` as the columns of
     a (dim, stop - start) array; the only place probe streams are drawn."""
-    return np.column_stack(
-        [rademacher_probe(dim, probe_rng(master_seed, k, eval_index))
-         for k in range(start, stop)]
-    )
+    rows = np.empty((stop - start, dim))
+    for row, k in enumerate(range(start, stop)):
+        rows[row] = rademacher_probe(dim, probe_rng(master_seed, k, eval_index))
+    return np.ascontiguousarray(rows.T)
 
 
 def _thread_count() -> int:
@@ -157,25 +167,47 @@ def _thread_count() -> int:
         return 1
 
 
-def _apply_shifted(oracle: MatrixOracle, x: np.ndarray) -> np.ndarray:
-    """Matvec of the interval-mapped operator (2A - (b+a)I)/(b-a)."""
-    iv = oracle.eig_interval
-    return (2.0 * oracle.apply(x) - (iv.b + iv.a) * x) / iv.width
+def _next_term(oracle: MatrixOracle, w: np.ndarray, w_prev: np.ndarray | None,
+               scale: float, shift: float, scratch: np.ndarray) -> np.ndarray:
+    """scale * A w + shift * w - w_prev (no subtraction when ``w_prev`` is
+    None) in the array the matvec returned, via ``scratch``; one matvec."""
+    y = oracle.apply(w)
+    if (y.dtype != np.float64 or not y.flags.writeable or np.may_share_memory(y, w)
+            or (w_prev is not None and np.may_share_memory(y, w_prev))):
+        y = np.array(y, dtype=float)  # never overwrite an operand the caller still holds
+    y *= scale
+    y += np.multiply(w, shift, out=scratch)
+    if w_prev is not None:
+        y -= w_prev
+    return y
 
 
 def _bilinear_block(oracle: MatrixOracle, coeffs: np.ndarray, n: int,
                     probes: np.ndarray) -> np.ndarray:
-    """Per-column sums sum_j c_j v_k^T w_j(k) via the shifted three-term
-    recurrence; exactly n matvecs per column."""
-    acc = coeffs[0] * np.einsum("dk,dk->k", probes, probes)
+    """Per-column sums sum_{k <= n} c_k mu_k, mu_k = v^T T_k(B) v, over the
+    columns v of a (d, m) probe block, B = (2A - (b+a)I)/(b-a); ceil(n/2)
+    matvecs per column.
+
+    Only w_j = T_j(B) v for j <= ceil(n/2) is formed by the three-term
+    recurrence: T_{2j} = 2 T_j^2 - T_0 and T_{2j+1} = 2 T_{j+1} T_j - T_1
+    give mu_{2j} = 2 w_j^T w_j - mu_0 and mu_{2j+1} = 2 w_{j+1}^T w_j - mu_1.
+    """
+    mu0 = np.einsum("dk,dk->k", probes, probes)
+    acc = coeffs[0] * mu0
     if n == 0:
         return acc
-    w_prev = probes
-    w_cur = _apply_shifted(oracle, probes)
-    acc = acc + coeffs[1] * np.einsum("dk,dk->k", probes, w_cur)
-    for j in range(2, n + 1):
-        w_prev, w_cur = w_cur, 2.0 * _apply_shifted(oracle, w_cur) - w_prev
-        acc = acc + coeffs[j] * np.einsum("dk,dk->k", probes, w_cur)
+    iv = oracle.eig_interval
+    scale, shift = 2.0 / iv.width, -(iv.b + iv.a) / iv.width
+    scratch = np.empty(probes.shape)
+    w_prev, w = probes, _next_term(oracle, probes, None, scale, shift, scratch)
+    mu1 = np.einsum("dk,dk->k", probes, w)
+    acc = acc + coeffs[1] * mu1
+    for k in range(2, n + 1):
+        if k % 2:
+            w_prev, w = w, _next_term(oracle, w, w_prev, 2.0 * scale, 2.0 * shift, scratch)
+            acc += coeffs[k] * (2.0 * np.einsum("dk,dk->k", w, w_prev) - mu1)
+        else:
+            acc += coeffs[k] * (2.0 * np.einsum("dk,dk->k", w, w) - mu0)
     if not np.all(np.isfinite(acc)):
         raise NumericError(f"non-finite probe contribution at degree {n}")
     return acc
@@ -201,14 +233,15 @@ def _pool(workers: int) -> ThreadPoolExecutor:
 def _map_probe_chunks(plan: ProbePlan, dim: int, block_fn) -> list:
     """``block_fn(probes, start)`` on each fixed chunk of the plan's probes,
     results in chunk order; chunk boundaries are fixed so the reduction
-    order is independent of the worker count."""
+    order is independent of the worker count.  Chunks of fewer than
+    ``_MIN_THREADED_ENTRIES`` entries run inline."""
     starts = range(0, plan.M, _CHUNK)
 
     def run(start: int):
         return block_fn(plan.probes(dim, start, min(start + _CHUNK, plan.M)), start)
 
     workers = _thread_count()
-    if workers > 1 and plan.M > _CHUNK:
+    if workers > 1 and plan.M > _CHUNK and dim * _CHUNK >= _MIN_THREADED_ENTRIES:
         return list(_pool(workers).map(run, starts))
     return [run(s) for s in starts]
 

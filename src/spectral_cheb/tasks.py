@@ -19,6 +19,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse.linalg
 
 from .chebyshev import (
@@ -597,7 +598,7 @@ def gp_negloglik(
             raise ParameterError(
                 "kernel is not positive definite; increase the noise term theta_1"
             ) from exc
-        alpha = np.linalg.solve(a_mat, gp.y)
+        alpha = scipy.linalg.cho_solve((chol, True), gp.y)
         logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
         return 0.5 * float(gp.y @ alpha) + 0.5 * logdet + const
     if mode != "estimate":

@@ -1,6 +1,7 @@
 """Shared test utilities: random feasible pmfs, dense matrix factories,
-the quadrature used by Monte-Carlo variance oracles, and the dense check
-of the second-kind recurrence behind the amortized gradient."""
+the quadrature used by Monte-Carlo variance oracles, the dense check of
+the second-kind recurrence behind the amortized gradient, and the direct
+three-term recurrence the doubled Chebyshev moments are checked against."""
 
 import numpy as np
 
@@ -117,3 +118,18 @@ def second_kind_vector_identity_check(
         if j >= 2 and np.max(np.abs(2.0 * w_seq[j] - (y_seq[j] - y_seq[j - 2]))) > 1e-9 * scale:
             return False
     return True
+
+
+def direct_bilinear_sums(matrix: np.ndarray, interval: Interval, coeffs: np.ndarray,
+                         n: int, probes: np.ndarray) -> np.ndarray:
+    """Per-column sum_{k <= n} c_k v^T T_k(B) v for B = (2A - (b+a)I)/(b-a),
+    by the plain three-term recurrence: n products with B per column."""
+    matrix = np.asarray(matrix, dtype=float)
+    shifted = (2.0 * matrix - (interval.b + interval.a) * np.eye(matrix.shape[0])) / interval.width
+    w_prev, w = probes, shifted @ probes
+    acc = coeffs[0] * np.einsum("dk,dk->k", probes, probes)
+    for k in range(1, n + 1):
+        if k >= 2:
+            w_prev, w = w, 2.0 * (shifted @ w) - w_prev
+        acc = acc + coeffs[k] * np.einsum("dk,dk->k", probes, w)
+    return acc

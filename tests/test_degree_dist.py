@@ -339,3 +339,12 @@ class TestKindLabels:
         assert poisson_distribution(2).kind is DistributionKind.POISSON
         assert negbinomial_distribution(2, 2).kind is DistributionKind.NEG_BINOMIAL
         assert deterministic_distribution(2).kind is DistributionKind.DETERMINISTIC
+
+
+def test_package_import_leaves_scipy_stats_unloaded():
+    import subprocess
+    import sys
+
+    code = "import sys, spectral_cheb, spectral_cheb.cli; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout == "False\n"

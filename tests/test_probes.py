@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 import scipy.io
 import scipy.sparse
-from helpers import random_spd
+from helpers import direct_bilinear_sums, random_spd
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import spectral_cheb.probes as probes_module
 from spectral_cheb.chebyshev import (
     ChebSeries,
     Interval,
@@ -105,7 +108,7 @@ class TestFixedEstimator:
         _, oracle = spd_oracle(rng, 8, counter=counter)
         series = compute_coefficients(np.exp, oracle.eig_interval, degree=30)
         estimate_spectral_sum_fixed(oracle, series, 17, ProbePlan(1, 5))
-        assert counter.count == 17 * 5
+        assert counter.count == 9 * 5
 
     def test_interval_mismatch(self):
         oracle = MatrixOracle.from_dense(np.eye(3), Interval(0, 2))
@@ -189,8 +192,6 @@ class TestUnbiasedEstimator:
         import sys
         import threading
 
-        import spectral_cheb.probes as probes_module
-
         rng = np.random.default_rng(18)
         _, oracle = spd_oracle(rng, 15)
         series = compute_coefficients(np.exp, oracle.eig_interval, degree=40)
@@ -199,6 +200,7 @@ class TestUnbiasedEstimator:
         serial = estimate_spectral_sum_unbiased(oracle, series, dist, ProbePlan(9, 130))
         built = []
         real_pool = probes_module.ThreadPoolExecutor
+        monkeypatch.setattr(probes_module, "_MIN_THREADED_ENTRIES", 0)
         monkeypatch.setattr(probes_module, "ThreadPoolExecutor",
                             lambda **kw: built.append(kw) or real_pool(**kw))
         monkeypatch.setattr(probes_module, "_POOLS", {})
@@ -223,6 +225,100 @@ class TestUnbiasedEstimator:
         assert not any(t.is_alive() for t in callers)
         assert results == [serial] * 12
         assert len(built) == 1
+
+
+def grid_laplacian_oracle(grid, shift=0.5):
+    """Sparse 2-D grid Laplacian + shift I, spectrum inside [shift, shift + 8]."""
+    line = scipy.sparse.diags([2.0 * np.ones(grid), -np.ones(grid - 1), -np.ones(grid - 1)],
+                              [0, 1, -1])
+    eye = scipy.sparse.identity(grid)
+    matrix = (scipy.sparse.kron(line, eye) + scipy.sparse.kron(eye, line)
+              + shift * scipy.sparse.identity(grid * grid)).tocsr()
+    return MatrixOracle(dim=grid * grid, matvec=lambda x: matrix @ x,
+                        eig_interval=Interval(0.9 * shift, shift + 8.5))
+
+
+class TestMomentDoubling:
+    """The value recurrence forms v^T T_k(B) v, k <= n, from ceil(n/2)
+    matvecs by the doubling identities."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(0, 300), dim=st.integers(1, 12), m=st.integers(1, 4),
+           at_ends=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    @example(n=299, dim=12, m=3, at_ends=True, seed=1)
+    @example(n=300, dim=12, m=3, at_ends=True, seed=2)
+    def test_matches_direct_recurrence_and_dense_polynomial(self, n, dim, m, at_ends, seed):
+        rng = np.random.default_rng(seed)
+        iv = Interval(-0.5, 2.5)
+        unit = rng.uniform(-0.99, 0.99, size=dim)
+        if at_ends:
+            unit[0], unit[-1] = -1.0, 1.0
+        basis, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+        matrix = (basis * iv.from_unit(unit)) @ basis.T
+        coeffs = rng.standard_normal(n + 1)
+        probes = rng.standard_normal((dim, m))
+        got = probes_module._bilinear_block(MatrixOracle.from_dense(matrix, iv), coeffs, n, probes)
+        tol = 1e-12 * np.sum(np.abs(coeffs)) * np.einsum("dk,dk->k", probes, probes)
+        assert np.all(np.abs(got - direct_bilinear_sums(matrix, iv, coeffs, n, probes)) <= tol)
+        if not at_ends:
+            # at +-1 the eigh reference itself is off by ~1e-12 relative at n = 300
+            lam, vecs = np.linalg.eigh(matrix)
+            dense = np.polynomial.chebyshev.chebval(iv.to_unit(lam), coeffs) @ (vecs.T @ probes) ** 2
+            assert np.all(np.abs(got - dense) <= tol)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 16, 17])
+    def test_matvec_columns_are_half_the_degree(self, n):
+        counter = MatvecCounter()
+        _, oracle = spd_oracle(np.random.default_rng(22), 8, counter=counter)
+        series = compute_coefficients(np.exp, oracle.eig_interval, degree=30)
+        half = (n + 1) // 2
+        estimate_spectral_sum_fixed(oracle, series, n, ProbePlan(1, 37))
+        assert counter.count == half * 37
+        counter.count = 0
+        estimate_spectral_sum_unbiased(oracle, series, deterministic_distribution(n),
+                                       ProbePlan(1, 37))
+        assert counter.count == half * 37
+        counter.count = 0
+        sample_spectral_sums(oracle, series, deterministic_distribution(n), 1, 6, M=5)
+        assert counter.count == half * 5 * 6
+
+    def test_threads_and_reruns_give_identical_bits(self, monkeypatch):
+        oracle = grid_laplacian_oracle(40)  # one chunk is 1600 x 32, above the inline limit
+        series = compute_coefficients(np.log, oracle.eig_interval, degree=80)
+        dist = optimal_distribution(rho_from_endpoint_singularity(oracle.eig_interval), 12)
+        built = []
+        real_pool = probes_module.ThreadPoolExecutor
+        monkeypatch.setattr(probes_module, "ThreadPoolExecutor",
+                            lambda **kw: built.append(kw) or real_pool(**kw))
+        monkeypatch.setattr(probes_module, "_POOLS", {})
+        runs = []
+        for threads in ("1", "2", "1", "2"):
+            monkeypatch.setenv("SPECTRAL_CHEB_THREADS", threads)
+            plan = ProbePlan(4, 70)
+            sums = probes_module._probe_contributions(oracle, series.coeffs, 31, plan)
+            runs.append((sums, estimate_spectral_sum_unbiased(oracle, series, dist, plan)))
+        assert len(built) == 1  # the two-thread runs did use the pool
+        for sums, value in runs[1:]:
+            np.testing.assert_array_equal(sums, runs[0][0])
+            assert value == runs[0][1]
+
+    def test_small_blocks_run_inline(self, monkeypatch):
+        _, oracle = spd_oracle(np.random.default_rng(23), 30)
+        series = compute_coefficients(np.exp, oracle.eig_interval, degree=30)
+        monkeypatch.setattr(probes_module, "ThreadPoolExecutor",
+                            lambda **kw: pytest.fail("a 30 x 32 chunk started a thread pool"))
+        monkeypatch.setattr(probes_module, "_POOLS", {})
+        monkeypatch.setenv("SPECTRAL_CHEB_THREADS", "2")
+        threaded = estimate_spectral_sum_fixed(oracle, series, 15, ProbePlan(6, 64))
+        monkeypatch.setenv("SPECTRAL_CHEB_THREADS", "1")
+        assert threaded == estimate_spectral_sum_fixed(oracle, series, 15, ProbePlan(6, 64))
+
+    def test_matvec_result_aliasing_an_operand_is_not_overwritten(self):
+        iv = Interval(0.0, 2.0)
+        identity = MatrixOracle(dim=5, matvec=lambda x: x, eig_interval=iv)
+        series = compute_coefficients(np.exp, iv, degree=12)
+        est = estimate_spectral_sum_fixed(identity, series, 12, ProbePlan(2, 3))
+        assert est == pytest.approx(5 * float(eval_series(series, np.array([1.0]))[0]), rel=1e-13)
 
 
 class TestHutchinsonMoments:

@@ -200,6 +200,14 @@ class TestGPNegLogLik:
         se = vals.std() / math.sqrt(vals.size)
         assert abs(vals.mean() - exact) < 3 * se
 
+    def test_cholesky_data_term_matches_lu(self):
+        x, y = synthetic_gp_data(512, [0.1, 1.2, 0.5], seed=10)
+        gp = GPProblem(x, y, np.array([0.1, 1.2, 0.5]))
+        a_mat = gp.kernel(gp.theta)
+        lu = (0.5 * float(y @ np.linalg.solve(a_mat, y)) + 0.5 * np.linalg.slogdet(a_mat)[1]
+              + 256 * math.log(2 * math.pi))
+        assert gp_negloglik(gp) == pytest.approx(lu, rel=1e-12)
+
     def test_non_pd_kernel_message(self):
         x = np.zeros((5, 1))  # duplicate inputs, zero noise floor
         gp = GPProblem(x, np.ones(5), np.array([1e-12, 1.0, 1.0]))
