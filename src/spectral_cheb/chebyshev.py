@@ -1,6 +1,7 @@
 """Scalar Chebyshev machinery.
 
-Coefficient computation by Gauss-Chebyshev quadrature, first/second-kind
+Coefficient computation by Gauss-Chebyshev quadrature, whose sum over Q
+nodes is a DCT-II evaluated by FFT in O(Q log Q); first/second-kind
 recurrences, Clenshaw evaluation of a series on an arbitrary interval,
 geometric truncation-error bounds, and a least-squares fit of the
 coefficient decay rate for when the analyticity parameters are not known
@@ -132,6 +133,9 @@ def compute_coefficients(
     Coefficients come from Gauss-Chebyshev quadrature of the projection
     integral at ``quad_nodes`` cosine-spaced points; the default node
     count max(1024, 4*(degree+1)) keeps the transform safely oversampled.
+    ``f`` is called once per node, with a scalar.  The quadrature sum is
+    a DCT-II of the node values, evaluated by FFT in O(Q log Q) for Q
+    nodes rather than as a (degree+1) x Q cosine table.
     Deterministic: same inputs give bit-identical coefficients.
     """
     if degree < 0:
@@ -151,11 +155,12 @@ def compute_coefficients(
             f"function is not finite at quadrature node {bad[0]} "
             f"(x = {x[bad[0]]!r}, f(x) = {fx[bad[0]]!r})"
         )
-    # b_j = (2 - 1_{j=0})/Q * sum_k f(x_k) cos(j pi (k+1/2)/Q)
-    theta = np.pi * (np.arange(quad_nodes) + 0.5) / quad_nodes
-    j = np.arange(degree + 1)
-    cos_table = np.cos(np.outer(j, theta))
-    coeffs = (2.0 / quad_nodes) * (cos_table @ fx)
+    # b_j = (2 - 1_{j=0})/Q * sum_k f(x_k) cos(j pi (k+1/2)/Q) is a DCT-II:
+    # with Z = DFT of the even extension [fx, reversed fx] (length 2Q),
+    # e^{-i pi j/(2Q)} Z_j = 2 sum_k f(x_k) cos(j pi (k+1/2)/Q)
+    z = np.fft.rfft(np.concatenate([fx, fx[::-1]]))[: degree + 1]
+    phase = 0.5 * np.pi * np.arange(degree + 1) / quad_nodes
+    coeffs = (np.cos(phase) * z.real + np.sin(phase) * z.imag) / quad_nodes
     coeffs[0] *= 0.5
     return ChebSeries(interval=interval, coeffs=coeffs, spec=spec)
 

@@ -498,24 +498,35 @@ def _sq_dists(x: np.ndarray) -> np.ndarray:
     return np.sum(diff * diff, axis=-1)
 
 
-def _rbf_exp(sq: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    return np.exp(-sq / (2.0 * theta[2] ** 2))
+def _rbf_exp(sq: np.ndarray, theta: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """exp(-sq / (2 length^2)), written into ``out`` when given."""
+    scaled = np.divide(sq, -(2.0 * theta[2] ** 2), out=out)
+    return np.exp(scaled, out=scaled)
 
 
-def _rbf_kernel(sq: np.ndarray, theta: np.ndarray, exp_term: np.ndarray | None = None):
+def _rbf_kernel(sq: np.ndarray, theta: np.ndarray, exp_term: np.ndarray | None = None,
+                out: np.ndarray | None = None):
     """RBF kernel from squared distances; ``exp_term`` reuses a computed
-    exp(-sq / (2 length^2))."""
+    exp(-sq / (2 length^2)) and ``out`` receives the kernel."""
     noise, scale, _ = theta
     if exp_term is None:
         exp_term = _rbf_exp(sq, theta)
-    return scale**2 * exp_term + noise**2 * np.eye(sq.shape[0])
+    kernel = np.multiply(exp_term, scale**2, out=out)
+    kernel.flat[:: sq.shape[0] + 1] += noise**2
+    return kernel
 
 
-def _rbf_partials(sq: np.ndarray, theta: np.ndarray, exp_term: np.ndarray):
+def _rbf_partials(sq: np.ndarray, theta: np.ndarray, exp_term: np.ndarray,
+                  out: list[np.ndarray] | None = None):
     """Dense dA/dphi_i for phi = log theta and i = 1, 2; dA/dphi_0 is
-    2 noise^2 I."""
+    2 noise^2 I.  ``out`` receives the pair."""
     _, scale, length = theta
-    return [2.0 * scale**2 * exp_term, scale**2 * exp_term * (sq / length**2)]
+    first, second = (None, None) if out is None else out
+    ratio = np.divide(sq, length**2, out=first)  # first's buffer, overwritten last
+    second = np.multiply(exp_term, scale**2, out=second)
+    second *= ratio
+    first = np.multiply(exp_term, 2.0 * scale**2, out=ratio)
+    return [first, second]
 
 
 @dataclass
@@ -630,40 +641,58 @@ class _GPIterate:
     """The arrays gp_train needs at one log-parameter iterate, each built
     once, on first use: the exp term, the kernel, the CG solution of the
     data term, and the partials.  Degree-0 draws need no kernel matvecs
-    and the objective log no partials."""
+    and the objective log no partials.
 
-    def __init__(self, gp: GPProblem, phi: np.ndarray):
+    A ``donor`` (the previous iterate) hands over its exp term, kernel and
+    partials, which this iterate overwrites in place instead of allocating
+    four fresh d x d arrays per step (2 MB each at d = 512, which the
+    allocator would otherwise hand back to the system and fault in again).
+    The donor forgets them, so a stale holder of it rebuilds them rather
+    than reading overwritten ones.
+    """
+
+    _REUSED = ("exp_term", "kernel", "partials")
+
+    def __init__(self, gp: GPProblem, phi: np.ndarray, donor: _GPIterate | None = None):
         self.gp = gp
         self.theta = np.exp(phi)
         self._arrays: dict = {}
+        self._spare: dict = {} if donor is None else donor._hand_over()
         self._lock = threading.RLock()  # probe chunks may ask from worker threads
 
-    def _built(self, name: str, build: Callable[[], object]):
+    def _hand_over(self) -> dict:
+        with self._lock:
+            return {name: self._arrays.pop(name) for name in self._REUSED if name in self._arrays}
+
+    def _built(self, name: str, build: Callable[[object], object]):
+        """The named array, built on first use into the donor's buffer if any."""
         with self._lock:
             if name not in self._arrays:
-                self._arrays[name] = build()
+                self._arrays[name] = build(self._spare.pop(name, None))
             return self._arrays[name]
 
     @property
     def exp_term(self) -> np.ndarray:
-        return self._built("exp_term", lambda: _rbf_exp(self.gp.sq_dists, self.theta))
+        return self._built("exp_term", lambda out: _rbf_exp(self.gp.sq_dists, self.theta, out))
 
     @property
     def kernel(self) -> np.ndarray:
         return self._built(
-            "kernel", lambda: _rbf_kernel(self.gp.sq_dists, self.theta, self.exp_term)
+            "kernel",
+            lambda out: _rbf_kernel(self.gp.sq_dists, self.theta, self.exp_term, out),
         )
 
     @property
     def alpha(self) -> np.ndarray:
-        return self._built("alpha", lambda: _cg_solve(self.kernel, self.gp.y))
+        return self._built("alpha", lambda _: _cg_solve(self.kernel, self.gp.y))
 
     def partial_mv(self, i: int, x: np.ndarray) -> np.ndarray:
         """dA/dphi_i x; dA/dphi_0 = 2 noise^2 I is applied as a scaling."""
         if i == 0:
             return 2.0 * self.theta[0] ** 2 * x
         partials = self._built(
-            "partials", lambda: _rbf_partials(self.gp.sq_dists, self.theta, self.exp_term)
+            "partials",
+            lambda out: _rbf_partials(self.gp.sq_dists, self.theta, self.exp_term, out),
         )
         return partials[i - 1] @ x
 
@@ -744,10 +773,11 @@ def gp_train(
 
     def iterate_at(phi) -> _GPIterate:
         # one iterate shared by the gradient, the objective log, the oracle
-        # and the interval refresh; moving on drops the previous arrays
+        # and the interval refresh; moving on hands the previous arrays over
         phi = np.asarray(phi, dtype=float)
         if current["key"] != phi.tobytes():
-            current.update(key=phi.tobytes(), iterate=_GPIterate(gp, phi))
+            current.update(key=phi.tobytes(),
+                           iterate=_GPIterate(gp, phi, current.get("iterate")))
         return current["iterate"]
 
     model = _gp_model(gp, iterate_at, counter, refresh_every)

@@ -1,7 +1,9 @@
 """Shared test utilities: random feasible pmfs, dense matrix factories,
 the quadrature used by Monte-Carlo variance oracles, the dense check of
-the second-kind recurrence behind the amortized gradient, and the direct
-three-term recurrence the doubled Chebyshev moments are checked against."""
+the second-kind recurrence behind the amortized gradient, the direct
+three-term recurrence the doubled Chebyshev moments are checked against,
+and the dense cosine-table quadrature sum the FFT coefficients are
+checked against."""
 
 import numpy as np
 
@@ -133,3 +135,16 @@ def direct_bilinear_sums(matrix: np.ndarray, interval: Interval, coeffs: np.ndar
             w_prev, w = w, 2.0 * (shifted @ w) - w_prev
         acc = acc + coeffs[k] * np.einsum("dk,dk->k", probes, w)
     return acc
+
+
+def cosine_table_coefficients(f, interval: Interval, degree: int, quad_nodes: int):
+    """Chebyshev coefficients by the dense quadrature sum
+    b_j = (2 - 1_{j=0})/Q sum_k f(x_k) cos(j pi (k+1/2)/Q), a (degree+1) x Q
+    cosine table times the node values.  Returns the coefficients and
+    max_k |f(x_k)|."""
+    theta = np.pi * (np.arange(quad_nodes) + 0.5) / quad_nodes
+    fx = np.asarray([f(x) for x in interval.from_unit(np.cos(theta))], dtype=float)
+    cos_table = np.cos(np.outer(np.arange(degree + 1), theta))
+    coeffs = (2.0 / quad_nodes) * (cos_table @ fx)
+    coeffs[0] *= 0.5
+    return coeffs, float(np.max(np.abs(fx)))

@@ -2,8 +2,11 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from spectral_cheb.chebyshev import (
@@ -20,6 +23,8 @@ from spectral_cheb.chebyshev import (
     truncation_error_bound,
 )
 from spectral_cheb.exceptions import DomainEvalError, EstimationError, ParameterError
+
+from helpers import cosine_table_coefficients
 
 # Frozen oracle values: adaptive quadrature of the projection integral
 # after the substitution x = cos(theta), computed independently of the
@@ -89,6 +94,66 @@ class TestComputeCoefficients:
     def test_node_count_precondition(self):
         with pytest.raises(ParameterError):
             compute_coefficients(np.exp, Interval(-1, 1), degree=10, quad_nodes=43)
+
+
+# functions the estimators expand: sqrt and 1/2 log on the wide intervals of
+# the completion and GP runs, log at a moderate ratio, and an entire function
+EXPANDED = {
+    "sqrt": (np.sqrt, Interval(0.084, 1200.0)),
+    "half_log": (lambda x: 0.5 * np.log(x), Interval(0.045, 60.0)),
+    "log": (np.log, Interval(0.05, 0.95)),
+    "exp": (np.exp, Interval(-1.0, 2.0)),
+}
+
+
+def _default_nodes(degree):
+    return max(1024, 4 * (degree + 1))
+
+
+class TestCoefficientTransform:
+    """The FFT DCT-II against the dense quadrature sum it replaces, and
+    against a high-precision evaluation of that sum."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(name=st.sampled_from(sorted(EXPANDED)), degree=st.integers(0, 1000),
+           extra=st.one_of(st.none(), st.integers(0, 9)))
+    @example(name="exp", degree=0, extra=None)
+    @example(name="exp", degree=0, extra=0)
+    @example(name="log", degree=0, extra=1)
+    @example(name="exp", degree=10, extra=1)
+    @example(name="log", degree=240, extra=None)
+    @example(name="half_log", degree=255, extra=None)
+    @example(name="sqrt", degree=256, extra=None)
+    @example(name="half_log", degree=300, extra=1)
+    @example(name="sqrt", degree=1000, extra=None)
+    @example(name="half_log", degree=1000, extra=None)
+    @example(name="sqrt", degree=1000, extra=1)
+    def test_matches_cosine_table(self, name, degree, extra):
+        # extra=None takes the default node count; otherwise odd and even
+        # caller-given counts at and above the 4*(degree+1) minimum
+        f, iv = EXPANDED[name]
+        quad_nodes = None if extra is None else 4 * (degree + 1) + extra
+        series = compute_coefficients(f, iv, degree, quad_nodes)
+        nodes = _default_nodes(degree) if quad_nodes is None else quad_nodes
+        ref, scale = cosine_table_coefficients(f, iv, degree, nodes)
+        np.testing.assert_allclose(series.coeffs, ref, rtol=0, atol=1e-13 * scale)
+
+    @pytest.mark.parametrize("name", ["sqrt", "half_log"])
+    def test_against_high_precision_sum(self, name):
+        # the same node values summed against 40-digit cosines
+        f, iv = EXPANDED[name]
+        degree, q = 1000, _default_nodes(1000)
+        series = compute_coefficients(f, iv, degree)
+        fx = [float(f(x)) for x in iv.from_unit(np.cos(np.pi * (np.arange(q) + 0.5) / q))]
+        tol = 16 * np.finfo(float).eps * max(abs(v) for v in fx)
+        with mpmath.workdps(40):
+            for j in (0, 1, 2, 37, 500, 999, 1000):
+                total = mpmath.fsum(
+                    v * mpmath.cos(mpmath.pi * (j * (2 * k + 1)) / (2 * q))
+                    for k, v in enumerate(fx)
+                )
+                exact = float((2 - (j == 0)) * total / q)
+                assert abs(series.coeffs[j] - exact) <= tol, (j, series.coeffs[j], exact)
 
 
 class TestRecurrences:

@@ -129,7 +129,7 @@ class TestEstimate:
         assert main(["estimate", str(path), "--func", "log", "--a", "0.05", "--N", "30",
                      "--M", "8", "--seed", "2"]) == 0
         out = capsys.readouterr()
-        assert out.out == "480.346700803197\n"
+        assert out.out == "480.3467008020236\n"
         assert out.err == (
             "sampled degree n = 30\nprobes M = 8\n"
             "fixed-degree-30 bias bound: 59.2842 (rho = 1.18195, U ~ 1.01553)\n"

@@ -345,6 +345,7 @@ def test_package_import_leaves_scipy_stats_unloaded():
     import subprocess
     import sys
 
-    code = "import sys, spectral_cheb, spectral_cheb.cli; print('scipy.stats' in sys.modules)"
+    code = ("import sys, spectral_cheb, spectral_cheb.cli; "
+            "print('scipy.stats' in sys.modules, 'scipy.fft' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert proc.stdout == "False\n"
+    assert proc.stdout == "False False\n"

@@ -303,6 +303,51 @@ class TestGPTraining:
         assert len(seen) == 8 and len(kernels) == 1
         np.testing.assert_array_equal(seen[0][0], gp.kernel() @ probe)
 
+    def test_iterates_reuse_donor_arrays_and_stale_ones_rebuild(self, monkeypatch):
+        import spectral_cheb.tasks as tasks_module
+
+        x, y = synthetic_gp_data(30, [0.4, 1.0, 0.8], seed=11)
+        gp = GPProblem(x, y, np.array([0.5, 0.8, 1.0]))
+        iterates, fresh_kernels_exact = [], []
+
+        class Recording(tasks_module._GPIterate):
+            def __init__(self, *args):
+                super().__init__(*args)
+                self.first_built = {}
+                iterates.append(self)
+
+            def _built(self, name, build):
+                arrays = super()._built(name, build)
+                if name not in self.first_built:
+                    self.first_built[name] = arrays
+                    if name == "kernel":
+                        fresh_kernels_exact.append(
+                            np.array_equal(arrays, gp.kernel(self.theta)))
+                return arrays
+
+        monkeypatch.setattr(tasks_module, "_GPIterate", Recording)
+        cfg = SGDConfig(T=6, M=2, N=6, master_seed=13, step_rule="exp_decay", step0=2e-3)
+        gp_train(gp, cfg, refresh_every=3)
+        assert len(iterates) == cfg.T + 1
+        assert fresh_kernels_exact == [True] * len(iterates)
+        for donor, iterate in zip(iterates, iterates[1:]):
+            for name in ("exp_term", "kernel"):
+                assert np.shares_memory(iterate.first_built[name], donor.first_built[name])
+            # the last iterate is only logged and needs no partials
+            if "partials" in iterate.first_built:
+                for new, old in zip(iterate.first_built["partials"],
+                                    donor.first_built["partials"]):
+                    assert np.shares_memory(new, old)
+        assert all("partials" in iterate.first_built for iterate in iterates[:-1])
+        # held after training moved on, each iterate still gives its own arrays
+        probe = np.linspace(-1.0, 1.0, 30)
+        for iterate in iterates:
+            np.testing.assert_array_equal(iterate.kernel, gp.kernel(iterate.theta))
+            for i, partial in enumerate(tasks_module._gp_partials_logspace(gp, iterate.theta)):
+                np.testing.assert_allclose(iterate.partial_mv(i, probe), partial @ probe,
+                                           rtol=1e-14, atol=0)
+        assert not np.shares_memory(iterates[0].kernel, iterates[-1].kernel)
+
     def test_curve_reproducible(self):
         x, y = synthetic_gp_data(30, [0.4, 1.0, 0.8], seed=11)
         gp = GPProblem(x, y, np.array([0.5, 0.8, 1.0]))
