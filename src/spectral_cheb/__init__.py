@@ -2,12 +2,12 @@
 
 The pieces, bottom to top: scalar Chebyshev machinery (`chebyshev`),
 truncation-degree distributions with the variance-optimal closed form
-(`degree_dist`), Hutchinson-style probing and trace estimators
-(`probes`), stochastic gradients of tr f(A(theta)) (`grad_est`),
-projected SGD/SVRG built on them (`optimize`), dense reference oracles
-(`reference`), and the matrix-completion / GP-learning drivers
-(`tasks`).  `spectral-cheb` on the command line exposes the variance
-bench, one-shot estimation, and the two training tasks.
+(`degree_dist`), Hutchinson-style probing, trace estimators and the
+expansion builder (`probes`), stochastic gradients of tr f(A(theta))
+(`grad_est`), projected SGD/SVRG built on them (`optimize`), dense
+reference oracles (`reference`), and the matrix-completion / GP-learning
+drivers (`tasks`).  `spectral-cheb` on the command line exposes the
+variance bench, one-shot estimation, and the two training tasks.
 """
 
 from .chebyshev import (
@@ -30,6 +30,7 @@ from .degree_dist import (
     chebyshev_weighted_variance,
     deterministic_distribution,
     finite_kkt_solution,
+    make_degree_distribution,
     negbinomial_distribution,
     optimal_distribution,
     poisson_distribution,
@@ -73,24 +74,20 @@ from .optimize import (
     write_trajectory_csv,
 )
 from .probes import (
+    Expansion,
     MatrixOracle,
     MatvecCounter,
     ProbePlan,
     estimate_spectral_sum_fixed,
     estimate_spectral_sum_unbiased,
+    expansion_for,
     load_matrix,
     power_method_bound,
     probe_rng,
     rademacher_probe,
     sample_spectral_sums,
 )
-from .reference import (
-    chebyshev_perturbation_check,
-    exact_spectral_grad_generic,
-    exact_spectral_grad_lowrank,
-    exact_spectral_sum,
-    trace_nuclear_check,
-)
+from .reference import exact_spectral_grad_lowrank, exact_spectral_sum
 from .tasks import (
     CompletionProblem,
     CompletionResult,
@@ -104,7 +101,6 @@ from .tasks import (
     gp_train,
     load_gp_data,
     load_movielens,
-    make_degree_distribution,
     ratings_from_files,
     synthetic_completion_data,
     synthetic_gp_data,

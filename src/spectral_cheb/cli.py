@@ -14,7 +14,6 @@ Exit codes: 1 configuration error, 2 data error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 import time
 from pathlib import Path
@@ -23,7 +22,6 @@ import numpy as np
 
 from .chebyshev import (
     AnalyticitySpec,
-    ChebSeries,
     Interval,
     compute_coefficients,
     estimate_rho,
@@ -31,6 +29,7 @@ from .chebyshev import (
     truncation_error_bound,
 )
 from ._mp_bench import mp_variance_rows
+from .degree_dist import make_degree_distribution, sample_degree
 from .exceptions import (
     ConvergenceError,
     InfiniteVarianceError,
@@ -40,7 +39,15 @@ from .exceptions import (
     SpectralChebError,
 )
 from .optimize import SGDConfig, SVRGConfig, write_trajectory_csv
-from .probes import MatrixOracle, ProbePlan, estimate_spectral_sum_unbiased, load_matrix, power_method_bound
+from .probes import (
+    Expansion,
+    MatrixOracle,
+    ProbePlan,
+    degree_rng,
+    estimate_spectral_sum_unbiased,
+    load_matrix,
+    power_method_bound,
+)
 from .tasks import (
     CompletionProblem,
     GPProblem,
@@ -48,7 +55,6 @@ from .tasks import (
     completion_train,
     gp_train,
     load_gp_data,
-    make_degree_distribution,
     ratings_from_files,
 )
 
@@ -105,24 +111,23 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--epsilon", type=float, default=0.01,
                      help="default lower eigenvalue bound when --a is absent")
 
-    for name in ("mc-train", "gp-train"):
-        train = sub.add_parser(name, help=f"run the {name.split('-')[0]} task")
+    mc = sub.add_parser("mc-train", help="run the mc task")
+    gp = sub.add_parser("gp-train", help="run the gp task")
+    for train in (mc, gp):
         _add_common(train)
         train.add_argument("--train", required=False, help="training data file")
-        train.add_argument("--test", help="held-out data file (mc: explicit test ratings)")
-        train.add_argument("--optimizer", default="sgd", choices=["sgd", "svrg"])
-        train.add_argument("--dist", default="opt")
-        train.add_argument("--rho", type=float)
         train.add_argument("--N", type=int, default=10)
         train.add_argument("--M", "--probes", dest="M", type=int, default=8)
         train.add_argument("--epochs", type=int, default=4, help="svrg outer epochs; sgd blocks")
         train.add_argument("--inner-iters", dest="inner_iters", type=int, default=100)
         train.add_argument("--step", type=float, default=0.1)
         train.add_argument("--step-decay", dest="step_decay", type=float, default=0.97)
-        train.add_argument("--lambda", dest="lam", type=float, default=1.0,
-                           help="data-fit weight (mc)")
-        train.add_argument("--epsilon", type=float, help="diagonal smoothing (mc)")
-        train.add_argument("--rank", type=int, default=10, help="post-training SVD rank (mc)")
+    mc.add_argument("--test", help="held-out ratings file")
+    mc.add_argument("--optimizer", default="sgd", choices=["sgd", "svrg"])
+    mc.add_argument("--dist", default="opt")
+    mc.add_argument("--lambda", dest="lam", type=float, default=1.0, help="data-fit weight")
+    mc.add_argument("--epsilon", type=float, help="diagonal smoothing")
+    mc.add_argument("--rank", type=int, default=10, help="post-training SVD rank")
     return parser
 
 
@@ -150,17 +155,17 @@ def _apply_config_file(argv: list[str], parser: argparse.ArgumentParser) -> list
 
 
 def _parse_function(args) -> tuple:
-    """(name, callable-or-coeffs, interval, default-kind)"""
+    """(name, f) for log, sqrt and exp; ("poly", monomial coefficients)."""
     func = args.func
     if func.startswith("poly:"):
         try:
             coeffs = [float(c) for c in func[5:].split(",")]
         except ValueError as exc:
             raise ParameterError(f"cannot parse polynomial coefficients in {func!r}") from exc
-        return "poly", coeffs, None
+        return "poly", coeffs
     if func not in ("log", "sqrt", "exp"):
         raise ParameterError(f"unknown function {func!r}")
-    return func, {"log": np.log, "sqrt": np.sqrt, "exp": np.exp}[func], None
+    return func, {"log": np.log, "sqrt": np.sqrt, "exp": np.exp}[func]
 
 
 def _bench_interval(fname: str, args) -> Interval:
@@ -193,7 +198,7 @@ def _build_series(fname, f_or_coeffs, interval, degree):
 def cmd_variance_bench(args) -> int:
     if args.out is None:
         raise ParameterError("variance-bench needs --out for the CSV file")
-    fname, f_or_coeffs, _ = _parse_function(args)
+    fname, f_or_coeffs = _parse_function(args)
     interval = _bench_interval(fname, args)
     if args.dist:
         dist_specs = [_parse_dist_name(args.dist)]
@@ -222,12 +227,11 @@ def cmd_estimate(args) -> int:
         raise FileNotFoundError(f"matrix file not found: {matrix_path}")
     matrix = load_matrix(matrix_path)
     dim = matrix.shape[0]
-    fname, f_or_coeffs, _ = _parse_function(args)
-    probe_oracle = MatrixOracle(dim=dim, matvec=lambda x: matrix @ x,
-                                eig_interval=Interval(0.0, 1.0))
+    fname, f_or_coeffs = _parse_function(args)
     if args.b is not None:
         upper = args.b
     else:
+        probe_oracle = MatrixOracle(dim=dim, matvec=lambda x: matrix @ x, eig_interval=None)
         upper = power_method_bound(probe_oracle, 50, args.seed)
     lower = args.a if args.a is not None else args.epsilon
     interval = Interval(lower, upper)
@@ -241,15 +245,15 @@ def cmd_estimate(args) -> int:
             rho = estimate_rho(series, args.N, min(3 * args.N + 20, series.degree))
         except SpectralChebError:
             rho = None
-    if kind == "det":
-        mean_degree = args.degree if args.degree is not None else args.N
-    else:
-        mean_degree = args.N
+    mean_degree = args.degree if kind == "det" and args.degree is not None else args.N
     if kind == "opt" and rho is None:
         raise ParameterError("cannot estimate rho for the optimal distribution; pass --rho")
     dist = make_degree_distribution(kind, mean_degree, rho=rho, neg_r=neg_r)
+    # a tail draw past the provisional series extends it
+    n = sample_degree(dist, degree_rng(args.seed, 0))
+    expansion = Expansion(None if fname == "poly" else f_or_coeffs, series, dist).to_degree(n)
     plan = ProbePlan(args.seed, args.M)
-    value = estimate_spectral_sum_unbiased(oracle, series, dist, plan)
+    value = estimate_spectral_sum_unbiased(oracle, expansion.series, dist, plan, degree=n)
     print(repr(float(value)))
     print(f"sampled degree n = {plan.degree_sample}", file=sys.stderr)
     print(f"probes M = {args.M}", file=sys.stderr)

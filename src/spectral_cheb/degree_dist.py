@@ -36,6 +36,7 @@ __all__ = [
     "negbinomial_distribution",
     "deterministic_distribution",
     "tabulated_distribution",
+    "make_degree_distribution",
     "sample_degree",
     "weighted_coefficients",
     "chebyshev_weighted_variance",
@@ -265,6 +266,22 @@ def tabulated_distribution(
         pmf_prefix=np.asarray(pmf, dtype=float),
         tail_ratio=tail_ratio,
     )
+
+
+def make_degree_distribution(kind: str, mean_degree: int, rho: float | None = None,
+                             neg_r: float = 5.0) -> DegreeDistribution:
+    """Map a distribution name (opt, pois, neg, det) onto a constructor."""
+    if kind == "opt":
+        if rho is None:
+            raise ParameterError("the optimal distribution needs the decay parameter rho")
+        return optimal_distribution(rho, mean_degree)
+    if kind == "pois":
+        return poisson_distribution(mean_degree)
+    if kind == "neg":
+        return negbinomial_distribution(mean_degree, r=neg_r)
+    if kind == "det":
+        return deterministic_distribution(mean_degree)
+    raise ParameterError(f"unknown degree distribution {kind!r}")
 
 
 def sample_degree(dist: DegreeDistribution, rng: np.random.Generator) -> int:

@@ -6,6 +6,12 @@ failures (non-finite intermediates, degenerate distributions).  The CLI
 maps these onto exit codes 1, 2 and 3 respectively.
 """
 
+__all__ = [
+    "SpectralChebError", "ParameterError", "DomainEvalError", "EstimationError",
+    "DegenerateDistributionError", "InfiniteVarianceError", "NumericError", "ParseError",
+    "ConvergenceError",
+]
+
 
 class SpectralChebError(Exception):
     """Base class for all package-specific errors."""

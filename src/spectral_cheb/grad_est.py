@@ -36,6 +36,7 @@ __all__ = [
     "grad_estimate_generic",
     "grad_estimate_lowrank",
     "sample_spectral_grads",
+    "sample_lowrank_grads",
     "validate_param_oracle",
 ]
 

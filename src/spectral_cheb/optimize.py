@@ -11,13 +11,12 @@ refreshed on an epoch schedule, not per sample.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, IO, Sequence
 
 import numpy as np
 
-from .chebyshev import ChebSeries
-from .degree_dist import DegreeDistribution, sample_degree
+from .degree_dist import sample_degree
 from .exceptions import NumericError, ParameterError
 from .grad_est import (
     GradSample,
@@ -26,7 +25,7 @@ from .grad_est import (
     grad_estimate_generic,
     grad_estimate_lowrank,
 )
-from .probes import MatrixOracle, ProbePlan, degree_rng, estimate_spectral_sum_fixed
+from .probes import Expansion, MatrixOracle, ProbePlan, degree_rng, estimate_spectral_sum_fixed
 
 __all__ = [
     "SpectralModel",
@@ -44,33 +43,34 @@ __all__ = [
 class SpectralModel:
     """Bundle of the parametric oracle and the (refreshable) expansion.
 
-    ``oracle_at(theta)`` returns the operator at given parameters;
-    ``refresh(theta, seed, mean_degree)`` rebuilds the series and the
-    degree distribution, typically after re-bounding the spectrum with a
-    power method.  ``refresh_every`` counts optimizer iterations between
-    refreshes; 0 refreshes once at the start.
+    ``oracle_at(theta)`` returns the operator at given parameters, on the
+    interval of ``model.expansion``; ``refresh(theta, seed, mean_degree)``
+    returns a new ``Expansion``, typically from ``expansion_for``.
+    ``refresh_every`` counts optimizer iterations between refreshes; 0
+    refreshes once at the start.
     """
 
     def __init__(
         self,
         oracle_at: Callable[[np.ndarray], ParamMatrixOracle | LowRankPSD],
-        refresh: Callable[[np.ndarray, int, int], tuple[ChebSeries, DegreeDistribution]],
+        refresh: Callable[[np.ndarray, int, int], Expansion],
         refresh_every: int = 0,
-        extend_series: Callable[..., ChebSeries] | None = None,
     ):
         self.oracle_at = oracle_at
         self.refresh = refresh
         self.refresh_every = refresh_every
-        self.extend_series = extend_series
-        self.series: ChebSeries | None = None
-        self.dist: DegreeDistribution | None = None
+        self.expansion: Expansion | None = None
 
     def ensure(self, theta: np.ndarray, iteration: int, seed: int, mean_degree: int) -> None:
-        due = self.series is None or (
+        due = self.expansion is None or (
             self.refresh_every > 0 and iteration % self.refresh_every == 0
         )
         if due:
-            self.series, self.dist = self.refresh(theta, seed, mean_degree)
+            self.expansion = self.refresh(theta, seed, mean_degree)
+
+    def extend_series(self, degree: int) -> None:
+        """Extend the series to ``degree``; kept until the next refresh."""
+        self.expansion = self.expansion.to_degree(degree)
 
     def grad_sample(self, theta: np.ndarray, seed: int, m_probes: int,
                     degree: int | None = None, plan: ProbePlan | None = None) -> GradSample:
@@ -87,26 +87,22 @@ class SpectralModel:
                 f"seed {seed} and {m_probes} probes"
             )
         if degree is None:
-            degree = sample_degree(self.dist, degree_rng(seed, 0))
-        if degree > self.series.degree:
+            degree = sample_degree(self.expansion.dist, degree_rng(seed, 0))
+        if degree > self.expansion.series.degree:
             # geometric tails occasionally out-draw the stored expansion
-            if self.extend_series is None:
-                raise ParameterError(
-                    f"drawn degree {degree} exceeds the stored series degree "
-                    f"{self.series.degree} and no extension rule is set"
-                )
-            self.series = self.extend_series(self.series.interval, degree)
+            self.extend_series(degree)
         oracle = self.oracle_at(theta)
+        series, dist = self.expansion.series, self.expansion.dist
         if isinstance(oracle, LowRankPSD):
-            return grad_estimate_lowrank(oracle, self.series, self.dist, plan, degree=degree)
-        return grad_estimate_generic(oracle, self.series, self.dist, plan, degree=degree)
+            return grad_estimate_lowrank(oracle, series, dist, plan, degree=degree)
+        return grad_estimate_generic(oracle, series, dist, plan, degree=degree)
 
     def objective_estimate(self, theta: np.ndarray, plan: ProbePlan, degree: int) -> float:
         """Fixed-degree estimate of tr f(A(theta)) on ``plan``'s probes."""
         oracle = self.oracle_at(theta)
         plain = MatrixOracle(dim=oracle.dim, matvec=oracle.mv, eig_interval=oracle.eig_interval)
-        n = min(degree, self.series.degree)
-        return estimate_spectral_sum_fixed(plain, self.series, n, plan)
+        series = self.expansion.series
+        return estimate_spectral_sum_fixed(plain, series, min(degree, series.degree), plan)
 
 
 def _zero_value(theta):

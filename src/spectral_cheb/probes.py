@@ -1,5 +1,6 @@
 """Matrix-side estimation: oracles, Rademacher probing, spectral-sum
-estimators, and power-method eigenvalue bounding.
+estimators, and the expansion builder (power-method interval, Chebyshev
+series, degree distribution).
 
 The estimators never materialize the shifted matrix; the interval map is
 applied, in place, to each matvec's result.  A degree-n estimate costs
@@ -31,8 +32,13 @@ import numpy as np
 import scipy.io
 import scipy.sparse
 
-from .chebyshev import ChebSeries, Interval
-from .degree_dist import DegreeDistribution, sample_degree, weighted_coefficients
+from .chebyshev import ChebSeries, Interval, compute_coefficients, rho_from_endpoint_singularity
+from .degree_dist import (
+    DegreeDistribution,
+    make_degree_distribution,
+    sample_degree,
+    weighted_coefficients,
+)
 from .exceptions import NumericError, ParameterError, ParseError
 
 __all__ = [
@@ -46,6 +52,8 @@ __all__ = [
     "estimate_spectral_sum_unbiased",
     "sample_spectral_sums",
     "power_method_bound",
+    "Expansion",
+    "expansion_for",
     "load_matrix",
 ]
 
@@ -73,12 +81,13 @@ class MatrixOracle:
 
     ``matvec`` must accept a (d,) vector or a (d, m) block and return the
     same shape, in a fresh array the estimators may overwrite;
-    ``eig_interval`` declares bounds containing every eigenvalue.
+    ``eig_interval`` declares bounds containing every eigenvalue (None
+    while the power method is still looking for them).
     """
 
     dim: int
     matvec: Callable[[np.ndarray], np.ndarray]
-    eig_interval: Interval
+    eig_interval: Interval | None
     counter: MatvecCounter | None = None
 
     def apply(self, x: np.ndarray) -> np.ndarray:
@@ -335,8 +344,10 @@ def sample_spectral_sums(
 
 
 def power_method_bound(A: MatrixOracle, iters: int, seed: int) -> float:
-    """Upper eigenvalue bound: Rayleigh-quotient power iteration times a
-    1.1 safety factor."""
+    """Estimate of the largest eigenvalue: the Rayleigh quotient after
+    ``iters`` power iterations times a 1.1 safety factor.  Not a bound:
+    the quotient approaches the top eigenvalue from below, and the factor
+    only covers a slow start.  ``expansion_for`` floors it at 2 * lower."""
     if iters < 1:
         raise ParameterError(f"need at least one iteration, got {iters}")
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(2,)))
@@ -355,6 +366,55 @@ def power_method_bound(A: MatrixOracle, iters: int, seed: int) -> float:
             return 0.0
         u = v / norm
     return 1.1 * rayleigh
+
+
+@dataclass(frozen=True)
+class Expansion:
+    """What the estimators need of f besides the operator: its Chebyshev
+    series on the eigenvalue interval and the truncation-degree
+    distribution.  ``f`` is None for a polynomial series."""
+
+    f: Callable[[float], float] | None
+    series: ChebSeries
+    dist: DegreeDistribution
+
+    @property
+    def interval(self) -> Interval:
+        return self.series.interval
+
+    def to_degree(self, n: int) -> "Expansion":
+        """This expansion with the series reaching degree n, when a draw
+        out-runs the stored one: f is expanded afresh, a polynomial
+        series is zero-padded."""
+        if n <= self.series.degree:
+            return self
+        if self.f is None:
+            padded = np.pad(self.series.coeffs, (0, n - self.series.degree))
+            series = ChebSeries(self.interval, padded)
+        else:
+            series = compute_coefficients(self.f, self.interval, n)
+        return Expansion(self.f, series, self.dist)
+
+
+def expansion_for(matvec: Callable[[np.ndarray], np.ndarray], dim: int,
+                  f: Callable[[float], float], lower: float, mean_degree: int, seed: int,
+                  kind: str = "opt", neg_r: float = 5.0) -> Expansion:
+    """Expansion of f for an operator whose spectrum lies above ``lower``.
+
+    The upper end is a 50-step power-method estimate, floored at
+    2 * lower.  The series reaches the degree past which the optimal
+    distribution's geometric tail holds ~1e-13 of the mass, kept within
+    [60, 1000]; ``kind`` and ``neg_r`` name the degree distribution.
+    """
+    upper = power_method_bound(MatrixOracle(dim=dim, matvec=matvec, eig_interval=None), 50, seed)
+    interval = Interval(lower, max(upper, 2.0 * lower))
+    rho = rho_from_endpoint_singularity(interval)
+    degree = min(max(mean_degree + 1 + math.ceil(math.log(1e13) / math.log(rho)), 60), 1000)
+    return Expansion(
+        f,
+        compute_coefficients(f, interval, degree),
+        make_degree_distribution(kind, mean_degree, rho=rho, neg_r=neg_r),
+    )
 
 
 def load_matrix(path: str | Path):

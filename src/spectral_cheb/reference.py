@@ -1,15 +1,13 @@
-"""Dense brute-force oracles anchoring the stochastic estimators.
+"""Dense eigendecomposition oracles.
 
-Everything here is eigendecomposition-based and deliberately shares no
-code with the recurrence-driven estimators: first/second-kind matrix
-polynomials are built by trigonometric evaluation on the eigenbasis, so
-the two routes can check each other honestly.  Test-only; dimensions are
-capped at desk scale.
+Everything here is eigendecomposition-based and shares no code with the
+recurrence-driven estimators.  The tests check the estimators against
+it, and `tasks` uses it for the exact completion objective and the SVRG
+anchor gradient.  Dimensions are capped at desk scale.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Callable
 
 import numpy as np
@@ -19,10 +17,7 @@ from .exceptions import ParameterError
 __all__ = [
     "check_dense_symmetric",
     "exact_spectral_sum",
-    "exact_spectral_grad_generic",
     "exact_spectral_grad_lowrank",
-    "chebyshev_perturbation_check",
-    "trace_nuclear_check",
 ]
 
 _MAX_DIM = 512
@@ -49,16 +44,6 @@ def exact_spectral_sum(matrix: np.ndarray, f: Callable[[np.ndarray], np.ndarray]
     return float(np.sum(values))
 
 
-def exact_spectral_grad_generic(
-    matrix: np.ndarray, partials: list[np.ndarray], fprime: Callable
-) -> np.ndarray:
-    """Gradient of tr f(A(theta)): coordinate i is tr(f'(A) dA/dtheta_i)."""
-    matrix = check_dense_symmetric(matrix)
-    w, v = np.linalg.eigh(matrix)
-    fprime_mat = (v * fprime(w)) @ v.T
-    return np.array([float(np.sum(fprime_mat * check_dense_symmetric(p))) for p in partials])
-
-
 def exact_spectral_grad_lowrank(
     theta: np.ndarray, epsilon: float, fprime: Callable
 ) -> np.ndarray:
@@ -67,65 +52,3 @@ def exact_spectral_grad_lowrank(
     a_mat = theta @ theta.T + epsilon * np.eye(theta.shape[0])
     w, v = np.linalg.eigh(a_mat)
     return 2.0 * ((v * fprime(w)) @ (v.T @ theta))
-
-
-def _matrix_cheb_first(matrix: np.ndarray, degree: int) -> np.ndarray:
-    """T_degree(A) by trigonometric evaluation on the eigenbasis."""
-    w, v = np.linalg.eigh(matrix)
-    w = np.clip(w, -1.0, 1.0)
-    return (v * np.cos(degree * np.arccos(w))) @ v.T
-
-
-def _matrix_cheb_second(matrix: np.ndarray, degree: int) -> np.ndarray:
-    """U_degree(A) via sin((degree+1) theta)/sin(theta) with endpoint limits."""
-    w, v = np.linalg.eigh(matrix)
-    w = np.clip(w, -1.0, 1.0)
-    theta = np.arccos(w)
-    vals = np.empty_like(w)
-    interior = np.abs(np.sin(theta)) > 1e-8
-    vals[interior] = np.sin((degree + 1) * theta[interior]) / np.sin(theta[interior])
-    edge = ~interior
-    vals[edge] = np.sign(w[edge]) ** degree * (degree + 1)
-    return (v * vals) @ v.T
-
-
-def chebyshev_perturbation_check(
-    matrix: np.ndarray, perturbation: np.ndarray, i_max: int
-) -> bool:
-    """Verify the polynomial perturbation bounds
-    ||T_i(A+E) - T_i(A)|| <= i^2 ||E|| and
-    ||U_i(A+E) - U_i(A)|| <= i(i+1)(i+2)/3 ||E||
-    in both spectral and Frobenius norms for all i <= i_max.
-    """
-    if i_max > 40:
-        raise ParameterError("perturbation check capped at degree 40")
-    a_mat = check_dense_symmetric(matrix)
-    e_mat = check_dense_symmetric(perturbation)
-    for m in (a_mat, a_mat + e_mat):
-        eigvals = np.linalg.eigvalsh(m)
-        if eigvals.min() < -1.0 - 1e-12 or eigvals.max() > 1.0 + 1e-12:
-            raise ParameterError("spectra must lie inside [-1, 1]")
-    slack = 1e-10
-    for norm in (
-        lambda m: float(np.linalg.norm(m, 2)),
-        lambda m: float(np.linalg.norm(m, "fro")),
-    ):
-        e_norm = norm(e_mat)
-        for i in range(i_max + 1):
-            t_diff = norm(_matrix_cheb_first(a_mat + e_mat, i) - _matrix_cheb_first(a_mat, i))
-            if t_diff > i**2 * e_norm + slack:
-                return False
-            u_diff = norm(_matrix_cheb_second(a_mat + e_mat, i) - _matrix_cheb_second(a_mat, i))
-            if u_diff > i * (i + 1) * (i + 2) / 3.0 * e_norm + slack:
-                return False
-    return True
-
-
-def trace_nuclear_check(a_mat: np.ndarray, b_mat: np.ndarray) -> bool:
-    """Verify tr(AB) <= ||A||_nuc ||B||_2 for a symmetric pair."""
-    a_mat = check_dense_symmetric(a_mat)
-    b_mat = check_dense_symmetric(b_mat)
-    lhs = float(np.sum(a_mat * b_mat))
-    nuc = float(np.sum(np.abs(np.linalg.eigvalsh(a_mat))))
-    spec = float(np.linalg.norm(b_mat, 2))
-    return lhs <= nuc * spec + 1e-10 * max(1.0, nuc * spec)

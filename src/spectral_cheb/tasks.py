@@ -22,19 +22,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg
 
-from .chebyshev import (
-    ChebSeries,
-    Interval,
-    compute_coefficients,
-    rho_from_endpoint_singularity,
-)
-from .degree_dist import (
-    DegreeDistribution,
-    deterministic_distribution,
-    negbinomial_distribution,
-    optimal_distribution,
-    poisson_distribution,
-)
+from .degree_dist import sample_degree
 from .exceptions import ConvergenceError, ParameterError, ParseError
 from .grad_est import LowRankPSD, ParamMatrixOracle
 from .optimize import (
@@ -51,8 +39,9 @@ from .probes import (
     MatrixOracle,
     MatvecCounter,
     ProbePlan,
+    degree_rng,
     estimate_spectral_sum_unbiased,
-    power_method_bound,
+    expansion_for,
 )
 from .reference import exact_spectral_grad_lowrank, exact_spectral_sum
 
@@ -74,7 +63,6 @@ __all__ = [
     "gp_negloglik",
     "gp_exact_nll_grad_logspace",
     "gp_train",
-    "make_degree_distribution",
 ]
 
 RATING_BOX = (0.0, 5.0)
@@ -277,27 +265,6 @@ def synthetic_gp_data(d: int, theta: Sequence[float], seed: int, input_dim: int 
 
 
 # ---------------------------------------------------------------------------
-# degree distributions by CLI-style name
-# ---------------------------------------------------------------------------
-
-
-def make_degree_distribution(kind: str, mean_degree: int, rho: float | None = None,
-                             neg_r: float = 5.0) -> DegreeDistribution:
-    """Map a distribution name (opt, pois, neg, det) onto a constructor."""
-    if kind == "opt":
-        if rho is None:
-            raise ParameterError("the optimal distribution needs the decay parameter rho")
-        return optimal_distribution(rho, mean_degree)
-    if kind == "pois":
-        return poisson_distribution(mean_degree)
-    if kind == "neg":
-        return negbinomial_distribution(mean_degree, r=neg_r)
-    if kind == "det":
-        return deterministic_distribution(mean_degree)
-    raise ParameterError(f"unknown degree distribution {kind!r}")
-
-
-# ---------------------------------------------------------------------------
 # matrix completion
 # ---------------------------------------------------------------------------
 
@@ -361,12 +328,6 @@ def _completion_exact_grad(problem: CompletionProblem, theta: np.ndarray) -> np.
     return exact_spectral_grad_lowrank(theta, problem.epsilon, lambda x: 0.5 / np.sqrt(x))
 
 
-def _sampling_headroom(rho: float, mean_degree: int) -> int:
-    """Series degree covering the optimal distribution's geometric tail
-    down to ~1e-13 excess probability."""
-    return mean_degree + 1 + int(math.ceil(math.log(1e13) / math.log(rho)))
-
-
 def _completion_model(
     problem: CompletionProblem,
     dist_kind: str,
@@ -374,33 +335,15 @@ def _completion_model(
     counter: MatvecCounter,
     refresh_every: int,
 ) -> SpectralModel:
-    holder: dict = {"interval": None}
-
     def oracle_at(theta):
-        return LowRankPSD(theta, problem.epsilon, holder["interval"], counter=counter)
+        return LowRankPSD(theta, problem.epsilon, model.expansion.interval, counter=counter)
 
     def refresh(theta, seed, mean_degree):
-        probe_oracle = MatrixOracle(
-            dim=theta.shape[0],
-            matvec=LowRankPSD(theta, problem.epsilon, Interval(0.0, 1.0)).mv,
-            eig_interval=Interval(0.0, 1.0),
-        )
-        upper = power_method_bound(probe_oracle, 50, seed)
-        upper = max(upper, 2.0 * problem.epsilon)
-        interval = Interval(problem.epsilon, upper)
-        holder["interval"] = interval
-        rho = rho_from_endpoint_singularity(interval)
-        degree = min(max(_sampling_headroom(rho, mean_degree), 60), 1000)
-        series = compute_coefficients(np.sqrt, interval, degree)
-        dist = make_degree_distribution(dist_kind, mean_degree, rho=rho, neg_r=neg_r)
-        return series, dist
+        return expansion_for(LowRankPSD(theta, problem.epsilon, None).mv, theta.shape[0],
+                             np.sqrt, problem.epsilon, mean_degree, seed, dist_kind, neg_r)
 
-    return SpectralModel(
-        oracle_at,
-        refresh,
-        refresh_every=refresh_every,
-        extend_series=lambda interval, degree: compute_coefficients(np.sqrt, interval, degree),
-    )
+    model = SpectralModel(oracle_at, refresh, refresh_every=refresh_every)
+    return model
 
 
 def completion_train(
@@ -615,18 +558,12 @@ def gp_negloglik(
     if mode != "estimate":
         raise ParameterError(f"unknown mode {mode!r}")
     alpha = _cg_solve(a_mat, gp.y)
-    lower = 0.999 * theta[0] ** 2
-    oracle = MatrixOracle.from_dense(a_mat, Interval(lower, 1.0))
-    upper = max(power_method_bound(oracle, 50, seed), 2.0 * lower)
-    interval = Interval(lower, upper)
-    oracle = MatrixOracle.from_dense(a_mat, interval)
-    rho = rho_from_endpoint_singularity(interval)
-    series = compute_coefficients(
-        np.log, interval, min(max(_sampling_headroom(rho, mean_degree), 60), 1000)
-    )
-    dist = optimal_distribution(rho, mean_degree)
+    expansion = expansion_for(lambda x: a_mat @ x, d, np.log, 0.999 * theta[0] ** 2,
+                              mean_degree, seed)
+    n = sample_degree(expansion.dist, degree_rng(seed, 0))
     logdet_est = estimate_spectral_sum_unbiased(
-        oracle, series, dist, ProbePlan(seed, m_probes)
+        MatrixOracle.from_dense(a_mat, expansion.interval), expansion.to_degree(n).series,
+        expansion.dist, ProbePlan(seed, m_probes), degree=n,
     )
     return 0.5 * float(gp.y @ alpha) + 0.5 * logdet_est + const
 
@@ -699,8 +636,6 @@ class _GPIterate:
 
 def _gp_model(gp: GPProblem, iterate_at: Callable[[np.ndarray], _GPIterate],
               counter: MatvecCounter, refresh_every: int) -> SpectralModel:
-    holder: dict = {"interval": None}
-
     def oracle_at(phi):
         iterate = iterate_at(phi)
         return ParamMatrixOracle(
@@ -709,32 +644,18 @@ def _gp_model(gp: GPProblem, iterate_at: Callable[[np.ndarray], _GPIterate],
             theta=np.asarray(phi, dtype=float),
             apply=lambda _phi, x: iterate.kernel @ x,
             apply_partial=lambda i, _phi, x: iterate.partial_mv(i, x),
-            eig_interval=holder["interval"],
+            eig_interval=model.expansion.interval,
             counter=counter,
         )
 
     def refresh(phi, seed, mean_degree):
-        theta = np.exp(phi)
         a_mat = iterate_at(phi).kernel
         # noise floor bounds the spectrum below; keep a stale-safe margin
-        lower = 0.5 * theta[0] ** 2
-        probe = MatrixOracle.from_dense(a_mat, Interval(lower, lower + 1.0))
-        upper = max(power_method_bound(probe, 50, seed), 2.0 * lower)
-        interval = Interval(lower, upper)
-        holder["interval"] = interval
-        rho = rho_from_endpoint_singularity(interval)
-        degree = min(max(_sampling_headroom(rho, mean_degree), 60), 1000)
-        series = compute_coefficients(lambda x: 0.5 * np.log(x), interval, degree)
-        return series, optimal_distribution(rho, mean_degree)
+        return expansion_for(lambda x: a_mat @ x, gp.dim, lambda x: 0.5 * np.log(x),
+                             0.5 * np.exp(phi)[0] ** 2, mean_degree, seed)
 
-    return SpectralModel(
-        oracle_at,
-        refresh,
-        refresh_every=refresh_every,
-        extend_series=lambda interval, degree: compute_coefficients(
-            lambda x: 0.5 * np.log(x), interval, degree
-        ),
-    )
+    model = SpectralModel(oracle_at, refresh, refresh_every=refresh_every)
+    return model
 
 
 def gp_exact_nll_grad_logspace(gp: GPProblem, phi: np.ndarray) -> np.ndarray:

@@ -14,11 +14,14 @@ import mpmath as mp
 import numpy as np
 import pytest
 from helpers import (
+    chebyshev_perturbation_check,
     conditional_weighted_variance,
+    exact_spectral_grad_generic,
     observable_horizon,
     random_feasible_pmf,
     random_spd,
     random_symmetric,
+    trace_nuclear_check,
     weighted_norm_sq,
 )
 
@@ -159,7 +162,7 @@ def test_criterion_5_gradient_unbiasedness():
         oracle = affine_param_oracle(base, [b1, b2], theta, interval)
         a_dense = base + theta[0] * b1 + theta[1] * b2
         fprime = lambda x: 0.5 / np.sqrt(x)
-        exact = sc.exact_spectral_grad_generic(a_dense, [b1, b2], fprime)
+        exact = exact_spectral_grad_generic(a_dense, [b1, b2], fprime)
         # the oracle itself must match finite differences of the exact sum
         h = 1e-5
         for i in range(2):
@@ -222,9 +225,9 @@ def test_criterion_7_appendix_lemma_properties():
         for _ in range(200):
             a_mat = random_symmetric(rng, 10, 0.05)
             e_mat = random_symmetric(rng, 10, 0.02)
-            assert sc.chebyshev_perturbation_check(a_mat, e_mat, 20)
+            assert chebyshev_perturbation_check(a_mat, e_mat, 20)
         for _ in range(200):
-            assert sc.trace_nuclear_check(
+            assert trace_nuclear_check(
                 random_symmetric(rng, 12), random_symmetric(rng, 12)
             )
 
@@ -241,7 +244,7 @@ def test_criterion_8_sgd_rate_shape():
         series = sc.series_from_polynomial([0.0, 0.0, 1.0], interval, degree=60)
         model = sc.SpectralModel(
             lambda th: affine_param_oracle(base, partials, th, interval),
-            lambda th, s, n: (series, sc.optimal_distribution(2.0, n)),
+            lambda th, s, n: sc.Expansion(None, series, sc.optimal_distribution(2.0, n)),
         )
         gram = np.array([[np.sum(a * b) for b in partials] for a in partials])
         lin = np.array([np.sum(base * p) for p in partials])
@@ -275,7 +278,7 @@ def test_criterion_9_svrg_control_variate():
         series = sc.series_from_polynomial([0.0, 0.0, 1.0], interval, degree=60)
         model = sc.SpectralModel(
             lambda th: affine_param_oracle(base, partials, th, interval),
-            lambda th, s, n: (series, sc.optimal_distribution(2.0, n)),
+            lambda th, s, n: sc.Expansion(None, series, sc.optimal_distribution(2.0, n)),
         )
         model.ensure(np.zeros(2), 0, 0, 4)
         anchor_theta = np.array([0.3, -0.2])
@@ -285,7 +288,7 @@ def test_criterion_9_svrg_control_variate():
 
         theta_near = anchor_theta + 1e-2
         a_anchor = base + anchor_theta[0] * partials[0] + anchor_theta[1] * partials[1]
-        mu = sc.exact_spectral_grad_generic(a_anchor, partials, lambda x: 2.0 * x)
+        mu = exact_spectral_grad_generic(a_anchor, partials, lambda x: 2.0 * x)
         plain, reduced = [], []
         for seed in range(1000):
             g_cur = model.grad_sample(theta_near, seed, 1)

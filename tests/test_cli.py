@@ -9,7 +9,9 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from spectral_cheb.cli import main
+from spectral_cheb.cli import build_parser, main
+from spectral_cheb.degree_dist import optimal_distribution, sample_degree
+from spectral_cheb.probes import degree_rng
 
 FIXTURE_RATINGS = "data/synthetic_ratings.csv"
 FIXTURE_GP = "data/synthetic_gp.csv"
@@ -135,6 +137,22 @@ class TestEstimate:
             "fixed-degree-30 bias bound: 59.2842 (rho = 1.18195, U ~ 1.01553)\n"
         )
 
+    def test_draw_past_provisional_series_extends_it(self, tmp_path, capsys):
+        # the series is first built to degree 4N + 120 = 160
+        rng = np.random.default_rng(40)
+        basis, _ = np.linalg.qr(rng.standard_normal((40, 40)))
+        matrix = (basis * np.geomspace(0.05, 50.0, 40)) @ basis.T
+        path = tmp_path / "spd.txt"
+        np.savetxt(path, 0.5 * (matrix + matrix.T))
+        dist = optimal_distribution(1.0202, 10)
+        seed, degree = next((s, n) for s in range(10_000)
+                            if (n := sample_degree(dist, degree_rng(s, 0))) > 160)
+        assert main(["estimate", str(path), "--a", "0.01", "--b", "100", "--rho", "1.0202",
+                     "--N", "10", "--seed", str(seed)]) == 0
+        out = capsys.readouterr()
+        assert math.isfinite(float(out.out))
+        assert f"sampled degree n = {degree}\n" in out.err
+
     def test_asymmetric_matrix_is_data_error(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("1 2\n0 1\n")
@@ -148,6 +166,24 @@ class TestArgumentHandling:
     def test_unknown_flag_exit_1(self):
         proc = run_cli(["variance-bench", "--func", "exp", "--rho", "2", "--bogus", "1"])
         assert proc.returncode == 1
+
+    def test_gp_train_rejects_optimizer(self, tmp_path):
+        proc = run_cli(["gp-train", "--train", FIXTURE_GP, "--optimizer", "svrg",
+                        "--out", str(tmp_path / "g.csv")])
+        assert proc.returncode == 1
+        assert "unrecognized arguments: --optimizer svrg" in proc.stderr
+        assert not (tmp_path / "g.csv").exists()
+
+    @pytest.mark.parametrize("command, flags", [
+        ("gp-train", ["--test", "t.csv"]), ("gp-train", ["--dist", "pois"]),
+        ("gp-train", ["--rho", "9"]), ("gp-train", ["--lambda", "2"]),
+        ("gp-train", ["--epsilon", "0.1"]), ("gp-train", ["--rank", "3"]),
+        ("mc-train", ["--rho", "9"]),
+    ])
+    def test_training_flags_not_read_are_rejected(self, command, flags):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([command, "--train", "x.csv", *flags])
+        assert exc.value.code == 1
 
     def test_help_lists_flags(self):
         proc = run_cli(["mc-train", "--help"])

@@ -4,7 +4,12 @@ import math
 
 import numpy as np
 import pytest
-from helpers import random_spd, random_symmetric, second_kind_vector_identity_check
+from helpers import (
+    exact_spectral_grad_generic,
+    random_spd,
+    random_symmetric,
+    second_kind_vector_identity_check,
+)
 
 from spectral_cheb.chebyshev import (
     Interval,
@@ -29,10 +34,7 @@ from spectral_cheb.grad_est import (
     validate_param_oracle,
 )
 from spectral_cheb.probes import MatvecCounter, ProbePlan
-from spectral_cheb.reference import (
-    exact_spectral_grad_generic,
-    exact_spectral_grad_lowrank,
-)
+from spectral_cheb.reference import exact_spectral_grad_lowrank
 
 
 def affine_oracle(base, partials, theta, interval):

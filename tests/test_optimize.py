@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from helpers import random_spd, random_symmetric
+from helpers import exact_spectral_grad_generic, random_spd, random_symmetric
 
 from spectral_cheb.chebyshev import Interval, compute_coefficients, series_from_polynomial
 from spectral_cheb.degree_dist import optimal_distribution
@@ -22,7 +22,7 @@ from spectral_cheb.optimize import (
     svrg_run,
     write_trajectory_csv,
 )
-from spectral_cheb.reference import exact_spectral_grad_generic
+from spectral_cheb.probes import Expansion
 
 
 def quadratic_objective(target, alpha):
@@ -58,7 +58,7 @@ def affine_spectral_model(rng, dim=6, scale=0.08, interval=Interval(0.2, 3.0)):
     series = series_from_polynomial([0.0, 0.0, 1.0], interval, degree=60)
 
     def refresh(theta, seed, mean_degree):
-        return series, optimal_distribution(2.0, mean_degree)
+        return Expansion(None, series, optimal_distribution(2.0, mean_degree))
 
     return SpectralModel(oracle_at, refresh), base, partials
 
@@ -103,6 +103,21 @@ class TestSGD:
         traj = sgd_run(obj, np.full(3, 9.0), cfg)
         assert np.all(traj[1] <= 5.0) and np.all(traj[1] >= 0.0)
         assert np.all(traj[1:] <= 5.0) and np.all(traj[1:] >= 0.0)
+
+    def test_extended_series_kept_until_refresh(self):
+        rng = np.random.default_rng(54)
+        model, _, _ = affine_spectral_model(rng)
+        short = series_from_polynomial([0.0, 0.0, 1.0], Interval(0.2, 3.0), degree=8)
+        model.refresh = lambda th, s, n: Expansion(None, short, optimal_distribution(2.0, n))
+        theta = np.array([0.1, -0.1])
+        model.ensure(theta, 0, 5, 3)
+        model.grad_sample(theta, 5, 1, degree=20)
+        assert model.expansion.series.degree == 20
+        model.grad_sample(theta, 6, 1, degree=4)
+        assert model.expansion.series.degree == 20
+        model.refresh_every = 1
+        model.ensure(theta, 1, 7, 3)
+        assert model.expansion.series is short
 
     def test_deterministic_trajectory(self):
         rng = np.random.default_rng(52)

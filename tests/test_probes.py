@@ -20,17 +20,20 @@ from spectral_cheb.chebyshev import (
     series_from_polynomial,
 )
 from spectral_cheb.degree_dist import (
+    DistributionKind,
     deterministic_distribution,
     optimal_distribution,
     poisson_distribution,
 )
 from spectral_cheb.exceptions import ParameterError, ParseError
 from spectral_cheb.probes import (
+    Expansion,
     MatrixOracle,
     MatvecCounter,
     ProbePlan,
     estimate_spectral_sum_fixed,
     estimate_spectral_sum_unbiased,
+    expansion_for,
     load_matrix,
     power_method_bound,
     probe_rng,
@@ -367,6 +370,45 @@ class TestPowerMethod:
         oracle = MatrixOracle.from_dense(matrix, Interval(0, 6))
         lam_max = float(np.linalg.eigvalsh(matrix).max())
         assert power_method_bound(oracle, 100, seed=2) >= lam_max
+
+
+class TestExpansion:
+    def test_polynomial_series_zero_padded(self):
+        iv = Interval(0.5, 2.0)
+        series = series_from_polynomial([1.0, -2.0, 3.0], iv, degree=5)
+        expansion = Expansion(None, series, optimal_distribution(2.0, 3))
+        assert expansion.to_degree(5) is expansion
+        longer = expansion.to_degree(9)
+        assert longer.interval == iv and longer.dist is expansion.dist
+        assert np.array_equal(longer.series.coeffs,
+                              series_from_polynomial([1.0, -2.0, 3.0], iv, degree=9).coeffs)
+
+    def test_function_series_expanded_afresh(self):
+        iv = Interval(0.1, 4.0)
+        expansion = Expansion(np.log, compute_coefficients(np.log, iv, 60),
+                              optimal_distribution(1.5, 10))
+        longer = expansion.to_degree(75)
+        assert np.array_equal(longer.series.coeffs, compute_coefficients(np.log, iv, 75).coeffs)
+
+    def test_builder_interval_degree_and_distribution(self):
+        a_mat = random_spd(np.random.default_rng(41), 20, 0.5, 6.0)
+        expansion = expansion_for(lambda x: a_mat @ x, 20, np.log, 0.4, 10, seed=3)
+        upper = power_method_bound(MatrixOracle.from_dense(a_mat, None), 50, 3)
+        assert expansion.interval == Interval(0.4, upper)
+        rho = rho_from_endpoint_singularity(expansion.interval)
+        headroom = 11 + math.ceil(math.log(1e13) / math.log(rho))
+        assert expansion.series.degree == min(max(headroom, 60), 1000)
+        assert np.array_equal(expansion.series.coeffs,
+                              compute_coefficients(np.log, expansion.interval, headroom).coeffs)
+        assert np.array_equal(expansion.dist.pmf_prefix, optimal_distribution(rho, 10).pmf_prefix)
+
+    def test_builder_floors_upper_end_at_twice_lower(self):
+        expansion = expansion_for(lambda x: 0.1 * x, 5, np.sqrt, 0.3, 4, seed=0,
+                                  kind="neg", neg_r=3.0)
+        assert expansion.interval == Interval(0.3, 0.6)
+        assert expansion.series.degree == 60
+        assert expansion.dist.kind is DistributionKind.NEG_BINOMIAL
+        assert expansion.dist.params["r"] == 3.0
 
 
 class TestLoadMatrix:

@@ -4,16 +4,16 @@ import math
 
 import numpy as np
 import pytest
-from helpers import random_spd, random_symmetric
-
-from spectral_cheb.exceptions import ParameterError
-from spectral_cheb.reference import (
+from helpers import (
     chebyshev_perturbation_check,
     exact_spectral_grad_generic,
-    exact_spectral_grad_lowrank,
-    exact_spectral_sum,
+    random_spd,
+    random_symmetric,
     trace_nuclear_check,
 )
+
+from spectral_cheb.exceptions import ParameterError
+from spectral_cheb.reference import exact_spectral_grad_lowrank, exact_spectral_sum
 
 
 class TestExactSpectralSum:

@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from spectral_cheb.degree_dist import sample_degree
 from spectral_cheb.exceptions import ParameterError, ParseError
 from spectral_cheb.optimize import SGDConfig, SVRGConfig
+from spectral_cheb.probes import degree_rng, expansion_for
 from spectral_cheb.reference import exact_spectral_sum
 from spectral_cheb.tasks import (
     CompletionProblem,
@@ -199,6 +201,26 @@ class TestGPNegLogLik:
         )
         se = vals.std() / math.sqrt(vals.size)
         assert abs(vals.mean() - exact) < 3 * se
+
+    def test_estimation_mode_noise_above_one(self):
+        # the spectrum's lower end 0.999 theta_0^2 lies above 1 here
+        x, y = synthetic_gp_data(40, [1.2, 1.0, 0.8], seed=8)
+        gp = GPProblem(x, y, np.array([1.2, 1.0, 0.8]))
+        assert math.isfinite(gp_negloglik(gp, mode="estimate", seed=3, m_probes=4))
+
+    def test_estimation_mode_draw_past_stored_series(self):
+        # at noise 0.01 the interval is so wide that the series is capped at
+        # degree 1000 while the geometric tail reaches past it
+        x, y = synthetic_gp_data(200, [0.01, 1.0, 0.8], seed=8)
+        gp = GPProblem(x, y, np.array([0.01, 1.0, 0.8]))
+        a_mat = gp.kernel()
+        for seed in range(5000):
+            expansion = expansion_for(lambda v: a_mat @ v, 200, np.log, 0.999 * 0.01**2, 10, seed)
+            if sample_degree(expansion.dist, degree_rng(seed, 0)) > expansion.series.degree:
+                break
+        else:
+            pytest.fail("no seed draws past the stored series")
+        assert math.isfinite(gp_negloglik(gp, mode="estimate", seed=seed))
 
     def test_cholesky_data_term_matches_lu(self):
         x, y = synthetic_gp_data(512, [0.1, 1.2, 0.5], seed=10)
