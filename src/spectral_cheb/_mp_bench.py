@@ -19,14 +19,17 @@ import math
 
 import mpmath as mp
 
-from .chebyshev import Interval
+from .chebyshev import Interval, rho_from_endpoint_singularity
 from .exceptions import ParameterError
 
 __all__ = ["mp_variance_rows"]
 
 SERIES_DEGREE = 220
-QUAD_NODES = 2048
 _DPS = {"log": 130, "sqrt": 130, "exp": 380, "poly": 130}
+# digits beyond the working precision that the aliasing bound must reach,
+# covering its constant (|b_m| <= C r^-m with C a modest multiple of the
+# coefficients' scale, and both aliases b_{2kQ-j}, b_{2kQ+j} of every k)
+_GUARD_DIGITS = 4
 
 
 def _mp_function(fname, payload):
@@ -49,6 +52,34 @@ def _mp_function(fname, payload):
     raise ParameterError(f"unknown function {fname!r}")
 
 
+def _quad_nodes(fname: str, payload, interval: Interval, degree: int, dps: int) -> int:
+    """Gauss-Chebyshev node count Q that resolves b_0..b_degree to ``dps``
+    digits.
+
+    With Q nodes the computed b_j carries the aliases b_{2kQ-j} and
+    b_{2kQ+j}, k >= 1, the largest of index 2Q - degree.  If |b_m| falls
+    like r^-m, they stay below 10^-(dps + guard) of the coefficients'
+    scale once 2Q - degree >= (dps + guard) ln 10 / ln r.  log and sqrt
+    decay at the rate r of the ellipse through their singularity at 0.
+    exp is entire: on the ellipse E_r its modulus grows by at most
+    exp(h (r + 1/r) / 2), h the half-width, over its scale, and the rate
+    giving the fewest nodes is taken.  A polynomial of degree p is
+    integrated exactly once Q > (p + degree) / 2.  Q > degree always, or
+    T_j for j >= Q would alias onto lower terms.
+    """
+    digits = (dps + _GUARD_DIGITS) * math.log(10.0)
+    if fname == "poly":  # 2Q >= p + degree + 1, p = len(payload) - 1
+        return max(degree + 1, -(-(len(payload) + degree) // 2))
+    if fname == "exp":
+        half = interval.width / 2.0
+        rates = (2.0 ** (k / 8.0) for k in range(1, 161))
+        alias = min(math.ceil((digits + half * (r + 1.0 / r) / 2.0) / math.log(r))
+                    for r in rates)
+    else:
+        alias = math.ceil(digits / math.log(rho_from_endpoint_singularity(interval)))
+    return max(degree + 1, -(-(degree + alias) // 2))
+
+
 def _mp_coefficients(fname, payload, interval: Interval, degree: int):
     """Chebyshev coefficients by the cosine-sum quadrature, evaluated with
     the first-kind recurrence per node (no per-term trig calls)."""
@@ -56,9 +87,10 @@ def _mp_coefficients(fname, payload, interval: Interval, degree: int):
     f = _mp_function(fname, payload)
     half_width = (b - a) / 2
     center = (b + a) / 2
+    nodes = _quad_nodes(fname, payload, interval, degree, mp.mp.dps)
     sums = [mp.mpf(0) for _ in range(degree + 1)]
-    for k in range(QUAD_NODES):
-        theta = mp.pi * (2 * k + 1) / (2 * QUAD_NODES)
+    for k in range(nodes):
+        theta = mp.pi * (2 * k + 1) / (2 * nodes)
         t = mp.cos(theta)
         fx = f(half_width * t + center)
         t_prev = mp.mpf(1)
@@ -69,8 +101,12 @@ def _mp_coefficients(fname, payload, interval: Interval, degree: int):
         for j in range(2, degree + 1):
             t_prev, t_cur = t_cur, 2 * t * t_cur - t_prev
             sums[j] += fx * t_cur
-    coeffs = [s * 2 / QUAD_NODES for s in sums]
+    coeffs = [s * 2 / nodes for s in sums]
     coeffs[0] /= 2
+    if fname == "poly":
+        # exactly zero past the polynomial's degree; what the sums hold
+        # there is rounding residue, which depends on the node count
+        coeffs[len(payload):] = [mp.mpf(0)] * (degree + 1 - len(payload))
     return coeffs
 
 

@@ -231,11 +231,10 @@ def cmd_estimate(args) -> int:
     if args.b is not None:
         upper = args.b
     else:
-        probe_oracle = MatrixOracle(dim=dim, matvec=lambda x: matrix @ x, eig_interval=None)
-        upper = power_method_bound(probe_oracle, 50, args.seed)
+        upper = power_method_bound(MatrixOracle.from_matrix(matrix, None), 50, args.seed)
     lower = args.a if args.a is not None else args.epsilon
     interval = Interval(lower, upper)
-    oracle = MatrixOracle(dim=dim, matvec=lambda x: matrix @ x, eig_interval=interval)
+    oracle = MatrixOracle.from_matrix(matrix, interval)
     kind, neg_r = _parse_dist_name(args.dist)
     degree_cap = max(4 * args.N + 120, (args.degree or 0) + 1, 60)
     series = _build_series(fname, f_or_coeffs, interval, degree_cap)

@@ -1,13 +1,16 @@
 """Truncation-degree distributions for randomized Chebyshev expansion.
 
 The estimator truncates a Chebyshev series at a random degree n ~ {q_i}
-and re-weights each coefficient by 1/(1 - sum_{i<j} q_i) so the result
-stays unbiased.  This module provides the variance-optimal distribution
-(a point mass at K plus a geometric tail of ratio 1/rho), the Poisson /
-negative-binomial / deterministic baselines, exact inverse-CDF sampling,
-coefficient re-weighting, the closed-form weighted variance, the relaxed
-variance objective that the optimal distribution minimizes, and the
-finite-horizon KKT solution used as a reference oracle for optimality.
+and re-weights each coefficient b_j by 1/P(n >= j) so the result stays
+unbiased; the survival P(n >= j) is summed from the tail inward once per
+distribution, so it stays accurate far below machine epsilon.  This
+module provides the variance-optimal distribution (a point mass at K
+plus a geometric tail of ratio 1/rho), the Poisson / negative-binomial /
+deterministic baselines (tabulated by their pmf ratio recurrences),
+exact inverse-CDF sampling, coefficient re-weighting, the closed-form
+weighted variance, the relaxed variance objective that the optimal
+distribution minimizes, and the finite-horizon KKT solution used as a
+reference oracle for optimality.
 """
 
 from __future__ import annotations
@@ -58,10 +61,10 @@ class DistributionKind(Enum):
     TABULATED = "tabulated"
 
 
-def _kahan_cumsum(values: np.ndarray) -> np.ndarray:
-    """Running sums with compensated accumulation."""
+def _kahan_cumsum(values: np.ndarray, start: float = 0.0) -> np.ndarray:
+    """Running sums with compensated accumulation, from ``start``."""
     out = np.empty_like(values)
-    total = 0.0
+    total = start
     comp = 0.0
     for i, v in enumerate(values):
         y = v - comp
@@ -79,7 +82,9 @@ class DegreeDistribution:
     ``pmf_prefix`` stores q_0..q_J explicitly; beyond the prefix the mass
     either continues geometrically with ``tail_ratio`` (q_{J+m} =
     q_J * tail_ratio**m) or is zero.  ``cumsum_prefix`` holds the
-    compensated running sums of the prefix.
+    compensated running sums S_j of the prefix and ``survival_prefix`` the
+    survivals 1 - S_j, summed from the tail inward (exactly 1 below the
+    first degree with mass).
     """
 
     kind: DistributionKind
@@ -87,6 +92,7 @@ class DegreeDistribution:
     pmf_prefix: np.ndarray = field(default_factory=lambda: np.zeros(1))
     cumsum_prefix: np.ndarray = field(init=False)
     tail_ratio: float | None = None
+    survival_prefix: np.ndarray = field(init=False)
 
     def __post_init__(self):
         q = np.asarray(self.pmf_prefix, dtype=float)
@@ -101,6 +107,11 @@ class DegreeDistribution:
             raise ParameterError(f"geometric tail ratio must be in (0, 1), got {self.tail_ratio}")
         if np.any(np.diff(self.cumsum_prefix) < -1e-15):
             raise ParameterError("cumulative sums must be monotone")
+        # 1 - S_j: the mass past the prefix plus q_{j+1..J}, summed tail-inward
+        tail = self._tail_mass_beyond_prefix()
+        survival = np.append(_kahan_cumsum(q[:0:-1], tail)[::-1], tail)
+        survival[self.cumsum_prefix == 0.0] = 1.0
+        object.__setattr__(self, "survival_prefix", survival)
         mass = self.total_mass()
         if abs(mass - 1.0) > 1e-12:
             raise ParameterError(f"total mass must be 1 within 1e-12, got {mass!r}")
@@ -143,34 +154,28 @@ class DegreeDistribution:
         return _kahan_cumsum(self.pmf_array(upto))
 
     def survival_array(self, upto: int) -> np.ndarray:
-        """1 - S_j for j = 0..upto, accumulated from the far tail.
+        """1 - S_j for j = 0..upto: the stored prefix, then the geometric
+        tail's closed form q_J c^(j-J+1) / (1 - c) (zero without a tail).
 
         Summing small positives from the tail inward avoids the
         cancellation that 1 - S_j suffers once S_j saturates; the result
         stays accurate even when the survival is far below machine eps.
         """
-        m = max(upto, self.pmf_prefix.size - 1)
-        q = self.pmf_array(m)
+        j_end = self.pmf_prefix.size - 1
+        if upto <= j_end:
+            return self.survival_prefix[: upto + 1].copy()
+        out = np.zeros(upto + 1)
+        out[: j_end + 1] = self.survival_prefix
         if self.tail_ratio is not None:
-            rem = q[m] * self.tail_ratio / (1.0 - self.tail_ratio)
-        else:
-            rem = 0.0
-        surv = np.empty(m + 1)
-        total = rem
-        comp = 0.0
-        surv[m] = total
-        for j in range(m, 0, -1):
-            y = q[j] - comp
-            t = total + y
-            comp = (t - total) - y
-            total = t
-            surv[j - 1] = total
-        return surv[: upto + 1]
+            c = self.tail_ratio
+            powers = c ** np.arange(2, upto - j_end + 2, dtype=float)
+            out[j_end + 1 :] = self.pmf_prefix[-1] * powers / (1.0 - c)
+        return out
 
 
 @dataclass(frozen=True)
 class WeightedCoeffs:
-    """Re-weighted coefficients b_j / (1 - sum_{i<j} q_i) up to degree n."""
+    """Re-weighted coefficients b_j / P(n >= j) up to degree n."""
 
     bhat: np.ndarray
     degree: int
@@ -205,13 +210,32 @@ def optimal_distribution(rho: float, meanN: int) -> DegreeDistribution:
     )
 
 
-def _tabulate(frozen_dist, mean: float, kind: DistributionKind, params: dict) -> DegreeDistribution:
+def _tabulate(log_q0: float, ratio, mean: float, kind: DistributionKind,
+              params: dict) -> DegreeDistribution:
+    """Baseline pmf from q_0 and the ratio recurrence q_{i+1} = q_i ratio(i),
+    tabulated through the first doubling of 4 mean + 64 whose tail mass
+    P(n > length) is at most ``_TABLE_MASS_TOL``, then renormalized.
+
+    ``ratio`` must fall below 1 past the mean and not increase there (true
+    of the Poisson and negative-binomial laws), so the mass beyond 2 length
+    is at most q_{2 length} r / (1 - r), r = ratio(2 length).
+    """
     length = int(4 * mean + 64)
-    while float(frozen_dist.sf(length)) > _TABLE_MASS_TOL:
+    while True:
+        i = np.arange(2 * length, dtype=float)
+        log_q = np.empty(2 * length + 1)
+        log_q[0] = log_q0
+        np.cumsum(np.log(ratio(i)), out=log_q[1:])
+        log_q[1:] += log_q0
+        q = np.exp(log_q)
+        r = float(ratio(2.0 * length))
+        beyond = q[length + 1 :].sum() + q[-1] * r / (1.0 - r)
+        if beyond <= _TABLE_MASS_TOL:
+            break
         length *= 2
         if length > 10_000_000:
             raise ParameterError("baseline distribution tail does not close")
-    q = frozen_dist.pmf(np.arange(length + 1))
+    q = q[: length + 1]
     q = q / q.sum()
     return DegreeDistribution(kind=kind, params=params, pmf_prefix=q, tail_ratio=None)
 
@@ -220,11 +244,9 @@ def poisson_distribution(meanN: float) -> DegreeDistribution:
     """Poisson baseline, tabulated and renormalized to unit mass."""
     if not meanN > 0:
         raise ParameterError(f"mean degree must be positive, got {meanN}")
-    from scipy import stats  # deferred: the import costs ~0.5 s and only the baselines use it
-
-    return _tabulate(
-        stats.poisson(mu=meanN), meanN, DistributionKind.POISSON, {"N": float(meanN)}
-    )
+    mean = float(meanN)
+    return _tabulate(-mean, lambda i: mean / (i + 1.0), mean, DistributionKind.POISSON,
+                     {"N": mean})
 
 
 def negbinomial_distribution(meanN: float, r: float = 5.0) -> DegreeDistribution:
@@ -234,10 +256,9 @@ def negbinomial_distribution(meanN: float, r: float = 5.0) -> DegreeDistribution
     if not r >= 1:
         raise ParameterError(f"shape parameter must be >= 1, got {r}")
     p = r / (r + meanN)
-    from scipy import stats
-
     return _tabulate(
-        stats.nbinom(n=r, p=p),
+        r * math.log(p),
+        lambda i: (1.0 - p) * (i + r) / (i + 1.0),
         meanN,
         DistributionKind.NEG_BINOMIAL,
         {"N": float(meanN), "r": float(r)},
@@ -312,19 +333,19 @@ def sample_degree(dist: DegreeDistribution, rng: np.random.Generator) -> int:
 def weighted_coefficients(series: ChebSeries, dist: DegreeDistribution, n: int) -> WeightedCoeffs:
     """Coefficients re-weighted for the degree-n randomized truncation.
 
-    Denominators are the compensated cumulative sums, so below the
-    optimal distribution's support the weights are exactly 1 and
-    bhat_j == b_j bit for bit.
+    Denominators are the survivals P(n >= j) of ``survival_array``, so
+    below the optimal distribution's support the weights are exactly 1
+    and bhat_j == b_j bit for bit.
     """
     if n < 0 or n > series.degree:
         raise ParameterError(f"degree {n} outside stored series degree {series.degree}")
     denom = np.ones(n + 1)
     if n >= 1:
-        denom[1:] = 1.0 - dist.cumulative_array(n - 1)
-    if np.any(denom < 1e-14):
-        j_bad = int(np.nonzero(denom < 1e-14)[0][0])
+        denom[1:] = dist.survival_array(n - 1)
+    if np.any(denom <= 0.0):
+        j_bad = int(np.nonzero(denom <= 0.0)[0][0])
         raise DegenerateDistributionError(
-            f"re-weighting denominator 1 - S_{j_bad - 1} = {denom[j_bad]!r} underflows"
+            f"no degree mass at or above {j_bad}: re-weighting b_{j_bad} divides by zero"
         )
     return WeightedCoeffs(bhat=series.coeffs[: n + 1] / denom, degree=n)
 

@@ -5,14 +5,17 @@ interval-mapped operator, through the three-term recurrence.  Its
 forward pass stores the first-kind vectors w_i = T_i(B) v for i < n; its
 backward Clenshaw pass forms s_i = sum_k bhat_{i+1+k} U_k(B) v from
 s_i = bhat_{i+1} v + 2 B s_{i+1} - s_{i+2}, starting at s_{n-1} =
-bhat_n v.  The gradient is (2/(b-a)) sum_i' w_i^T dA s_i, and each
-oracle contracts it in one place: the generic ``ParamMatrixOracle``
-applies each coordinate's partial to a block of stacked s_i and dots it
-column-wise with the w_i; ``LowRankPSD`` (A = theta theta^T + eps I)
-folds the symmetric rank-one partials into 2 sum_i' w_i (s_i^T theta)
-without touching a d x d matrix.  Every coordinate shares the drawn
-degree and the probe set, which is what the variance reduction
-downstream relies on.
+bhat_n v.  Every recurrence step is the oracle's ``step(w, w_prev,
+scale)`` = scale * B w - w_prev: ``LowRankPSD`` folds the map into two
+scalars, c1 theta (theta^T x) + c2 x, and the generic
+``ParamMatrixOracle`` maps each matvec's result in place.  The gradient
+is (2/(b-a)) sum_i' w_i^T dA s_i, and each oracle contracts it in one
+place: the generic ``ParamMatrixOracle`` applies each coordinate's
+partial to a block of stacked s_i and dots it column-wise with the w_i;
+``LowRankPSD`` (A = theta theta^T + eps I) folds the symmetric rank-one
+partials into 2 sum_i' w_i (s_i^T theta) without touching a d x d
+matrix.  Every coordinate shares the drawn degree and the probe set,
+which is what the variance reduction downstream relies on.
 """
 
 from __future__ import annotations
@@ -26,7 +29,14 @@ import numpy as np
 from .chebyshev import ChebSeries, Interval
 from .degree_dist import DegreeDistribution, sample_degree, weighted_coefficients
 from .exceptions import NumericError, ParameterError
-from .probes import MatvecCounter, ProbePlan, _map_probe_chunks, _probe_columns, degree_rng
+from .probes import (
+    MatvecCounter,
+    ProbePlan,
+    _map_probe_chunks,
+    _mapped_step,
+    _probe_columns,
+    degree_rng,
+)
 
 __all__ = [
     "ParamMatrixOracle",
@@ -75,6 +85,11 @@ class ParamMatrixOracle:
         self._count(x)
         return self.apply_partial(i, self.theta, x)
 
+    def step(self, w: np.ndarray, w_prev: np.ndarray | None, scale: float) -> np.ndarray:
+        """scale * B w - w_prev (no subtraction when ``w_prev`` is None) in
+        a fresh array, mapping the result of one ``mv``."""
+        return _mapped_step(self.mv(w), w, w_prev, scale, self.eig_interval)
+
     def at(self, theta: np.ndarray) -> "ParamMatrixOracle":
         return dataclasses.replace(self, theta=np.asarray(theta, dtype=float))
 
@@ -93,7 +108,11 @@ class ParamMatrixOracle:
 
 @dataclass
 class LowRankPSD:
-    """A = theta theta^T + epsilon I for a d x r factor."""
+    """A = theta theta^T + epsilon I for a d x r factor.
+
+    ``step`` folds the interval map into two scalars, so a recurrence
+    step costs the two thin products of ``mv`` and no extra pass for the
+    shift."""
 
     theta: np.ndarray
     epsilon: float
@@ -116,10 +135,26 @@ class LowRankPSD:
     def rank(self) -> int:
         return self.theta.shape[1]
 
-    def mv(self, x: np.ndarray) -> np.ndarray:
+    def _count(self, x):
         if self.counter is not None:
             self.counter.count += 1 if x.ndim == 1 else x.shape[1]
+
+    def mv(self, x: np.ndarray) -> np.ndarray:
+        self._count(x)
         return self.theta @ (self.theta.T @ x) + self.epsilon * x
+
+    def step(self, w: np.ndarray, w_prev: np.ndarray | None, scale: float) -> np.ndarray:
+        """scale * B w - w_prev (no subtraction when ``w_prev`` is None) in
+        a fresh array, as c1 theta (theta^T w) + c2 w - w_prev."""
+        self._count(w)
+        iv = self.eig_interval
+        inner = self.theta.T @ w
+        inner *= 2.0 * scale / iv.width
+        y = self.theta @ inner
+        y += np.multiply(w, scale * (2.0 * self.epsilon - (iv.b + iv.a)) / iv.width)
+        if w_prev is not None:
+            y -= w_prev
+        return y
 
     def dense(self) -> np.ndarray:
         return self.theta @ self.theta.T + self.epsilon * np.eye(self.dim)
@@ -160,12 +195,6 @@ def sum_prime_weights(count: int) -> np.ndarray:
     return w
 
 
-def _shifted(oracle, x, scale=1.0):
-    """scale * B x for the interval-mapped B = (2A - (b+a)I)/(b-a)."""
-    iv = oracle.eig_interval
-    return (2.0 * scale / iv.width) * oracle.mv(x) - (scale * (iv.b + iv.a) / iv.width) * x
-
-
 def _adjoint_block(op, bhat: np.ndarray, n: int, probes: np.ndarray,
                    probe_start: int) -> np.ndarray:
     """Gradient of v^T p_hat_n(B) v for each column v of a (d, m) probe
@@ -179,19 +208,19 @@ def _adjoint_block(op, bhat: np.ndarray, n: int, probes: np.ndarray,
     w = np.empty((d, n, m))
     w[:, 0] = probes
     if n >= 2:
-        w[:, 1] = _shifted(op, probes)
+        w[:, 1] = op.step(probes, None, 1.0)
     for i in range(2, n):
-        np.subtract(_shifted(op, w[:, i - 1], 2.0), w[:, i - 2], out=w[:, i])
+        w[:, i] = op.step(w[:, i - 1], w[:, i - 2], 2.0)
     weights = sum_prime_weights(n) * (2.0 / op.eig_interval.width)
     acc = 0.0
-    s_next, s_after = 0.0, 0.0  # s_{i+1}, s_{i+2}
+    s_next, s_after = None, None  # s_{i+1}, s_{i+2}
     for top in range(n, 0, -_DEGREE_BLOCK):
         low = max(0, top - _DEGREE_BLOCK)
         s = np.empty((d, top - low, m))
         for i in range(top - 1, low - 1, -1):
             s_cur = bhat[i + 1] * probes
             if i < n - 1:
-                s_cur += _shifted(op, s_next, 2.0) - s_after
+                s_cur += op.step(s_next, s_after, 2.0)
             s[:, i - low] = s_cur
             s_next, s_after = s_cur, s_next
         acc = acc + op.contract(w[:, low:top], s, weights[low:top])

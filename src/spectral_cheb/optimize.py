@@ -25,7 +25,7 @@ from .grad_est import (
     grad_estimate_generic,
     grad_estimate_lowrank,
 )
-from .probes import Expansion, MatrixOracle, ProbePlan, degree_rng, estimate_spectral_sum_fixed
+from .probes import Expansion, ProbePlan, degree_rng, estimate_spectral_sum_fixed
 
 __all__ = [
     "SpectralModel",
@@ -99,10 +99,9 @@ class SpectralModel:
 
     def objective_estimate(self, theta: np.ndarray, plan: ProbePlan, degree: int) -> float:
         """Fixed-degree estimate of tr f(A(theta)) on ``plan``'s probes."""
-        oracle = self.oracle_at(theta)
-        plain = MatrixOracle(dim=oracle.dim, matvec=oracle.mv, eig_interval=oracle.eig_interval)
         series = self.expansion.series
-        return estimate_spectral_sum_fixed(plain, series, min(degree, series.degree), plan)
+        return estimate_spectral_sum_fixed(self.oracle_at(theta), series,
+                                           min(degree, series.degree), plan)
 
 
 def _zero_value(theta):

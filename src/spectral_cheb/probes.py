@@ -2,20 +2,27 @@
 estimators, and the expansion builder (power-method interval, Chebyshev
 series, degree distribution).
 
-The estimators never materialize the shifted matrix; the interval map is
-applied, in place, to each matvec's result.  A degree-n estimate costs
-ceil(n/2) matvecs per probe: with w_j = T_j(B) v, the moments
-mu_k = v^T T_k(B) v follow from mu_{2j} = 2 w_j^T w_j - mu_0 and
-mu_{2j+1} = 2 w_{j+1}^T w_j - mu_1.  Every probe owns an rng stream
-derived from (master_seed, evaluation index, probe index), so results do
-not depend on evaluation order.  A ``ProbePlan`` owns the probe block of
-its evaluation: each fixed-size chunk of columns is built once, on first
-use, kept read-only on the plan and handed to every estimator that
-shares the plan, as SVRG's current and anchor evaluations do.  The
-probe loop parallelizes over those chunks, capped by the
-SPECTRAL_CHEB_THREADS environment variable, on one thread pool per
-process and worker count, with a deterministic ordered reduction;
-chunks too small for a second thread to pay off run inline.
+Every oracle runs the three-term recurrence through one method,
+``step(w, w_prev, scale)`` = scale * B w - w_prev, B = (2A - (b+a)I)/(b-a)
+the interval-mapped operator.  An oracle built from an explicit dense or
+sparse matrix folds the map into a copy 2B of it, formed once per
+interval, so a step is one product and one subtraction; an oracle known
+only through its matvec maps each product's result in place.  A
+degree-n estimate costs ceil(n/2) matvecs per probe: with
+w_j = T_j(B) v, the moments mu_k = v^T T_k(B) v follow from
+mu_{2j} = 2 w_j^T w_j - mu_0 and mu_{2j+1} = 2 w_{j+1}^T w_j - mu_1.
+Every probe owns an rng stream derived from (master_seed, evaluation
+index, probe index), so results do not depend on evaluation order; a
+chunk of probes is filled in one pass from the raw words of those
+streams, bit for bit the vectors ``rademacher_probe`` draws from them.
+A ``ProbePlan`` owns the probe block of its evaluation: each fixed-size
+chunk of columns is built once, on first use, kept read-only on the
+plan and handed to every estimator that shares the plan, as SVRG's
+current and anchor evaluations do.  The probe loop parallelizes over
+those chunks, capped by the SPECTRAL_CHEB_THREADS environment variable,
+on one thread pool per process and worker count, with a deterministic
+ordered reduction; chunks too small for a second thread to pay off run
+inline.
 """
 
 from __future__ import annotations
@@ -75,34 +82,101 @@ class MatvecCounter:
         self.count = 0
 
 
+def _mapped_step(y: np.ndarray, w: np.ndarray, w_prev: np.ndarray | None,
+                 scale: float, iv: Interval) -> np.ndarray:
+    """scale * B w - w_prev from y = A w, written into y unless y is not a
+    fresh float array; the recurrence step of an operator known only
+    through its matvec."""
+    if (y.dtype != np.float64 or not y.flags.writeable or np.may_share_memory(y, w)
+            or (w_prev is not None and np.may_share_memory(y, w_prev))):
+        y = np.array(y, dtype=float)  # never overwrite an operand the caller still holds
+    y *= 2.0 * scale / iv.width
+    y += np.multiply(w, -scale * (iv.b + iv.a) / iv.width)
+    if w_prev is not None:
+        y -= w_prev
+    return y
+
+
+def _fold_interval(matrix, iv: Interval):
+    """2B = (4A - 2(b+a)I) / (b-a) for an explicit dense or sparse A.
+
+    4A is exact, so each entry is rounded once in the subtraction and once
+    in the division; an eigenvalue at either end of the interval maps to
+    +-1 with no cancellation error, where T_n amplifies a perturbation n^2
+    times."""
+    shift = 2.0 * (iv.b + iv.a)
+    if scipy.sparse.issparse(matrix):
+        eye = scipy.sparse.identity(matrix.shape[0], format="csr")
+        return ((4.0 * matrix - shift * eye) / iv.width).tocsr()
+    folded = 4.0 * matrix
+    folded[np.diag_indices_from(folded)] -= shift
+    folded /= iv.width
+    return folded
+
+
 @dataclass
 class MatrixOracle:
     """Symmetric operator exposed through its matvec.
 
     ``matvec`` must accept a (d,) vector or a (d, m) block and return the
-    same shape, in a fresh array the estimators may overwrite;
-    ``eig_interval`` declares bounds containing every eigenvalue (None
-    while the power method is still looking for them).
+    same shape; ``eig_interval`` declares bounds containing every
+    eigenvalue (None while the power method is still looking for them).
+    An oracle built by ``from_matrix`` also holds the explicit ``matrix``,
+    and its ``step`` multiplies by the folded 2B, formed once for the
+    declared interval; otherwise ``step`` maps each matvec's result.
     """
 
     dim: int
     matvec: Callable[[np.ndarray], np.ndarray]
     eig_interval: Interval | None
     counter: MatvecCounter | None = None
+    matrix: np.ndarray | scipy.sparse.spmatrix | None = field(
+        default=None, repr=False, compare=False)
+    _fold: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
+    def __post_init__(self):
+        if self.matrix is not None and self.eig_interval is not None:
+            self._folded()  # before any probe thread needs it
+
+    def _count(self, x: np.ndarray) -> None:
         if self.counter is not None:
             self.counter.count += 1 if x.ndim == 1 else x.shape[1]
+
+    def _folded(self):
+        iv, fold = self._fold or (None, None)
+        if iv != self.eig_interval:
+            iv = self.eig_interval
+            fold = _fold_interval(self.matrix, iv)
+            self._fold = (iv, fold)
+        return fold
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        self._count(x)
         return self.matvec(x)
 
+    def step(self, w: np.ndarray, w_prev: np.ndarray | None, scale: float) -> np.ndarray:
+        """scale * B w - w_prev (no subtraction when ``w_prev`` is None) in
+        a fresh array, B = (2A - (b+a)I)/(b-a); one matvec per column."""
+        if self.matrix is None:
+            return _mapped_step(self.apply(w), w, w_prev, scale, self.eig_interval)
+        self._count(w)
+        y = self._folded() @ w
+        if scale != 2.0:
+            y *= 0.5 * scale
+        if w_prev is not None:
+            y -= w_prev
+        return y
+
     @classmethod
-    def from_dense(cls, matrix: np.ndarray, eig_interval: Interval,
-                   counter: MatvecCounter | None = None) -> "MatrixOracle":
-        matrix = np.asarray(matrix, dtype=float)
+    def from_matrix(cls, matrix, eig_interval: Interval | None,
+                    counter: MatvecCounter | None = None) -> "MatrixOracle":
+        """Oracle of an explicit dense array or scipy sparse matrix."""
+        if not scipy.sparse.issparse(matrix):
+            matrix = np.asarray(matrix, dtype=float)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ParameterError(f"expected a square matrix, got {matrix.shape}")
         return cls(dim=matrix.shape[0], matvec=lambda x: matrix @ x,
-                   eig_interval=eig_interval, counter=counter)
+                   eig_interval=eig_interval, counter=counter, matrix=matrix)
 
 
 @dataclass
@@ -161,11 +235,21 @@ def rademacher_probe(dim: int, seed) -> np.ndarray:
 def _probe_columns(dim: int, master_seed: int, eval_index: int,
                    start: int, stop: int) -> np.ndarray:
     """Probes start..stop-1 of evaluation ``eval_index`` as the columns of
-    a (dim, stop - start) array; the only place probe streams are drawn."""
-    rows = np.empty((stop - start, dim))
+    a (dim, stop - start) array; the only place probe streams are drawn.
+
+    Column k equals ``rademacher_probe(dim, probe_rng(master_seed, k,
+    eval_index))``: ``Generator.integers(0, 2)`` returns the top bit of
+    each 32-bit half of the stream's raw 64-bit words, low half first, so
+    ceil(dim/2) words per probe are read and the block converted at once.
+    """
+    half = (dim + 1) // 2
+    words = np.empty((stop - start, half), dtype="<u8")
     for row, k in enumerate(range(start, stop)):
-        rows[row] = rademacher_probe(dim, probe_rng(master_seed, k, eval_index))
-    return np.ascontiguousarray(rows.T)
+        words[row] = probe_rng(master_seed, k, eval_index).bit_generator.random_raw(half)
+    bits = words.view("<u4")[:, :dim] >> 31
+    block = np.multiply(bits.T, 2.0, order="C")
+    block -= 1.0
+    return block
 
 
 def _thread_count() -> int:
@@ -174,21 +258,6 @@ def _thread_count() -> int:
         return max(1, int(raw))
     except ValueError:
         return 1
-
-
-def _next_term(oracle: MatrixOracle, w: np.ndarray, w_prev: np.ndarray | None,
-               scale: float, shift: float, scratch: np.ndarray) -> np.ndarray:
-    """scale * A w + shift * w - w_prev (no subtraction when ``w_prev`` is
-    None) in the array the matvec returned, via ``scratch``; one matvec."""
-    y = oracle.apply(w)
-    if (y.dtype != np.float64 or not y.flags.writeable or np.may_share_memory(y, w)
-            or (w_prev is not None and np.may_share_memory(y, w_prev))):
-        y = np.array(y, dtype=float)  # never overwrite an operand the caller still holds
-    y *= scale
-    y += np.multiply(w, shift, out=scratch)
-    if w_prev is not None:
-        y -= w_prev
-    return y
 
 
 def _bilinear_block(oracle: MatrixOracle, coeffs: np.ndarray, n: int,
@@ -205,15 +274,12 @@ def _bilinear_block(oracle: MatrixOracle, coeffs: np.ndarray, n: int,
     acc = coeffs[0] * mu0
     if n == 0:
         return acc
-    iv = oracle.eig_interval
-    scale, shift = 2.0 / iv.width, -(iv.b + iv.a) / iv.width
-    scratch = np.empty(probes.shape)
-    w_prev, w = probes, _next_term(oracle, probes, None, scale, shift, scratch)
+    w_prev, w = probes, oracle.step(probes, None, 1.0)
     mu1 = np.einsum("dk,dk->k", probes, w)
     acc = acc + coeffs[1] * mu1
     for k in range(2, n + 1):
         if k % 2:
-            w_prev, w = w, _next_term(oracle, w, w_prev, 2.0 * scale, 2.0 * shift, scratch)
+            w_prev, w = w, oracle.step(w, w_prev, 2.0)
             acc += coeffs[k] * (2.0 * np.einsum("dk,dk->k", w, w_prev) - mu1)
         else:
             acc += coeffs[k] * (2.0 * np.einsum("dk,dk->k", w, w) - mu0)
@@ -269,7 +335,9 @@ def estimate_spectral_sum_fixed(
     """Fixed-degree estimate (1/M) sum_k v_k^T p_n(A) v_k.
 
     Biased unless f is a polynomial of degree <= n; the building block of
-    the unbiased estimator below.
+    the unbiased estimator below.  ``A`` may be any oracle with ``dim``,
+    ``eig_interval`` and ``step``: a ``MatrixOracle``, ``LowRankPSD`` or
+    ``ParamMatrixOracle``.
     """
     if series.interval != A.eig_interval:
         raise ParameterError(

@@ -562,7 +562,7 @@ def gp_negloglik(
                               mean_degree, seed)
     n = sample_degree(expansion.dist, degree_rng(seed, 0))
     logdet_est = estimate_spectral_sum_unbiased(
-        MatrixOracle.from_dense(a_mat, expansion.interval), expansion.to_degree(n).series,
+        MatrixOracle.from_matrix(a_mat, expansion.interval), expansion.to_degree(n).series,
         expansion.dist, ProbePlan(seed, m_probes), degree=n,
     )
     return 0.5 * float(gp.y @ alpha) + 0.5 * logdet_est + const

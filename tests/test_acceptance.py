@@ -68,7 +68,7 @@ def test_criterion_1_unbiased_logdet():
         rng = np.random.default_rng(101)
         matrix = random_spd(rng, 50, 0.3, 2.5)
         interval = sc.Interval(0.25, 2.6)
-        oracle = sc.MatrixOracle.from_dense(matrix, interval)
+        oracle = sc.MatrixOracle.from_matrix(matrix, interval)
         series = sc.compute_coefficients(np.log, interval, degree=300)
         rho_est = sc.estimate_rho(series, 5, 35)
         dist = sc.optimal_distribution(rho_est, 10)
@@ -367,7 +367,7 @@ def test_criterion_11_gp_pipeline():
         # estimated gradient: CG data term (deterministic) + sampled logdet part
         a_mat = gp.kernel()
         lower = 0.5 * theta_init[0] ** 2
-        probe = sc.MatrixOracle.from_dense(a_mat, sc.Interval(lower, lower + 1))
+        probe = sc.MatrixOracle.from_matrix(a_mat, sc.Interval(lower, lower + 1))
         upper = max(sc.power_method_bound(probe, 50, 3), 2 * lower)
         interval = sc.Interval(lower, upper)
         from spectral_cheb.tasks import _gp_partials_logspace

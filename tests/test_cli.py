@@ -58,6 +58,29 @@ class TestVarianceBench:
         code = main(["variance-bench", "--func", "log", "--out", str(tmp_path / "v.csv")])
         assert code == 1
 
+    def test_quadrature_resolves_closed_form_coefficients(self):
+        # log(h (x0 + t)) = log(h rho / 2) + sum_m 2 (-1)^(m+1) T_m(t) / (m rho^m)
+        # and exp(c + h t) = e^c (I_0(h) + 2 sum_m I_m(h) T_m(t)), to the
+        # working precision of each function
+        from spectral_cheb._mp_bench import _DPS, SERIES_DEGREE, _mp_coefficients
+        from spectral_cheb.chebyshev import Interval
+
+        iv = Interval(0.05, 0.95)
+        with mp.workdps(_DPS["log"]):
+            got = _mp_coefficients("log", None, iv, SERIES_DEGREE)
+            rho = (mp.mpf(iv.b) + iv.a) / (mp.mpf(iv.b) - iv.a)
+            rho += mp.sqrt(rho**2 - 1)
+            want = [mp.log((mp.mpf(iv.b) - iv.a) / 2 * rho / 2)]
+            want += [2 * (-1) ** (m + 1) / (m * rho**m) for m in range(1, SERIES_DEGREE + 1)]
+            assert max(abs(g - w) for g, w in zip(got, want)) < mp.mpf(10) ** (8 - mp.mp.dps)
+        iv = Interval(-1.0, 2.0)
+        with mp.workdps(_DPS["exp"]):
+            got = _mp_coefficients("exp", None, iv, SERIES_DEGREE)
+            center, half = mp.mpf(0.5), mp.mpf(1.5)
+            want = [mp.exp(center) * mp.besseli(0, half)]
+            want += [2 * mp.exp(center) * mp.besseli(m, half) for m in range(1, SERIES_DEGREE + 1)]
+            assert max(abs(g - w) for g, w in zip(got, want)) < mp.mpf(10) ** (8 - mp.mp.dps)
+
     def test_byte_identical_reruns(self, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["variance-bench", "--func", "exp", "--rho", "4.0", "--seed", "9"]
@@ -131,11 +154,23 @@ class TestEstimate:
         assert main(["estimate", str(path), "--func", "log", "--a", "0.05", "--N", "30",
                      "--M", "8", "--seed", "2"]) == 0
         out = capsys.readouterr()
-        assert out.out == "480.3467008020236\n"
+        assert out.out == "480.3467008020235\n"
         assert out.err == (
             "sampled degree n = 30\nprobes M = 8\n"
             "fixed-degree-30 bias bound: 59.2842 (rho = 1.18195, U ~ 1.01553)\n"
         )
+
+    def test_sparse_estimate_identical_at_one_and_two_threads(self, tmp_path, capsys,
+                                                              monkeypatch):
+        # d = 1600 with 64 probes: two chunks, each above the inline limit
+        path = write_shifted_grid_laplacian(tmp_path, 0.1, side=40)
+        outputs = []
+        for threads in ("1", "2", "1"):
+            monkeypatch.setenv("SPECTRAL_CHEB_THREADS", threads)
+            assert main(["estimate", str(path), "--func", "log", "--a", "0.1", "--b", "8.2",
+                         "--rho", "1.25", "--N", "20", "--M", "64", "--seed", "5"]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
     def test_draw_past_provisional_series_extends_it(self, tmp_path, capsys):
         # the series is first built to degree 4N + 120 = 160

@@ -3,6 +3,7 @@
 import io
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from helpers import (
@@ -11,6 +12,8 @@ from helpers import (
     random_feasible_pmf,
     weighted_norm_sq,
 )
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spectral_cheb.chebyshev import ChebSeries, Interval, compute_coefficients
 from spectral_cheb.degree_dist import (
@@ -115,10 +118,103 @@ class TestBaselines:
         for r in (1, 2, 5, 10):
             assert abs(negbinomial_distribution(mean_n, r).mean() - mean_n) <= 1e-9
 
+    @pytest.mark.parametrize("mean_n", [0.5, 3, 10, 15, 40, 100])
+    def test_tables_match_scipy_stats(self, mean_n):
+        from scipy import stats
+
+        cases = [(poisson_distribution(mean_n), stats.poisson(mu=mean_n))]
+        cases += [(negbinomial_distribution(mean_n, r), stats.nbinom(n=r, p=r / (r + mean_n)))
+                  for r in (1, 2, 5, 10)]
+        for dist, ref in cases:
+            length = int(4 * mean_n + 64)
+            while ref.sf(length) > 1e-13:
+                length *= 2
+            assert dist.pmf_prefix.size == length + 1
+            want = ref.pmf(np.arange(length + 1))
+            assert np.max(np.abs(dist.pmf_prefix - want / want.sum())) <= 1e-14
+
     def test_deterministic(self):
         dist = deterministic_distribution(7)
         assert sample_degree(dist, np.random.default_rng(0)) == 7
         assert dist.mean() == 7.0
+
+
+def _mp_survival(dist, j):
+    """P(n > j) to 40 digits: the stored prefix, then the geometric tail."""
+    with mp.workdps(40):
+        q = [mp.mpf(float(x)) for x in dist.pmf_prefix]
+        j_end = len(q) - 1
+        head = mp.fsum(q[j + 1 :])
+        if dist.tail_ratio is None:
+            return head
+        c = mp.mpf(dist.tail_ratio)
+        return head + q[j_end] * c ** (max(j, j_end) - j_end + 1) / (1 - c)
+
+
+class _FixedUniform:
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+DISTRIBUTIONS = st.one_of(
+    st.builds(optimal_distribution, st.floats(1.01, 6.0), st.integers(1, 60)),
+    st.builds(poisson_distribution, st.integers(1, 60)),
+    st.builds(negbinomial_distribution, st.integers(1, 60),
+              st.sampled_from([1.0, 2.0, 5.0, 10.0])),
+)
+
+
+class TestSurvivalProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(dist=DISTRIBUTIONS)
+    def test_mass_and_mean(self, dist):
+        j_end = dist.pmf_prefix.size - 1
+        surv = dist.survival_array(j_end + 200)
+        cums = dist.cumulative_array(j_end + 200)
+        assert abs(dist.total_mass() - 1.0) <= 1e-14
+        assert np.max(np.abs(cums + surv - 1.0)) <= 1e-14
+        # E[n] = sum_j P(n > j); the geometric tail past J sums to q_J c / (1 - c)^2
+        mean = math.fsum(surv[:j_end])
+        if dist.tail_ratio is not None:
+            c = dist.tail_ratio
+            mean += dist.pmf_prefix[-1] * c / (1.0 - c) ** 2
+        assert mean == pytest.approx(dist.mean(), rel=1e-12)
+        assert mean == pytest.approx(dist.params["N"], rel=1e-9)
+
+    @settings(max_examples=40, deadline=None)
+    @given(dist=DISTRIBUTIONS)
+    def test_survival_matches_extended_precision_sum(self, dist):
+        j_end = dist.pmf_prefix.size - 1
+        picks = {0, 1, j_end // 2, j_end - 1, j_end, j_end + 1, j_end + 37, 999}
+        surv = dist.survival_array(max(picks))
+        for j in sorted(picks):
+            want = _mp_survival(dist, j)
+            if want < 1e-290:  # below the normal double range
+                assert surv[j] < 1e-290
+            else:
+                assert abs(surv[j] - want) <= 1e-13 * want, j
+
+    @settings(max_examples=60, deadline=None)
+    @given(dist=DISTRIBUTIONS, u=st.floats(0.0, 1.0, exclude_max=True))
+    def test_inverse_cdf_agrees_with_pmf(self, dist, u):
+        n = sample_degree(dist, _FixedUniform(u))
+        surv = dist.survival_array(n)
+        assert dist.pmf_array(n)[n] > 0.0
+        below = 1.0 - (surv[n - 1] if n >= 1 else 1.0)  # P(degree < n)
+        assert below - 1e-13 <= u <= 1.0 - surv[n] + 1e-13
+
+    def test_denominators_deep_in_the_tail(self):
+        # the GP start point's distribution: survival 9.4e-12 at j = 999,
+        # where 1 - S_j has lost five digits to cancellation
+        dist = optimal_distribution(1.0247, 15)
+        wc = weighted_coefficients(ChebSeries(IV, np.ones(1001)), dist, 1000)
+        want = _mp_survival(dist, 998)  # P(n >= 999)
+        assert 9e-12 < want < 1e-11
+        assert abs(1.0 / wc.bhat[999] - want) <= 1e-14 * want
+        assert abs(1.0 - dist.cumulative_array(998)[-1] - want) > 1e-6 * want
 
 
 class TestSampling:

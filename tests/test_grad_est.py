@@ -423,7 +423,7 @@ class TestAdjointKernel:
                    for child in ast.iter_child_nodes(node)}
         scopes = []
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and node.id == "_shifted":
+            if isinstance(node, ast.Attribute) and node.attr == "step":
                 scope = parents.get(node)
                 while scope is not None and not isinstance(scope, ast.FunctionDef):
                     scope = parents.get(scope)

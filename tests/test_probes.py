@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.io
 import scipy.sparse
-from helpers import direct_bilinear_sums, random_spd
+from helpers import direct_bilinear_sums, random_spd, random_symmetric
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -26,6 +26,7 @@ from spectral_cheb.degree_dist import (
     poisson_distribution,
 )
 from spectral_cheb.exceptions import ParameterError, ParseError
+from spectral_cheb.grad_est import LowRankPSD, ParamMatrixOracle
 from spectral_cheb.probes import (
     Expansion,
     MatrixOracle,
@@ -46,7 +47,7 @@ from spectral_cheb.reference import exact_spectral_sum
 def spd_oracle(rng, dim, lo=0.2, hi=2.0, margin=0.05, counter=None):
     matrix = random_spd(rng, dim, lo, hi)
     iv = Interval(lo * (1 - margin), hi * (1 + margin))
-    return matrix, MatrixOracle.from_dense(matrix, iv, counter=counter)
+    return matrix, MatrixOracle.from_matrix(matrix, iv, counter=counter)
 
 
 class TestRademacher:
@@ -71,10 +72,138 @@ class TestRademacher:
         assert np.all(np.abs(probes.mean(axis=0)) < 3.0 / math.sqrt(10**5))
 
 
+def _step_oracles(rng, dim, counter):
+    """(name, dense A, oracle) for every kind of recurrence step: a folded
+    CSR and dense matrix, a callable matvec, a low-rank factor and a
+    parametric oracle, all on one interval."""
+    iv = Interval(0.1, 5.0)
+    theta = rng.uniform(-0.6, 0.6, size=(dim, 3))
+    lowrank = LowRankPSD(theta, 0.3, iv, counter=counter)
+    dense = random_spd(rng, dim, 0.3, 4.0)
+    sparse = scipy.sparse.random(dim, dim, density=0.2, random_state=rng)
+    sparse = (sparse + sparse.T + 3.0 * scipy.sparse.identity(dim)).tocsr()
+    partial = random_symmetric(rng, dim, 0.1)
+    param = ParamMatrixOracle(
+        dim=dim, param_dim=1, theta=np.array([0.5]),
+        apply=lambda th, x: dense @ x + th[0] * (partial @ x),
+        apply_partial=lambda i, th, x: partial @ x,
+        eig_interval=iv, counter=counter)
+    return [
+        ("csr", sparse.toarray(), MatrixOracle.from_matrix(sparse, iv, counter=counter)),
+        ("dense", dense, MatrixOracle.from_matrix(dense, iv, counter=counter)),
+        ("callable", dense, MatrixOracle(dim=dim, matvec=lambda x: dense @ x,
+                                         eig_interval=iv, counter=counter)),
+        ("lowrank", lowrank.dense(), lowrank),
+        ("param", dense + 0.5 * partial, param),
+    ]
+
+
+class TestStep:
+    """``step(w, w_prev, scale)`` = scale * B w - w_prev on every oracle."""
+
+    @pytest.mark.parametrize("scale", [1.0, 2.0])
+    @pytest.mark.parametrize("with_prev", [False, True])
+    @pytest.mark.parametrize("cols", [None, 4])
+    def test_matches_unfolded_formula(self, scale, with_prev, cols):
+        rng = np.random.default_rng(60)
+        dim = 40
+        shape = (dim,) if cols is None else (dim, cols)
+        counter = MatvecCounter()
+        for name, matrix, oracle in _step_oracles(rng, dim, counter):
+            iv = oracle.eig_interval
+            w = rng.standard_normal(shape)
+            w_prev = rng.standard_normal(shape) if with_prev else None
+            for arr in (w, w_prev):
+                if arr is not None:
+                    arr.flags.writeable = False
+            kept = [w.copy(), None if w_prev is None else w_prev.copy()]
+            counter.count = 0
+            got = oracle.step(w, w_prev, scale)
+            assert counter.count == (1 if cols is None else cols), name
+            want = scale * (2.0 * (matrix @ w) - (iv.b + iv.a) * w) / iv.width
+            if with_prev:
+                want = want - w_prev
+            norm = np.linalg.norm(matrix, 2)
+            assert np.max(np.abs(got - want)) <= 1e-14 * norm * np.max(np.abs(w)), name
+            assert got.flags.writeable and not np.may_share_memory(got, w), name
+            np.testing.assert_array_equal(w, kept[0])
+            if with_prev:
+                np.testing.assert_array_equal(w_prev, kept[1])
+                assert not np.may_share_memory(got, w_prev), name
+
+    def test_identity_matvec_operands_not_overwritten(self):
+        identity = MatrixOracle(dim=5, matvec=lambda x: x, eig_interval=Interval(0.0, 4.0))
+        w = np.arange(5.0)
+        w_prev = np.ones(5)
+        got = identity.step(w, w_prev, 2.0)  # B = -I/2
+        np.testing.assert_array_equal(w, np.arange(5.0))
+        np.testing.assert_array_equal(w_prev, np.ones(5))
+        np.testing.assert_array_equal(got, -w - w_prev)
+
+    def test_fold_follows_the_declared_interval(self):
+        matrix = np.diag([1.0, 2.0, 3.0])
+        oracle = MatrixOracle.from_matrix(matrix, Interval(0.0, 4.0))
+        oracle.eig_interval = Interval(0.5, 3.5)
+        w = np.ones(3)
+        np.testing.assert_allclose(oracle.step(w, None, 1.0), (2.0 * np.diag(matrix) - 4.0) / 3.0,
+                                   rtol=0, atol=1e-15)
+
+    def test_refold_under_concurrent_steps(self):
+        # probe chunks step one oracle from several threads; after the
+        # declared interval changes, whichever thread refolds, every step
+        # must use a fold of the new interval
+        import sys
+        import threading
+
+        matrix = grid_laplacian_oracle(12).matvec(np.eye(144))
+        oracle = MatrixOracle.from_matrix(scipy.sparse.csr_matrix(matrix), Interval(0.4, 9.0))
+        w = np.random.default_rng(61).standard_normal((144, 8))
+        oracle.eig_interval = Interval(0.3, 9.5)
+        serial = MatrixOracle.from_matrix(matrix, oracle.eig_interval).step(w, None, 2.0)
+        results, errors = [], []
+
+        def call():
+            try:
+                results.append(oracle.step(w, None, 2.0))
+            except Exception as exc:  # surfaced by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=call) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and errors == []
+        assert len(results) == 8
+        for got in results:
+            np.testing.assert_allclose(got, serial, rtol=0, atol=1e-13)
+
+
+class TestProbeFill:
+    @pytest.mark.parametrize("dim", [1, 2, 3, 30, 31, 512, 19881])
+    def test_columns_equal_single_probes(self, dim):
+        for seed, eval_index, start, stop in ((0, 0, 0, 32), (7, 3, 5, 37), (11, 2, 32, 40)):
+            block = probes_module._probe_columns(dim, seed, eval_index, start, stop)
+            assert block.shape == (dim, stop - start) and block.flags.c_contiguous
+            for col, k in enumerate(range(start, stop)):
+                want = rademacher_probe(dim, probe_rng(seed, k, eval_index))
+                assert block[:, col].tobytes() == want.tobytes()
+
+    def test_plan_chunk_starting_mid_block(self):
+        plan = ProbePlan(13, 70)
+        whole = probes_module._probe_columns(9, 13, 0, 0, 70)
+        np.testing.assert_array_equal(plan.probes(9, 37, 64), whole[:, 37:64])
+
+
 class TestFixedEstimator:
     def test_identity_trace_exact(self):
         iv = Interval(0.0, 2.0)
-        oracle = MatrixOracle.from_dense(np.eye(6), iv)
+        oracle = MatrixOracle.from_matrix(np.eye(6), iv)
         series = series_from_polynomial([0.0, 1.0], iv)
         vals = [
             estimate_spectral_sum_fixed(oracle, series, 1, ProbePlan(seed, 4))
@@ -84,7 +213,7 @@ class TestFixedEstimator:
 
     def test_diag_square_mean(self):
         iv = Interval(0.0, 2.5)
-        oracle = MatrixOracle.from_dense(np.diag([1.0, 2.0]), iv)
+        oracle = MatrixOracle.from_matrix(np.diag([1.0, 2.0]), iv)
         series = series_from_polynomial([0.0, 0.0, 1.0], iv)
         est = estimate_spectral_sum_fixed(oracle, series, 2, ProbePlan(77, 10**5))
         # single-probe variance measured empirically below 3 sigma of the mean
@@ -114,7 +243,7 @@ class TestFixedEstimator:
         assert counter.count == 9 * 5
 
     def test_interval_mismatch(self):
-        oracle = MatrixOracle.from_dense(np.eye(3), Interval(0, 2))
+        oracle = MatrixOracle.from_matrix(np.eye(3), Interval(0, 2))
         series = compute_coefficients(np.exp, Interval(0, 3), degree=5)
         with pytest.raises(ParameterError, match="interval"):
             estimate_spectral_sum_fixed(oracle, series, 5, ProbePlan(0, 1))
@@ -138,7 +267,7 @@ class TestFixedEstimator:
 class TestUnbiasedEstimator:
     def test_polynomial_deterministic_matches_fixed(self):
         iv = Interval(0.0, 3.0)
-        oracle = MatrixOracle.from_dense(np.diag([0.5, 1.5, 2.5]), iv)
+        oracle = MatrixOracle.from_matrix(np.diag([0.5, 1.5, 2.5]), iv)
         series = series_from_polynomial([1.0, -2.0, 0.5, 0.25], iv)
         plan_a = ProbePlan(5, 8)
         plan_b = ProbePlan(5, 8)
@@ -260,7 +389,7 @@ class TestMomentDoubling:
         matrix = (basis * iv.from_unit(unit)) @ basis.T
         coeffs = rng.standard_normal(n + 1)
         probes = rng.standard_normal((dim, m))
-        got = probes_module._bilinear_block(MatrixOracle.from_dense(matrix, iv), coeffs, n, probes)
+        got = probes_module._bilinear_block(MatrixOracle.from_matrix(matrix, iv), coeffs, n, probes)
         tol = 1e-12 * np.sum(np.abs(coeffs)) * np.einsum("dk,dk->k", probes, probes)
         assert np.all(np.abs(got - direct_bilinear_sums(matrix, iv, coeffs, n, probes)) <= tol)
         if not at_ends:
@@ -356,18 +485,18 @@ class TestFixedDegreeBias:
 
 class TestPowerMethod:
     def test_diag_spectrum(self):
-        oracle = MatrixOracle.from_dense(np.diag([1.0, 2.0, 3.0]), Interval(0, 4))
+        oracle = MatrixOracle.from_matrix(np.diag([1.0, 2.0, 3.0]), Interval(0, 4))
         val = power_method_bound(oracle, 50, seed=0)
         assert 3.0 <= val <= 3.3 + 1e-12
 
     def test_identity(self):
-        oracle = MatrixOracle.from_dense(np.eye(7), Interval(0, 2))
+        oracle = MatrixOracle.from_matrix(np.eye(7), Interval(0, 2))
         assert power_method_bound(oracle, 10, seed=1) == pytest.approx(1.1)
 
     def test_dominates_dense_eigensolver(self):
         rng = np.random.default_rng(20)
         matrix = random_spd(rng, 100, 0.1, 5.0)
-        oracle = MatrixOracle.from_dense(matrix, Interval(0, 6))
+        oracle = MatrixOracle.from_matrix(matrix, Interval(0, 6))
         lam_max = float(np.linalg.eigvalsh(matrix).max())
         assert power_method_bound(oracle, 100, seed=2) >= lam_max
 
@@ -393,7 +522,7 @@ class TestExpansion:
     def test_builder_interval_degree_and_distribution(self):
         a_mat = random_spd(np.random.default_rng(41), 20, 0.5, 6.0)
         expansion = expansion_for(lambda x: a_mat @ x, 20, np.log, 0.4, 10, seed=3)
-        upper = power_method_bound(MatrixOracle.from_dense(a_mat, None), 50, 3)
+        upper = power_method_bound(MatrixOracle.from_matrix(a_mat, None), 50, 3)
         assert expansion.interval == Interval(0.4, upper)
         rho = rho_from_endpoint_singularity(expansion.interval)
         headroom = 11 + math.ceil(math.log(1e13) / math.log(rho))
@@ -491,4 +620,6 @@ class TestSingleProbeBuilder:
                 else:
                     offenders.append(f"{path.name}:{node.lineno}")
         assert offenders == []
-        assert helper_refs == 2
+        # the block fill draws every stream through probe_rng; rademacher_probe
+        # is the one-vector reference it reproduces, referenced by no module
+        assert helper_refs == 1
