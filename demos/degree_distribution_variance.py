@@ -39,9 +39,9 @@ print("|b_j| at j = 0, 5, 20, 50:", [f"{abs(series.coeffs[j]):.3e}" for j in (0,
 dist = optimal_distribution(rho, 10)
 rng = np.random.default_rng(0)
 n = sample_degree(dist, rng)
-wc = weighted_coefficients(series, dist, n)
+bhat = weighted_coefficients(series, dist, n)
 print(f"\nsampled degree n = {n}; re-weighting factors b_hat/b at j = 0..{n}:")
-print(np.array2string(wc.bhat / series.coeffs[: n + 1], precision=3))
+print(np.array2string(bhat / series.coeffs[: n + 1], precision=3))
 
 # The variance comparison at equal mean degree.  The optimal
 # distribution wins by orders of magnitude; the deterministic baseline

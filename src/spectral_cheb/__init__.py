@@ -26,7 +26,6 @@ from .chebyshev import (
 from .degree_dist import (
     DegreeDistribution,
     DistributionKind,
-    WeightedCoeffs,
     chebyshev_weighted_variance,
     deterministic_distribution,
     finite_kkt_solution,

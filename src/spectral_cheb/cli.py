@@ -29,7 +29,7 @@ from .chebyshev import (
     truncation_error_bound,
 )
 from ._mp_bench import mp_variance_rows
-from .degree_dist import make_degree_distribution, sample_degree
+from .degree_dist import make_degree_distribution
 from .exceptions import (
     ConvergenceError,
     InfiniteVarianceError,
@@ -43,7 +43,6 @@ from .probes import (
     Expansion,
     MatrixOracle,
     ProbePlan,
-    degree_rng,
     estimate_spectral_sum_unbiased,
     load_matrix,
     power_method_bound,
@@ -169,7 +168,9 @@ def _parse_function(args) -> tuple:
 
 
 def _bench_interval(fname: str, args) -> Interval:
-    if args.a is not None and args.b is not None:
+    if (args.a is None) != (args.b is None):
+        raise ParameterError("--a and --b bound the interval together: give both or neither")
+    if args.a is not None:
         return Interval(args.a, args.b)
     if fname in ("log", "sqrt"):
         return Interval(0.05, 0.95)
@@ -248,13 +249,13 @@ def cmd_estimate(args) -> int:
     if kind == "opt" and rho is None:
         raise ParameterError("cannot estimate rho for the optimal distribution; pass --rho")
     dist = make_degree_distribution(kind, mean_degree, rho=rho, neg_r=neg_r)
-    # a tail draw past the provisional series extends it
-    n = sample_degree(dist, degree_rng(args.seed, 0))
-    expansion = Expansion(None if fname == "poly" else f_or_coeffs, series, dist).to_degree(n)
     plan = ProbePlan(args.seed, args.M)
-    value = estimate_spectral_sum_unbiased(oracle, expansion.series, dist, plan, degree=n)
+    # a tail draw past the provisional series extends it
+    expansion = Expansion(None if fname == "poly" else f_or_coeffs, series, dist)
+    expansion = expansion.to_degree(plan.draw_degree(dist))
+    value = estimate_spectral_sum_unbiased(oracle, expansion.series, dist, plan)
     print(repr(float(value)))
-    print(f"sampled degree n = {plan.degree_sample}", file=sys.stderr)
+    print(f"sampled degree n = {plan.degree}", file=sys.stderr)
     print(f"probes M = {args.M}", file=sys.stderr)
     if rho is not None:
         # coefficients at the 1e-14 quadrature floor carry no decay

@@ -33,7 +33,6 @@ from .exceptions import (
 __all__ = [
     "DistributionKind",
     "DegreeDistribution",
-    "WeightedCoeffs",
     "optimal_distribution",
     "poisson_distribution",
     "negbinomial_distribution",
@@ -171,14 +170,6 @@ class DegreeDistribution:
             powers = c ** np.arange(2, upto - j_end + 2, dtype=float)
             out[j_end + 1 :] = self.pmf_prefix[-1] * powers / (1.0 - c)
         return out
-
-
-@dataclass(frozen=True)
-class WeightedCoeffs:
-    """Re-weighted coefficients b_j / P(n >= j) up to degree n."""
-
-    bhat: np.ndarray
-    degree: int
 
 
 def optimal_distribution(rho: float, meanN: int) -> DegreeDistribution:
@@ -330,8 +321,9 @@ def sample_degree(dist: DegreeDistribution, rng: np.random.Generator) -> int:
     return dist.pmf_prefix.size + g
 
 
-def weighted_coefficients(series: ChebSeries, dist: DegreeDistribution, n: int) -> WeightedCoeffs:
-    """Coefficients re-weighted for the degree-n randomized truncation.
+def weighted_coefficients(series: ChebSeries, dist: DegreeDistribution, n: int) -> np.ndarray:
+    """Coefficients bhat_j = b_j / P(n >= j), j = 0..n, re-weighted for the
+    degree-n randomized truncation.
 
     Denominators are the survivals P(n >= j) of ``survival_array``, so
     below the optimal distribution's support the weights are exactly 1
@@ -347,7 +339,7 @@ def weighted_coefficients(series: ChebSeries, dist: DegreeDistribution, n: int) 
         raise DegenerateDistributionError(
             f"no degree mass at or above {j_bad}: re-weighting b_{j_bad} divides by zero"
         )
-    return WeightedCoeffs(bhat=series.coeffs[: n + 1] / denom, degree=n)
+    return series.coeffs[: n + 1] / denom
 
 
 def _variance_terms(series: ChebSeries, dist: DegreeDistribution, tail_terms: int):

@@ -14,8 +14,9 @@ place: the generic ``ParamMatrixOracle`` applies each coordinate's
 partial to a block of stacked s_i and dots it column-wise with the w_i;
 ``LowRankPSD`` (A = theta theta^T + eps I) folds the symmetric rank-one
 partials into 2 sum_i' w_i (s_i^T theta) without touching a d x d
-matrix.  Every coordinate shares the drawn degree and the probe set,
-which is what the variance reduction downstream relies on.
+matrix.  Every coordinate shares the plan's degree and probe set, which
+is what the variance reduction downstream relies on; the estimators run
+the kernel through the drivers in ``probes``.
 """
 
 from __future__ import annotations
@@ -27,16 +28,9 @@ from typing import Callable
 import numpy as np
 
 from .chebyshev import ChebSeries, Interval
-from .degree_dist import DegreeDistribution, sample_degree, weighted_coefficients
-from .exceptions import NumericError, ParameterError
-from .probes import (
-    MatvecCounter,
-    ProbePlan,
-    _map_probe_chunks,
-    _mapped_step,
-    _probe_columns,
-    degree_rng,
-)
+from .degree_dist import DegreeDistribution
+from .exceptions import ParameterError
+from .probes import MatvecCounter, ProbePlan, _evaluate, _evaluate_batch, _mapped_step
 
 __all__ = [
     "ParamMatrixOracle",
@@ -178,12 +172,15 @@ class LowRankPSD:
 
 @dataclass
 class GradSample:
-    """One stochastic gradient draw: the value (shaped like theta), the
-    probe plan it consumed, and the degree it drew."""
+    """One stochastic gradient draw: the value (shaped like theta) and the
+    probe plan it consumed, which holds the degree it drew."""
 
     value: np.ndarray
     plan: ProbePlan
-    degree: int
+
+    @property
+    def degree(self) -> int:
+        return self.plan.degree
 
 
 def sum_prime_weights(count: int) -> np.ndarray:
@@ -195,8 +192,7 @@ def sum_prime_weights(count: int) -> np.ndarray:
     return w
 
 
-def _adjoint_block(op, bhat: np.ndarray, n: int, probes: np.ndarray,
-                   probe_start: int) -> np.ndarray:
+def _adjoint_block(op, bhat: np.ndarray, n: int, probes: np.ndarray) -> np.ndarray:
     """Gradient of v^T p_hat_n(B) v for each column v of a (d, m) probe
     block, n >= 1: one row per column, shaped by the oracle's ``contract``.
 
@@ -224,29 +220,7 @@ def _adjoint_block(op, bhat: np.ndarray, n: int, probes: np.ndarray,
             s[:, i - low] = s_cur
             s_next, s_after = s_cur, s_next
         acc = acc + op.contract(w[:, low:top], s, weights[low:top])
-    _check_finite(acc, "gradient contribution", probe_start, n)
     return acc
-
-
-def _check_finite(arr: np.ndarray, what: str, probe_start: int, degree: int):
-    if not np.all(np.isfinite(arr)):
-        raise NumericError(
-            f"non-finite {what} in probe block starting at {probe_start}, degree {degree}"
-        )
-
-
-def _grad_estimate(op, series, dist, plan, degree, zero) -> GradSample:
-    if series.interval != op.eig_interval:
-        raise ParameterError("series interval does not match the oracle's")
-    n = sample_degree(dist, degree_rng(plan.master_seed, 0)) if degree is None else degree
-    plan.degree_sample = n
-    if n == 0:
-        return GradSample(value=zero, plan=plan, degree=0)
-    bhat = weighted_coefficients(series, dist, n).bhat
-    per_probe = np.concatenate(_map_probe_chunks(
-        plan, op.dim, lambda probes, start: _adjoint_block(op, bhat, n, probes, start)
-    ))
-    return GradSample(value=per_probe.mean(axis=0), plan=plan, degree=n)
 
 
 def grad_estimate_generic(
@@ -254,17 +228,17 @@ def grad_estimate_generic(
     series: ChebSeries,
     dist: DegreeDistribution,
     plan: ProbePlan,
-    degree: int | None = None,
 ) -> GradSample:
     """Unbiased estimate of the gradient of tr f(A(theta)).
 
-    Every coordinate shares the single drawn degree and the same probe
-    set; ``degree`` overrides the draw for callers sharing randomness
-    across evaluations.  Costs 2(n - 1) matvecs of A and n partial
-    matvecs per coordinate for each probe.  A degree-0 draw returns exact
-    zeros without building probes or touching the oracle.
+    Every coordinate shares the plan's degree (drawn from ``dist`` unless
+    the plan already holds one) and its probe set.  Costs 2(n - 1)
+    matvecs of A and n partial matvecs per coordinate for each probe.  A
+    degree-0 draw returns exact zeros without building probes or touching
+    the oracle.
     """
-    return _grad_estimate(pm, series, dist, plan, degree, np.zeros(pm.param_dim))
+    value = _evaluate(_adjoint_block, pm, series, plan, dist, zero=np.zeros(pm.param_dim))
+    return GradSample(value=value, plan=plan)
 
 
 def grad_estimate_lowrank(
@@ -272,42 +246,14 @@ def grad_estimate_lowrank(
     series: ChebSeries,
     dist: DegreeDistribution,
     plan: ProbePlan,
-    degree: int | None = None,
 ) -> GradSample:
     """Amortized gradient of tr f(theta theta^T + eps I) w.r.t. the
     factor; algebraically identical to the generic path on the flattened
     parameterization but costs O(M n d r) with no d x d work.  Per-probe
     values are averaged in probe order whatever the thread count; a
     degree-0 draw returns exact zeros without building probes."""
-    return _grad_estimate(lr, series, dist, plan, degree, np.zeros_like(lr.theta))
-
-
-def _sample_grads(op, series, dist, master_seed, num_samples, M, shape) -> np.ndarray:
-    """Rows of independent draws, grouped by degree and blocked over
-    probes; row t reproduces the single estimate at evaluation index t,
-    bit for bit when its block holds that sample alone."""
-    if series.interval != op.eig_interval:
-        raise ParameterError("series interval does not match the oracle's")
-    degrees = np.array(
-        [sample_degree(dist, degree_rng(master_seed, t)) for t in range(num_samples)]
-    )
-    out = np.empty((num_samples,) + shape)
-    block_samples = max(1, 256 // M)
-    for n in np.unique(degrees):
-        n = int(n)
-        idx = np.nonzero(degrees == n)[0]
-        if n == 0:
-            out[idx] = 0.0
-            continue
-        bhat = weighted_coefficients(series, dist, n).bhat
-        for start in range(0, idx.size, block_samples):
-            chunk = idx[start : start + block_samples]
-            probes = np.hstack(
-                [_probe_columns(op.dim, master_seed, int(t), 0, M) for t in chunk]
-            )
-            per_probe = _adjoint_block(op, bhat, n, probes, 0)
-            out[chunk] = per_probe.reshape((chunk.size, M) + shape).mean(axis=1)
-    return out
+    value = _evaluate(_adjoint_block, lr, series, plan, dist, zero=np.zeros_like(lr.theta))
+    return GradSample(value=value, plan=plan)
 
 
 def sample_spectral_grads(
@@ -319,8 +265,10 @@ def sample_spectral_grads(
     M: int = 1,
 ) -> np.ndarray:
     """Independent gradient draws, shape (num_samples, param_dim); row t
-    reproduces grad_estimate_generic at evaluation index t."""
-    return _sample_grads(pm, series, dist, master_seed, num_samples, M, (pm.param_dim,))
+    reproduces grad_estimate_generic at evaluation index t, grouped by
+    degree in blocks of about 256 probe columns."""
+    return _evaluate_batch(_adjoint_block, 256, pm, series, dist, master_seed, num_samples, M,
+                           zero=np.zeros(pm.param_dim))
 
 
 def sample_lowrank_grads(
@@ -333,7 +281,8 @@ def sample_lowrank_grads(
     """Independent single-probe amortized gradient draws, shape
     (num_samples, d, r); row t reproduces grad_estimate_lowrank at
     evaluation index t with M = 1."""
-    return _sample_grads(lr, series, dist, master_seed, num_samples, 1, lr.theta.shape)
+    return _evaluate_batch(_adjoint_block, 256, lr, series, dist, master_seed, num_samples, 1,
+                           zero=np.zeros_like(lr.theta))
 
 
 def validate_param_oracle(pm: ParamMatrixOracle, rng: np.random.Generator,

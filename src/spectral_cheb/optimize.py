@@ -16,7 +16,6 @@ from typing import Callable, IO, Sequence
 
 import numpy as np
 
-from .degree_dist import sample_degree
 from .exceptions import NumericError, ParameterError
 from .grad_est import (
     GradSample,
@@ -25,7 +24,7 @@ from .grad_est import (
     grad_estimate_generic,
     grad_estimate_lowrank,
 )
-from .probes import Expansion, ProbePlan, degree_rng, estimate_spectral_sum_fixed
+from .probes import Expansion, ProbePlan, estimate_spectral_sum_fixed
 
 __all__ = [
     "SpectralModel",
@@ -46,8 +45,12 @@ class SpectralModel:
     ``oracle_at(theta)`` returns the operator at given parameters, on the
     interval of ``model.expansion``; ``refresh(theta, seed, mean_degree)``
     returns a new ``Expansion``, typically from ``expansion_for``.
-    ``refresh_every`` counts optimizer iterations between refreshes; 0
-    refreshes once at the start.
+    ``ensure(theta, iteration, ...)`` refreshes when no expansion exists
+    yet, or when ``refresh_every`` > 0 divides ``iteration``; 0 refreshes
+    once, at the start.  ``sgd_run`` passes its iteration count, so there
+    the value is the number of iterations between refreshes; ``svrg_run``
+    passes 0 at each epoch's anchor, so there any positive value refreshes
+    once per epoch, whatever its size.
     """
 
     def __init__(
@@ -72,30 +75,22 @@ class SpectralModel:
         """Extend the series to ``degree``; kept until the next refresh."""
         self.expansion = self.expansion.to_degree(degree)
 
-    def grad_sample(self, theta: np.ndarray, seed: int, m_probes: int,
-                    degree: int | None = None, plan: ProbePlan | None = None) -> GradSample:
-        """Gradient estimate at ``theta`` from ``ProbePlan(seed, m_probes)``.
+    def grad_sample(self, theta: np.ndarray, plan: ProbePlan) -> GradSample:
+        """Gradient estimate at ``theta`` on ``plan``'s degree and probes.
 
-        Passing another evaluation's ``plan`` (built from the same seed
-        and probe count) reuses its probe block instead of rebuilding it.
+        The plan draws its degree from the expansion's distribution unless
+        it already holds one, so a plan shared with an earlier estimate
+        (SVRG's anchor) reuses that estimate's degree and probe block.
         """
-        if plan is None:
-            plan = ProbePlan(seed, m_probes)
-        elif (plan.master_seed, plan.M) != (seed, m_probes):
-            raise ParameterError(
-                f"plan ({plan.master_seed}, {plan.M}) does not match "
-                f"seed {seed} and {m_probes} probes"
-            )
-        if degree is None:
-            degree = sample_degree(self.expansion.dist, degree_rng(seed, 0))
+        degree = plan.draw_degree(self.expansion.dist)
         if degree > self.expansion.series.degree:
             # geometric tails occasionally out-draw the stored expansion
             self.extend_series(degree)
         oracle = self.oracle_at(theta)
         series, dist = self.expansion.series, self.expansion.dist
         if isinstance(oracle, LowRankPSD):
-            return grad_estimate_lowrank(oracle, series, dist, plan, degree=degree)
-        return grad_estimate_generic(oracle, series, dist, plan, degree=degree)
+            return grad_estimate_lowrank(oracle, series, dist, plan)
+        return grad_estimate_generic(oracle, series, dist, plan)
 
     def objective_estimate(self, theta: np.ndarray, plan: ProbePlan, degree: int) -> float:
         """Fixed-degree estimate of tr f(A(theta)) on ``plan``'s probes."""
@@ -246,7 +241,7 @@ def sgd_run(
     for t in range(cfg.T):
         if obj.spectral is not None:
             obj.spectral.ensure(theta, t, int(seeds[t]), cfg.N)
-            sample = obj.spectral.grad_sample(theta, int(seeds[t]), cfg.M)
+            sample = obj.spectral.grad_sample(theta, ProbePlan(int(seeds[t]), cfg.M))
             psi, degree = sample.value, sample.degree
         else:
             psi, degree = 0.0, -1
@@ -290,9 +285,12 @@ def svrg_run(
     Each outer epoch anchors at theta_tilde with its exact spectral
     gradient; every inner step draws one probe set and one degree and
     evaluates the estimator at both the current iterate and the anchor
-    with that identical randomness, sharing one probe plan between the
-    two.  The epoch output is the average of the inner iterates.
-    Returns the anchors theta_tilde^(0..S).
+    with that identical randomness, the anchor running on the current
+    evaluation's plan.  The epoch output is the average of the inner
+    iterates.  The expansion is refreshed at each epoch's anchor when the
+    model's ``refresh_every`` is positive (its size does not matter here),
+    and once at the start when it is 0.  Returns the anchors
+    theta_tilde^(0..S).
     """
     theta_tilde = np.asarray(theta0, dtype=float).copy()
     anchors = np.empty((cfg.S + 1,) + theta_tilde.shape)
@@ -307,12 +305,10 @@ def svrg_run(
         theta = theta_tilde.copy()
         inner_sum = np.zeros_like(theta)
         for t in range(cfg.T):
-            seed = int(seeds[(s - 1) * cfg.T + t])
             if obj.spectral is not None:
-                cur = obj.spectral.grad_sample(theta, seed, cfg.M)
-                anchor = obj.spectral.grad_sample(
-                    theta_tilde, seed, cfg.M, degree=cur.degree, plan=cur.plan
-                )
+                plan = ProbePlan(int(seeds[(s - 1) * cfg.T + t]), cfg.M)
+                cur = obj.spectral.grad_sample(theta, plan)
+                anchor = obj.spectral.grad_sample(theta_tilde, cur.plan)
                 correction = cur.value - anchor.value
                 degree = cur.degree
             else:

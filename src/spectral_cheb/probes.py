@@ -15,14 +15,19 @@ Every probe owns an rng stream derived from (master_seed, evaluation
 index, probe index), so results do not depend on evaluation order; a
 chunk of probes is filled in one pass from the raw words of those
 streams, bit for bit the vectors ``rademacher_probe`` draws from them.
-A ``ProbePlan`` owns the probe block of its evaluation: each fixed-size
-chunk of columns is built once, on first use, kept read-only on the
-plan and handed to every estimator that shares the plan, as SVRG's
-current and anchor evaluations do.  The probe loop parallelizes over
-those chunks, capped by the SPECTRAL_CHEB_THREADS environment variable,
-on one thread pool per process and worker count, with a deterministic
-ordered reduction; chunks too small for a second thread to pay off run
-inline.
+A ``ProbePlan`` owns the randomness of its evaluation: the truncation
+degree, pinned or drawn once on first use, and the probe block, whose
+fixed-size chunks of columns are built once, on first use, kept
+read-only on the plan and handed to every estimator that shares the
+plan, as SVRG's current and anchor evaluations do.  Every value and
+gradient estimate runs through one of two drivers here: ``_evaluate``
+(one evaluation on a plan) and ``_evaluate_batch`` (independent
+evaluations grouped by degree), each taking a per-block kernel, the
+bilinear sums below or ``grad_est``'s adjoint pass.  The probe loop
+parallelizes over a plan's chunks, capped by the SPECTRAL_CHEB_THREADS
+environment variable, on one thread pool per process and worker count,
+with a deterministic ordered reduction; chunks too small for a second
+thread to pay off run inline.
 """
 
 from __future__ import annotations
@@ -182,21 +187,33 @@ class MatrixOracle:
 @dataclass
 class ProbePlan:
     """Randomness of one estimator evaluation: the master seed, the probe
-    count, (once drawn) the truncation degree, and the probe block.
+    count, the truncation degree and the probe block.
 
-    Probe columns are built on first use and kept, read-only, for as long
-    as the plan lives, so every evaluation sharing the plan sees the same
-    arrays without rebuilding them.
+    A plan built with a ``degree`` pins it.  Otherwise the first estimate
+    run on the plan draws the degree from its distribution on the stream
+    ``degree_rng(master_seed, 0)``, and the plan keeps that first-drawn
+    degree for every later evaluation on it, as SVRG's anchor evaluation
+    reuses its current evaluation's degree.  Probe columns are built on
+    first use and kept, read-only, for as long as the plan lives, so every
+    evaluation sharing the plan sees the same arrays without rebuilding
+    them.
     """
 
     master_seed: int
     M: int
-    degree_sample: int | None = None
+    degree: int | None = None
     _blocks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.M < 1:
             raise ParameterError(f"need at least one probe, got M = {self.M}")
+
+    def draw_degree(self, dist: DegreeDistribution) -> int:
+        """The evaluation's truncation degree: pinned, or drawn from
+        ``dist`` on first use and kept."""
+        if self.degree is None:
+            self.degree = sample_degree(dist, degree_rng(self.master_seed, 0))
+        return self.degree
 
     def probes(self, dim: int, start: int, stop: int) -> np.ndarray:
         """Read-only (dim, stop - start) block of probes start..stop-1."""
@@ -283,8 +300,6 @@ def _bilinear_block(oracle: MatrixOracle, coeffs: np.ndarray, n: int,
             acc += coeffs[k] * (2.0 * np.einsum("dk,dk->k", w, w_prev) - mu1)
         else:
             acc += coeffs[k] * (2.0 * np.einsum("dk,dk->k", w, w) - mu0)
-    if not np.all(np.isfinite(acc)):
-        raise NumericError(f"non-finite probe contribution at degree {n}")
     return acc
 
 
@@ -321,12 +336,75 @@ def _map_probe_chunks(plan: ProbePlan, dim: int, block_fn) -> list:
     return [run(s) for s in starts]
 
 
-def _probe_contributions(oracle: MatrixOracle, coeffs: np.ndarray, n: int,
-                         plan: ProbePlan) -> np.ndarray:
-    """Per-probe bilinear sums over the plan's probes."""
-    return np.concatenate(_map_probe_chunks(
-        plan, oracle.dim, lambda probes, start: _bilinear_block(oracle, coeffs, n, probes)
-    ))
+def _check_interval(series: ChebSeries, op) -> None:
+    if series.interval != op.eig_interval:
+        raise ParameterError(
+            f"series interval {series.interval} does not match the oracle's "
+            f"declared eigenvalue interval {op.eig_interval}"
+        )
+
+
+def _finite(rows: np.ndarray, start: int, n: int) -> np.ndarray:
+    if not np.all(np.isfinite(rows)):
+        raise NumericError(f"non-finite estimate in probe block starting at {start}, degree {n}")
+    return rows
+
+
+def _evaluate(kernel, op, series: ChebSeries, plan: ProbePlan,
+              dist: DegreeDistribution | None = None, n: int | None = None, zero=None):
+    """One evaluation: the mean over the plan's probes of the rows
+    ``kernel(op, coeffs, n, probes)``, (m,) + shape for a (d, m) block;
+    the kernels are ``_bilinear_block`` and ``grad_est._adjoint_block``.
+
+    With ``dist``, n is the plan's degree (drawn from ``dist`` on first
+    use) and the coefficients are re-weighted for it; without, the plain
+    series is truncated at the given n, leaving the plan's degree alone.
+    A degree-0 draw returns ``zero`` when one is given, without building
+    probes or touching the oracle.
+    """
+    _check_interval(series, op)
+    if dist is None:
+        if n < 0 or n > series.degree:
+            raise ParameterError(f"degree {n} outside stored series degree {series.degree}")
+        coeffs = series.coeffs
+    else:
+        n = plan.draw_degree(dist)
+        if n == 0 and zero is not None:
+            return zero
+        coeffs = weighted_coefficients(series, dist, n)
+    rows = _map_probe_chunks(plan, op.dim, lambda probes, start: _finite(
+        kernel(op, coeffs, n, probes), start, n))
+    return np.concatenate(rows).mean(axis=0)
+
+
+def _evaluate_batch(kernel, block_cols: int, op, series: ChebSeries,
+                    dist: DegreeDistribution, master_seed: int, num_samples: int, M: int,
+                    zero=None) -> np.ndarray:
+    """Independent evaluations t = 0..num_samples-1 on M probes each; row
+    t reproduces ``_evaluate`` at evaluation index t, bit for bit when its
+    block holds that sample alone.  Samples are grouped by drawn degree
+    into blocks of about ``block_cols`` probe columns; ``zero`` is the
+    degree-0 rule of ``_evaluate``."""
+    _check_interval(series, op)
+    degrees = np.array(
+        [sample_degree(dist, degree_rng(master_seed, t)) for t in range(num_samples)]
+    )
+    shape = () if zero is None else zero.shape
+    out = np.empty((num_samples,) + shape)
+    block_samples = max(1, block_cols // M)
+    for n in np.unique(degrees):
+        n = int(n)
+        idx = np.nonzero(degrees == n)[0]
+        if n == 0 and zero is not None:
+            out[idx] = zero
+            continue
+        coeffs = weighted_coefficients(series, dist, n)
+        for start in range(0, idx.size, block_samples):
+            chunk = idx[start : start + block_samples]
+            probes = np.hstack([_probe_columns(op.dim, master_seed, int(t), 0, M) for t in chunk])
+            rows = _finite(kernel(op, coeffs, n, probes), 0, n)
+            out[chunk] = rows.reshape((chunk.size, M) + shape).mean(axis=1)
+    return out
 
 
 def estimate_spectral_sum_fixed(
@@ -337,43 +415,21 @@ def estimate_spectral_sum_fixed(
     Biased unless f is a polynomial of degree <= n; the building block of
     the unbiased estimator below.  ``A`` may be any oracle with ``dim``,
     ``eig_interval`` and ``step``: a ``MatrixOracle``, ``LowRankPSD`` or
-    ``ParamMatrixOracle``.
+    ``ParamMatrixOracle``.  Leaves the plan's degree alone.
     """
-    if series.interval != A.eig_interval:
-        raise ParameterError(
-            f"series interval {series.interval} does not match the oracle's "
-            f"declared eigenvalue interval {A.eig_interval}"
-        )
-    if n < 0 or n > series.degree:
-        raise ParameterError(f"degree {n} outside stored series degree {series.degree}")
-    contrib = _probe_contributions(A, series.coeffs, n, plan)
-    return float(np.sum(contrib) / plan.M)
+    return float(_evaluate(_bilinear_block, A, series, plan, n=n))
 
 
 def estimate_spectral_sum_unbiased(
-    A: MatrixOracle,
-    series: ChebSeries,
-    dist: DegreeDistribution,
-    plan: ProbePlan,
-    degree: int | None = None,
+    A: MatrixOracle, series: ChebSeries, dist: DegreeDistribution, plan: ProbePlan
 ) -> float:
     """Single-sample unbiased estimate of tr f(A).
 
-    Draws the truncation degree from ``dist`` (recorded on the plan),
-    re-weights the coefficients, and averages the randomized bilinear
-    forms over the plan's probes.  ``degree`` overrides the draw when the
-    caller shares randomness across evaluations.
+    Truncates at the plan's degree (drawn from ``dist`` unless the plan
+    already holds one), re-weights the coefficients, and averages the
+    randomized bilinear forms over the plan's probes.
     """
-    if series.interval != A.eig_interval:
-        raise ParameterError(
-            f"series interval {series.interval} does not match the oracle's "
-            f"declared eigenvalue interval {A.eig_interval}"
-        )
-    n = sample_degree(dist, degree_rng(plan.master_seed, 0)) if degree is None else degree
-    plan.degree_sample = n
-    wc = weighted_coefficients(series, dist, n)
-    contrib = _probe_contributions(A, wc.bhat, n, plan)
-    return float(np.sum(contrib) / plan.M)
+    return float(_evaluate(_bilinear_block, A, series, plan, dist))
 
 
 def sample_spectral_sums(
@@ -389,26 +445,9 @@ def sample_spectral_sums(
     Sample t reproduces exactly what ``estimate_spectral_sum_unbiased``
     would return for evaluation index t: the same per-sample degree
     stream and per-probe streams, grouped by drawn degree so the
-    recurrences run on blocks.
+    recurrences run on blocks of about 512 columns.
     """
-    if series.interval != A.eig_interval:
-        raise ParameterError("series interval does not match the oracle's")
-    degrees = np.array(
-        [sample_degree(dist, degree_rng(master_seed, t)) for t in range(num_samples)]
-    )
-    out = np.empty(num_samples)
-    block_samples = max(1, 512 // M)
-    for n in np.unique(degrees):
-        wc = weighted_coefficients(series, dist, int(n))
-        idx = np.nonzero(degrees == n)[0]
-        for start in range(0, idx.size, block_samples):
-            chunk = idx[start : start + block_samples]
-            probes = np.hstack(
-                [_probe_columns(A.dim, master_seed, int(t), 0, M) for t in chunk]
-            )
-            sums = _bilinear_block(A, wc.bhat, int(n), probes)
-            out[chunk] = sums.reshape(chunk.size, M).mean(axis=1)
-    return out
+    return _evaluate_batch(_bilinear_block, 512, A, series, dist, master_seed, num_samples, M)
 
 
 def power_method_bound(A: MatrixOracle, iters: int, seed: int) -> float:

@@ -22,7 +22,6 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg
 
-from .degree_dist import sample_degree
 from .exceptions import ConvergenceError, ParameterError, ParseError
 from .grad_est import LowRankPSD, ParamMatrixOracle
 from .optimize import (
@@ -39,7 +38,6 @@ from .probes import (
     MatrixOracle,
     MatvecCounter,
     ProbePlan,
-    degree_rng,
     estimate_spectral_sum_unbiased,
     expansion_for,
 )
@@ -116,23 +114,24 @@ def _split_mask(count: int, train_frac: float, seed: int) -> np.ndarray:
 
 
 def _parse_triples(path: Path, fmt: str):
-    users, items, ratings = [], [], []
+    """Triples of a ratings file; a CSV's first nonempty line is skipped as
+    a header when it does not parse as a triple."""
+    triples, header_allowed = [], fmt == "csv"
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
-            if fmt == "csv" and lineno == 1:
-                continue
             parts = line.split("::") if fmt == "double_colon" else line.split(",")
             try:
-                users.append(int(parts[0]))
-                items.append(int(parts[1]))
-                ratings.append(float(parts[2]))
+                triples.append((int(parts[0]), int(parts[1]), float(parts[2])))
             except (IndexError, ValueError) as exc:
-                raise ParseError(f"{path}:{lineno}: malformed rating line {line!r}") from exc
-    if not users:
+                if not header_allowed:
+                    raise ParseError(f"{path}:{lineno}: malformed rating line {line!r}") from exc
+            header_allowed = False
+    if not triples:
         raise ParseError(f"{path}: no rating triples found")
+    users, items, ratings = zip(*triples)
     return np.asarray(users), np.asarray(items), np.asarray(ratings, dtype=float)
 
 
@@ -154,7 +153,7 @@ def load_movielens(
     """Parse ratings and split deterministically.
 
     ``double_colon`` reads user::item::rating::timestamp lines; ``csv``
-    reads a header line followed by user,item,rating rows.  Ratings are
+    reads user,item,rating rows under an optional header line.  Ratings are
     clamped to [0.5, 5]; raw ids are remapped to contiguous indices in
     sorted order; the train split takes floor(train_frac * count) triples
     chosen by a seeded shuffle.
@@ -217,8 +216,10 @@ def load_gp_data(path: str | Path):
     """Read regression data: two-column x,y CSV, or a whitespace matrix
     whose last column is y (multi-dimensional inputs)."""
     path = Path(path)
-    text = path.read_text()
-    delimiter = "," if "," in text.splitlines()[0] else None
+    first = next((line for line in path.read_text().splitlines() if line.strip()), None)
+    if first is None:
+        raise ParseError(f"{path}: empty regression data file")
+    delimiter = "," if "," in first else None
     try:
         data = np.loadtxt(str(path), delimiter=delimiter, ndmin=2)
     except Exception as exc:
@@ -363,6 +364,9 @@ def completion_train(
     term has the analytic gradient 2 lambda (theta_ij - R_ij) on observed
     entries; every step projects back into the rating box.  A rank-
     truncated SVD is applied once after training, before the test RMSE.
+    ``refresh_every`` > 0 re-bounds the spectrum every that many SGD
+    iterations, but at every epoch's anchor under SVRG, whatever its
+    value; 0 bounds it once, at the start.
     """
     users, items, vals = ratings.split(train=True)
     counter = MatvecCounter()
@@ -560,10 +564,10 @@ def gp_negloglik(
     alpha = _cg_solve(a_mat, gp.y)
     expansion = expansion_for(lambda x: a_mat @ x, d, np.log, 0.999 * theta[0] ** 2,
                               mean_degree, seed)
-    n = sample_degree(expansion.dist, degree_rng(seed, 0))
+    plan = ProbePlan(seed, m_probes)
     logdet_est = estimate_spectral_sum_unbiased(
-        MatrixOracle.from_matrix(a_mat, expansion.interval), expansion.to_degree(n).series,
-        expansion.dist, ProbePlan(seed, m_probes), degree=n,
+        MatrixOracle.from_matrix(a_mat, expansion.interval),
+        expansion.to_degree(plan.draw_degree(expansion.dist)).series, expansion.dist, plan,
     )
     return 0.5 * float(gp.y @ alpha) + 0.5 * logdet_est + const
 

@@ -102,8 +102,8 @@ def test_criterion_2_weighted_variance_closed_form():
                 degrees = degrees[degrees <= horizon]
                 per_degree = {}
                 for n in np.unique(degrees):
-                    wc = sc.weighted_coefficients(series, dist, int(n))
-                    per_degree[int(n)] = weighted_norm_sq(series, wc.bhat, f,
+                    bhat = sc.weighted_coefficients(series, dist, int(n))
+                    per_degree[int(n)] = weighted_norm_sq(series, bhat, f,
                                                           quad_points=2048)
                 vals = np.array([per_degree[int(n)] for n in degrees])
                 se = vals.std() / math.sqrt(vals.size)
@@ -282,8 +282,8 @@ def test_criterion_9_svrg_control_variate():
         )
         model.ensure(np.zeros(2), 0, 0, 4)
         anchor_theta = np.array([0.3, -0.2])
-        cur = model.grad_sample(anchor_theta, 4242, 2)
-        again = model.grad_sample(anchor_theta, 4242, 2, degree=cur.degree)
+        cur = model.grad_sample(anchor_theta, sc.ProbePlan(4242, 2))
+        again = model.grad_sample(anchor_theta, sc.ProbePlan(4242, 2, degree=cur.degree))
         assert np.array_equal(cur.value, again.value)  # correction is exactly zero
 
         theta_near = anchor_theta + 1e-2
@@ -291,8 +291,8 @@ def test_criterion_9_svrg_control_variate():
         mu = exact_spectral_grad_generic(a_anchor, partials, lambda x: 2.0 * x)
         plain, reduced = [], []
         for seed in range(1000):
-            g_cur = model.grad_sample(theta_near, seed, 1)
-            g_anchor = model.grad_sample(anchor_theta, seed, 1, degree=g_cur.degree)
+            g_cur = model.grad_sample(theta_near, sc.ProbePlan(seed, 1))
+            g_anchor = model.grad_sample(anchor_theta, sc.ProbePlan(seed, 1, degree=g_cur.degree))
             plain.append(g_cur.value)
             reduced.append(g_cur.value - g_anchor.value + mu)
         assert float(np.var(reduced, axis=0).sum()) < float(np.var(plain, axis=0).sum())

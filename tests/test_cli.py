@@ -58,6 +58,13 @@ class TestVarianceBench:
         code = main(["variance-bench", "--func", "log", "--out", str(tmp_path / "v.csv")])
         assert code == 1
 
+    @pytest.mark.parametrize("bound", [["--a", "0.2"], ["--b", "0.9"]])
+    def test_half_given_interval_is_config_error(self, tmp_path, bound):
+        out = tmp_path / "v.csv"
+        code = main(["variance-bench", "--func", "log", *bound, "--rho", "1.5", "--N", "5",
+                     "--dist", "opt", "--out", str(out)])
+        assert code == 1 and not out.exists()
+
     def test_quadrature_resolves_closed_form_coefficients(self):
         # log(h (x0 + t)) = log(h rho / 2) + sum_m 2 (-1)^(m+1) T_m(t) / (m rho^m)
         # and exp(c + h t) = e^c (I_0(h) + 2 sum_m I_m(h) T_m(t)), to the
@@ -305,6 +312,13 @@ class TestGpTrain:
 
     def test_missing_data_exit_2(self, tmp_path):
         assert main(["gp-train", "--train", "/nope.csv", "--out", str(tmp_path / "g.csv")]) == 2
+
+    def test_empty_data_exit_2(self, tmp_path):
+        empty = tmp_path / "empty.csv"
+        empty.write_text("")
+        proc = run_cli(["gp-train", "--train", str(empty), "--out", str(tmp_path / "g.csv")])
+        assert proc.returncode == 2
+        assert "data error" in proc.stderr and "Traceback" not in proc.stderr
 
 
 class TestSeedStability:

@@ -210,10 +210,10 @@ class TestSurvivalProperties:
         # the GP start point's distribution: survival 9.4e-12 at j = 999,
         # where 1 - S_j has lost five digits to cancellation
         dist = optimal_distribution(1.0247, 15)
-        wc = weighted_coefficients(ChebSeries(IV, np.ones(1001)), dist, 1000)
+        bhat = weighted_coefficients(ChebSeries(IV, np.ones(1001)), dist, 1000)
         want = _mp_survival(dist, 998)  # P(n >= 999)
         assert 9e-12 < want < 1e-11
-        assert abs(1.0 / wc.bhat[999] - want) <= 1e-14 * want
+        assert abs(1.0 / bhat[999] - want) <= 1e-14 * want
         assert abs(1.0 - dist.cumulative_array(998)[-1] - want) > 1e-6 * want
 
 
@@ -255,27 +255,27 @@ class TestWeightedCoefficients:
     def test_deterministic_keeps_coefficients(self):
         series = compute_coefficients(np.exp, Interval(-1, 1), degree=10)
         dist = deterministic_distribution(10)
-        wc = weighted_coefficients(series, dist, 10)
-        assert np.array_equal(wc.bhat, series.coeffs)
+        bhat = weighted_coefficients(series, dist, 10)
+        assert np.array_equal(bhat, series.coeffs)
 
     def test_optimal_rho2_mean1(self):
         series = compute_coefficients(np.exp, Interval(-1, 1), degree=10)
         dist = optimal_distribution(2.0, 1)
-        wc = weighted_coefficients(series, dist, 4)
-        assert wc.bhat[1] == pytest.approx(2.0 * series.coeffs[1], rel=1e-13)
+        bhat = weighted_coefficients(series, dist, 4)
+        assert bhat[1] == pytest.approx(2.0 * series.coeffs[1], rel=1e-13)
 
     def test_optimal_rho3_mean2(self):
         series = compute_coefficients(np.exp, Interval(-1, 1), degree=10)
         dist = optimal_distribution(3.0, 2)
-        wc = weighted_coefficients(series, dist, 5)
-        assert wc.bhat[2] == pytest.approx(series.coeffs[2] * 1.5, rel=1e-13)
+        bhat = weighted_coefficients(series, dist, 5)
+        assert bhat[2] == pytest.approx(series.coeffs[2] * 1.5, rel=1e-13)
 
     def test_bit_exact_below_support(self):
         series = compute_coefficients(np.log, IV, degree=40)
         dist = optimal_distribution(1.6, 20)
         k_supp = int(dist.params["K"])
-        wc = weighted_coefficients(series, dist, 30)
-        assert np.array_equal(wc.bhat[: k_supp + 1], series.coeffs[: k_supp + 1])
+        bhat = weighted_coefficients(series, dist, 30)
+        assert np.array_equal(bhat[: k_supp + 1], series.coeffs[: k_supp + 1])
 
     def test_degree_outside_series(self):
         series = compute_coefficients(np.exp, Interval(-1, 1), degree=5)
@@ -302,8 +302,8 @@ class TestWeightedVariance:
         vals = []
         for _ in range(4000):
             n = sample_degree(dist, rng)
-            wc = weighted_coefficients(series, dist, n)
-            vals.append(weighted_norm_sq(series, wc.bhat, lambda x: x))
+            bhat = weighted_coefficients(series, dist, n)
+            vals.append(weighted_norm_sq(series, bhat, lambda x: x))
         se = np.std(vals) / math.sqrt(len(vals))
         assert abs(np.mean(vals) - np.pi / 2) < max(3 * se, 1e-12)
 
@@ -341,8 +341,8 @@ class TestWeightedVariance:
             degrees = degrees[degrees <= horizon]
             per_degree = {}
             for n in np.unique(degrees):
-                wc = weighted_coefficients(series, dist, int(n))
-                per_degree[int(n)] = weighted_norm_sq(series, wc.bhat, f)
+                bhat = weighted_coefficients(series, dist, int(n))
+                per_degree[int(n)] = weighted_norm_sq(series, bhat, f)
             vals = np.array([per_degree[int(n)] for n in degrees])
             se = vals.std() / math.sqrt(vals.size)
             assert abs(vals.mean() - closed) <= max(3 * se, 0.02 * closed)

@@ -270,7 +270,7 @@ class TestDegreeSharing:
         dist = optimal_distribution(1.8, 6)
         plan_a = ProbePlan(15, 4)
         a = grad_estimate_generic(oracle, series, dist, plan_a)
-        b = grad_estimate_generic(oracle, series, dist, ProbePlan(15, 4), degree=a.degree)
+        b = grad_estimate_generic(oracle, series, dist, ProbePlan(15, 4, degree=a.degree))
         np.testing.assert_array_equal(a.value, b.value)
 
 
@@ -331,11 +331,11 @@ class TestSharedProbePlan:
             (grad_estimate_lowrank, self._lowrank(), lambda th: th + 0.05),
             (grad_estimate_generic, self._generic(), lambda th: th - 0.1),
         ):
-            shared = ProbePlan(21, 40)
-            for oracle in (op, op.at(moved(op.theta))):
-                for n in (6, 2):
-                    got = estimate(oracle, series, dist, shared, degree=n)
-                    fresh = estimate(oracle, series, dist, ProbePlan(21, 40), degree=n)
+            for n in (6, 2):
+                shared = ProbePlan(21, 40, degree=n)
+                for oracle in (op, op.at(moved(op.theta))):
+                    got = estimate(oracle, series, dist, shared)
+                    fresh = estimate(oracle, series, dist, ProbePlan(21, 40, degree=n))
                     np.testing.assert_array_equal(got.value, fresh.value)
 
     def test_degree_zero_builds_no_probes(self, monkeypatch):
@@ -347,14 +347,14 @@ class TestSharedProbePlan:
                             lambda *args: streams.append(args) or real(*args))
         lr, lr_series, lr_dist = self._lowrank()
         lr.counter = MatvecCounter()
-        low = grad_estimate_lowrank(lr, lr_series, lr_dist, ProbePlan(5, 8), degree=0)
+        low = grad_estimate_lowrank(lr, lr_series, lr_dist, ProbePlan(5, 8, degree=0))
         np.testing.assert_array_equal(low.value, np.zeros_like(lr.theta))
         pm, series, dist = self._generic()
         pm.counter = lr.counter
-        gen = grad_estimate_generic(pm, series, dist, ProbePlan(5, 8), degree=0)
+        gen = grad_estimate_generic(pm, series, dist, ProbePlan(5, 8, degree=0))
         np.testing.assert_array_equal(gen.value, np.zeros(pm.param_dim))
         assert streams == [] and lr.counter.count == 0
-        grad_estimate_generic(pm, series, dist, ProbePlan(5, 8), degree=1)
+        grad_estimate_generic(pm, series, dist, ProbePlan(5, 8, degree=1))
         assert len(streams) == 8
 
     def test_lowrank_thread_count_does_not_change_bits(self, monkeypatch):
@@ -362,7 +362,7 @@ class TestSharedProbePlan:
         values = []
         for threads in ("1", "2"):
             monkeypatch.setenv("SPECTRAL_CHEB_THREADS", threads)
-            values.append(grad_estimate_lowrank(lr, series, dist, ProbePlan(9, 70), degree=9))
+            values.append(grad_estimate_lowrank(lr, series, dist, ProbePlan(9, 70, degree=9)))
         assert values[0].value.tobytes() == values[1].value.tobytes()
 
 
@@ -409,7 +409,8 @@ class TestAdjointKernel:
         values = []
         for threads in ("1", "2"):
             monkeypatch.setenv("SPECTRAL_CHEB_THREADS", threads)
-            values.append(grad_estimate_generic(oracle, series, dist, ProbePlan(9, 70), degree=45))
+            values.append(grad_estimate_generic(oracle, series, dist,
+                                                ProbePlan(9, 70, degree=45)))
         np.testing.assert_array_equal(values[0].value, values[1].value)
 
     def test_only_the_kernel_runs_the_recurrence(self):

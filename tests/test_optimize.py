@@ -22,7 +22,7 @@ from spectral_cheb.optimize import (
     svrg_run,
     write_trajectory_csv,
 )
-from spectral_cheb.probes import Expansion
+from spectral_cheb.probes import Expansion, ProbePlan
 
 
 def quadratic_objective(target, alpha):
@@ -111,9 +111,9 @@ class TestSGD:
         model.refresh = lambda th, s, n: Expansion(None, short, optimal_distribution(2.0, n))
         theta = np.array([0.1, -0.1])
         model.ensure(theta, 0, 5, 3)
-        model.grad_sample(theta, 5, 1, degree=20)
+        model.grad_sample(theta, ProbePlan(5, 1, degree=20))
         assert model.expansion.series.degree == 20
-        model.grad_sample(theta, 6, 1, degree=4)
+        model.grad_sample(theta, ProbePlan(6, 1, degree=4))
         assert model.expansion.series.degree == 20
         model.refresh_every = 1
         model.ensure(theta, 1, 7, 3)
@@ -197,8 +197,8 @@ class TestSVRG:
         obj, exact_grad, _, _ = self._setup()
         theta = np.array([0.4, -0.1])
         obj.spectral.ensure(theta, 0, 99, 3)
-        cur = obj.spectral.grad_sample(theta, 1234, 3)
-        anchor = obj.spectral.grad_sample(theta, 1234, 3, degree=cur.degree)
+        cur = obj.spectral.grad_sample(theta, ProbePlan(1234, 3))
+        anchor = obj.spectral.grad_sample(theta, ProbePlan(1234, 3, degree=cur.degree))
         assert np.array_equal(cur.value, anchor.value)
 
     def test_variance_reduction_near_anchor(self):
@@ -209,8 +209,8 @@ class TestSVRG:
         mu = exact_grad(theta_tilde)
         plain, reduced = [], []
         for seed in range(1000):
-            cur = obj.spectral.grad_sample(theta, seed, 1)
-            anchor = obj.spectral.grad_sample(theta_tilde, seed, 1, degree=cur.degree)
+            cur = obj.spectral.grad_sample(theta, ProbePlan(seed, 1))
+            anchor = obj.spectral.grad_sample(theta_tilde, ProbePlan(seed, 1, degree=cur.degree))
             plain.append(cur.value)
             reduced.append(cur.value - anchor.value + mu)
         plain_var = float(np.var(np.asarray(plain), axis=0).sum())

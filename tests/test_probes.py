@@ -24,6 +24,7 @@ from spectral_cheb.degree_dist import (
     deterministic_distribution,
     optimal_distribution,
     poisson_distribution,
+    sample_degree,
 )
 from spectral_cheb.exceptions import ParameterError, ParseError
 from spectral_cheb.grad_est import LowRankPSD, ParamMatrixOracle
@@ -276,7 +277,7 @@ class TestUnbiasedEstimator:
             oracle, series, deterministic_distribution(3), plan_b
         )
         assert unbiased == fixed
-        assert plan_b.degree_sample == 3
+        assert plan_b.degree == 3 and plan_a.degree is None
 
     def test_logdet_unbiased_50x50(self):
         rng = np.random.default_rng(14)
@@ -427,12 +428,11 @@ class TestMomentDoubling:
         for threads in ("1", "2", "1", "2"):
             monkeypatch.setenv("SPECTRAL_CHEB_THREADS", threads)
             plan = ProbePlan(4, 70)
-            sums = probes_module._probe_contributions(oracle, series.coeffs, 31, plan)
-            runs.append((sums, estimate_spectral_sum_unbiased(oracle, series, dist, plan)))
+            fixed = probes_module._evaluate(probes_module._bilinear_block, oracle, series, plan,
+                                            n=31)
+            runs.append((fixed, estimate_spectral_sum_unbiased(oracle, series, dist, plan)))
         assert len(built) == 1  # the two-thread runs did use the pool
-        for sums, value in runs[1:]:
-            np.testing.assert_array_equal(sums, runs[0][0])
-            assert value == runs[0][1]
+        assert runs[1:] == runs[:1] * 3
 
     def test_small_blocks_run_inline(self, monkeypatch):
         _, oracle = spd_oracle(np.random.default_rng(23), 30)
@@ -576,6 +576,22 @@ class TestProbePlan:
         assert plan.probes(12, 0, 32) is block
         np.testing.assert_array_equal(block[:, 5], rademacher_probe(12, probe_rng(3, 5)))
 
+    def test_plan_keeps_its_first_drawn_degree(self):
+        iv = Interval(0.5, 2.0)
+        oracle = MatrixOracle.from_matrix(np.diag([0.7, 1.1, 1.9]), iv)
+        series = compute_coefficients(np.exp, iv, degree=80)
+        dist = optimal_distribution(2.0, 6)
+        plan = ProbePlan(12, 5)
+        first = estimate_spectral_sum_unbiased(oracle, series, dist, plan)
+        drawn = plan.degree
+        assert drawn == sample_degree(dist, probes_module.degree_rng(12, 0))
+        assert estimate_spectral_sum_unbiased(oracle, series, dist, plan) == first
+        # a later evaluation on the plan, even from another distribution, keeps it
+        estimate_spectral_sum_unbiased(oracle, series, poisson_distribution(30), plan)
+        assert plan.degree == drawn
+        pinned = ProbePlan(12, 5, degree=drawn)
+        assert estimate_spectral_sum_unbiased(oracle, series, dist, pinned) == first
+
     def test_shared_plan_matches_fresh_plans(self):
         rng = np.random.default_rng(19)
         _, oracle = spd_oracle(rng, 10)
@@ -586,40 +602,73 @@ class TestProbePlan:
             assert estimate_spectral_sum_fixed(oracle, series, n, shared) == fresh
 
 
+def package_references(names):
+    """(module file name, line, enclosing function name or None) of every
+    reference to one of ``names`` inside the package; ``__init__``'s
+    re-exports are not references."""
+    import ast
+    from pathlib import Path
+
+    import spectral_cheb
+
+    refs = []
+    for path in sorted(Path(spectral_cheb.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        parents = {child: node for node in ast.walk(tree)
+                   for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.alias) and path.name != "__init__.py":
+                name = node.name
+            else:
+                continue
+            if name not in names:
+                continue
+            scope = node
+            while scope is not None and not isinstance(scope, ast.FunctionDef):
+                scope = parents.get(scope)
+            refs.append((path.name, node.lineno, None if scope is None else scope.name))
+    return refs
+
+
 class TestSingleProbeBuilder:
     GUARDED = {"probe_rng", "rademacher_probe"}
 
     def test_probe_streams_only_drawn_by_the_block_helper(self):
+        refs = package_references(self.GUARDED)
+        helper = [r for r in refs if r[0] == "probes.py" and r[2] == "_probe_columns"]
+        offenders = [f"{path}:{line}" for path, line, scope in refs
+                     if (path, line, scope) not in helper]
+        assert offenders == []
+        # the block fill draws every stream through probe_rng; rademacher_probe
+        # is the one-vector reference it reproduces, referenced by no module
+        assert len(helper) == 1
+
+    def test_degrees_only_drawn_in_probes(self):
+        # one evaluation's degree is the plan's, one batch's the batched
+        # driver's; every other module goes through them
+        refs = package_references({"degree_rng", "sample_degree"})
+        offenders = [f"{path}:{line}" for path, line, _ in refs
+                     if path not in ("probes.py", "degree_dist.py")]
+        assert offenders == []
+        drawn_in = {scope for path, _, scope in refs if path == "probes.py"}
+        assert drawn_in == {None, "draw_degree", "_evaluate_batch"}
+
+    def test_one_interval_check(self):
         import ast
         from pathlib import Path
 
         import spectral_cheb
 
-        offenders, helper_refs = [], 0
+        sites = []
         for path in sorted(Path(spectral_cheb.__file__).parent.glob("*.py")):
-            tree = ast.parse(path.read_text())
-            parents = {child: node for node in ast.walk(tree)
-                       for child in ast.iter_child_nodes(node)}
-            for node in ast.walk(tree):
-                if isinstance(node, ast.Name):
-                    name = node.id
-                elif isinstance(node, ast.Attribute):
-                    name = node.attr
-                elif isinstance(node, ast.alias) and path.name != "__init__.py":
-                    name = node.name
-                else:
-                    continue
-                if name not in self.GUARDED:
-                    continue
-                scope = node
-                while scope is not None and not isinstance(scope, ast.FunctionDef):
-                    scope = parents.get(scope)
-                if path.name == "probes.py" and scope is not None \
-                        and scope.name == "_probe_columns":
-                    helper_refs += 1
-                else:
-                    offenders.append(f"{path.name}:{node.lineno}")
-        assert offenders == []
-        # the block fill draws every stream through probe_rng; rademacher_probe
-        # is the one-vector reference it reproduces, referenced by no module
-        assert helper_refs == 1
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Compare):
+                    attrs = {getattr(side, "attr", None)
+                             for side in (node.left, *node.comparators)}
+                    if attrs == {"interval", "eig_interval"}:
+                        sites.append(f"{path.name}:{node.lineno}")
+        assert len(sites) == 1 and sites[0].startswith("probes.py:")

@@ -24,3 +24,54 @@ def test_declared_names_exist():
                  "reference", "tasks", "cli"):
         module = importlib.import_module(f"spectral_cheb.{name}")
         assert [n for n in module.__all__ if not hasattr(module, n)] == []
+
+
+def test_benchmark_tracer_installs_and_uninstalls():
+    # bench/tracer.py rebinds package functions and methods by name; a
+    # removed name fails its install here rather than only in the bench's
+    # own checks
+    import importlib.util
+    import sys
+
+    import numpy as np
+    import scipy.sparse.linalg
+
+    import spectral_cheb.cli  # noqa: F401  (the tracer also wraps cli.main)
+
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer_module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_module)
+
+    def bindings():
+        modules = [m for name, m in sys.modules.items()
+                   if name == "spectral_cheb" or name.startswith("spectral_cheb.")]
+        classes = [spectral_cheb.MatrixOracle, spectral_cheb.LowRankPSD,
+                   spectral_cheb.ParamMatrixOracle, spectral_cheb.SpectralModel,
+                   spectral_cheb.GPProblem]
+        return ([dict(vars(m)) for m in modules] + [dict(vars(c)) for c in classes]
+                + [scipy.sparse.linalg.cg])
+
+    before = bindings()
+    tracer = tracer_module.Tracer()
+    try:
+        tracer.install()
+        assert bindings() != before
+        gp = spectral_cheb.GPProblem(np.linspace(0.0, 1.0, 12), np.sin(np.arange(12.0)),
+                                     np.array([0.5, 1.0, 0.3]))
+        value = spectral_cheb.gp_negloglik(gp, mode="estimate", seed=3, m_probes=4)
+    finally:
+        tracer.uninstall()
+    assert np.isfinite(value)
+    after = bindings()
+    assert len(after) == len(before)
+    for got, want in zip(after, before):
+        if isinstance(want, dict):
+            assert got.keys() == want.keys()
+            assert all(got[k] is want[k] for k in want)
+        else:
+            assert got is want
+    metrics = tracer.metrics()
+    assert metrics["degree_dist.degrees_drawn"] == 1
+    assert metrics["probes.probe_streams"] == 4
+    assert metrics["tasks.nll_curve_ms"] > 0.0

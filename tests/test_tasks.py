@@ -42,6 +42,21 @@ class TestLoadMovielens:
         rs = load_movielens(path, fmt="csv", train_frac=1.0, seed=0)
         assert rs.ratings.tolist() == [2.0, 5.0]  # clamped to [0.5, 5]
 
+    def test_csv_without_header_keeps_every_rating(self, tmp_path):
+        rows = ["1,1,4.0", "1,2,3.0", "2,1,2.5", "2,2,1.0", "3,1,5.0", "3,2,0.5"]
+        bare, headed = tmp_path / "bare.csv", tmp_path / "headed.csv"
+        bare.write_text("\n".join(rows) + "\n")
+        headed.write_text("\n".join(["user,item,rating"] + rows) + "\n")
+        for path in (bare, headed):
+            rs = load_movielens(path, fmt="csv", train_frac=1.0, seed=0)
+            assert rs.ratings.tolist() == [4.0, 3.0, 2.5, 1.0, 5.0, 0.5]
+
+    def test_csv_header_skipped_only_once(self, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_text("\nuser,item,rating\n5,7,2.0\nuser,item,rating\n")
+        with pytest.raises(ParseError, match=":4"):
+            load_movielens(path, fmt="csv")
+
     def test_floor_split_count(self, tmp_path):
         lines = [f"{i}::{i % 7}::3.0::0" for i in range(1000)]
         path = tmp_path / "r.dat"
@@ -394,3 +409,10 @@ class TestLoadGPData:
         x, y = load_gp_data(path)
         assert x.shape == (2, 2)
         assert y.tolist() == [3.0, 2.0]
+
+    @pytest.mark.parametrize("text", ["", "\n  \n"], ids=["empty", "blank-lines"])
+    def test_empty_file_is_parse_error(self, tmp_path, text):
+        path = tmp_path / "empty.csv"
+        path.write_text(text)
+        with pytest.raises(ParseError, match="empty"):
+            load_gp_data(path)
