@@ -35,10 +35,9 @@ print(f"dense reference: log det A = {truth:.6f}")
 # Bound the spectrum with the power method (times a safety margin) and a
 # modest lower shift; expand log on that interval.
 
-probe_oracle = MatrixOracle.from_matrix(matrix, None)
-upper = power_method_bound(probe_oracle, 50, seed=0)
+oracle = MatrixOracle.from_matrix(matrix)
+upper = power_method_bound(oracle, 50, seed=0)
 interval = Interval(0.35, upper)
-oracle = MatrixOracle.from_matrix(matrix, interval)
 series = compute_coefficients(np.log, interval, degree=300)
 rho = rho_from_endpoint_singularity(interval)
 print(f"spectrum bounded to [{interval.a:.3f}, {interval.b:.3f}], rho = {rho:.3f}")

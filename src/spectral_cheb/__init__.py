@@ -51,7 +51,6 @@ from .exceptions import (
     SpectralChebError,
 )
 from .grad_est import (
-    GradSample,
     LowRankPSD,
     ParamMatrixOracle,
     grad_estimate_generic,

@@ -182,7 +182,10 @@ def _bench_interval(fname: str, args) -> Interval:
 def _parse_dist_name(spec: str) -> tuple[str, float]:
     spec = spec.strip()
     if spec.startswith("neg(") and spec.endswith(")"):
-        return "neg", float(spec[4:-1])
+        try:
+            return "neg", float(spec[4:-1])
+        except ValueError as exc:
+            raise ParameterError(f"cannot parse the r of degree distribution {spec!r}") from exc
     if spec in ("opt", "pois", "det"):
         return spec, 5.0
     if spec == "neg":
@@ -208,7 +211,9 @@ def cmd_variance_bench(args) -> int:
                       ("neg", 10.0), ("det", 5.0)]
     if any(kind == "opt" for kind, _ in dist_specs) and args.rho is None:
         raise ParameterError("the optimal distribution needs --rho")
-    sweep = [args.N] if args.N else list(BENCH_SWEEP)
+    if args.N is not None and args.N < 1:
+        raise ParameterError(f"--N must be at least 1, got {args.N}")
+    sweep = list(BENCH_SWEEP) if args.N is None else [args.N]
     # the sweep reaches degrees whose true variances sit far below what
     # double precision can represent, so the bench evaluates the closed
     # form in extended precision
@@ -229,13 +234,10 @@ def cmd_estimate(args) -> int:
     matrix = load_matrix(matrix_path)
     dim = matrix.shape[0]
     fname, f_or_coeffs = _parse_function(args)
-    if args.b is not None:
-        upper = args.b
-    else:
-        upper = power_method_bound(MatrixOracle.from_matrix(matrix, None), 50, args.seed)
+    oracle = MatrixOracle.from_matrix(matrix)
+    upper = args.b if args.b is not None else power_method_bound(oracle, 50, args.seed)
     lower = args.a if args.a is not None else args.epsilon
     interval = Interval(lower, upper)
-    oracle = MatrixOracle.from_matrix(matrix, interval)
     kind, neg_r = _parse_dist_name(args.dist)
     degree_cap = max(4 * args.N + 120, (args.degree or 0) + 1, 60)
     series = _build_series(fname, f_or_coeffs, interval, degree_cap)

@@ -6,9 +6,11 @@ forward pass stores the first-kind vectors w_i = T_i(B) v for i < n; its
 backward Clenshaw pass forms s_i = sum_k bhat_{i+1+k} U_k(B) v from
 s_i = bhat_{i+1} v + 2 B s_{i+1} - s_{i+2}, starting at s_{n-1} =
 bhat_n v.  Every recurrence step is the oracle's ``step(w, w_prev,
-scale)`` = scale * B w - w_prev: ``LowRankPSD`` folds the map into two
-scalars, c1 theta (theta^T x) + c2 x, and the generic
-``ParamMatrixOracle`` maps each matvec's result in place.  The gradient
+scale, iv)`` = scale * B w - w_prev, iv the interval of the series being
+differentiated: the expansion owns the interval and no oracle stores
+one.  ``LowRankPSD`` folds the map into two scalars, c1 theta (theta^T x)
++ c2 x, and the generic ``ParamMatrixOracle`` maps each matvec's result
+in place.  The gradient
 is (2/(b-a)) sum_i' w_i^T dA s_i, and each oracle contracts it in one
 place: the generic ``ParamMatrixOracle`` applies each coordinate's
 partial to a block of stacked s_i and dots it column-wise with the w_i;
@@ -16,7 +18,8 @@ partial to a block of stacked s_i and dots it column-wise with the w_i;
 partials into 2 sum_i' w_i (s_i^T theta) without touching a d x d
 matrix.  Every coordinate shares the plan's degree and probe set, which
 is what the variance reduction downstream relies on; the estimators run
-the kernel through the drivers in ``probes``.
+the kernel through the drivers in ``probes`` and return the gradient
+array, the drawn degree staying on the plan.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ from .probes import MatvecCounter, ProbePlan, _evaluate, _evaluate_batch, _mappe
 __all__ = [
     "ParamMatrixOracle",
     "LowRankPSD",
-    "GradSample",
     "sum_prime_weights",
     "grad_estimate_generic",
     "grad_estimate_lowrank",
@@ -55,8 +57,9 @@ class ParamMatrixOracle:
     derivative matvecs.
 
     ``apply(theta, x)`` and ``apply_partial(i, theta, x)`` must accept a
-    (d,) vector or (d, m) block.  ``eig_interval`` has to hold on a
-    neighborhood of the feasible parameters, not just at ``theta``.
+    (d,) vector or (d, m) block.  The interval of the series it is
+    stepped on has to hold on a neighborhood of the iterates between
+    interval refreshes, not just at ``theta``.
     """
 
     dim: int
@@ -64,7 +67,6 @@ class ParamMatrixOracle:
     theta: np.ndarray
     apply: Callable[[np.ndarray, np.ndarray], np.ndarray]
     apply_partial: Callable[[int, np.ndarray, np.ndarray], np.ndarray]
-    eig_interval: Interval
     counter: MatvecCounter | None = None
 
     def _count(self, x):
@@ -79,10 +81,11 @@ class ParamMatrixOracle:
         self._count(x)
         return self.apply_partial(i, self.theta, x)
 
-    def step(self, w: np.ndarray, w_prev: np.ndarray | None, scale: float) -> np.ndarray:
+    def step(self, w: np.ndarray, w_prev: np.ndarray | None, scale: float,
+             iv: Interval) -> np.ndarray:
         """scale * B w - w_prev (no subtraction when ``w_prev`` is None) in
-        a fresh array, mapping the result of one ``mv``."""
-        return _mapped_step(self.mv(w), w, w_prev, scale, self.eig_interval)
+        a fresh array, mapping the result of one ``mv`` onto iv."""
+        return _mapped_step(self.mv(w), w, w_prev, scale, iv)
 
     def at(self, theta: np.ndarray) -> "ParamMatrixOracle":
         return dataclasses.replace(self, theta=np.asarray(theta, dtype=float))
@@ -110,7 +113,6 @@ class LowRankPSD:
 
     theta: np.ndarray
     epsilon: float
-    eig_interval: Interval
     counter: MatvecCounter | None = None
 
     def __post_init__(self):
@@ -137,11 +139,11 @@ class LowRankPSD:
         self._count(x)
         return self.theta @ (self.theta.T @ x) + self.epsilon * x
 
-    def step(self, w: np.ndarray, w_prev: np.ndarray | None, scale: float) -> np.ndarray:
+    def step(self, w: np.ndarray, w_prev: np.ndarray | None, scale: float,
+             iv: Interval) -> np.ndarray:
         """scale * B w - w_prev (no subtraction when ``w_prev`` is None) in
-        a fresh array, as c1 theta (theta^T w) + c2 w - w_prev."""
+        a fresh array, as c1 theta (theta^T w) + c2 w - w_prev on iv."""
         self._count(w)
-        iv = self.eig_interval
         inner = self.theta.T @ w
         inner *= 2.0 * scale / iv.width
         y = self.theta @ inner
@@ -170,19 +172,6 @@ class LowRankPSD:
                          np.ascontiguousarray(s_theta.transpose(2, 1, 0)))
 
 
-@dataclass
-class GradSample:
-    """One stochastic gradient draw: the value (shaped like theta) and the
-    probe plan it consumed, which holds the degree it drew."""
-
-    value: np.ndarray
-    plan: ProbePlan
-
-    @property
-    def degree(self) -> int:
-        return self.plan.degree
-
-
 def sum_prime_weights(count: int) -> np.ndarray:
     """The halved-first-term convention (2 - 1_{i=0}) as explicit weights
     [1, 2, 2, ...]; the single shared source of this constant."""
@@ -192,9 +181,11 @@ def sum_prime_weights(count: int) -> np.ndarray:
     return w
 
 
-def _adjoint_block(op, bhat: np.ndarray, n: int, probes: np.ndarray) -> np.ndarray:
+def _adjoint_block(op, iv: Interval, bhat: np.ndarray, n: int,
+                   probes: np.ndarray) -> np.ndarray:
     """Gradient of v^T p_hat_n(B) v for each column v of a (d, m) probe
-    block, n >= 1: one row per column, shaped by the oracle's ``contract``.
+    block, n >= 1, B mapped onto iv: one row per column, shaped by the
+    oracle's ``contract``.
 
     2(n - 1) matvecs of A per column, whatever the oracle.  The forward
     sequence w_0..w_{n-1} is stored; the s_i are contracted against it in
@@ -204,10 +195,10 @@ def _adjoint_block(op, bhat: np.ndarray, n: int, probes: np.ndarray) -> np.ndarr
     w = np.empty((d, n, m))
     w[:, 0] = probes
     if n >= 2:
-        w[:, 1] = op.step(probes, None, 1.0)
+        w[:, 1] = op.step(probes, None, 1.0, iv)
     for i in range(2, n):
-        w[:, i] = op.step(w[:, i - 1], w[:, i - 2], 2.0)
-    weights = sum_prime_weights(n) * (2.0 / op.eig_interval.width)
+        w[:, i] = op.step(w[:, i - 1], w[:, i - 2], 2.0, iv)
+    weights = sum_prime_weights(n) * (2.0 / iv.width)
     acc = 0.0
     s_next, s_after = None, None  # s_{i+1}, s_{i+2}
     for top in range(n, 0, -_DEGREE_BLOCK):
@@ -216,7 +207,7 @@ def _adjoint_block(op, bhat: np.ndarray, n: int, probes: np.ndarray) -> np.ndarr
         for i in range(top - 1, low - 1, -1):
             s_cur = bhat[i + 1] * probes
             if i < n - 1:
-                s_cur += op.step(s_next, s_after, 2.0)
+                s_cur += op.step(s_next, s_after, 2.0, iv)
             s[:, i - low] = s_cur
             s_next, s_after = s_cur, s_next
         acc = acc + op.contract(w[:, low:top], s, weights[low:top])
@@ -228,8 +219,9 @@ def grad_estimate_generic(
     series: ChebSeries,
     dist: DegreeDistribution,
     plan: ProbePlan,
-) -> GradSample:
-    """Unbiased estimate of the gradient of tr f(A(theta)).
+) -> np.ndarray:
+    """Unbiased estimate of the gradient of tr f(A(theta)), shaped like
+    theta.
 
     Every coordinate shares the plan's degree (drawn from ``dist`` unless
     the plan already holds one) and its probe set.  Costs 2(n - 1)
@@ -237,8 +229,7 @@ def grad_estimate_generic(
     degree-0 draw returns exact zeros without building probes or touching
     the oracle.
     """
-    value = _evaluate(_adjoint_block, pm, series, plan, dist, zero=np.zeros(pm.param_dim))
-    return GradSample(value=value, plan=plan)
+    return _evaluate(_adjoint_block, pm, series, plan, dist, zero=np.zeros(pm.param_dim))
 
 
 def grad_estimate_lowrank(
@@ -246,14 +237,13 @@ def grad_estimate_lowrank(
     series: ChebSeries,
     dist: DegreeDistribution,
     plan: ProbePlan,
-) -> GradSample:
+) -> np.ndarray:
     """Amortized gradient of tr f(theta theta^T + eps I) w.r.t. the
     factor; algebraically identical to the generic path on the flattened
     parameterization but costs O(M n d r) with no d x d work.  Per-probe
     values are averaged in probe order whatever the thread count; a
     degree-0 draw returns exact zeros without building probes."""
-    value = _evaluate(_adjoint_block, lr, series, plan, dist, zero=np.zeros_like(lr.theta))
-    return GradSample(value=value, plan=plan)
+    return _evaluate(_adjoint_block, lr, series, plan, dist, zero=np.zeros_like(lr.theta))
 
 
 def sample_spectral_grads(

@@ -3,9 +3,11 @@
 The spectral part of the gradient comes from the unbiased randomized
 estimators; SVRG's control variate evaluates the estimator at the current
 and the anchor parameters with identical probes and an identical drawn
-degree, so the correction vanishes exactly when they coincide.  The
-eigenvalue interval (and with it the series and degree distribution) is
-refreshed on an epoch schedule, not per sample.
+degree, so the correction vanishes exactly when they coincide.  The model's
+``Expansion`` owns the eigenvalue interval, the series and the degree
+distribution, refreshed on an epoch schedule, not per sample; each step's
+``ProbePlan`` owns its degree and probes, and the drivers read the drawn
+degree back from the plan they built.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ import numpy as np
 
 from .exceptions import NumericError, ParameterError
 from .grad_est import (
-    GradSample,
     LowRankPSD,
     ParamMatrixOracle,
     grad_estimate_generic,
@@ -42,9 +43,10 @@ __all__ = [
 class SpectralModel:
     """Bundle of the parametric oracle and the (refreshable) expansion.
 
-    ``oracle_at(theta)`` returns the operator at given parameters, on the
-    interval of ``model.expansion``; ``refresh(theta, seed, mean_degree)``
-    returns a new ``Expansion``, typically from ``expansion_for``.
+    ``oracle_at(theta)`` returns the operator at given parameters; the
+    estimators step it on the interval of ``model.expansion``, which
+    ``refresh(theta, seed, mean_degree)`` replaces, typically with one
+    from ``expansion_for``.
     ``ensure(theta, iteration, ...)`` refreshes when no expansion exists
     yet, or when ``refresh_every`` > 0 divides ``iteration``; 0 refreshes
     once, at the start.  ``sgd_run`` passes its iteration count, so there
@@ -75,7 +77,7 @@ class SpectralModel:
         """Extend the series to ``degree``; kept until the next refresh."""
         self.expansion = self.expansion.to_degree(degree)
 
-    def grad_sample(self, theta: np.ndarray, plan: ProbePlan) -> GradSample:
+    def grad_sample(self, theta: np.ndarray, plan: ProbePlan) -> np.ndarray:
         """Gradient estimate at ``theta`` on ``plan``'s degree and probes.
 
         The plan draws its degree from the expansion's distribution unless
@@ -148,7 +150,6 @@ class SGDConfig:
     alpha: float | None = None
     step0: float = 0.1
     decay: float = 0.97
-    eval_seed: int | None = None
     log_objective: bool = True
 
     def __post_init__(self):
@@ -158,8 +159,6 @@ class SGDConfig:
             raise ParameterError(f"unknown step rule {self.step_rule!r}")
         if self.step_rule == "inverse_alpha_t" and not (self.alpha and self.alpha > 0):
             raise ParameterError("inverse_alpha_t needs a positive strong-convexity alpha")
-        if self.eval_seed is None:
-            self.eval_seed = self.master_seed + 0x5EED
 
 
 @dataclass
@@ -170,7 +169,6 @@ class SVRGConfig:
     M: int
     N: int
     master_seed: int
-    eval_seed: int | None = None
     log_objective: bool = True
 
     def __post_init__(self):
@@ -178,8 +176,6 @@ class SVRGConfig:
             raise ParameterError("need at least one outer and one inner iteration")
         if not self.eta > 0:
             raise ParameterError(f"step size must be positive, got {self.eta}")
-        if self.eval_seed is None:
-            self.eval_seed = self.master_seed + 0x5EED
 
 
 @dataclass
@@ -196,6 +192,11 @@ class IterationRecord:
 
 def _iteration_seeds(master_seed: int, count: int) -> np.ndarray:
     return np.random.SeedSequence(master_seed, spawn_key=(3,)).generate_state(count, np.uint64)
+
+
+def _log_plan(cfg: SGDConfig | SVRGConfig) -> ProbePlan:
+    """The one probe plan of a run's objective log."""
+    return ProbePlan(cfg.master_seed + 0x5EED, cfg.M)
 
 
 def _step_size(cfg: SGDConfig, t: int) -> float:
@@ -230,19 +231,20 @@ def sgd_run(
     One gradient sample per iteration: a drawn degree shared across the
     parameter coordinates plus M Rademacher probes, then a projected
     step.  Deterministic given the config's master seed.  The objective
-    log uses one probe plan, seeded by ``cfg.eval_seed``, for the run.
+    log uses one probe plan, seeded by ``cfg.master_seed + 0x5EED``, for
+    the run.
     """
     theta = np.asarray(theta0, dtype=float).copy()
     seeds = _iteration_seeds(cfg.master_seed, cfg.T)
-    log_plan = ProbePlan(cfg.eval_seed, cfg.M)
+    log_plan = _log_plan(cfg)
     trajectory = np.empty((cfg.T + 1,) + theta.shape)
     trajectory[0] = theta
     start = time.perf_counter()
     for t in range(cfg.T):
         if obj.spectral is not None:
             obj.spectral.ensure(theta, t, int(seeds[t]), cfg.N)
-            sample = obj.spectral.grad_sample(theta, ProbePlan(int(seeds[t]), cfg.M))
-            psi, degree = sample.value, sample.degree
+            plan = ProbePlan(int(seeds[t]), cfg.M)
+            psi, degree = obj.spectral.grad_sample(theta, plan), plan.degree
         else:
             psi, degree = 0.0, -1
         direction = psi + obj.g_grad(theta)
@@ -296,7 +298,7 @@ def svrg_run(
     anchors = np.empty((cfg.S + 1,) + theta_tilde.shape)
     anchors[0] = theta_tilde
     seeds = _iteration_seeds(cfg.master_seed, cfg.S * cfg.T)
-    log_plan = ProbePlan(cfg.eval_seed, cfg.M)
+    log_plan = _log_plan(cfg)
     start = time.perf_counter()
     for s in range(1, cfg.S + 1):
         if obj.spectral is not None:
@@ -307,10 +309,9 @@ def svrg_run(
         for t in range(cfg.T):
             if obj.spectral is not None:
                 plan = ProbePlan(int(seeds[(s - 1) * cfg.T + t]), cfg.M)
-                cur = obj.spectral.grad_sample(theta, plan)
-                anchor = obj.spectral.grad_sample(theta_tilde, cur.plan)
-                correction = cur.value - anchor.value
-                degree = cur.degree
+                correction = (obj.spectral.grad_sample(theta, plan)
+                              - obj.spectral.grad_sample(theta_tilde, plan))
+                degree = plan.degree
             else:
                 correction, degree = 0.0, -1
             direction = correction + mu + obj.g_grad(theta)
@@ -341,19 +342,15 @@ def svrg_run(
     return anchors
 
 
-def write_trajectory_csv(
-    records: Sequence[IterationRecord], fh: IO[str], deterministic_timing: bool = True
-) -> None:
+def write_trajectory_csv(records: Sequence[IterationRecord], fh: IO[str]) -> None:
     """Serialize iteration records.
 
-    ``deterministic_timing`` zeroes the wallclock column so fixed-seed
-    runs are byte-identical; measured timings stay available on the
-    records themselves.
+    The wallclock column is zeroed so fixed-seed runs are byte-identical;
+    measured timings stay available on the records themselves.
     """
     fh.write("phase,epoch,iter,objective_estimate,grad_norm,degree_n,wallclock_ms\n")
     for rec in records:
-        wallclock = 0 if deterministic_timing else int(rec.wallclock_ms)
         fh.write(
             f"{rec.phase},{rec.epoch},{rec.iteration},{rec.objective_estimate!r},"
-            f"{rec.grad_norm!r},{rec.degree},{wallclock}\n"
+            f"{rec.grad_norm!r},{rec.degree},0\n"
         )

@@ -2,28 +2,30 @@
 estimators, and the expansion builder (power-method interval, Chebyshev
 series, degree distribution).
 
-Every oracle runs the three-term recurrence through one method,
-``step(w, w_prev, scale)`` = scale * B w - w_prev, B = (2A - (b+a)I)/(b-a)
+The expansion owns the eigenvalue interval [a, b]: no oracle stores one,
+and the drivers hand the series' interval to each recurrence step,
+``step(w, w_prev, scale, iv)`` = scale * B w - w_prev, B = (2A - (b+a)I)/(b-a)
 the interval-mapped operator.  An oracle built from an explicit dense or
-sparse matrix folds the map into a copy 2B of it, formed once per
-interval, so a step is one product and one subtraction; an oracle known
-only through its matvec maps each product's result in place.  A
-degree-n estimate costs ceil(n/2) matvecs per probe: with
-w_j = T_j(B) v, the moments mu_k = v^T T_k(B) v follow from
-mu_{2j} = 2 w_j^T w_j - mu_0 and mu_{2j+1} = 2 w_{j+1}^T w_j - mu_1.
+sparse matrix folds the map into a copy 2B of it, cached for the last
+interval it was stepped on, so a step is one product and one
+subtraction; an oracle known only through its matvec maps each
+product's result in place.  A degree-n estimate costs ceil(n/2) matvecs
+per probe: with w_j = T_j(B) v, the moments mu_k = v^T T_k(B) v follow
+from mu_{2j} = 2 w_j^T w_j - mu_0 and mu_{2j+1} = 2 w_{j+1}^T w_j - mu_1.
 Every probe owns an rng stream derived from (master_seed, evaluation
 index, probe index), so results do not depend on evaluation order; a
 chunk of probes is filled in one pass from the raw words of those
 streams, bit for bit the vectors ``rademacher_probe`` draws from them.
-A ``ProbePlan`` owns the randomness of its evaluation: the truncation
-degree, pinned or drawn once on first use, and the probe block, whose
-fixed-size chunks of columns are built once, on first use, kept
-read-only on the plan and handed to every estimator that shares the
-plan, as SVRG's current and anchor evaluations do.  Every value and
-gradient estimate runs through one of two drivers here: ``_evaluate``
-(one evaluation on a plan) and ``_evaluate_batch`` (independent
-evaluations grouped by degree), each taking a per-block kernel, the
-bilinear sums below or ``grad_est``'s adjoint pass.  The probe loop
+A ``ProbePlan`` owns the randomness of its evaluation, and callers read
+the drawn degree back from it: the truncation degree, pinned or drawn
+once on first use, and the probe block, whose fixed-size chunks of
+columns are built once, on first use, kept read-only on the plan and
+handed to every estimator that shares the plan, as SVRG's current and
+anchor evaluations do.  Every value and gradient estimate runs through
+one of two drivers here: ``_evaluate`` (one evaluation on a plan) and
+``_evaluate_batch`` (independent evaluations grouped by degree), each
+taking a per-block kernel, the bilinear sums below or ``grad_est``'s
+adjoint pass.  The probe loop
 parallelizes over a plan's chunks, capped by the SPECTRAL_CHEB_THREADS
 environment variable, on one thread pool per process and worker count,
 with a deterministic ordered reduction; chunks too small for a second
@@ -124,48 +126,45 @@ class MatrixOracle:
     """Symmetric operator exposed through its matvec.
 
     ``matvec`` must accept a (d,) vector or a (d, m) block and return the
-    same shape; ``eig_interval`` declares bounds containing every
-    eigenvalue (None while the power method is still looking for them).
-    An oracle built by ``from_matrix`` also holds the explicit ``matrix``,
-    and its ``step`` multiplies by the folded 2B, formed once for the
-    declared interval; otherwise ``step`` maps each matvec's result.
+    same shape.  An oracle built by ``from_matrix`` also holds the explicit
+    ``matrix``, and its ``step`` multiplies by the folded 2B, built once
+    per interval (under a lock, as probe chunks step from several threads)
+    and kept until a step asks for another; otherwise ``step`` maps each
+    matvec's result.
     """
 
     dim: int
     matvec: Callable[[np.ndarray], np.ndarray]
-    eig_interval: Interval | None
     counter: MatvecCounter | None = None
     matrix: np.ndarray | scipy.sparse.spmatrix | None = field(
         default=None, repr=False, compare=False)
     _fold: tuple | None = field(default=None, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.matrix is not None and self.eig_interval is not None:
-            self._folded()  # before any probe thread needs it
+    _fold_lock: threading.Lock = field(default_factory=threading.Lock, init=False,
+                                       repr=False, compare=False)
 
     def _count(self, x: np.ndarray) -> None:
         if self.counter is not None:
             self.counter.count += 1 if x.ndim == 1 else x.shape[1]
 
-    def _folded(self):
-        iv, fold = self._fold or (None, None)
-        if iv != self.eig_interval:
-            iv = self.eig_interval
-            fold = _fold_interval(self.matrix, iv)
-            self._fold = (iv, fold)
-        return fold
+    def _folded(self, iv: Interval):
+        with self._fold_lock:
+            if self._fold is None or self._fold[0] != iv:
+                self._fold = (iv, _fold_interval(self.matrix, iv))
+            return self._fold[1]
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         self._count(x)
         return self.matvec(x)
 
-    def step(self, w: np.ndarray, w_prev: np.ndarray | None, scale: float) -> np.ndarray:
+    def step(self, w: np.ndarray, w_prev: np.ndarray | None, scale: float,
+             iv: Interval) -> np.ndarray:
         """scale * B w - w_prev (no subtraction when ``w_prev`` is None) in
-        a fresh array, B = (2A - (b+a)I)/(b-a); one matvec per column."""
+        a fresh array, B = (2A - (b+a)I)/(b-a) on iv = [a, b]; one matvec
+        per column."""
         if self.matrix is None:
-            return _mapped_step(self.apply(w), w, w_prev, scale, self.eig_interval)
+            return _mapped_step(self.apply(w), w, w_prev, scale, iv)
         self._count(w)
-        y = self._folded() @ w
+        y = self._folded(iv) @ w
         if scale != 2.0:
             y *= 0.5 * scale
         if w_prev is not None:
@@ -173,15 +172,14 @@ class MatrixOracle:
         return y
 
     @classmethod
-    def from_matrix(cls, matrix, eig_interval: Interval | None,
-                    counter: MatvecCounter | None = None) -> "MatrixOracle":
+    def from_matrix(cls, matrix, counter: MatvecCounter | None = None) -> "MatrixOracle":
         """Oracle of an explicit dense array or scipy sparse matrix."""
         if not scipy.sparse.issparse(matrix):
             matrix = np.asarray(matrix, dtype=float)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ParameterError(f"expected a square matrix, got {matrix.shape}")
         return cls(dim=matrix.shape[0], matvec=lambda x: matrix @ x,
-                   eig_interval=eig_interval, counter=counter, matrix=matrix)
+                   counter=counter, matrix=matrix)
 
 
 @dataclass
@@ -277,11 +275,11 @@ def _thread_count() -> int:
         return 1
 
 
-def _bilinear_block(oracle: MatrixOracle, coeffs: np.ndarray, n: int,
+def _bilinear_block(oracle: MatrixOracle, iv: Interval, coeffs: np.ndarray, n: int,
                     probes: np.ndarray) -> np.ndarray:
     """Per-column sums sum_{k <= n} c_k mu_k, mu_k = v^T T_k(B) v, over the
-    columns v of a (d, m) probe block, B = (2A - (b+a)I)/(b-a); ceil(n/2)
-    matvecs per column.
+    columns v of a (d, m) probe block, B = (2A - (b+a)I)/(b-a) on
+    iv = [a, b]; ceil(n/2) matvecs per column.
 
     Only w_j = T_j(B) v for j <= ceil(n/2) is formed by the three-term
     recurrence: T_{2j} = 2 T_j^2 - T_0 and T_{2j+1} = 2 T_{j+1} T_j - T_1
@@ -291,12 +289,12 @@ def _bilinear_block(oracle: MatrixOracle, coeffs: np.ndarray, n: int,
     acc = coeffs[0] * mu0
     if n == 0:
         return acc
-    w_prev, w = probes, oracle.step(probes, None, 1.0)
+    w_prev, w = probes, oracle.step(probes, None, 1.0, iv)
     mu1 = np.einsum("dk,dk->k", probes, w)
     acc = acc + coeffs[1] * mu1
     for k in range(2, n + 1):
         if k % 2:
-            w_prev, w = w, oracle.step(w, w_prev, 2.0)
+            w_prev, w = w, oracle.step(w, w_prev, 2.0, iv)
             acc += coeffs[k] * (2.0 * np.einsum("dk,dk->k", w, w_prev) - mu1)
         else:
             acc += coeffs[k] * (2.0 * np.einsum("dk,dk->k", w, w) - mu0)
@@ -336,14 +334,6 @@ def _map_probe_chunks(plan: ProbePlan, dim: int, block_fn) -> list:
     return [run(s) for s in starts]
 
 
-def _check_interval(series: ChebSeries, op) -> None:
-    if series.interval != op.eig_interval:
-        raise ParameterError(
-            f"series interval {series.interval} does not match the oracle's "
-            f"declared eigenvalue interval {op.eig_interval}"
-        )
-
-
 def _finite(rows: np.ndarray, start: int, n: int) -> np.ndarray:
     if not np.all(np.isfinite(rows)):
         raise NumericError(f"non-finite estimate in probe block starting at {start}, degree {n}")
@@ -353,8 +343,10 @@ def _finite(rows: np.ndarray, start: int, n: int) -> np.ndarray:
 def _evaluate(kernel, op, series: ChebSeries, plan: ProbePlan,
               dist: DegreeDistribution | None = None, n: int | None = None, zero=None):
     """One evaluation: the mean over the plan's probes of the rows
-    ``kernel(op, coeffs, n, probes)``, (m,) + shape for a (d, m) block;
-    the kernels are ``_bilinear_block`` and ``grad_est._adjoint_block``.
+    ``kernel(op, series.interval, coeffs, n, probes)``, (m,) + shape for a
+    (d, m) block; the kernels are ``_bilinear_block`` and
+    ``grad_est._adjoint_block``, and the series' interval is the only one
+    their steps see.
 
     With ``dist``, n is the plan's degree (drawn from ``dist`` on first
     use) and the coefficients are re-weighted for it; without, the plain
@@ -362,7 +354,6 @@ def _evaluate(kernel, op, series: ChebSeries, plan: ProbePlan,
     A degree-0 draw returns ``zero`` when one is given, without building
     probes or touching the oracle.
     """
-    _check_interval(series, op)
     if dist is None:
         if n < 0 or n > series.degree:
             raise ParameterError(f"degree {n} outside stored series degree {series.degree}")
@@ -373,7 +364,7 @@ def _evaluate(kernel, op, series: ChebSeries, plan: ProbePlan,
             return zero
         coeffs = weighted_coefficients(series, dist, n)
     rows = _map_probe_chunks(plan, op.dim, lambda probes, start: _finite(
-        kernel(op, coeffs, n, probes), start, n))
+        kernel(op, series.interval, coeffs, n, probes), start, n))
     return np.concatenate(rows).mean(axis=0)
 
 
@@ -385,7 +376,6 @@ def _evaluate_batch(kernel, block_cols: int, op, series: ChebSeries,
     block holds that sample alone.  Samples are grouped by drawn degree
     into blocks of about ``block_cols`` probe columns; ``zero`` is the
     degree-0 rule of ``_evaluate``."""
-    _check_interval(series, op)
     degrees = np.array(
         [sample_degree(dist, degree_rng(master_seed, t)) for t in range(num_samples)]
     )
@@ -402,7 +392,7 @@ def _evaluate_batch(kernel, block_cols: int, op, series: ChebSeries,
         for start in range(0, idx.size, block_samples):
             chunk = idx[start : start + block_samples]
             probes = np.hstack([_probe_columns(op.dim, master_seed, int(t), 0, M) for t in chunk])
-            rows = _finite(kernel(op, coeffs, n, probes), 0, n)
+            rows = _finite(kernel(op, series.interval, coeffs, n, probes), 0, n)
             out[chunk] = rows.reshape((chunk.size, M) + shape).mean(axis=1)
     return out
 
@@ -413,9 +403,10 @@ def estimate_spectral_sum_fixed(
     """Fixed-degree estimate (1/M) sum_k v_k^T p_n(A) v_k.
 
     Biased unless f is a polynomial of degree <= n; the building block of
-    the unbiased estimator below.  ``A`` may be any oracle with ``dim``,
-    ``eig_interval`` and ``step``: a ``MatrixOracle``, ``LowRankPSD`` or
-    ``ParamMatrixOracle``.  Leaves the plan's degree alone.
+    the unbiased estimator below.  ``A`` may be any oracle with ``dim``
+    and ``step``: a ``MatrixOracle``, ``LowRankPSD`` or
+    ``ParamMatrixOracle``; the series' interval must contain its spectrum.
+    Leaves the plan's degree alone.
     """
     return float(_evaluate(_bilinear_block, A, series, plan, n=n))
 
@@ -479,7 +470,9 @@ def power_method_bound(A: MatrixOracle, iters: int, seed: int) -> float:
 class Expansion:
     """What the estimators need of f besides the operator: its Chebyshev
     series on the eigenvalue interval and the truncation-degree
-    distribution.  ``f`` is None for a polynomial series."""
+    distribution.  The series' interval is the one declaration of where
+    the spectrum lies; every recurrence step is mapped onto it.  ``f`` is
+    None for a polynomial series."""
 
     f: Callable[[float], float] | None
     series: ChebSeries
@@ -513,7 +506,7 @@ def expansion_for(matvec: Callable[[np.ndarray], np.ndarray], dim: int,
     distribution's geometric tail holds ~1e-13 of the mass, kept within
     [60, 1000]; ``kind`` and ``neg_r`` name the degree distribution.
     """
-    upper = power_method_bound(MatrixOracle(dim=dim, matvec=matvec, eig_interval=None), 50, seed)
+    upper = power_method_bound(MatrixOracle(dim=dim, matvec=matvec), 50, seed)
     interval = Interval(lower, max(upper, 2.0 * lower))
     rho = rho_from_endpoint_singularity(interval)
     degree = min(max(mean_degree + 1 + math.ceil(math.log(1e13) / math.log(rho)), 60), 1000)

@@ -337,14 +337,14 @@ def _completion_model(
     refresh_every: int,
 ) -> SpectralModel:
     def oracle_at(theta):
-        return LowRankPSD(theta, problem.epsilon, model.expansion.interval, counter=counter)
+        return LowRankPSD(theta, problem.epsilon, counter=counter)
 
     def refresh(theta, seed, mean_degree):
-        return expansion_for(LowRankPSD(theta, problem.epsilon, None).mv, theta.shape[0],
+        # uncounted: the matvec budget covers the estimators only
+        return expansion_for(LowRankPSD(theta, problem.epsilon).mv, theta.shape[0],
                              np.sqrt, problem.epsilon, mean_degree, seed, dist_kind, neg_r)
 
-    model = SpectralModel(oracle_at, refresh, refresh_every=refresh_every)
-    return model
+    return SpectralModel(oracle_at, refresh, refresh_every=refresh_every)
 
 
 def completion_train(
@@ -491,9 +491,9 @@ class GPProblem:
     sq_dists: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.x = np.atleast_2d(np.asarray(self.x, dtype=float))
-        if self.x.shape[0] < self.x.shape[1]:
-            self.x = self.x.T
+        self.x = np.asarray(self.x, dtype=float)
+        if self.x.ndim == 1:
+            self.x = self.x[:, None]
         self.y = np.asarray(self.y, dtype=float)
         self.theta = np.asarray(self.theta, dtype=float)
         if self.theta.shape != (3,) or np.any(self.theta <= 0):
@@ -566,7 +566,7 @@ def gp_negloglik(
                               mean_degree, seed)
     plan = ProbePlan(seed, m_probes)
     logdet_est = estimate_spectral_sum_unbiased(
-        MatrixOracle.from_matrix(a_mat, expansion.interval),
+        MatrixOracle.from_matrix(a_mat),
         expansion.to_degree(plan.draw_degree(expansion.dist)).series, expansion.dist, plan,
     )
     return 0.5 * float(gp.y @ alpha) + 0.5 * logdet_est + const
@@ -648,7 +648,6 @@ def _gp_model(gp: GPProblem, iterate_at: Callable[[np.ndarray], _GPIterate],
             theta=np.asarray(phi, dtype=float),
             apply=lambda _phi, x: iterate.kernel @ x,
             apply_partial=lambda i, _phi, x: iterate.partial_mv(i, x),
-            eig_interval=model.expansion.interval,
             counter=counter,
         )
 
@@ -658,8 +657,7 @@ def _gp_model(gp: GPProblem, iterate_at: Callable[[np.ndarray], _GPIterate],
         return expansion_for(lambda x: a_mat @ x, gp.dim, lambda x: 0.5 * np.log(x),
                              0.5 * np.exp(phi)[0] ** 2, mean_degree, seed)
 
-    model = SpectralModel(oracle_at, refresh, refresh_every=refresh_every)
-    return model
+    return SpectralModel(oracle_at, refresh, refresh_every=refresh_every)
 
 
 def gp_exact_nll_grad_logspace(gp: GPProblem, phi: np.ndarray) -> np.ndarray:

@@ -43,7 +43,7 @@ def criterion(num, title):
     print(f"\n[criterion {num:2d}] PASS - {title} ({time.time() - started:.1f}s)")
 
 
-def affine_param_oracle(base, partials, theta, interval):
+def affine_param_oracle(base, partials, theta):
     partials = [np.asarray(p, dtype=float) for p in partials]
 
     def apply(th, x):
@@ -58,7 +58,6 @@ def affine_param_oracle(base, partials, theta, interval):
         theta=np.asarray(theta, dtype=float),
         apply=apply,
         apply_partial=lambda i, th, x: partials[i] @ x,
-        eig_interval=interval,
     )
 
 
@@ -68,7 +67,7 @@ def test_criterion_1_unbiased_logdet():
         rng = np.random.default_rng(101)
         matrix = random_spd(rng, 50, 0.3, 2.5)
         interval = sc.Interval(0.25, 2.6)
-        oracle = sc.MatrixOracle.from_matrix(matrix, interval)
+        oracle = sc.MatrixOracle.from_matrix(matrix)
         series = sc.compute_coefficients(np.log, interval, degree=300)
         rho_est = sc.estimate_rho(series, 5, 35)
         dist = sc.optimal_distribution(rho_est, 10)
@@ -159,7 +158,7 @@ def test_criterion_5_gradient_unbiasedness():
         b2 = random_symmetric(rng, 12, 0.05)
         theta = np.array([0.4, -0.3])
         interval = sc.Interval(0.3, 3.2)
-        oracle = affine_param_oracle(base, [b1, b2], theta, interval)
+        oracle = affine_param_oracle(base, [b1, b2], theta)
         a_dense = base + theta[0] * b1 + theta[1] * b2
         fprime = lambda x: 0.5 / np.sqrt(x)
         exact = exact_spectral_grad_generic(a_dense, [b1, b2], fprime)
@@ -192,8 +191,8 @@ def test_criterion_6_lowrank_identity():
             theta = rng.uniform(0.1, 0.9, size=(d, r))
             eps = float(rng.uniform(0.15, 0.5))
             b_hi = (eps + float(np.linalg.norm(theta, 2)) ** 2) * 1.1
-            lr = sc.LowRankPSD(theta, eps, sc.Interval(eps * 0.999, b_hi))
-            series = sc.compute_coefficients(np.sqrt, lr.eig_interval, degree=40)
+            lr = sc.LowRankPSD(theta, eps)
+            series = sc.compute_coefficients(np.sqrt, sc.Interval(eps * 0.999, b_hi), degree=40)
             dist = sc.deterministic_distribution(n)
             seed = int(rng.integers(0, 2**31))
             low = sc.grad_estimate_lowrank(lr, series, dist, sc.ProbePlan(seed, 2))
@@ -213,10 +212,10 @@ def test_criterion_6_lowrank_identity():
 
             pm = sc.ParamMatrixOracle(
                 dim=d, param_dim=d * r, theta=theta.reshape(-1).copy(),
-                apply=apply, apply_partial=apply_partial, eig_interval=lr.eig_interval,
+                apply=apply, apply_partial=apply_partial,
             )
             gen = sc.grad_estimate_generic(pm, series, dist, sc.ProbePlan(seed, 2))
-            assert np.max(np.abs(low.value - gen.value.reshape(d, r))) <= 1e-10
+            assert np.max(np.abs(low - gen.reshape(d, r))) <= 1e-10
 
 
 def test_criterion_7_appendix_lemma_properties():
@@ -240,10 +239,9 @@ def test_criterion_8_sgd_rate_shape():
         base = (basis * rng.uniform(0.8, 1.8, dim)) @ basis.T
         partials = [random_symmetric(rng, dim, 0.15), random_symmetric(rng, dim, 0.15)]
         interval = sc.Interval(0.2, 2.8)
-        oracle_proto = affine_param_oracle(base, partials, [0.0, 0.0], interval)
         series = sc.series_from_polynomial([0.0, 0.0, 1.0], interval, degree=60)
         model = sc.SpectralModel(
-            lambda th: affine_param_oracle(base, partials, th, interval),
+            lambda th: affine_param_oracle(base, partials, th),
             lambda th, s, n: sc.Expansion(None, series, sc.optimal_distribution(2.0, n)),
         )
         gram = np.array([[np.sum(a * b) for b in partials] for a in partials])
@@ -277,24 +275,26 @@ def test_criterion_9_svrg_control_variate():
         interval = sc.Interval(0.2, 3.0)
         series = sc.series_from_polynomial([0.0, 0.0, 1.0], interval, degree=60)
         model = sc.SpectralModel(
-            lambda th: affine_param_oracle(base, partials, th, interval),
+            lambda th: affine_param_oracle(base, partials, th),
             lambda th, s, n: sc.Expansion(None, series, sc.optimal_distribution(2.0, n)),
         )
         model.ensure(np.zeros(2), 0, 0, 4)
         anchor_theta = np.array([0.3, -0.2])
-        cur = model.grad_sample(anchor_theta, sc.ProbePlan(4242, 2))
-        again = model.grad_sample(anchor_theta, sc.ProbePlan(4242, 2, degree=cur.degree))
-        assert np.array_equal(cur.value, again.value)  # correction is exactly zero
+        plan = sc.ProbePlan(4242, 2)
+        cur = model.grad_sample(anchor_theta, plan)
+        again = model.grad_sample(anchor_theta, sc.ProbePlan(4242, 2, degree=plan.degree))
+        assert np.array_equal(cur, again)  # correction is exactly zero
 
         theta_near = anchor_theta + 1e-2
         a_anchor = base + anchor_theta[0] * partials[0] + anchor_theta[1] * partials[1]
         mu = exact_spectral_grad_generic(a_anchor, partials, lambda x: 2.0 * x)
         plain, reduced = [], []
         for seed in range(1000):
-            g_cur = model.grad_sample(theta_near, sc.ProbePlan(seed, 1))
-            g_anchor = model.grad_sample(anchor_theta, sc.ProbePlan(seed, 1, degree=g_cur.degree))
-            plain.append(g_cur.value)
-            reduced.append(g_cur.value - g_anchor.value + mu)
+            plan = sc.ProbePlan(seed, 1)
+            g_cur = model.grad_sample(theta_near, plan)
+            g_anchor = model.grad_sample(anchor_theta, sc.ProbePlan(seed, 1, degree=plan.degree))
+            plain.append(g_cur)
+            reduced.append(g_cur - g_anchor + mu)
         assert float(np.var(reduced, axis=0).sum()) < float(np.var(plain, axis=0).sum())
 
         # (c): completion fixture, SVRG reaches SGD's final objective at
@@ -367,7 +367,7 @@ def test_criterion_11_gp_pipeline():
         # estimated gradient: CG data term (deterministic) + sampled logdet part
         a_mat = gp.kernel()
         lower = 0.5 * theta_init[0] ** 2
-        probe = sc.MatrixOracle.from_matrix(a_mat, sc.Interval(lower, lower + 1))
+        probe = sc.MatrixOracle.from_matrix(a_mat)
         upper = max(sc.power_method_bound(probe, 50, 3), 2 * lower)
         interval = sc.Interval(lower, upper)
         from spectral_cheb.tasks import _gp_partials_logspace
@@ -377,7 +377,6 @@ def test_criterion_11_gp_pipeline():
             dim=200, param_dim=3, theta=phi,
             apply=lambda th, v: a_mat @ v,
             apply_partial=lambda i, th, v: partials[i] @ v,
-            eig_interval=interval,
         )
         rho = sc.rho_from_endpoint_singularity(interval)
         series = sc.compute_coefficients(lambda t: 0.5 * np.log(t), interval, degree=300)

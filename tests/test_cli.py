@@ -65,6 +65,14 @@ class TestVarianceBench:
                      "--dist", "opt", "--out", str(out)])
         assert code == 1 and not out.exists()
 
+    @pytest.mark.parametrize("degree", ["0", "-3"])
+    def test_degree_below_one_is_config_error(self, tmp_path, capsys, degree):
+        out = tmp_path / "v.csv"
+        code = main(["variance-bench", "--func", "exp", "--rho", "4.0", "--N", degree,
+                     "--out", str(out)])
+        assert code == 1 and not out.exists()
+        assert f"--N must be at least 1, got {degree}" in capsys.readouterr().err
+
     def test_quadrature_resolves_closed_form_coefficients(self):
         # log(h (x0 + t)) = log(h rho / 2) + sum_m 2 (-1)^(m+1) T_m(t) / (m rho^m)
         # and exp(c + h t) = e^c (I_0(h) + 2 sum_m I_m(h) T_m(t)), to the
@@ -226,6 +234,20 @@ class TestArgumentHandling:
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args([command, "--train", "x.csv", *flags])
         assert exc.value.code == 1
+
+    @pytest.mark.parametrize("spec", ["neg(abc)", "neg()"])
+    @pytest.mark.parametrize("command", ["variance-bench", "estimate", "mc-train"])
+    def test_malformed_distribution_is_config_error(self, tmp_path, capsys, command, spec):
+        out = str(tmp_path / "o.csv")
+        argv = {
+            "variance-bench": ["variance-bench", "--func", "exp", "--rho", "4.0", "--out", out],
+            "estimate": ["estimate", str(write_identity(tmp_path)), "--func", "exp",
+                         "--a", "0", "--b", "2"],
+            "mc-train": ["mc-train", "--train", FIXTURE_RATINGS, "--out", out],
+        }[command]
+        assert main([*argv, "--dist", spec]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and spec in err
 
     def test_help_lists_flags(self):
         proc = run_cli(["mc-train", "--help"])

@@ -26,7 +26,7 @@ from spectral_cheb.degree_dist import (
     poisson_distribution,
     sample_degree,
 )
-from spectral_cheb.exceptions import ParameterError, ParseError
+from spectral_cheb.exceptions import ParseError
 from spectral_cheb.grad_est import LowRankPSD, ParamMatrixOracle
 from spectral_cheb.probes import (
     Expansion,
@@ -46,9 +46,10 @@ from spectral_cheb.reference import exact_spectral_sum
 
 
 def spd_oracle(rng, dim, lo=0.2, hi=2.0, margin=0.05, counter=None):
+    """(matrix, oracle, interval holding the matrix's spectrum)."""
     matrix = random_spd(rng, dim, lo, hi)
     iv = Interval(lo * (1 - margin), hi * (1 + margin))
-    return matrix, MatrixOracle.from_matrix(matrix, iv, counter=counter)
+    return matrix, MatrixOracle.from_matrix(matrix, counter=counter), iv
 
 
 class TestRademacher:
@@ -76,10 +77,9 @@ class TestRademacher:
 def _step_oracles(rng, dim, counter):
     """(name, dense A, oracle) for every kind of recurrence step: a folded
     CSR and dense matrix, a callable matvec, a low-rank factor and a
-    parametric oracle, all on one interval."""
-    iv = Interval(0.1, 5.0)
+    parametric oracle."""
     theta = rng.uniform(-0.6, 0.6, size=(dim, 3))
-    lowrank = LowRankPSD(theta, 0.3, iv, counter=counter)
+    lowrank = LowRankPSD(theta, 0.3, counter=counter)
     dense = random_spd(rng, dim, 0.3, 4.0)
     sparse = scipy.sparse.random(dim, dim, density=0.2, random_state=rng)
     sparse = (sparse + sparse.T + 3.0 * scipy.sparse.identity(dim)).tocsr()
@@ -88,19 +88,19 @@ def _step_oracles(rng, dim, counter):
         dim=dim, param_dim=1, theta=np.array([0.5]),
         apply=lambda th, x: dense @ x + th[0] * (partial @ x),
         apply_partial=lambda i, th, x: partial @ x,
-        eig_interval=iv, counter=counter)
+        counter=counter)
     return [
-        ("csr", sparse.toarray(), MatrixOracle.from_matrix(sparse, iv, counter=counter)),
-        ("dense", dense, MatrixOracle.from_matrix(dense, iv, counter=counter)),
+        ("csr", sparse.toarray(), MatrixOracle.from_matrix(sparse, counter=counter)),
+        ("dense", dense, MatrixOracle.from_matrix(dense, counter=counter)),
         ("callable", dense, MatrixOracle(dim=dim, matvec=lambda x: dense @ x,
-                                         eig_interval=iv, counter=counter)),
+                                         counter=counter)),
         ("lowrank", lowrank.dense(), lowrank),
         ("param", dense + 0.5 * partial, param),
     ]
 
 
 class TestStep:
-    """``step(w, w_prev, scale)`` = scale * B w - w_prev on every oracle."""
+    """``step(w, w_prev, scale, iv)`` = scale * B w - w_prev on every oracle."""
 
     @pytest.mark.parametrize("scale", [1.0, 2.0])
     @pytest.mark.parametrize("with_prev", [False, True])
@@ -110,8 +110,8 @@ class TestStep:
         dim = 40
         shape = (dim,) if cols is None else (dim, cols)
         counter = MatvecCounter()
+        iv = Interval(0.1, 5.0)
         for name, matrix, oracle in _step_oracles(rng, dim, counter):
-            iv = oracle.eig_interval
             w = rng.standard_normal(shape)
             w_prev = rng.standard_normal(shape) if with_prev else None
             for arr in (w, w_prev):
@@ -119,7 +119,7 @@ class TestStep:
                     arr.flags.writeable = False
             kept = [w.copy(), None if w_prev is None else w_prev.copy()]
             counter.count = 0
-            got = oracle.step(w, w_prev, scale)
+            got = oracle.step(w, w_prev, scale, iv)
             assert counter.count == (1 if cols is None else cols), name
             want = scale * (2.0 * (matrix @ w) - (iv.b + iv.a) * w) / iv.width
             if with_prev:
@@ -133,39 +133,45 @@ class TestStep:
                 assert not np.may_share_memory(got, w_prev), name
 
     def test_identity_matvec_operands_not_overwritten(self):
-        identity = MatrixOracle(dim=5, matvec=lambda x: x, eig_interval=Interval(0.0, 4.0))
+        identity = MatrixOracle(dim=5, matvec=lambda x: x)
         w = np.arange(5.0)
         w_prev = np.ones(5)
-        got = identity.step(w, w_prev, 2.0)  # B = -I/2
+        got = identity.step(w, w_prev, 2.0, Interval(0.0, 4.0))  # B = -I/2
         np.testing.assert_array_equal(w, np.arange(5.0))
         np.testing.assert_array_equal(w_prev, np.ones(5))
         np.testing.assert_array_equal(got, -w - w_prev)
 
     def test_fold_follows_the_declared_interval(self):
         matrix = np.diag([1.0, 2.0, 3.0])
-        oracle = MatrixOracle.from_matrix(matrix, Interval(0.0, 4.0))
-        oracle.eig_interval = Interval(0.5, 3.5)
+        oracle = MatrixOracle.from_matrix(matrix)
         w = np.ones(3)
-        np.testing.assert_allclose(oracle.step(w, None, 1.0), (2.0 * np.diag(matrix) - 4.0) / 3.0,
-                                   rtol=0, atol=1e-15)
+        np.testing.assert_allclose(oracle.step(w, None, 1.0, Interval(0.0, 4.0)),
+                                   (2.0 * np.diag(matrix) - 4.0) / 4.0, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(oracle.step(w, None, 1.0, Interval(0.5, 3.5)),
+                                   (2.0 * np.diag(matrix) - 4.0) / 3.0, rtol=0, atol=1e-15)
 
-    def test_refold_under_concurrent_steps(self):
+    def test_refold_under_concurrent_steps(self, monkeypatch):
         # probe chunks step one oracle from several threads; after the
-        # declared interval changes, whichever thread refolds, every step
-        # must use a fold of the new interval
+        # interval changes, the fold of the new interval is built once and
+        # every step uses it
         import sys
         import threading
 
-        matrix = grid_laplacian_oracle(12).matvec(np.eye(144))
-        oracle = MatrixOracle.from_matrix(scipy.sparse.csr_matrix(matrix), Interval(0.4, 9.0))
+        matrix = grid_laplacian_oracle(12)[0].matvec(np.eye(144))
+        oracle = MatrixOracle.from_matrix(scipy.sparse.csr_matrix(matrix))
         w = np.random.default_rng(61).standard_normal((144, 8))
-        oracle.eig_interval = Interval(0.3, 9.5)
-        serial = MatrixOracle.from_matrix(matrix, oracle.eig_interval).step(w, None, 2.0)
+        oracle.step(w, None, 2.0, Interval(0.4, 9.0))
+        iv = Interval(0.3, 9.5)
+        serial = MatrixOracle.from_matrix(matrix).step(w, None, 2.0, iv)
+        folds = []
+        real_fold = probes_module._fold_interval
+        monkeypatch.setattr(probes_module, "_fold_interval",
+                            lambda m, i: folds.append(i) or real_fold(m, i))
         results, errors = [], []
 
         def call():
             try:
-                results.append(oracle.step(w, None, 2.0))
+                results.append(oracle.step(w, None, 2.0, iv))
             except Exception as exc:  # surfaced by the assertion below
                 errors.append(exc)
 
@@ -180,7 +186,7 @@ class TestStep:
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads) and errors == []
-        assert len(results) == 8
+        assert len(results) == 8 and folds == [iv]
         for got in results:
             np.testing.assert_allclose(got, serial, rtol=0, atol=1e-13)
 
@@ -204,7 +210,7 @@ class TestProbeFill:
 class TestFixedEstimator:
     def test_identity_trace_exact(self):
         iv = Interval(0.0, 2.0)
-        oracle = MatrixOracle.from_matrix(np.eye(6), iv)
+        oracle = MatrixOracle.from_matrix(np.eye(6))
         series = series_from_polynomial([0.0, 1.0], iv)
         vals = [
             estimate_spectral_sum_fixed(oracle, series, 1, ProbePlan(seed, 4))
@@ -214,7 +220,7 @@ class TestFixedEstimator:
 
     def test_diag_square_mean(self):
         iv = Interval(0.0, 2.5)
-        oracle = MatrixOracle.from_matrix(np.diag([1.0, 2.0]), iv)
+        oracle = MatrixOracle.from_matrix(np.diag([1.0, 2.0]))
         series = series_from_polynomial([0.0, 0.0, 1.0], iv)
         est = estimate_spectral_sum_fixed(oracle, series, 2, ProbePlan(77, 10**5))
         # single-probe variance measured empirically below 3 sigma of the mean
@@ -226,8 +232,8 @@ class TestFixedEstimator:
 
     def test_recurrence_matches_dense_polynomial(self):
         rng = np.random.default_rng(10)
-        matrix, oracle = spd_oracle(rng, 12)
-        series = compute_coefficients(np.exp, oracle.eig_interval, degree=25)
+        matrix, oracle, iv = spd_oracle(rng, 12)
+        series = compute_coefficients(np.exp, iv, degree=25)
         plan = ProbePlan(3, 1)
         est = estimate_spectral_sum_fixed(oracle, series, 25, plan)
         v = rademacher_probe(12, probe_rng(3, 0))
@@ -238,21 +244,15 @@ class TestFixedEstimator:
     def test_exact_matvec_budget(self):
         counter = MatvecCounter()
         rng = np.random.default_rng(11)
-        _, oracle = spd_oracle(rng, 8, counter=counter)
-        series = compute_coefficients(np.exp, oracle.eig_interval, degree=30)
+        _, oracle, iv = spd_oracle(rng, 8, counter=counter)
+        series = compute_coefficients(np.exp, iv, degree=30)
         estimate_spectral_sum_fixed(oracle, series, 17, ProbePlan(1, 5))
         assert counter.count == 9 * 5
 
-    def test_interval_mismatch(self):
-        oracle = MatrixOracle.from_matrix(np.eye(3), Interval(0, 2))
-        series = compute_coefficients(np.exp, Interval(0, 3), degree=5)
-        with pytest.raises(ParameterError, match="interval"):
-            estimate_spectral_sum_fixed(oracle, series, 5, ProbePlan(0, 1))
-
     def test_error_shrinks_with_probes(self):
         rng = np.random.default_rng(12)
-        matrix, oracle = spd_oracle(rng, 20)
-        series = compute_coefficients(np.exp, oracle.eig_interval, degree=40)
+        matrix, oracle, iv = spd_oracle(rng, 20)
+        series = compute_coefficients(np.exp, iv, degree=40)
         truth = exact_spectral_sum(matrix, np.exp)
         dist = deterministic_distribution(40)
         stds = []
@@ -268,7 +268,7 @@ class TestFixedEstimator:
 class TestUnbiasedEstimator:
     def test_polynomial_deterministic_matches_fixed(self):
         iv = Interval(0.0, 3.0)
-        oracle = MatrixOracle.from_matrix(np.diag([0.5, 1.5, 2.5]), iv)
+        oracle = MatrixOracle.from_matrix(np.diag([0.5, 1.5, 2.5]))
         series = series_from_polynomial([1.0, -2.0, 0.5, 0.25], iv)
         plan_a = ProbePlan(5, 8)
         plan_b = ProbePlan(5, 8)
@@ -281,9 +281,9 @@ class TestUnbiasedEstimator:
 
     def test_logdet_unbiased_50x50(self):
         rng = np.random.default_rng(14)
-        matrix, oracle = spd_oracle(rng, 50, lo=0.3, hi=2.5)
-        series = compute_coefficients(np.log, oracle.eig_interval, degree=300)
-        rho = rho_from_endpoint_singularity(oracle.eig_interval)
+        matrix, oracle, iv = spd_oracle(rng, 50, lo=0.3, hi=2.5)
+        series = compute_coefficients(np.log, iv, degree=300)
+        rho = rho_from_endpoint_singularity(iv)
         dist = optimal_distribution(rho, 10)
         truth = exact_spectral_sum(matrix, np.log)
         ests = sample_spectral_sums(oracle, series, dist, 21, 10**4, M=1)
@@ -292,9 +292,9 @@ class TestUnbiasedEstimator:
 
     def test_poisson_unbiased_but_noisier(self):
         rng = np.random.default_rng(15)
-        matrix, oracle = spd_oracle(rng, 30, lo=0.3, hi=2.5)
-        series = compute_coefficients(np.log, oracle.eig_interval, degree=300)
-        rho = rho_from_endpoint_singularity(oracle.eig_interval)
+        matrix, oracle, iv = spd_oracle(rng, 30, lo=0.3, hi=2.5)
+        series = compute_coefficients(np.log, iv, degree=300)
+        rho = rho_from_endpoint_singularity(iv)
         truth = exact_spectral_sum(matrix, np.log)
         opt = sample_spectral_sums(oracle, series, optimal_distribution(rho, 8), 22, 4000, M=1)
         pois = sample_spectral_sums(oracle, series, poisson_distribution(8), 22, 4000, M=1)
@@ -303,8 +303,8 @@ class TestUnbiasedEstimator:
 
     def test_batch_reproduces_single_calls(self):
         rng = np.random.default_rng(16)
-        _, oracle = spd_oracle(rng, 9)
-        series = compute_coefficients(np.exp, oracle.eig_interval, degree=60)
+        _, oracle, iv = spd_oracle(rng, 9)
+        series = compute_coefficients(np.exp, iv, degree=60)
         dist = optimal_distribution(2.0, 4)
         batch = sample_spectral_sums(oracle, series, dist, 31, 1, M=3)
         single = estimate_spectral_sum_unbiased(oracle, series, dist, ProbePlan(31, 3))
@@ -312,8 +312,8 @@ class TestUnbiasedEstimator:
 
     def test_thread_count_does_not_change_bits(self, monkeypatch):
         rng = np.random.default_rng(17)
-        _, oracle = spd_oracle(rng, 15)
-        series = compute_coefficients(np.exp, oracle.eig_interval, degree=40)
+        _, oracle, iv = spd_oracle(rng, 15)
+        series = compute_coefficients(np.exp, iv, degree=40)
         dist = optimal_distribution(2.0, 6)
         monkeypatch.setenv("SPECTRAL_CHEB_THREADS", "1")
         serial = estimate_spectral_sum_unbiased(oracle, series, dist, ProbePlan(9, 130))
@@ -326,8 +326,8 @@ class TestUnbiasedEstimator:
         import threading
 
         rng = np.random.default_rng(18)
-        _, oracle = spd_oracle(rng, 15)
-        series = compute_coefficients(np.exp, oracle.eig_interval, degree=40)
+        _, oracle, iv = spd_oracle(rng, 15)
+        series = compute_coefficients(np.exp, iv, degree=40)
         dist = optimal_distribution(2.0, 6)
         monkeypatch.setenv("SPECTRAL_CHEB_THREADS", "1")
         serial = estimate_spectral_sum_unbiased(oracle, series, dist, ProbePlan(9, 130))
@@ -361,14 +361,15 @@ class TestUnbiasedEstimator:
 
 
 def grid_laplacian_oracle(grid, shift=0.5):
-    """Sparse 2-D grid Laplacian + shift I, spectrum inside [shift, shift + 8]."""
+    """Sparse 2-D grid Laplacian + shift I as an oracle, with an interval
+    holding its spectrum, which lies inside [shift, shift + 8]."""
     line = scipy.sparse.diags([2.0 * np.ones(grid), -np.ones(grid - 1), -np.ones(grid - 1)],
                               [0, 1, -1])
     eye = scipy.sparse.identity(grid)
     matrix = (scipy.sparse.kron(line, eye) + scipy.sparse.kron(eye, line)
               + shift * scipy.sparse.identity(grid * grid)).tocsr()
-    return MatrixOracle(dim=grid * grid, matvec=lambda x: matrix @ x,
-                        eig_interval=Interval(0.9 * shift, shift + 8.5))
+    return (MatrixOracle(dim=grid * grid, matvec=lambda x: matrix @ x),
+            Interval(0.9 * shift, shift + 8.5))
 
 
 class TestMomentDoubling:
@@ -390,7 +391,8 @@ class TestMomentDoubling:
         matrix = (basis * iv.from_unit(unit)) @ basis.T
         coeffs = rng.standard_normal(n + 1)
         probes = rng.standard_normal((dim, m))
-        got = probes_module._bilinear_block(MatrixOracle.from_matrix(matrix, iv), coeffs, n, probes)
+        got = probes_module._bilinear_block(MatrixOracle.from_matrix(matrix), iv, coeffs, n,
+                                              probes)
         tol = 1e-12 * np.sum(np.abs(coeffs)) * np.einsum("dk,dk->k", probes, probes)
         assert np.all(np.abs(got - direct_bilinear_sums(matrix, iv, coeffs, n, probes)) <= tol)
         if not at_ends:
@@ -402,8 +404,8 @@ class TestMomentDoubling:
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 16, 17])
     def test_matvec_columns_are_half_the_degree(self, n):
         counter = MatvecCounter()
-        _, oracle = spd_oracle(np.random.default_rng(22), 8, counter=counter)
-        series = compute_coefficients(np.exp, oracle.eig_interval, degree=30)
+        _, oracle, iv = spd_oracle(np.random.default_rng(22), 8, counter=counter)
+        series = compute_coefficients(np.exp, iv, degree=30)
         half = (n + 1) // 2
         estimate_spectral_sum_fixed(oracle, series, n, ProbePlan(1, 37))
         assert counter.count == half * 37
@@ -416,9 +418,9 @@ class TestMomentDoubling:
         assert counter.count == half * 5 * 6
 
     def test_threads_and_reruns_give_identical_bits(self, monkeypatch):
-        oracle = grid_laplacian_oracle(40)  # one chunk is 1600 x 32, above the inline limit
-        series = compute_coefficients(np.log, oracle.eig_interval, degree=80)
-        dist = optimal_distribution(rho_from_endpoint_singularity(oracle.eig_interval), 12)
+        oracle, iv = grid_laplacian_oracle(40)  # one chunk is 1600 x 32, above the inline limit
+        series = compute_coefficients(np.log, iv, degree=80)
+        dist = optimal_distribution(rho_from_endpoint_singularity(iv), 12)
         built = []
         real_pool = probes_module.ThreadPoolExecutor
         monkeypatch.setattr(probes_module, "ThreadPoolExecutor",
@@ -435,8 +437,8 @@ class TestMomentDoubling:
         assert runs[1:] == runs[:1] * 3
 
     def test_small_blocks_run_inline(self, monkeypatch):
-        _, oracle = spd_oracle(np.random.default_rng(23), 30)
-        series = compute_coefficients(np.exp, oracle.eig_interval, degree=30)
+        _, oracle, iv = spd_oracle(np.random.default_rng(23), 30)
+        series = compute_coefficients(np.exp, iv, degree=30)
         monkeypatch.setattr(probes_module, "ThreadPoolExecutor",
                             lambda **kw: pytest.fail("a 30 x 32 chunk started a thread pool"))
         monkeypatch.setattr(probes_module, "_POOLS", {})
@@ -447,7 +449,7 @@ class TestMomentDoubling:
 
     def test_matvec_result_aliasing_an_operand_is_not_overwritten(self):
         iv = Interval(0.0, 2.0)
-        identity = MatrixOracle(dim=5, matvec=lambda x: x, eig_interval=iv)
+        identity = MatrixOracle(dim=5, matvec=lambda x: x)
         series = compute_coefficients(np.exp, iv, degree=12)
         est = estimate_spectral_sum_fixed(identity, series, 12, ProbePlan(2, 3))
         assert est == pytest.approx(5 * float(eval_series(series, np.array([1.0]))[0]), rel=1e-13)
@@ -469,8 +471,7 @@ class TestHutchinsonMoments:
 class TestFixedDegreeBias:
     def test_bias_within_lifted_decay_bound(self):
         rng = np.random.default_rng(19)
-        matrix, oracle = spd_oracle(rng, 20)
-        iv = oracle.eig_interval
+        matrix, oracle, iv = spd_oracle(rng, 20)
         rho = 2.0
         bigU = math.exp((rho + 1.0 / rho) / 2.0)  # |exp| on the mapped ellipse, generous
         series = compute_coefficients(np.exp, iv, degree=40)
@@ -485,18 +486,18 @@ class TestFixedDegreeBias:
 
 class TestPowerMethod:
     def test_diag_spectrum(self):
-        oracle = MatrixOracle.from_matrix(np.diag([1.0, 2.0, 3.0]), Interval(0, 4))
+        oracle = MatrixOracle.from_matrix(np.diag([1.0, 2.0, 3.0]))
         val = power_method_bound(oracle, 50, seed=0)
         assert 3.0 <= val <= 3.3 + 1e-12
 
     def test_identity(self):
-        oracle = MatrixOracle.from_matrix(np.eye(7), Interval(0, 2))
+        oracle = MatrixOracle.from_matrix(np.eye(7))
         assert power_method_bound(oracle, 10, seed=1) == pytest.approx(1.1)
 
     def test_dominates_dense_eigensolver(self):
         rng = np.random.default_rng(20)
         matrix = random_spd(rng, 100, 0.1, 5.0)
-        oracle = MatrixOracle.from_matrix(matrix, Interval(0, 6))
+        oracle = MatrixOracle.from_matrix(matrix)
         lam_max = float(np.linalg.eigvalsh(matrix).max())
         assert power_method_bound(oracle, 100, seed=2) >= lam_max
 
@@ -522,7 +523,7 @@ class TestExpansion:
     def test_builder_interval_degree_and_distribution(self):
         a_mat = random_spd(np.random.default_rng(41), 20, 0.5, 6.0)
         expansion = expansion_for(lambda x: a_mat @ x, 20, np.log, 0.4, 10, seed=3)
-        upper = power_method_bound(MatrixOracle.from_matrix(a_mat, None), 50, 3)
+        upper = power_method_bound(MatrixOracle.from_matrix(a_mat), 50, 3)
         assert expansion.interval == Interval(0.4, upper)
         rho = rho_from_endpoint_singularity(expansion.interval)
         headroom = 11 + math.ceil(math.log(1e13) / math.log(rho))
@@ -578,7 +579,7 @@ class TestProbePlan:
 
     def test_plan_keeps_its_first_drawn_degree(self):
         iv = Interval(0.5, 2.0)
-        oracle = MatrixOracle.from_matrix(np.diag([0.7, 1.1, 1.9]), iv)
+        oracle = MatrixOracle.from_matrix(np.diag([0.7, 1.1, 1.9]))
         series = compute_coefficients(np.exp, iv, degree=80)
         dist = optimal_distribution(2.0, 6)
         plan = ProbePlan(12, 5)
@@ -594,8 +595,8 @@ class TestProbePlan:
 
     def test_shared_plan_matches_fresh_plans(self):
         rng = np.random.default_rng(19)
-        _, oracle = spd_oracle(rng, 10)
-        series = compute_coefficients(np.exp, oracle.eig_interval, degree=40)
+        _, oracle, iv = spd_oracle(rng, 10)
+        series = compute_coefficients(np.exp, iv, degree=40)
         shared = ProbePlan(8, 40)
         for n in (7, 3, 7):
             fresh = estimate_spectral_sum_fixed(oracle, series, n, ProbePlan(8, 40))
@@ -657,18 +658,50 @@ class TestSingleProbeBuilder:
         drawn_in = {scope for path, _, scope in refs if path == "probes.py"}
         assert drawn_in == {None, "draw_degree", "_evaluate_batch"}
 
-    def test_one_interval_check(self):
-        import ast
-        from pathlib import Path
+    def test_step_takes_the_series_interval(self):
+        # no oracle declares an interval of its own: every step, value or
+        # gradient, single or batched, is handed the interval of the series
+        # that the driver holds
+        import dataclasses
+        import inspect
 
-        import spectral_cheb
+        import spectral_cheb.grad_est as grad_est
 
-        sites = []
-        for path in sorted(Path(spectral_cheb.__file__).parent.glob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, ast.Compare):
-                    attrs = {getattr(side, "attr", None)
-                             for side in (node.left, *node.comparators)}
-                    if attrs == {"interval", "eig_interval"}:
-                        sites.append(f"{path.name}:{node.lineno}")
-        assert len(sites) == 1 and sites[0].startswith("probes.py:")
+        classes = (MatrixOracle, LowRankPSD, ParamMatrixOracle)
+        names = {f.name for cls in classes for f in dataclasses.fields(cls)}
+        for fn in (*classes, MatrixOracle.from_matrix):
+            names |= set(inspect.signature(fn).parameters)
+        assert [n for n in names if "interval" in n] == []
+
+        class Recorded:
+            def __init__(self, op):
+                self.op, self.seen = op, []
+
+            def __getattr__(self, name):
+                return getattr(self.op, name)
+
+            def step(self, w, w_prev, scale, iv):
+                self.seen.append(iv)
+                return self.op.step(w, w_prev, scale, iv)
+
+        rng = np.random.default_rng(62)
+        series = compute_coefficients(np.exp, Interval(0.1, 5.0), degree=20)
+        dist = deterministic_distribution(7)
+        for _, _, oracle in _step_oracles(rng, 12, None):
+            runs = [
+                lambda op: estimate_spectral_sum_fixed(op, series, 7, ProbePlan(1, 3)),
+                lambda op: estimate_spectral_sum_unbiased(op, series, dist, ProbePlan(1, 3)),
+                lambda op: sample_spectral_sums(op, series, dist, 1, 2, M=3),
+            ]
+            if isinstance(oracle, LowRankPSD):
+                runs += [lambda op: grad_est.grad_estimate_lowrank(op, series, dist,
+                                                                   ProbePlan(1, 3)),
+                         lambda op: grad_est.sample_lowrank_grads(op, series, dist, 1, 2)]
+            elif isinstance(oracle, ParamMatrixOracle):
+                runs += [lambda op: grad_est.grad_estimate_generic(op, series, dist,
+                                                                   ProbePlan(1, 3)),
+                         lambda op: grad_est.sample_spectral_grads(op, series, dist, 1, 2, M=3)]
+            for run in runs:
+                recorded = Recorded(oracle)
+                run(recorded)
+                assert recorded.seen and all(s is series.interval for s in recorded.seen)

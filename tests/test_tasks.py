@@ -245,6 +245,15 @@ class TestGPNegLogLik:
               + 256 * math.log(2 * math.pi))
         assert gp_negloglik(gp) == pytest.approx(lu, rel=1e-12)
 
+    def test_inputs_are_rows_whatever_their_dimension(self):
+        # 3 points in 5 input dimensions stay 3 points; only a 1-D x becomes a column
+        x = np.random.default_rng(13).uniform(0.0, 4.0, size=(3, 5))
+        gp = GPProblem(x, np.array([0.3, -0.1, 0.7]), np.array([0.5, 1.0, 1.0]))
+        assert gp.x.shape == (3, 5) and gp.dim == 3
+        assert math.isfinite(gp_negloglik(gp))
+        line = GPProblem(np.linspace(0.0, 1.0, 4), np.zeros(4), np.array([0.5, 1.0, 1.0]))
+        assert line.x.shape == (4, 1)
+
     def test_non_pd_kernel_message(self):
         x = np.zeros((5, 1))  # duplicate inputs, zero noise floor
         gp = GPProblem(x, np.ones(5), np.array([1e-12, 1.0, 1.0]))
