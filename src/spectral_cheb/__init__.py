@@ -16,9 +16,6 @@ from .chebyshev import (
     Interval,
     compute_coefficients,
     estimate_rho,
-    eval_series,
-    eval_T,
-    eval_U,
     rho_from_endpoint_singularity,
     series_from_polynomial,
     truncation_error_bound,
@@ -35,9 +32,7 @@ from .degree_dist import (
     poisson_distribution,
     relaxed_objective,
     sample_degree,
-    tabulated_distribution,
     weighted_coefficients,
-    write_pmf_csv,
 )
 from .exceptions import (
     ConvergenceError,
@@ -58,7 +53,6 @@ from .grad_est import (
     sample_lowrank_grads,
     sample_spectral_grads,
     sum_prime_weights,
-    validate_param_oracle,
 )
 from .optimize import (
     IterationRecord,

@@ -1,11 +1,11 @@
 """Scalar Chebyshev machinery.
 
-Coefficient computation by Gauss-Chebyshev quadrature, whose sum over Q
-nodes is a DCT-II evaluated by FFT in O(Q log Q); first/second-kind
-recurrences, Clenshaw evaluation of a series on an arbitrary interval,
-geometric truncation-error bounds, and a least-squares fit of the
-coefficient decay rate for when the analyticity parameters are not known
-in advance.
+Intervals and series, coefficient computation by Gauss-Chebyshev
+quadrature, whose sum over Q nodes is a DCT-II evaluated by FFT in
+O(Q log Q); geometric truncation-error bounds, and a least-squares fit
+of the coefficient decay rate for when the analyticity parameters are
+not known in advance.  The matrix recurrences live with the estimators
+in ``probes`` and ``grad_est``.
 """
 
 from __future__ import annotations
@@ -24,9 +24,6 @@ __all__ = [
     "ChebSeries",
     "compute_coefficients",
     "series_from_polynomial",
-    "eval_T",
-    "eval_U",
-    "eval_series",
     "truncation_error_bound",
     "estimate_rho",
     "rho_from_endpoint_singularity",
@@ -182,53 +179,6 @@ def series_from_polynomial(
     if degree is not None and degree + 1 > coeffs.size:
         coeffs = np.concatenate([coeffs, np.zeros(degree + 1 - coeffs.size)])
     return ChebSeries(interval=interval, coeffs=coeffs)
-
-
-def eval_T(j: int, x):
-    """First-kind Chebyshev polynomial T_j(x) by the three-term recurrence.
-
-    Accepts scalars or arrays; x may lie outside [-1, 1].
-    """
-    if j < 0:
-        raise ParameterError(f"degree must be >= 0, got {j}")
-    x = np.asarray(x, dtype=float)
-    prev = np.ones_like(x)
-    if j == 0:
-        return prev[()] if prev.ndim == 0 else prev
-    cur = x.copy()
-    for _ in range(j - 1):
-        prev, cur = cur, 2.0 * x * cur - prev
-    return cur[()] if cur.ndim == 0 else cur
-
-
-def eval_U(j: int, x):
-    """Second-kind Chebyshev polynomial U_j(x): U_0 = 1, U_1 = 2x."""
-    if j < 0:
-        raise ParameterError(f"degree must be >= 0, got {j}")
-    x = np.asarray(x, dtype=float)
-    prev = np.ones_like(x)
-    if j == 0:
-        return prev[()] if prev.ndim == 0 else prev
-    cur = 2.0 * x
-    for _ in range(j - 1):
-        prev, cur = cur, 2.0 * x * cur - prev
-    return cur[()] if cur.ndim == 0 else cur
-
-
-def eval_series(series: ChebSeries, x):
-    """Evaluate the series at x in [a, b] by the Clenshaw recurrence."""
-    iv = series.interval
-    x_arr = np.asarray(x, dtype=float)
-    if np.any(x_arr < iv.a) or np.any(x_arr > iv.b):
-        raise DomainEvalError(f"evaluation point outside [{iv.a}, {iv.b}]")
-    c = series.coeffs
-    t = iv.to_unit(x_arr)
-    u_next = np.zeros_like(t)
-    u = np.zeros_like(t)
-    for k in range(c.size - 1, 0, -1):
-        u, u_next = c[k] + 2.0 * t * u - u_next, u
-    out = c[0] + t * u - u_next
-    return out[()] if out.ndim == 0 else out
 
 
 def truncation_error_bound(spec: AnalyticitySpec, n: int) -> float:

@@ -28,7 +28,6 @@ from .chebyshev import (
     series_from_polynomial,
     truncation_error_bound,
 )
-from ._mp_bench import mp_variance_rows
 from .degree_dist import make_degree_distribution
 from .exceptions import (
     ConvergenceError,
@@ -216,7 +215,9 @@ def cmd_variance_bench(args) -> int:
     sweep = list(BENCH_SWEEP) if args.N is None else [args.N]
     # the sweep reaches degrees whose true variances sit far below what
     # double precision can represent, so the bench evaluates the closed
-    # form in extended precision
+    # form in extended precision; mpmath loads for this command only
+    from ._mp_bench import mp_variance_rows
+
     payload = f_or_coeffs if fname == "poly" else None
     rows = mp_variance_rows(fname, payload, interval, dist_specs, sweep, args.rho)
     lines = ["function,distribution,N,weighted_variance"]
@@ -228,6 +229,8 @@ def cmd_variance_bench(args) -> int:
 
 
 def cmd_estimate(args) -> int:
+    if args.N < 1:
+        raise ParameterError(f"--N must be at least 1, got {args.N}")
     matrix_path = Path(args.matrix)
     if not matrix_path.exists():
         raise FileNotFoundError(f"matrix file not found: {matrix_path}")

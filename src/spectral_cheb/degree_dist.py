@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import IO
 
 import numpy as np
 
@@ -37,14 +36,12 @@ __all__ = [
     "poisson_distribution",
     "negbinomial_distribution",
     "deterministic_distribution",
-    "tabulated_distribution",
     "make_degree_distribution",
     "sample_degree",
     "weighted_coefficients",
     "chebyshev_weighted_variance",
     "relaxed_objective",
     "finite_kkt_solution",
-    "write_pmf_csv",
 ]
 
 # baselines are tabulated until at most this much mass is missing, then
@@ -267,19 +264,6 @@ def deterministic_distribution(n: int) -> DegreeDistribution:
     )
 
 
-def tabulated_distribution(
-    pmf, tail_ratio: float | None = None, params: dict | None = None
-) -> DegreeDistribution:
-    """Wrap an explicit pmf (with optional geometric tail) for tests and
-    random-search oracles."""
-    return DegreeDistribution(
-        kind=DistributionKind.TABULATED,
-        params=params or {},
-        pmf_prefix=np.asarray(pmf, dtype=float),
-        tail_ratio=tail_ratio,
-    )
-
-
 def make_degree_distribution(kind: str, mean_degree: int, rho: float | None = None,
                              neg_r: float = 5.0) -> DegreeDistribution:
     """Map a distribution name (opt, pois, neg, det) onto a constructor."""
@@ -453,12 +437,3 @@ def finite_kkt_solution(rho: float, meanN: int, T: int) -> DegreeDistribution:
         pmf_prefix=q,
         tail_ratio=None,
     )
-
-
-def write_pmf_csv(dist: DegreeDistribution, fh: IO[str], count: int) -> None:
-    """Emit rows (i, q_i, cumsum) for i = 0..count."""
-    q = dist.pmf_array(count)
-    cums = dist.cumulative_array(count)
-    fh.write("i,q_i,cumsum\n")
-    for i in range(count + 1):
-        fh.write(f"{i},{float(q[i])!r},{float(cums[i])!r}\n")

@@ -43,7 +43,6 @@ __all__ = [
     "grad_estimate_lowrank",
     "sample_spectral_grads",
     "sample_lowrank_grads",
-    "validate_param_oracle",
 ]
 
 # s_i vectors per contraction: the backward pass never holds more than
@@ -273,22 +272,3 @@ def sample_lowrank_grads(
     evaluation index t with M = 1."""
     return _evaluate_batch(_adjoint_block, 256, lr, series, dist, master_seed, num_samples, 1,
                            zero=np.zeros_like(lr.theta))
-
-
-def validate_param_oracle(pm: ParamMatrixOracle, rng: np.random.Generator,
-                          h: float = 1e-6, tol: float = 1e-4) -> None:
-    """Check apply_partial against finite differences of apply on random
-    probes, and symmetry of each partial."""
-    v = rng.standard_normal(pm.dim)
-    u = rng.standard_normal(pm.dim)
-    scale = max(1.0, float(np.linalg.norm(pm.mv(v))))
-    for i in range(pm.param_dim):
-        theta_plus = pm.theta.copy()
-        theta_plus_flat = theta_plus.reshape(-1)
-        theta_plus_flat[i] += h
-        fd = (pm.apply(theta_plus, v) - pm.apply(pm.theta, v)) / h
-        direct = pm.mv_partial(i, v)
-        if np.max(np.abs(fd - direct)) > tol * scale:
-            raise ParameterError(f"partial {i} disagrees with finite differences")
-        if abs(u @ pm.mv_partial(i, v) - v @ pm.mv_partial(i, u)) > 1e-8 * scale:
-            raise ParameterError(f"partial {i} is not symmetric")

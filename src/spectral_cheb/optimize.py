@@ -122,23 +122,6 @@ class Objective:
     g_grad: Callable[[np.ndarray], np.ndarray] = _zero_grad
     projection: Callable[[np.ndarray], np.ndarray] = _identity
 
-    def validate(self, theta0: np.ndarray, h: float = 1e-6, tol: float = 1e-5) -> None:
-        """Projection idempotence and g-gradient consistency at theta0."""
-        projected = self.projection(np.asarray(theta0, dtype=float))
-        if not np.array_equal(self.projection(projected), projected):
-            raise ParameterError("projection is not idempotent")
-        grad = np.asarray(self.g_grad(projected), dtype=float)
-        flat = projected.reshape(-1)
-        scale = max(1.0, float(np.abs(grad).max()))
-        for i in range(flat.size):
-            probe = projected.copy()
-            probe.reshape(-1)[i] += h
-            fd = (self.g_value(probe) - self.g_value(projected)) / h
-            if abs(fd - grad.reshape(-1)[i]) > tol * scale:
-                raise ParameterError(
-                    f"g gradient coordinate {i} disagrees with finite differences"
-                )
-
 
 @dataclass
 class SGDConfig:
@@ -159,6 +142,10 @@ class SGDConfig:
             raise ParameterError(f"unknown step rule {self.step_rule!r}")
         if self.step_rule == "inverse_alpha_t" and not (self.alpha and self.alpha > 0):
             raise ParameterError("inverse_alpha_t needs a positive strong-convexity alpha")
+        if not self.step0 > 0:
+            raise ParameterError(f"step size must be positive, got {self.step0}")
+        if not 0 < self.decay <= 1:
+            raise ParameterError(f"step decay must lie in (0, 1], got {self.decay}")
 
 
 @dataclass

@@ -30,21 +30,24 @@ parallelizes over a plan's chunks, capped by the SPECTRAL_CHEB_THREADS
 environment variable, on one thread pool per process and worker count,
 with a deterministic ordered reduction; chunks too small for a second
 thread to pay off run inline.
+
+The module imports NumPy alone: ``scipy.io`` and ``scipy.sparse`` load
+on the first MatrixMarket read, and an input counts as a scipy sparse
+matrix only once ``scipy.sparse`` is loaded, since none exists before.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
-import scipy.io
-import scipy.sparse
 
 from .chebyshev import ChebSeries, Interval, compute_coefficients, rho_from_endpoint_singularity
 from .degree_dist import (
@@ -54,6 +57,9 @@ from .degree_dist import (
     weighted_coefficients,
 )
 from .exceptions import NumericError, ParameterError, ParseError
+
+if TYPE_CHECKING:
+    import scipy.sparse
 
 __all__ = [
     "MatvecCounter",
@@ -104,6 +110,15 @@ def _mapped_step(y: np.ndarray, w: np.ndarray, w_prev: np.ndarray | None,
     return y
 
 
+def _issparse(matrix) -> bool:
+    """Whether ``matrix`` is a scipy sparse matrix, without importing
+    scipy: one can exist only once ``scipy.sparse`` is loaded."""
+    if isinstance(matrix, np.ndarray):
+        return False
+    sparse = sys.modules.get("scipy.sparse")
+    return sparse is not None and sparse.issparse(matrix)
+
+
 def _fold_interval(matrix, iv: Interval):
     """2B = (4A - 2(b+a)I) / (b-a) for an explicit dense or sparse A.
 
@@ -112,7 +127,9 @@ def _fold_interval(matrix, iv: Interval):
     +-1 with no cancellation error, where T_n amplifies a perturbation n^2
     times."""
     shift = 2.0 * (iv.b + iv.a)
-    if scipy.sparse.issparse(matrix):
+    if _issparse(matrix):
+        import scipy.sparse
+
         eye = scipy.sparse.identity(matrix.shape[0], format="csr")
         return ((4.0 * matrix - shift * eye) / iv.width).tocsr()
     folded = 4.0 * matrix
@@ -174,7 +191,7 @@ class MatrixOracle:
     @classmethod
     def from_matrix(cls, matrix, counter: MatvecCounter | None = None) -> "MatrixOracle":
         """Oracle of an explicit dense array or scipy sparse matrix."""
-        if not scipy.sparse.issparse(matrix):
+        if not _issparse(matrix):
             matrix = np.asarray(matrix, dtype=float)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ParameterError(f"expected a square matrix, got {matrix.shape}")
@@ -524,6 +541,9 @@ def load_matrix(path: str | Path):
     if not path.exists():
         raise FileNotFoundError(f"matrix file not found: {path}")
     if path.suffix.lower() in (".mtx", ".mm"):
+        import scipy.io
+        import scipy.sparse
+
         try:
             matrix = scipy.io.mmread(str(path))
         except Exception as exc:

@@ -7,7 +7,9 @@ factor box-constrained to [0, 5].  GP learning minimizes the negative
 log marginal likelihood of a dense RBF kernel; the quadratic data term
 is handled by conjugate-gradient solves and the log-determinant gradient
 by the unbiased spectral estimator.  Both re-bound the spectrum with a
-power method on an epoch schedule.
+power method on an epoch schedule.  Both run on NumPy alone: the CG is
+written out here, and the exact NLL takes one Cholesky factor of the
+kernel bordered by y.
 """
 
 from __future__ import annotations
@@ -19,8 +21,6 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse.linalg
 
 from .exceptions import ConvergenceError, ParameterError, ParseError
 from .grad_est import LowRankPSD, ParamMatrixOracle
@@ -520,15 +520,33 @@ class GPResult:
 
 
 def _cg_solve(a_mat: np.ndarray, rhs: np.ndarray, tol: float = 1e-8) -> np.ndarray:
-    solution, info = scipy.sparse.linalg.cg(
-        a_mat, rhs, rtol=tol, atol=0.0, maxiter=10 * rhs.size
+    """Conjugate gradients for a_mat x = rhs from x = 0, unpreconditioned,
+    stopping once ||r|| < tol ||rhs||, within 10 d iterations.  The
+    arithmetic is SciPy's ``cg(rtol=tol, atol=0)`` step for step, so the
+    solutions agree bit for bit."""
+    rhs_norm = np.linalg.norm(rhs)
+    if rhs_norm == 0.0:
+        return rhs.copy()
+    limit = tol * rhs_norm
+    x, r, p, rho_prev = np.zeros_like(rhs), rhs.copy(), None, None
+    for _ in range(10 * rhs.size):
+        if np.linalg.norm(r) < limit:
+            return x
+        rho = np.dot(r, r)
+        if p is None:
+            p = r.copy()
+        else:
+            p *= rho / rho_prev
+            p += r
+        q = a_mat @ p
+        alpha = rho / np.dot(p, q)
+        x += alpha * p
+        r -= alpha * q
+        rho_prev = rho
+    resid = float(np.linalg.norm(a_mat @ x - rhs))
+    raise ConvergenceError(
+        f"conjugate gradient stopped after {10 * rhs.size} iterations, residual {resid:.3e}"
     )
-    if info != 0:
-        resid = float(np.linalg.norm(a_mat @ solution - rhs))
-        raise ConvergenceError(
-            f"conjugate gradient stopped after {10 * rhs.size} iterations, residual {resid:.3e}"
-        )
-    return solution
 
 
 def gp_negloglik(
@@ -541,24 +559,32 @@ def gp_negloglik(
 ) -> float:
     """Negative log marginal likelihood.
 
-    Exact mode goes through a Cholesky factorization; estimation mode
-    solves the data term by conjugate gradients and estimates the
-    log-determinant with the unbiased randomized estimator.
+    Exact mode factors the kernel bordered by y,
+    [[A, y], [y^T, 1 + 2 ||y||^2 / theta_1^2]] = L L^T: the first d
+    diagonal entries of L give log det A, and its last row, L_A^{-1} y,
+    has squared norm y^T A^{-1} y (the corner entry keeps the bordered
+    matrix positive definite, as y^T A^{-1} y <= ||y||^2 / theta_1^2).
+    Estimation mode solves the data term by conjugate gradients and
+    estimates the log-determinant with the unbiased randomized estimator.
     """
     theta = gp.theta if theta is None else np.asarray(theta, dtype=float)
     a_mat = gp.kernel(theta)
     d = gp.dim
     const = 0.5 * d * math.log(2.0 * math.pi)
     if mode == "exact":
+        bordered = np.empty((d + 1, d + 1))
+        bordered[:d, :d] = a_mat
+        bordered[d, :d] = bordered[:d, d] = gp.y
+        bordered[d, d] = 1.0 + 2.0 * float(gp.y @ gp.y) / theta[0] ** 2
         try:
-            chol = np.linalg.cholesky(a_mat)
+            chol = np.linalg.cholesky(bordered)
         except np.linalg.LinAlgError as exc:
             raise ParameterError(
                 "kernel is not positive definite; increase the noise term theta_1"
             ) from exc
-        alpha = scipy.linalg.cho_solve((chol, True), gp.y)
-        logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
-        return 0.5 * float(gp.y @ alpha) + 0.5 * logdet + const
+        data_fit = float(chol[d, :d] @ chol[d, :d])
+        logdet = 2.0 * float(np.sum(np.log(np.diag(chol)[:d])))
+        return 0.5 * data_fit + 0.5 * logdet + const
     if mode != "estimate":
         raise ParameterError(f"unknown mode {mode!r}")
     alpha = _cg_solve(a_mat, gp.y)

@@ -1,19 +1,131 @@
-"""Shared test utilities: random feasible pmfs, dense matrix factories,
-the quadrature used by Monte-Carlo variance oracles, the dense check of
-the second-kind recurrence behind the amortized gradient, the direct
-three-term recurrence the doubled Chebyshev moments are checked against,
-the dense cosine-table quadrature sum the FFT coefficients are checked
-against, the dense generic spectral gradient, and the matrix-polynomial
+"""Shared test utilities: scalar Chebyshev polynomials and Clenshaw
+series evaluation, explicit-pmf distributions and their CSV dump, random
+feasible pmfs, dense matrix factories, the quadrature used by
+Monte-Carlo variance oracles, the dense check of the second-kind
+recurrence behind the amortized gradient, the direct three-term
+recurrence the doubled Chebyshev moments are checked against, the dense
+cosine-table quadrature sum the FFT coefficients are checked against,
+the dense generic spectral gradient, finite-difference checks of a
+parametric oracle and of an objective, and the matrix-polynomial
 perturbation and trace-nuclear checks."""
 
-from typing import Callable
+from typing import IO, Callable
 
 import numpy as np
 
-from spectral_cheb.chebyshev import ChebSeries, Interval, eval_series
-from spectral_cheb.degree_dist import DegreeDistribution, tabulated_distribution
-from spectral_cheb.exceptions import ParameterError
+from spectral_cheb.chebyshev import ChebSeries, Interval
+from spectral_cheb.degree_dist import DegreeDistribution, DistributionKind
+from spectral_cheb.exceptions import DomainEvalError, ParameterError
+from spectral_cheb.grad_est import ParamMatrixOracle
+from spectral_cheb.optimize import Objective
 from spectral_cheb.reference import check_dense_symmetric
+
+
+def eval_T(j: int, x):
+    """First-kind Chebyshev polynomial T_j(x) by the three-term recurrence.
+
+    Accepts scalars or arrays; x may lie outside [-1, 1].
+    """
+    if j < 0:
+        raise ParameterError(f"degree must be >= 0, got {j}")
+    x = np.asarray(x, dtype=float)
+    prev = np.ones_like(x)
+    if j == 0:
+        return prev[()] if prev.ndim == 0 else prev
+    cur = x.copy()
+    for _ in range(j - 1):
+        prev, cur = cur, 2.0 * x * cur - prev
+    return cur[()] if cur.ndim == 0 else cur
+
+
+def eval_U(j: int, x):
+    """Second-kind Chebyshev polynomial U_j(x): U_0 = 1, U_1 = 2x."""
+    if j < 0:
+        raise ParameterError(f"degree must be >= 0, got {j}")
+    x = np.asarray(x, dtype=float)
+    prev = np.ones_like(x)
+    if j == 0:
+        return prev[()] if prev.ndim == 0 else prev
+    cur = 2.0 * x
+    for _ in range(j - 1):
+        prev, cur = cur, 2.0 * x * cur - prev
+    return cur[()] if cur.ndim == 0 else cur
+
+
+def eval_series(series: ChebSeries, x):
+    """Evaluate the series at x in [a, b] by the Clenshaw recurrence."""
+    iv = series.interval
+    x_arr = np.asarray(x, dtype=float)
+    if np.any(x_arr < iv.a) or np.any(x_arr > iv.b):
+        raise DomainEvalError(f"evaluation point outside [{iv.a}, {iv.b}]")
+    c = series.coeffs
+    t = iv.to_unit(x_arr)
+    u_next = np.zeros_like(t)
+    u = np.zeros_like(t)
+    for k in range(c.size - 1, 0, -1):
+        u, u_next = c[k] + 2.0 * t * u - u_next, u
+    out = c[0] + t * u - u_next
+    return out[()] if out.ndim == 0 else out
+
+
+def tabulated_distribution(
+    pmf, tail_ratio: float | None = None, params: dict | None = None
+) -> DegreeDistribution:
+    """Wrap an explicit pmf (with optional geometric tail) for tests and
+    random-search oracles."""
+    return DegreeDistribution(
+        kind=DistributionKind.TABULATED,
+        params=params or {},
+        pmf_prefix=np.asarray(pmf, dtype=float),
+        tail_ratio=tail_ratio,
+    )
+
+
+def write_pmf_csv(dist: DegreeDistribution, fh: IO[str], count: int) -> None:
+    """Emit rows (i, q_i, cumsum) for i = 0..count."""
+    q = dist.pmf_array(count)
+    cums = dist.cumulative_array(count)
+    fh.write("i,q_i,cumsum\n")
+    for i in range(count + 1):
+        fh.write(f"{i},{float(q[i])!r},{float(cums[i])!r}\n")
+
+
+def validate_param_oracle(pm: ParamMatrixOracle, rng: np.random.Generator,
+                          h: float = 1e-6, tol: float = 1e-4) -> None:
+    """Check apply_partial against finite differences of apply on random
+    probes, and symmetry of each partial."""
+    v = rng.standard_normal(pm.dim)
+    u = rng.standard_normal(pm.dim)
+    scale = max(1.0, float(np.linalg.norm(pm.mv(v))))
+    for i in range(pm.param_dim):
+        theta_plus = pm.theta.copy()
+        theta_plus_flat = theta_plus.reshape(-1)
+        theta_plus_flat[i] += h
+        fd = (pm.apply(theta_plus, v) - pm.apply(pm.theta, v)) / h
+        direct = pm.mv_partial(i, v)
+        if np.max(np.abs(fd - direct)) > tol * scale:
+            raise ParameterError(f"partial {i} disagrees with finite differences")
+        if abs(u @ pm.mv_partial(i, v) - v @ pm.mv_partial(i, u)) > 1e-8 * scale:
+            raise ParameterError(f"partial {i} is not symmetric")
+
+
+def validate_objective(obj: Objective, theta0: np.ndarray, h: float = 1e-6,
+                       tol: float = 1e-5) -> None:
+    """Projection idempotence and g-gradient consistency at theta0."""
+    projected = obj.projection(np.asarray(theta0, dtype=float))
+    if not np.array_equal(obj.projection(projected), projected):
+        raise ParameterError("projection is not idempotent")
+    grad = np.asarray(obj.g_grad(projected), dtype=float)
+    flat = projected.reshape(-1)
+    scale = max(1.0, float(np.abs(grad).max()))
+    for i in range(flat.size):
+        probe = projected.copy()
+        probe.reshape(-1)[i] += h
+        fd = (obj.g_value(probe) - obj.g_value(projected)) / h
+        if abs(fd - grad.reshape(-1)[i]) > tol * scale:
+            raise ParameterError(
+                f"g gradient coordinate {i} disagrees with finite differences"
+            )
 
 
 def random_feasible_pmf(rng: np.random.Generator, mean_n: int) -> DegreeDistribution:

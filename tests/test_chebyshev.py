@@ -15,16 +15,13 @@ from spectral_cheb.chebyshev import (
     Interval,
     compute_coefficients,
     estimate_rho,
-    eval_series,
-    eval_T,
-    eval_U,
     rho_from_endpoint_singularity,
     series_from_polynomial,
     truncation_error_bound,
 )
 from spectral_cheb.exceptions import DomainEvalError, EstimationError, ParameterError
 
-from helpers import cosine_table_coefficients
+from helpers import cosine_table_coefficients, eval_series, eval_T, eval_U
 
 # Frozen oracle values: adaptive quadrature of the projection integral
 # after the substitution x = cos(theta), computed independently of the

@@ -203,6 +203,14 @@ class TestEstimate:
         assert math.isfinite(float(out.out))
         assert f"sampled degree n = {degree}\n" in out.err
 
+    @pytest.mark.parametrize("mean", ["0", "-2"])
+    def test_mean_degree_below_one_is_config_error(self, tmp_path, capsys, mean):
+        code = main(["estimate", str(write_identity(tmp_path, dim=2)), "--func", "exp",
+                     "--a", "0", "--b", "2", "--N", mean])
+        out = capsys.readouterr()
+        assert code == 1 and out.out == ""
+        assert f"--N must be at least 1, got {mean}" in out.err and "--rho" not in out.err
+
     def test_asymmetric_matrix_is_data_error(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("1 2\n0 1\n")
@@ -248,6 +256,19 @@ class TestArgumentHandling:
         assert main([*argv, "--dist", spec]) == 1
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ") and spec in err
+
+    @pytest.mark.parametrize("flag, value", [("--step", "-1"), ("--step", "0"),
+                                             ("--step-decay", "0"), ("--step-decay", "1.5")])
+    @pytest.mark.parametrize("command", ["mc-train", "gp-train"])
+    def test_step_schedule_out_of_range_is_config_error(self, tmp_path, capsys, command, flag,
+                                                        value):
+        out = tmp_path / "o.csv"
+        train = FIXTURE_RATINGS if command == "mc-train" else FIXTURE_GP
+        assert main([command, "--train", train, "--epochs", "1", "--inner-iters", "2",
+                     flag, value, "--out", str(out)]) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: step ")
 
     def test_help_lists_flags(self):
         proc = run_cli(["mc-train", "--help"])

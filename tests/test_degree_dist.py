@@ -10,7 +10,9 @@ from helpers import (
     conditional_weighted_variance,
     observable_horizon,
     random_feasible_pmf,
+    tabulated_distribution,
     weighted_norm_sq,
+    write_pmf_csv,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,9 +28,7 @@ from spectral_cheb.degree_dist import (
     poisson_distribution,
     relaxed_objective,
     sample_degree,
-    tabulated_distribution,
     weighted_coefficients,
-    write_pmf_csv,
 )
 from spectral_cheb.exceptions import (
     EstimationError,
@@ -437,11 +437,26 @@ class TestKindLabels:
         assert deterministic_distribution(2).kind is DistributionKind.DETERMINISTIC
 
 
-def test_package_import_leaves_scipy_stats_unloaded():
+def test_package_import_leaves_scipy_stats_unloaded(tmp_path):
+    # numpy is the package's only third-party import, and the training
+    # commands load nothing more: scipy waits for a sparse matrix file,
+    # mpmath for variance-bench
     import subprocess
     import sys
+    from pathlib import Path
 
-    code = ("import sys, spectral_cheb, spectral_cheb.cli; "
-            "print('scipy.stats' in sys.modules, 'scipy.fft' in sys.modules)")
+    data = Path(__file__).resolve().parents[1] / "data"
+    short = ["--epochs", "1", "--inner-iters", "2", "--M", "2", "--N", "3"]
+    code = f"""
+import sys, spectral_cheb, spectral_cheb.cli
+def loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "mpmath"))
+print(loaded())
+for command, train in (("mc-train", "synthetic_ratings.csv"), ("gp-train", "synthetic_gp.csv")):
+    argv = [command, "--train", {str(data)!r} + "/" + train, *{short!r},
+            "--out", {str(tmp_path)!r} + "/" + command + ".csv"]
+    assert spectral_cheb.cli.main(argv) == 0
+print(loaded())
+"""
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert proc.stdout == "False False\n"
+    assert proc.stdout == "[]\n[]\n"

@@ -5,16 +5,17 @@ import math
 import numpy as np
 import pytest
 from helpers import (
+    eval_U,
     exact_spectral_grad_generic,
     random_spd,
     random_symmetric,
     second_kind_vector_identity_check,
+    validate_param_oracle,
 )
 
 from spectral_cheb.chebyshev import (
     Interval,
     compute_coefficients,
-    eval_U,
     series_from_polynomial,
 )
 from spectral_cheb.degree_dist import (
@@ -30,7 +31,6 @@ from spectral_cheb.grad_est import (
     sample_lowrank_grads,
     sample_spectral_grads,
     sum_prime_weights,
-    validate_param_oracle,
 )
 from spectral_cheb.probes import MatvecCounter, ProbePlan
 from spectral_cheb.reference import exact_spectral_grad_lowrank

@@ -5,7 +5,12 @@ import math
 
 import numpy as np
 import pytest
-from helpers import exact_spectral_grad_generic, random_spd, random_symmetric
+from helpers import (
+    exact_spectral_grad_generic,
+    random_spd,
+    random_symmetric,
+    validate_objective,
+)
 
 from spectral_cheb.chebyshev import Interval, compute_coefficients, series_from_polynomial
 from spectral_cheb.degree_dist import optimal_distribution
@@ -180,6 +185,22 @@ class TestSGD:
             sgd_run(obj, np.ones(2), cfg)
 
 
+class TestSGDConfig:
+    @pytest.mark.parametrize("step0", [0.0, -1.0, math.nan])
+    def test_step_must_be_positive(self, step0):
+        with pytest.raises(ParameterError, match="step size must be positive"):
+            SGDConfig(T=1, M=1, N=1, master_seed=0, step0=step0)
+
+    @pytest.mark.parametrize("decay", [0.0, -0.5, 1.5, math.nan])
+    def test_decay_must_lie_in_unit_interval(self, decay):
+        with pytest.raises(ParameterError, match="step decay"):
+            SGDConfig(T=1, M=1, N=1, master_seed=0, decay=decay)
+
+    def test_decay_one_keeps_the_step(self):
+        cfg = SGDConfig(T=1, M=1, N=1, master_seed=0, step0=0.2, decay=1.0)
+        assert cfg.step0 * cfg.decay**50 == 0.2
+
+
 class TestSVRG:
     def _setup(self, seed=55):
         rng = np.random.default_rng(seed)
@@ -264,19 +285,19 @@ class TestSVRG:
 class TestObjectiveValidation:
     def test_good_objective_passes(self):
         obj = quadratic_objective(np.ones(3), alpha=1.5)
-        obj.validate(np.zeros(3))
+        validate_objective(obj, np.zeros(3))
 
     def test_non_idempotent_projection(self):
         obj = quadratic_objective(np.ones(2), alpha=1.0)
         obj.projection = lambda th: th * 0.5
         with pytest.raises(ParameterError, match="idempotent"):
-            obj.validate(np.ones(2))
+            validate_objective(obj, np.ones(2))
 
     def test_wrong_gradient(self):
         obj = quadratic_objective(np.ones(2), alpha=1.0)
         obj.g_grad = lambda th: 3.0 * th
         with pytest.raises(ParameterError, match="finite differences"):
-            obj.validate(np.full(2, 2.0))
+            validate_objective(obj, np.full(2, 2.0))
 
 
 class TestTrajectoryCsv:

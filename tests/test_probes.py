@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.io
 import scipy.sparse
-from helpers import direct_bilinear_sums, random_spd, random_symmetric
+from helpers import direct_bilinear_sums, eval_series, random_spd, random_symmetric
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -15,7 +15,6 @@ from spectral_cheb.chebyshev import (
     ChebSeries,
     Interval,
     compute_coefficients,
-    eval_series,
     rho_from_endpoint_singularity,
     series_from_polynomial,
 )
@@ -101,6 +100,19 @@ def _step_oracles(rng, dim, counter):
 
 class TestStep:
     """``step(w, w_prev, scale, iv)`` = scale * B w - w_prev on every oracle."""
+
+    def test_from_matrix_takes_list_array_and_csr(self):
+        rows = [[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]]
+        iv = Interval(0.5, 3.5)
+        w = np.array([1.0, -2.0, 0.5])
+        want = 2.0 * (2.0 * np.array(rows) @ w - 4.0 * w) / 3.0
+        listed, dense, csr = (MatrixOracle.from_matrix(m) for m in (
+            rows, np.array(rows), scipy.sparse.csr_matrix(rows)))
+        assert isinstance(listed.matrix, np.ndarray) and isinstance(dense.matrix, np.ndarray)
+        assert scipy.sparse.issparse(csr.matrix)
+        for oracle in (listed, dense, csr):
+            assert oracle.dim == 3
+            np.testing.assert_allclose(oracle.step(w, None, 2.0, iv), want, rtol=1e-15)
 
     @pytest.mark.parametrize("scale", [1.0, 2.0])
     @pytest.mark.parametrize("with_prev", [False, True])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from spectral_cheb.degree_dist import sample_degree
-from spectral_cheb.exceptions import ParameterError, ParseError
+from spectral_cheb.exceptions import ConvergenceError, ParameterError, ParseError
 from spectral_cheb.optimize import SGDConfig, SVRGConfig
 from spectral_cheb.probes import degree_rng, expansion_for
 from spectral_cheb.reference import exact_spectral_sum
@@ -24,6 +24,7 @@ from spectral_cheb.tasks import (
     synthetic_completion_data,
     synthetic_gp_data,
 )
+from spectral_cheb.tasks import _cg_solve
 
 
 class TestLoadMovielens:
@@ -254,11 +255,42 @@ class TestGPNegLogLik:
         line = GPProblem(np.linspace(0.0, 1.0, 4), np.zeros(4), np.array([0.5, 1.0, 1.0]))
         assert line.x.shape == (4, 1)
 
+    def test_exact_matches_cholesky_solve_reference(self):
+        import scipy.linalg
+
+        x, y = synthetic_gp_data(300, [0.3, 1.2, 0.8], seed=11)
+        gp = GPProblem(x, y, np.array([0.3, 1.2, 0.8]))
+        # the second row is the noise at a tenth of the data's
+        for theta in ([0.3, 1.2, 0.8], [0.03, 1.2, 0.8], [0.5, 2.0, 0.3], [0.1, 0.7, 1.5]):
+            chol = np.linalg.cholesky(gp.kernel(np.array(theta)))
+            want = (0.5 * float(y @ scipy.linalg.cho_solve((chol, True), y))
+                    + float(np.sum(np.log(np.diag(chol)))) + 150 * math.log(2 * math.pi))
+            assert gp_negloglik(gp, np.array(theta)) == pytest.approx(want, rel=1e-12, abs=0)
+
     def test_non_pd_kernel_message(self):
         x = np.zeros((5, 1))  # duplicate inputs, zero noise floor
         gp = GPProblem(x, np.ones(5), np.array([1e-12, 1.0, 1.0]))
         with pytest.raises(ParameterError, match="noise"):
             gp_negloglik(gp)
+
+
+class TestCGSolve:
+    def test_matches_scipy_cg_bit_for_bit(self):
+        import scipy.sparse.linalg
+
+        for theta, seed in (((0.3, 1.2, 0.8), 2024), ((0.05, 2.0, 1.5), 7)):
+            x, y = synthetic_gp_data(200, theta, seed)
+            a_mat = GPProblem(x, y, np.array(theta)).kernel()
+            want, info = scipy.sparse.linalg.cg(a_mat, y, rtol=1e-8, atol=0.0, maxiter=2000)
+            assert info == 0
+            assert np.array_equal(_cg_solve(a_mat, y), want)
+
+    def test_out_of_iterations_is_convergence_error(self):
+        # I plus a large skew part: p^T A p = ||p||^2 never vanishes, but CG
+        # needs a symmetric operator to converge and here never does
+        a_mat = np.array([[1.0, 5.0], [-5.0, 1.0]])
+        with pytest.raises(ConvergenceError, match="stopped after 20 iterations"):
+            _cg_solve(a_mat, np.array([1.0, 0.0]))
 
 
 class TestGPTraining:
