@@ -3,8 +3,10 @@
 Four subcommands: ``variance-bench`` tabulates the closed-form weighted
 variance of the degree distributions over a sweep of expected degrees,
 ``estimate`` runs one unbiased spectral-sum estimate on a matrix file,
-and ``mc-train`` / ``gp-train`` drive the optimization tasks.  A flat
-key=value config file supplies defaults; flags override it.  Every CSV
+and ``mc-train`` / ``gp-train`` drive the optimization tasks; the two
+share one check of --train/--out and one writer of the metrics CSV,
+``<out>.trajectory.csv`` and ``<out>.theta.txt``.  A flat key=value
+config file supplies defaults; flags override it.  Every CSV
 output is byte-stable for a fixed --seed (timing columns are zeroed;
 measured times go to stderr).
 
@@ -278,22 +280,32 @@ def cmd_estimate(args) -> int:
     return 0
 
 
-def _write_metrics_csv(path, rows):
+def _check_training_args(args) -> None:
+    """--train and --out are given, and every data file named exists."""
+    if args.train is None:
+        raise ParameterError(f"{args.command} needs --train")
+    for kind, path in (("training", args.train), ("test", getattr(args, "test", None))):
+        if path is not None and not Path(path).exists():
+            raise FileNotFoundError(f"{kind} data not found: {path}")
+    if args.out is None:
+        raise ParameterError(f"{args.command} needs --out for the metrics CSV")
+
+
+def _write_training_outputs(out, records, metrics, theta) -> None:
+    """The metrics CSV at ``out`` (one row per record: its objective
+    estimate and the task's metric), ``<out>.trajectory.csv`` and
+    ``<out>.theta.txt``."""
     lines = ["iter,objective,rmse_or_nll,wallclock_ms"]
-    for i, (objective, metric) in enumerate(rows):
-        lines.append(f"{i},{objective!r},{metric!r},0")
-    Path(path).write_text("\n".join(lines) + "\n")
+    for i, (rec, metric) in enumerate(zip(records, metrics)):
+        lines.append(f"{i},{rec.objective_estimate!r},{float(metric)!r},0")
+    Path(out).write_text("\n".join(lines) + "\n")
+    with open(Path(out).with_suffix(".trajectory.csv"), "w") as fh:
+        write_trajectory_csv(records, fh)
+    np.savetxt(str(Path(out).with_suffix(".theta.txt")), theta, fmt="%.17g")
 
 
 def cmd_mc_train(args) -> int:
-    if args.train is None:
-        raise ParameterError("mc-train needs --train")
-    if not Path(args.train).exists():
-        raise FileNotFoundError(f"training data not found: {args.train}")
-    if args.test is not None and not Path(args.test).exists():
-        raise FileNotFoundError(f"test data not found: {args.test}")
-    if args.out is None:
-        raise ParameterError("mc-train needs --out for the metrics CSV")
+    _check_training_args(args)
     started = time.perf_counter()
     ratings = ratings_from_files(args.train, args.test, seed=args.seed)
     rng = np.random.default_rng(np.random.SeedSequence(args.seed, spawn_key=(11,)))
@@ -311,14 +323,8 @@ def cmd_mc_train(args) -> int:
                          N=args.N, master_seed=args.seed)
     result = completion_train(problem, ratings, cfg, optimizer=args.optimizer,
                               dist_kind=kind, neg_r=neg_r, svd_rank=args.rank)
-    rows = [
-        (rec.objective_estimate, completion_rmse(rec.theta, ratings, train=False))
-        for rec in result.records
-    ]
-    _write_metrics_csv(args.out, rows)
-    with open(Path(args.out).with_suffix(".trajectory.csv"), "w") as fh:
-        write_trajectory_csv(result.records, fh)
-    np.savetxt(str(Path(args.out).with_suffix(".theta.txt")), result.theta, fmt="%.17g")
+    rmse = [completion_rmse(rec.theta, ratings, train=False) for rec in result.records]
+    _write_training_outputs(args.out, result.records, rmse, result.theta)
     elapsed = time.perf_counter() - started
     print(
         f"{args.optimizer}: test RMSE {result.test_rmse:.6g} "
@@ -330,12 +336,7 @@ def cmd_mc_train(args) -> int:
 
 
 def cmd_gp_train(args) -> int:
-    if args.train is None:
-        raise ParameterError("gp-train needs --train")
-    if not Path(args.train).exists():
-        raise FileNotFoundError(f"training data not found: {args.train}")
-    if args.out is None:
-        raise ParameterError("gp-train needs --out for the metrics CSV")
+    _check_training_args(args)
     started = time.perf_counter()
     x, y = load_gp_data(args.train)
     spread = float(np.std(y)) or 1.0
@@ -346,14 +347,7 @@ def cmd_gp_train(args) -> int:
                     master_seed=args.seed, step_rule="exp_decay",
                     step0=args.step, decay=args.step_decay)
     result = gp_train(gp, cfg)
-    rows = [
-        (rec.objective_estimate, float(nll))
-        for rec, nll in zip(result.records, result.nll_curve[1:])
-    ]
-    _write_metrics_csv(args.out, rows)
-    with open(Path(args.out).with_suffix(".trajectory.csv"), "w") as fh:
-        write_trajectory_csv(result.records, fh)
-    np.savetxt(str(Path(args.out).with_suffix(".theta.txt")), result.theta, fmt="%.17g")
+    _write_training_outputs(args.out, result.records, result.nll_curve[1:], result.theta)
     elapsed = time.perf_counter() - started
     print(
         f"sgd: NLL {result.nll_curve[-1]:.6g} (initial {result.nll_curve[0]:.6g}), "

@@ -33,7 +33,7 @@ import numpy as np
 from .chebyshev import ChebSeries, Interval
 from .degree_dist import DegreeDistribution
 from .exceptions import ParameterError
-from .probes import MatvecCounter, ProbePlan, _evaluate, _evaluate_batch, _mapped_step
+from .probes import MatvecCounter, ProbePlan, _count, _evaluate, _evaluate_batch, _mapped_step
 
 __all__ = [
     "ParamMatrixOracle",
@@ -68,16 +68,12 @@ class ParamMatrixOracle:
     apply_partial: Callable[[int, np.ndarray, np.ndarray], np.ndarray]
     counter: MatvecCounter | None = None
 
-    def _count(self, x):
-        if self.counter is not None:
-            self.counter.count += 1 if x.ndim == 1 else x.shape[1]
-
     def mv(self, x: np.ndarray) -> np.ndarray:
-        self._count(x)
+        _count(self.counter, x)
         return self.apply(self.theta, x)
 
     def mv_partial(self, i: int, x: np.ndarray) -> np.ndarray:
-        self._count(x)
+        _count(self.counter, x)
         return self.apply_partial(i, self.theta, x)
 
     def step(self, w: np.ndarray, w_prev: np.ndarray | None, scale: float,
@@ -126,23 +122,15 @@ class LowRankPSD:
     def dim(self) -> int:
         return self.theta.shape[0]
 
-    @property
-    def rank(self) -> int:
-        return self.theta.shape[1]
-
-    def _count(self, x):
-        if self.counter is not None:
-            self.counter.count += 1 if x.ndim == 1 else x.shape[1]
-
     def mv(self, x: np.ndarray) -> np.ndarray:
-        self._count(x)
+        _count(self.counter, x)
         return self.theta @ (self.theta.T @ x) + self.epsilon * x
 
     def step(self, w: np.ndarray, w_prev: np.ndarray | None, scale: float,
              iv: Interval) -> np.ndarray:
         """scale * B w - w_prev (no subtraction when ``w_prev`` is None) in
         a fresh array, as c1 theta (theta^T w) + c2 w - w_prev on iv."""
-        self._count(w)
+        _count(self.counter, w)
         inner = self.theta.T @ w
         inner *= 2.0 * scale / iv.width
         y = self.theta @ inner

@@ -7,7 +7,10 @@ degree, so the correction vanishes exactly when they coincide.  The model's
 ``Expansion`` owns the eigenvalue interval, the series and the degree
 distribution, refreshed on an epoch schedule, not per sample; each step's
 ``ProbePlan`` owns its degree and probes, and the drivers read the drawn
-degree back from the plan they built.
+degree back from the plan they built.  Both drivers take their steps
+through one step body: it checks the direction, projects, checks the
+iterate and builds the step's ``IterationRecord`` with its objective-log
+value.
 """
 
 from __future__ import annotations
@@ -181,11 +184,6 @@ def _iteration_seeds(master_seed: int, count: int) -> np.ndarray:
     return np.random.SeedSequence(master_seed, spawn_key=(3,)).generate_state(count, np.uint64)
 
 
-def _log_plan(cfg: SGDConfig | SVRGConfig) -> ProbePlan:
-    """The one probe plan of a run's objective log."""
-    return ProbePlan(cfg.master_seed + 0x5EED, cfg.M)
-
-
 def _step_size(cfg: SGDConfig, t: int) -> float:
     if cfg.step_rule == "inverse_alpha_t":
         return 1.0 / (cfg.alpha * (t + 1))
@@ -199,12 +197,43 @@ def box_projection(theta: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return np.clip(theta, lo, hi)
 
 
-def _estimate_objective(obj: Objective, plan: ProbePlan, theta: np.ndarray,
-                        degree: int) -> float:
-    value = float(obj.g_value(theta))
-    if obj.spectral is not None:
-        value += obj.spectral.objective_estimate(theta, plan, degree)
-    return value
+def _step_body(
+    obj: Objective,
+    cfg: SGDConfig | SVRGConfig,
+    phase: str,
+    callback: Callable[[IterationRecord], None] | None,
+) -> Callable[[np.ndarray, float, np.ndarray, int, int, int], np.ndarray]:
+    """The projected step both optimizers take.
+
+    ``step(theta, rate, direction, epoch, t, degree)`` checks the
+    direction, projects ``theta - rate * direction``, checks the iterate
+    and, when there is a callback, hands it the step's record.  Its
+    objective estimate runs on the one probe plan of the run's log, seeded
+    by ``cfg.master_seed + 0x5EED``.  Errors name the iteration, and under
+    SVRG the epoch too.
+    """
+    log_plan = ProbePlan(cfg.master_seed + 0x5EED, cfg.M)
+    start = time.perf_counter()
+
+    def step(theta, rate, direction, epoch, t, degree):
+        where = f"iteration {t}" if phase == "sgd" else f"epoch {epoch}, iteration {t}"
+        if not np.isfinite(direction).all():
+            raise NumericError(f"non-finite gradient at {where}")
+        theta = obj.projection(theta - rate * direction)
+        if not np.isfinite(theta).all():
+            raise NumericError(f"non-finite iterate at {where}")
+        if callback is not None:
+            objective = float("nan")
+            if cfg.log_objective:
+                objective = float(obj.g_value(theta))
+                if obj.spectral is not None:
+                    objective += obj.spectral.objective_estimate(theta, log_plan, cfg.N)
+            callback(IterationRecord(phase, epoch, t, theta.copy(), degree, objective,
+                                     float(np.linalg.norm(direction)),
+                                     (time.perf_counter() - start) * 1e3))
+        return theta
+
+    return step
 
 
 def sgd_run(
@@ -217,16 +246,13 @@ def sgd_run(
 
     One gradient sample per iteration: a drawn degree shared across the
     parameter coordinates plus M Rademacher probes, then a projected
-    step.  Deterministic given the config's master seed.  The objective
-    log uses one probe plan, seeded by ``cfg.master_seed + 0x5EED``, for
-    the run.
+    step.  Deterministic given the config's master seed.
     """
     theta = np.asarray(theta0, dtype=float).copy()
     seeds = _iteration_seeds(cfg.master_seed, cfg.T)
-    log_plan = _log_plan(cfg)
     trajectory = np.empty((cfg.T + 1,) + theta.shape)
     trajectory[0] = theta
-    start = time.perf_counter()
+    step = _step_body(obj, cfg, "sgd", callback)
     for t in range(cfg.T):
         if obj.spectral is not None:
             obj.spectral.ensure(theta, t, int(seeds[t]), cfg.N)
@@ -234,31 +260,8 @@ def sgd_run(
             psi, degree = obj.spectral.grad_sample(theta, plan), plan.degree
         else:
             psi, degree = 0.0, -1
-        direction = psi + obj.g_grad(theta)
-        if not np.all(np.isfinite(direction)):
-            raise NumericError(f"non-finite gradient at iteration {t}")
-        theta = obj.projection(theta - _step_size(cfg, t) * direction)
-        if not np.all(np.isfinite(theta)):
-            raise NumericError(f"non-finite iterate at iteration {t}")
+        theta = step(theta, _step_size(cfg, t), psi + obj.g_grad(theta), 0, t, degree)
         trajectory[t + 1] = theta
-        if callback is not None:
-            objective = (
-                _estimate_objective(obj, log_plan, theta, cfg.N)
-                if cfg.log_objective
-                else float("nan")
-            )
-            callback(
-                IterationRecord(
-                    phase="sgd",
-                    epoch=0,
-                    iteration=t,
-                    theta=theta.copy(),
-                    degree=degree,
-                    objective_estimate=objective,
-                    grad_norm=float(np.linalg.norm(direction)),
-                    wallclock_ms=(time.perf_counter() - start) * 1e3,
-                )
-            )
     return trajectory
 
 
@@ -285,8 +288,7 @@ def svrg_run(
     anchors = np.empty((cfg.S + 1,) + theta_tilde.shape)
     anchors[0] = theta_tilde
     seeds = _iteration_seeds(cfg.master_seed, cfg.S * cfg.T)
-    log_plan = _log_plan(cfg)
-    start = time.perf_counter()
+    step = _step_body(obj, cfg, "svrg", callback)
     for s in range(1, cfg.S + 1):
         if obj.spectral is not None:
             obj.spectral.ensure(theta_tilde, 0, int(seeds[(s - 1) * cfg.T]), cfg.N)
@@ -301,29 +303,8 @@ def svrg_run(
                 degree = plan.degree
             else:
                 correction, degree = 0.0, -1
-            direction = correction + mu + obj.g_grad(theta)
-            if not np.all(np.isfinite(direction)):
-                raise NumericError(f"non-finite gradient at epoch {s}, iteration {t}")
-            theta = obj.projection(theta - cfg.eta * direction)
+            theta = step(theta, cfg.eta, correction + mu + obj.g_grad(theta), s, t, degree)
             inner_sum += theta
-            if callback is not None:
-                objective = (
-                    _estimate_objective(obj, log_plan, theta, cfg.N)
-                    if cfg.log_objective
-                    else float("nan")
-                )
-                callback(
-                    IterationRecord(
-                        phase="svrg",
-                        epoch=s,
-                        iteration=t,
-                        theta=theta.copy(),
-                        degree=degree,
-                        objective_estimate=objective,
-                        grad_norm=float(np.linalg.norm(direction)),
-                        wallclock_ms=(time.perf_counter() - start) * 1e3,
-                    )
-                )
         theta_tilde = inner_sum / cfg.T
         anchors[s] = theta_tilde
     return anchors

@@ -95,6 +95,12 @@ class MatvecCounter:
         self.count = 0
 
 
+def _count(counter: MatvecCounter | None, x: np.ndarray) -> None:
+    """Add the columns of ``x`` (one for a vector) to ``counter``, if any."""
+    if counter is not None:
+        counter.count += 1 if x.ndim == 1 else x.shape[1]
+
+
 def _mapped_step(y: np.ndarray, w: np.ndarray, w_prev: np.ndarray | None,
                  scale: float, iv: Interval) -> np.ndarray:
     """scale * B w - w_prev from y = A w, written into y unless y is not a
@@ -159,10 +165,6 @@ class MatrixOracle:
     _fold_lock: threading.Lock = field(default_factory=threading.Lock, init=False,
                                        repr=False, compare=False)
 
-    def _count(self, x: np.ndarray) -> None:
-        if self.counter is not None:
-            self.counter.count += 1 if x.ndim == 1 else x.shape[1]
-
     def _folded(self, iv: Interval):
         with self._fold_lock:
             if self._fold is None or self._fold[0] != iv:
@@ -170,7 +172,7 @@ class MatrixOracle:
             return self._fold[1]
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        self._count(x)
+        _count(self.counter, x)
         return self.matvec(x)
 
     def step(self, w: np.ndarray, w_prev: np.ndarray | None, scale: float,
@@ -180,7 +182,7 @@ class MatrixOracle:
         per column."""
         if self.matrix is None:
             return _mapped_step(self.apply(w), w, w_prev, scale, iv)
-        self._count(w)
+        _count(self.counter, w)
         y = self._folded(iv) @ w
         if scale != 2.0:
             y *= 0.5 * scale

@@ -9,7 +9,9 @@ is handled by conjugate-gradient solves and the log-determinant gradient
 by the unbiased spectral estimator.  Both re-bound the spectrum with a
 power method on an epoch schedule.  Both run on NumPy alone: the CG is
 written out here, and the exact NLL takes one Cholesky factor of the
-kernel bordered by y.
+kernel bordered by y.  Both drivers return the optimizer's iteration
+records on their result and take no callback; only completion counts
+matvecs.
 """
 
 from __future__ import annotations
@@ -144,6 +146,22 @@ def detect_ratings_format(path: str | Path) -> str:
     raise ParseError(f"{path}: empty ratings file")
 
 
+def _rating_set(users: np.ndarray, items: np.ndarray, ratings: np.ndarray,
+                train_mask: np.ndarray) -> RatingSet:
+    """A RatingSet of raw triples: ratings clamped to [0.5, 5], raw ids
+    remapped to contiguous indices in sorted order."""
+    user_ids = np.unique(users)
+    item_ids = np.unique(items)
+    return RatingSet(
+        d_users=user_ids.size,
+        d_items=item_ids.size,
+        users=np.searchsorted(user_ids, users),
+        items=np.searchsorted(item_ids, items),
+        ratings=np.clip(ratings, 0.5, 5.0),
+        train_mask=train_mask,
+    )
+
+
 def load_movielens(
     path: str | Path,
     fmt: str = "double_colon",
@@ -162,20 +180,7 @@ def load_movielens(
     if fmt not in ("double_colon", "csv"):
         raise ParameterError(f"unknown ratings format {fmt!r}")
     users, items, ratings = _parse_triples(path, fmt)
-    ratings = np.clip(ratings, 0.5, 5.0)
-    user_ids = np.unique(users)
-    item_ids = np.unique(items)
-    users = np.searchsorted(user_ids, users)
-    items = np.searchsorted(item_ids, items)
-    mask = _split_mask(users.size, train_frac, seed)
-    return RatingSet(
-        d_users=user_ids.size,
-        d_items=item_ids.size,
-        users=users,
-        items=items,
-        ratings=ratings,
-        train_mask=mask,
-    )
+    return _rating_set(users, items, ratings, _split_mask(users.size, train_frac, seed))
 
 
 def ratings_from_files(
@@ -195,21 +200,10 @@ def ratings_from_files(
         return load_movielens(train_path, fmt=fmt, train_frac=train_frac, seed=seed)
     u1, i1, r1 = _parse_triples(Path(train_path), fmt)
     u2, i2, r2 = _parse_triples(Path(test_path), detect_ratings_format(test_path))
-    users = np.concatenate([u1, u2])
-    items = np.concatenate([i1, i2])
-    ratings = np.clip(np.concatenate([r1, r2]), 0.5, 5.0)
-    user_ids = np.unique(users)
-    item_ids = np.unique(items)
-    mask = np.zeros(users.size, dtype=bool)
+    mask = np.zeros(u1.size + u2.size, dtype=bool)
     mask[: u1.size] = True
-    return RatingSet(
-        d_users=user_ids.size,
-        d_items=item_ids.size,
-        users=np.searchsorted(user_ids, users),
-        items=np.searchsorted(item_ids, items),
-        ratings=ratings,
-        train_mask=mask,
-    )
+    return _rating_set(np.concatenate([u1, u2]), np.concatenate([i1, i2]),
+                       np.concatenate([r1, r2]), mask)
 
 
 def load_gp_data(path: str | Path):
@@ -356,7 +350,6 @@ def completion_train(
     neg_r: float = 5.0,
     refresh_every: int = 100,
     svd_rank: int = 10,
-    callback: Callable[[IterationRecord], None] | None = None,
 ) -> CompletionResult:
     """Train the completion factor with SGD or SVRG.
 
@@ -392,8 +385,6 @@ def completion_train(
     def sink(rec):
         matvec_log.append(counter.count)
         records.append(rec)
-        if callback is not None:
-            callback(rec)
 
     if optimizer == "sgd":
         trajectory = sgd_run(obj, problem.theta, cfg, callback=sink)
@@ -665,7 +656,7 @@ class _GPIterate:
 
 
 def _gp_model(gp: GPProblem, iterate_at: Callable[[np.ndarray], _GPIterate],
-              counter: MatvecCounter, refresh_every: int) -> SpectralModel:
+              refresh_every: int) -> SpectralModel:
     def oracle_at(phi):
         iterate = iterate_at(phi)
         return ParamMatrixOracle(
@@ -674,7 +665,6 @@ def _gp_model(gp: GPProblem, iterate_at: Callable[[np.ndarray], _GPIterate],
             theta=np.asarray(phi, dtype=float),
             apply=lambda _phi, x: iterate.kernel @ x,
             apply_partial=lambda i, _phi, x: iterate.partial_mv(i, x),
-            counter=counter,
         )
 
     def refresh(phi, seed, mean_degree):
@@ -706,7 +696,6 @@ def gp_train(
     cfg: SGDConfig,
     refresh_every: int = 10,
     log_halfwidth: float = 3.0,
-    callback: Callable[[IterationRecord], None] | None = None,
 ) -> GPResult:
     """Learn the hyperparameters by projected SGD in log-parameter space.
 
@@ -717,7 +706,6 @@ def gp_train(
     starting point, which keeps the spectrum boundable between interval
     refreshes.
     """
-    counter = MatvecCounter()
     current: dict = {"key": None}
 
     def iterate_at(phi) -> _GPIterate:
@@ -729,7 +717,7 @@ def gp_train(
                            iterate=_GPIterate(gp, phi, current.get("iterate")))
         return current["iterate"]
 
-    model = _gp_model(gp, iterate_at, counter, refresh_every)
+    model = _gp_model(gp, iterate_at, refresh_every)
     const = 0.5 * gp.dim * math.log(2.0 * math.pi)
 
     def g_value(phi):
@@ -750,12 +738,6 @@ def gp_train(
         projection=lambda phi: np.clip(phi, lo, hi),
     )
     records: list[IterationRecord] = []
-
-    def sink(rec):
-        records.append(rec)
-        if callback is not None:
-            callback(rec)
-
-    trajectory = sgd_run(obj, phi0, cfg, callback=sink)
+    trajectory = sgd_run(obj, phi0, cfg, callback=records.append)
     nll_curve = np.array([gp_negloglik(gp, np.exp(phi)) for phi in trajectory])
     return GPResult(theta=np.exp(trajectory[-1]), records=records, nll_curve=nll_curve)

@@ -14,7 +14,7 @@ from helpers import (
 
 from spectral_cheb.chebyshev import Interval, compute_coefficients, series_from_polynomial
 from spectral_cheb.degree_dist import optimal_distribution
-from spectral_cheb.exceptions import ParameterError
+from spectral_cheb.exceptions import NumericError, ParameterError
 from spectral_cheb.grad_est import ParamMatrixOracle
 from spectral_cheb.optimize import (
     IterationRecord,
@@ -183,6 +183,20 @@ class TestSGD:
         cfg = SGDConfig(T=5, M=1, N=1, master_seed=0, step_rule="exp_decay")
         with pytest.raises(Exception, match="iteration 0"):
             sgd_run(obj, np.ones(2), cfg)
+
+
+@pytest.mark.parametrize("optimizer, where", [("sgd", "iteration 0"),
+                                              ("svrg", "epoch 1, iteration 0")])
+def test_nonfinite_iterate_aborts_naming_its_step(optimizer, where):
+    # both optimizers check the projected iterate, not only the direction
+    obj = quadratic_objective(np.zeros(2), alpha=2.0)
+    obj.projection = lambda th: np.full_like(th, np.nan)
+    with pytest.raises(NumericError, match=f"non-finite iterate at {where}$"):
+        if optimizer == "sgd":
+            sgd_run(obj, np.ones(2), SGDConfig(T=1, M=1, N=1, master_seed=0))
+        else:
+            svrg_run(obj, np.ones(2), SVRGConfig(S=1, T=1, eta=0.1, M=1, N=1, master_seed=0),
+                     exact_grad=np.zeros_like)
 
 
 class TestSGDConfig:

@@ -75,3 +75,32 @@ def test_benchmark_tracer_installs_and_uninstalls():
     assert metrics["degree_dist.degrees_drawn"] == 1
     assert metrics["probes.probe_streams"] == 4
     assert metrics["tasks.nll_curve_ms"] > 0.0
+
+
+def test_benchmark_worker_call_shapes_bind():
+    # bench/worker.py and bench/tracer.py call these with keywords; a
+    # signature trim fails here rather than as a failed benchmark run
+    from inspect import signature
+
+    from spectral_cheb import (
+        CompletionProblem,
+        SGDConfig,
+        SVRGConfig,
+        completion_train,
+        gp_train,
+        ratings_from_files,
+        sgd_run,
+        svrg_run,
+    )
+
+    arg = object()
+    signature(ratings_from_files).bind(arg, None, seed=1)
+    signature(CompletionProblem).bind(arg, epsilon=0.1, lam=1.0)
+    signature(SVRGConfig).bind(S=1, T=1, eta=0.1, M=1, N=1, master_seed=1)
+    signature(SGDConfig).bind(T=1, M=1, N=1, master_seed=1, step_rule="exp_decay",
+                              step0=0.1, decay=0.9)
+    signature(completion_train).bind(arg, arg, arg, optimizer="svrg", dist_kind="opt",
+                                     svd_rank=10)
+    signature(gp_train).bind(arg, arg, log_halfwidth=3.0)
+    signature(sgd_run).bind(obj=arg, theta0=arg, cfg=arg, callback=None)
+    signature(svrg_run).bind(obj=arg, theta0=arg, cfg=arg, exact_grad=arg, callback=None)

@@ -21,6 +21,7 @@ from spectral_cheb.tasks import (
     gp_train,
     load_gp_data,
     load_movielens,
+    ratings_from_files,
     synthetic_completion_data,
     synthetic_gp_data,
 )
@@ -78,6 +79,19 @@ class TestLoadMovielens:
         path.write_text("1::2::3.0::0\nnot-a-line\n")
         with pytest.raises(ParseError, match=":2"):
             load_movielens(path)
+
+
+class TestRatingsFromFiles:
+    def test_train_and_test_files_share_one_index_space(self, tmp_path):
+        train, test = tmp_path / "train.csv", tmp_path / "test.dat"
+        train.write_text("user,item,rating\n10,100,4.0\n30,200,6.0\n")
+        test.write_text("20::100::0.1::0\n30::300::3.0::0\n")
+        rs = ratings_from_files(train, test)
+        assert (rs.d_users, rs.d_items) == (3, 3)
+        assert rs.users.tolist() == [0, 2, 1, 2]
+        assert rs.items.tolist() == [0, 1, 0, 2]
+        assert rs.train_mask.tolist() == [True, True, False, False]
+        assert rs.ratings.tolist() == [4.0, 5.0, 0.5, 3.0]  # clamped to [0.5, 5]
 
 
 class TestCompletionObjective:
@@ -318,16 +332,6 @@ class TestGPTraining:
         nll_true = gp_negloglik(gp, theta_true)
         assert result.nll_curve[-1] <= nll_true + 0.02 * abs(nll_true)
         assert result.nll_curve[-1] < result.nll_curve[0]
-
-    def test_callback_and_records_both_kept(self):
-        x, y = synthetic_gp_data(20, [0.4, 1.0, 0.8], seed=11)
-        gp = GPProblem(x, y, np.array([0.5, 0.8, 1.0]))
-        cfg = SGDConfig(T=4, M=2, N=4, master_seed=13, step_rule="exp_decay",
-                        step0=2e-3, log_objective=False)
-        seen = []
-        result = gp_train(gp, cfg, callback=seen.append)
-        assert len(result.records) == 4
-        assert len(seen) == 4 and all(a is b for a, b in zip(seen, result.records))
 
     def test_one_kernel_and_one_solve_per_iterate(self, monkeypatch):
         import spectral_cheb.tasks as tasks_module
