@@ -1,25 +1,28 @@
 """Unbiased stochastic gradients of spectral sums.
 
 One reverse-mode kernel differentiates v^T p_hat_n(B) v, B the
-interval-mapped operator, through the three-term recurrence.  Its
-forward pass stores the first-kind vectors w_i = T_i(B) v for i < n; its
-backward Clenshaw pass forms s_i = sum_k bhat_{i+1+k} U_k(B) v from
-s_i = bhat_{i+1} v + 2 B s_{i+1} - s_{i+2}, starting at s_{n-1} =
-bhat_n v.  Every recurrence step is the oracle's ``step(w, w_prev,
-scale, iv)`` = scale * B w - w_prev, iv the interval of the series being
-differentiated: the expansion owns the interval and no oracle stores
-one.  ``LowRankPSD`` folds the map into two scalars, c1 theta (theta^T x)
-+ c2 x, and the generic ``ParamMatrixOracle`` maps each matvec's result
-in place.  The gradient
-is (2/(b-a)) sum_i' w_i^T dA s_i, and each oracle contracts it in one
-place: the generic ``ParamMatrixOracle`` applies each coordinate's
-partial to a block of stacked s_i and dots it column-wise with the w_i;
-``LowRankPSD`` (A = theta theta^T + eps I) folds the symmetric rank-one
-partials into 2 sum_i' w_i (s_i^T theta) without touching a d x d
-matrix.  Every coordinate shares the plan's degree and probe set, which
-is what the variance reduction downstream relies on; the estimators run
-the kernel through the drivers in ``probes`` and return the gradient
-array, the drawn degree staying on the plan.
+interval-mapped operator, through the computation the value path
+already does: Chebyshev moment doubling, which reads every moment of
+degree <= n off w_j = T_j(B) v for j <= J = ceil(n/2).  Its forward pass
+stores w_0..w_J; its backward pass forms the adjoints a_j of the w_j
+from a_j = g_j + 2 B a_{j+1} - a_{j+2}, g_j the direct terms the doubled
+moments put on w_j, starting at a_J = g_J.  Every recurrence step is the
+oracle's ``step(w, w_prev, scale, iv)`` = scale * B w - w_prev, iv the
+interval of the series being differentiated: the expansion owns the
+interval and no oracle stores one.  ``LowRankPSD`` folds the map into
+two scalars, c1 theta (theta^T x) + c2 x, and the generic
+``ParamMatrixOracle`` maps each matvec's result in place.  The gradient
+is (2/(b-a)) sum_{j<J}' a_{j+1}^T dA w_j: 2J - 1 matvecs of A per probe
+(none at n = 1) and J partial matvecs per coordinate.  Each oracle
+contracts it in one place: the generic ``ParamMatrixOracle`` applies
+each coordinate's symmetric partial to a block of stacked a_{j+1} and
+dots it column-wise with the w_j; ``LowRankPSD`` (A = theta theta^T +
+eps I) folds the rank-one partials into sum_j' (w_j (a_{j+1}^T theta) +
+a_{j+1} (w_j^T theta)), both halves of the symmetric part, without
+touching a d x d matrix.  Every coordinate shares the plan's degree and
+probe set, which is what the variance reduction downstream relies on;
+the estimators run the kernel through the drivers in ``probes`` and
+return the gradient array, the drawn degree staying on the plan.
 """
 
 from __future__ import annotations
@@ -45,8 +48,8 @@ __all__ = [
     "sample_lowrank_grads",
 ]
 
-# s_i vectors per contraction: the backward pass never holds more than
-# this many next to the stored forward sequence
+# adjoints a_j per contraction: the backward pass never holds more than
+# this many next to the stored forward sequence w_0..w_J
 _DEGREE_BLOCK = 32
 
 
@@ -85,16 +88,18 @@ class ParamMatrixOracle:
     def at(self, theta: np.ndarray) -> "ParamMatrixOracle":
         return dataclasses.replace(self, theta=np.asarray(theta, dtype=float))
 
-    def contract(self, w: np.ndarray, s: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """Per-column sum_b weights_b w_b^T (dA/dtheta_i) s_b for (d, blk, m)
-        blocks w and s, shape (m, param_dim): one partial matvec per
-        coordinate on the stacked s."""
-        d, blk, m = s.shape
-        flat = s.reshape(d, blk * m)
+    def contract(self, w: np.ndarray, a: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """Per-column sum_b weights_b w_b^T (dA/dtheta_i) a_b for (m, blk, d)
+        blocks w and a, shape (m, param_dim): one partial matvec per
+        coordinate on the stacked adjoints a.  Each partial is symmetric,
+        so the one product covers both halves of the symmetric part of
+        sum_b a_b w_b^T."""
+        m, blk, d = a.shape
+        flat = a.reshape(m * blk, d).T
         out = np.empty((m, self.param_dim))
         for i in range(self.param_dim):
-            ds = self.mv_partial(i, flat).reshape(d, blk, m)
-            out[:, i] = weights @ np.einsum("dbk,dbk->bk", w, ds)
+            da = self.mv_partial(i, flat).T.reshape(m, blk, d)
+            out[:, i] = np.einsum("kbd,kbd->kb", w, da) @ weights
         return out
 
 
@@ -145,18 +150,19 @@ class LowRankPSD:
     def at(self, theta: np.ndarray) -> "LowRankPSD":
         return dataclasses.replace(self, theta=np.asarray(theta, dtype=float))
 
-    def contract(self, w: np.ndarray, s: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """Per-column 2 sum_b weights_b w_b (s_b^T theta) for (d, blk, m)
-        blocks w and s, shape (m, d, r).  Each partial of theta theta^T
-        contributes (w s^T + s w^T) theta; over a whole backward pass
-        sum_i' w_i s_i^T is symmetric, so the two halves are equal."""
-        d, blk, m = s.shape
-        s_theta = (self.theta.T @ s.reshape(d, blk * m)).reshape(-1, blk, m)
-        s_theta *= (2.0 * weights)[:, None]
-        # contiguous per-column operands: each column's product is the
-        # same BLAS call however many columns the block holds
-        return np.matmul(np.ascontiguousarray(w.transpose(2, 0, 1)),
-                         np.ascontiguousarray(s_theta.transpose(2, 1, 0)))
+    def contract(self, w: np.ndarray, a: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """Per-column sum_b weights_b (w_b (a_b^T theta) + a_b (w_b^T theta))
+        for (m, blk, d) blocks w and a, shape (m, d, r).  Each partial of
+        theta theta^T contributes (w a^T + a w^T) theta; sum_b a_b w_b^T
+        is not symmetric, so both halves are formed."""
+        scale = weights[:, None]
+        w_theta = np.matmul(w, self.theta)
+        w_theta *= scale
+        a_theta = np.matmul(a, self.theta)
+        a_theta *= scale
+        out = np.matmul(w.transpose(0, 2, 1), a_theta)
+        out += np.matmul(a.transpose(0, 2, 1), w_theta)
+        return out
 
 
 def sum_prime_weights(count: int) -> np.ndarray:
@@ -174,30 +180,61 @@ def _adjoint_block(op, iv: Interval, bhat: np.ndarray, n: int,
     block, n >= 1, B mapped onto iv: one row per column, shaped by the
     oracle's ``contract``.
 
-    2(n - 1) matvecs of A per column, whatever the oracle.  The forward
-    sequence w_0..w_{n-1} is stored; the s_i are contracted against it in
-    blocks of ``_DEGREE_BLOCK`` as the backward pass produces them.
+    The reverse-mode derivative of the moment-doubled value of
+    ``probes._bilinear_block``, const + (c_1 - sum_{odd k>=3} c_k) v^T w_1
+    + sum_{j>=1} (2 c_{2j} w_j^T w_j + 2 c_{2j+1} w_{j+1}^T w_j) in
+    w_j = T_j(B) v, c = bhat.  With J = ceil(n/2), the forward pass
+    stores w_0..w_J (w_0 alone at n = 1, whose value needs no w_1); the
+    backward pass forms the adjoints a_j = g_j + 2 B a_{j+1} - a_{j+2}
+    from j = J down to 1, g_j the direct terms 4 c_{2j} w_j +
+    2 c_{2j+1} w_{j+1} + 2 c_{2j-1} w_{j-1}, with (c_1 - sum_{odd k>=3} c_k)
+    in place of 2 c_1 at j = 1.  Each block of ``_DEGREE_BLOCK`` adjoints
+    starts from its direct terms, built with one array operation per
+    neighbour, and is contracted as soon as the pass completes it: the
+    gradient is (2/(b-a)) sum_{j<J}' a_{j+1}^T dA w_j.
+
+    2J - 1 matvecs of A per column (0 at n = 1) and J partial matvecs
+    per coordinate, whatever the oracle.
     """
     d, m = probes.shape
-    w = np.empty((d, n, m))
-    w[:, 0] = probes
-    if n >= 2:
-        w[:, 1] = op.step(probes, None, 1.0, iv)
-    for i in range(2, n):
-        w[:, i] = op.step(w[:, i - 1], w[:, i - 2], 2.0, iv)
-    weights = sum_prime_weights(n) * (2.0 / iv.width)
+    half = (n + 1) // 2
+    stored = half + 1 if n >= 2 else 1
+    c = np.zeros(2 * half + 2)
+    c[: n + 1] = bhat[: n + 1]
+    # direct-term weights of w_{j-1}, w_j and w_{j+1} in g_j, j = 1..J
+    lower = 2.0 * c[1 : 2 * half : 2, None]
+    lower[0] = c[1] - c[3::2].sum()
+    centre = 4.0 * c[2 : 2 * half + 1 : 2, None]
+    upper = 2.0 * c[3 : 2 * half + 2 : 2, None]
+    # probe-major storage: w[:, j] holds T_j(B) v for every probe as an
+    # (m, d) row block, zero past the last one formed (the direct terms
+    # weigh those slots by zero); each step reads the contiguous (d, m)
+    # results of the two steps before it
+    w = np.empty((m, half + 2, d))
+    w[:, stored:] = 0.0
+    w[:, 0] = probes.T
+    prev, cur = None, probes
+    for j in range(1, stored):
+        prev, cur = cur, op.step(cur, prev, 2.0 if j > 1 else 1.0, iv)
+        w[:, j] = cur.T
+    weights = sum_prime_weights(half) * (2.0 / iv.width)
     acc = 0.0
-    s_next, s_after = None, None  # s_{i+1}, s_{i+2}
-    for top in range(n, 0, -_DEGREE_BLOCK):
-        low = max(0, top - _DEGREE_BLOCK)
-        s = np.empty((d, top - low, m))
-        for i in range(top - 1, low - 1, -1):
-            s_cur = bhat[i + 1] * probes
-            if i < n - 1:
-                s_cur += op.step(s_next, s_after, 2.0, iv)
-            s[:, i - low] = s_cur
-            s_next, s_after = s_cur, s_next
-        acc = acc + op.contract(w[:, low:top], s, weights[low:top])
+    a_next, a_after = None, None  # a_{j+1}, a_{j+2}
+    for top in range(half, 0, -_DEGREE_BLOCK):
+        low = max(1, top - _DEGREE_BLOCK + 1)
+        # the direct terms g_j, j = low..top, overwritten by a_j below
+        a = w[:, low - 1 : top] * lower[low - 1 : top]
+        a += w[:, low : top + 1] * centre[low - 1 : top]
+        a += w[:, low + 1 : top + 2] * upper[low - 1 : top]
+        for j in range(top, low - 1, -1):
+            if a_next is None:
+                a_j = a[:, j - low].T.copy()
+            else:
+                a_j = op.step(a_next, a_after, 2.0, iv)
+                a_j += a[:, j - low].T
+                a[:, j - low] = a_j.T
+            a_next, a_after = a_j, a_next
+        acc = acc + op.contract(w[:, low - 1 : top], a, weights[low - 1 : top])
     return acc
 
 
@@ -211,10 +248,10 @@ def grad_estimate_generic(
     theta.
 
     Every coordinate shares the plan's degree (drawn from ``dist`` unless
-    the plan already holds one) and its probe set.  Costs 2(n - 1)
-    matvecs of A and n partial matvecs per coordinate for each probe.  A
-    degree-0 draw returns exact zeros without building probes or touching
-    the oracle.
+    the plan already holds one) and its probe set.  Costs 2 ceil(n/2) - 1
+    matvecs of A (none at n = 1) and ceil(n/2) partial matvecs per
+    coordinate for each probe.  A degree-0 draw returns exact zeros
+    without building probes or touching the oracle.
     """
     return _evaluate(_adjoint_block, pm, series, plan, dist, zero=np.zeros(pm.param_dim))
 

@@ -3,10 +3,11 @@ series evaluation, explicit-pmf distributions and their CSV dump, random
 feasible pmfs, dense matrix factories, the quadrature used by
 Monte-Carlo variance oracles, the dense check of the second-kind
 recurrence behind the amortized gradient, the direct three-term
-recurrence the doubled Chebyshev moments are checked against, the dense
-cosine-table quadrature sum the FFT coefficients are checked against,
-the dense generic spectral gradient, finite-difference checks of a
-parametric oracle and of an objective, and the matrix-polynomial
+recurrence the doubled Chebyshev moments are checked against, the
+full-length adjoint recurrence the gradient kernel is checked against,
+the dense cosine-table quadrature sum the FFT coefficients are checked
+against, the dense generic spectral gradient, finite-difference checks
+of a parametric oracle and of an objective, and the matrix-polynomial
 perturbation and trace-nuclear checks."""
 
 from typing import IO, Callable
@@ -16,7 +17,7 @@ import numpy as np
 from spectral_cheb.chebyshev import ChebSeries, Interval
 from spectral_cheb.degree_dist import DegreeDistribution, DistributionKind
 from spectral_cheb.exceptions import DomainEvalError, ParameterError
-from spectral_cheb.grad_est import ParamMatrixOracle
+from spectral_cheb.grad_est import ParamMatrixOracle, sum_prime_weights
 from spectral_cheb.optimize import Objective
 from spectral_cheb.reference import check_dense_symmetric
 
@@ -250,6 +251,31 @@ def direct_bilinear_sums(matrix: np.ndarray, interval: Interval, coeffs: np.ndar
             w_prev, w = w, 2.0 * (shifted @ w) - w_prev
         acc = acc + coeffs[k] * np.einsum("dk,dk->k", probes, w)
     return acc
+
+
+def full_recurrence_adjoint_block(op, iv: Interval, bhat: np.ndarray, n: int,
+                                  probes: np.ndarray) -> np.ndarray:
+    """Gradient of v^T p_hat_n(B) v per column of a (d, m) probe block,
+    n >= 1, by the full-length recurrence: a forward pass stores
+    w_i = T_i(B) v for i < n, a backward Clenshaw pass forms
+    s_i = sum_k bhat_{i+1+k} U_k(B) v from s_i = bhat_{i+1} v +
+    2 B s_{i+1} - s_{i+2}, and the oracle contracts
+    (2/(b-a)) sum_i' w_i^T dA s_i.  2(n - 1) matvecs of A and n partial
+    matvecs per coordinate per column; sum_i' w_i s_i^T is symmetric, so
+    any correct ``contract`` gives the gradient."""
+    w = [probes]
+    if n >= 2:
+        w.append(op.step(probes, None, 1.0, iv))
+    for i in range(2, n):
+        w.append(op.step(w[i - 1], w[i - 2], 2.0, iv))
+    s = [None] * n
+    for i in range(n - 1, -1, -1):
+        s[i] = bhat[i + 1] * probes
+        if i < n - 1:
+            s[i] += op.step(s[i + 1], s[i + 2] if i < n - 2 else None, 2.0, iv)
+    # (m, n, d) probe-major blocks, the layout ``contract`` takes
+    return op.contract(np.stack([x.T for x in w], axis=1), np.stack([x.T for x in s], axis=1),
+                       sum_prime_weights(n) * (2.0 / iv.width))
 
 
 def cosine_table_coefficients(f, interval: Interval, degree: int, quad_nodes: int):

@@ -12,7 +12,6 @@ from contextlib import contextmanager
 
 import mpmath as mp
 import numpy as np
-import pytest
 from helpers import (
     chebyshev_perturbation_check,
     conditional_weighted_variance,
@@ -27,7 +26,7 @@ from helpers import (
 
 import spectral_cheb as sc
 from spectral_cheb.cli import main as cli_main
-from spectral_cheb.tasks import _completion_exact_grad, gp_exact_nll_grad_logspace
+from spectral_cheb.tasks import gp_exact_nll_grad_logspace
 
 RHO_LOG_INTERVAL = 1.595433215948964  # singularity-at-zero ellipse for [0.05, 0.95]
 

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 from helpers import (
-    eval_U,
     exact_spectral_grad_generic,
+    full_recurrence_adjoint_block,
     random_spd,
     random_symmetric,
     second_kind_vector_identity_check,
@@ -26,6 +26,7 @@ from spectral_cheb.exceptions import ParameterError
 from spectral_cheb.grad_est import (
     LowRankPSD,
     ParamMatrixOracle,
+    _adjoint_block,
     grad_estimate_generic,
     grad_estimate_lowrank,
     sample_lowrank_grads,
@@ -384,8 +385,10 @@ class TestAdjointKernel:
         series = compute_coefficients(np.log, Interval(0.2, 2.0), degree=60)
         grad_estimate_generic(oracle, series, deterministic_distribution(n),
                               ProbePlan(48, m_probes))
-        assert partial_cols.count == m_probes * 3 * n
-        assert oracle.counter.count - partial_cols.count == m_probes * 2 * (n - 1)
+        half = (n + 1) // 2  # ceil(n/2); no matvec of A at n = 1
+        a_cols = 2 * half - 1 if n > 1 else 0
+        assert partial_cols.count == m_probes * 3 * half
+        assert oracle.counter.count - partial_cols.count == m_probes * a_cols
 
     @pytest.mark.parametrize("n", [1, 2, 7, 40])
     def test_lowrank_matvec_columns(self, n):
@@ -393,7 +396,32 @@ class TestAdjointKernel:
         lr = LowRankPSD(rng.uniform(0.0, 0.4, size=(7, 3)), 0.1, counter=MatvecCounter())
         series = compute_coefficients(np.sqrt, Interval(0.05, 2.5), degree=60)
         grad_estimate_lowrank(lr, series, deterministic_distribution(n), ProbePlan(50, 40))
-        assert lr.counter.count == 40 * 2 * (n - 1)
+        half = (n + 1) // 2
+        assert lr.counter.count == 40 * (2 * half - 1 if n > 1 else 0)
+
+    @pytest.mark.parametrize("tight", [False, True])
+    @pytest.mark.parametrize("kind", ["generic", "lowrank"])
+    def test_matches_full_recurrence(self, kind, tight):
+        # the moment-doubled adjoints against the full-length recurrence;
+        # a tight interval puts eigenvalues on both of its ends
+        rng = np.random.default_rng(52)
+        if kind == "generic":
+            base = random_spd(rng, 10, 0.5, 1.5)
+            partials = [random_symmetric(rng, 10, 0.05) for _ in range(3)]
+            op = affine_oracle(base, partials, [0.1, -0.2, 0.3])
+            dense = base + 0.1 * partials[0] - 0.2 * partials[1] + 0.3 * partials[2]
+        else:
+            op = LowRankPSD(rng.uniform(0.0, 0.5, size=(10, 3)), 0.2)
+            dense = op.dense()
+        eigs = np.linalg.eigvalsh(dense)
+        iv = (Interval(float(eigs[0]), float(eigs[-1])) if tight
+              else Interval(0.9 * eigs[0], 1.1 * eigs[-1]))
+        coeffs = compute_coefficients(np.log, iv, degree=100).coeffs
+        probes = rng.choice([-1.0, 1.0], size=(10, 6))
+        for n in (1, 2, 3, 4, 5, 8, 15, 16, 31, 96):
+            got = _adjoint_block(op, iv, coeffs[: n + 1], n, probes)
+            want = full_recurrence_adjoint_block(op, iv, coeffs[: n + 1], n, probes)
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want), n
 
     def test_generic_thread_count_does_not_change_bits(self, monkeypatch):
         rng = np.random.default_rng(51)

@@ -12,7 +12,7 @@ from helpers import (
     validate_objective,
 )
 
-from spectral_cheb.chebyshev import Interval, compute_coefficients, series_from_polynomial
+from spectral_cheb.chebyshev import Interval, series_from_polynomial
 from spectral_cheb.degree_dist import optimal_distribution
 from spectral_cheb.exceptions import NumericError, ParameterError
 from spectral_cheb.grad_est import ParamMatrixOracle

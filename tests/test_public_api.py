@@ -104,3 +104,25 @@ def test_benchmark_worker_call_shapes_bind():
     signature(gp_train).bind(arg, arg, log_halfwidth=3.0)
     signature(sgd_run).bind(obj=arg, theta0=arg, cfg=arg, callback=None)
     signature(svrg_run).bind(obj=arg, theta0=arg, cfg=arg, exact_grad=arg, callback=None)
+
+
+def test_no_unused_top_level_imports():
+    # every name a module imports at its top level is read somewhere in
+    # it; the package __init__ re-exports its imports and is exempt
+    root = Path(__file__).resolve().parents[1]
+    unused = []
+    for path in sorted([*(root / "src").rglob("*.py"), *(root / "tests").glob("*.py")]):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        bound = {}
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                bound.update({alias.asname or alias.name.split(".")[0]: node.lineno
+                              for alias in node.names})
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound.update({alias.asname or alias.name: node.lineno for alias in node.names})
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.relative_to(root)}:{line} {name}"
+                   for name, line in bound.items() if name not in read]
+    assert unused == []

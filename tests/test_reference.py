@@ -1,7 +1,5 @@
 """Tests for the dense brute-force oracles."""
 
-import math
-
 import numpy as np
 import pytest
 from helpers import (
