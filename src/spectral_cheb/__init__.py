@@ -50,7 +50,6 @@ from .grad_est import (
     ParamMatrixOracle,
     grad_estimate_generic,
     grad_estimate_lowrank,
-    sample_lowrank_grads,
     sample_spectral_grads,
     sum_prime_weights,
 )

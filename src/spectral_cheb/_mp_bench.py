@@ -20,9 +20,10 @@ import math
 import mpmath as mp
 
 from .chebyshev import Interval, rho_from_endpoint_singularity
+from .degree_dist import DegreeDistribution, DistributionKind
 from .exceptions import ParameterError
 
-__all__ = ["mp_variance_rows"]
+__all__ = ["mp_variances"]
 
 SERIES_DEGREE = 220
 _DPS = {"log": 130, "sqrt": 130, "exp": 380, "poly": 130}
@@ -110,10 +111,9 @@ def _mp_coefficients(fname, payload, interval: Interval, degree: int):
     return coeffs
 
 
-def _survival_optimal(rho_mp, mean_n: int, upto: int):
-    """1 - S_j for the optimal distribution, exact in mp."""
-    m = int(math.floor(float(rho_mp / (rho_mp - 1)) + 1e-9))
-    k_supp = max(0, mean_n - m)
+def _survival_optimal(rho_mp, k_supp: int, mean_n: int, upto: int):
+    """1 - S_j for the optimal distribution with its mass from degree
+    ``k_supp`` on, exact in mp."""
     c = mp.mpf(mean_n - k_supp)
     out = []
     for j in range(upto + 1):
@@ -153,36 +153,34 @@ def _survival_negbinomial(mean_n: int, r: float, upto: int):
     )
 
 
-def mp_variance_rows(
+def mp_variances(
     fname: str,
     payload,
     interval: Interval,
-    dist_specs: list[tuple[str, float]],
-    sweep: list[int],
-    rho: float | None,
-) -> list[tuple[str, int, str]]:
-    """(distribution label, N, decimal value or 'inf') rows of the sweep."""
+    dists: list[DegreeDistribution],
+) -> list[str]:
+    """The weighted variance of each distribution, as a decimal string or
+    'inf'; each survival is recomputed in mp from the distribution's
+    parameters."""
     with mp.workdps(_DPS.get(fname, 130)):
         coeffs = _mp_coefficients(fname, payload, interval, SERIES_DEGREE)
-        rho_mp = mp.mpf(rho) if rho is not None else None
-        rows = []
-        for kind, neg_r in dist_specs:
-            label = f"neg({neg_r:g})" if kind == "neg" else kind
-            for mean_n in sweep:
-                if kind == "opt":
-                    survival = _survival_optimal(rho_mp, mean_n, SERIES_DEGREE)
-                elif kind == "pois":
-                    survival = _survival_poisson(mean_n, SERIES_DEGREE)
-                elif kind == "neg":
-                    survival = _survival_negbinomial(mean_n, neg_r, SERIES_DEGREE)
-                elif kind == "det":
-                    survival = [mp.mpf(1) if j < mean_n else mp.mpf(0)
-                                for j in range(SERIES_DEGREE + 1)]
-                else:
-                    raise ParameterError(f"unknown degree distribution {kind!r}")
-                value = _variance_or_inf(coeffs, survival)
-                rows.append((label, mean_n, value))
-        return rows
+        values = []
+        for dist in dists:
+            p = dist.params
+            if dist.kind is DistributionKind.OPTIMAL:
+                survival = _survival_optimal(mp.mpf(p["rho"]), int(p["K"]), int(p["N"]),
+                                             SERIES_DEGREE)
+            elif dist.kind is DistributionKind.POISSON:
+                survival = _survival_poisson(int(p["N"]), SERIES_DEGREE)
+            elif dist.kind is DistributionKind.NEG_BINOMIAL:
+                survival = _survival_negbinomial(int(p["N"]), p["r"], SERIES_DEGREE)
+            elif dist.kind is DistributionKind.DETERMINISTIC:
+                survival = [mp.mpf(1) if j < p["n"] else mp.mpf(0)
+                            for j in range(SERIES_DEGREE + 1)]
+            else:
+                raise ParameterError(f"no extended-precision survival for {dist.kind}")
+            values.append(_variance_or_inf(coeffs, survival))
+        return values
 
 
 def _variance_or_inf(coeffs, survival) -> str:

@@ -65,6 +65,8 @@ EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
 BENCH_SWEEP = tuple(range(5, 101, 5))
+# estimate's lower eigenvalue bound when --a is absent
+ESTIMATE_LOWER = 0.01
 
 
 class _Parser(argparse.ArgumentParser):
@@ -77,7 +79,6 @@ class _Parser(argparse.ArgumentParser):
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--config", help="flat key=value defaults file; flags override")
     p.add_argument("--seed", type=int, default=0, help="master seed for all randomness")
-    p.add_argument("--out", help="output CSV path")
 
 
 def _add_function_flags(p: argparse.ArgumentParser):
@@ -95,6 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser("variance-bench", parents=[], help="closed-form variance sweep")
     _add_common(bench)
+    bench.add_argument("--out", help="output CSV path")
     _add_function_flags(bench)
     bench.add_argument("--dist", help="restrict to one distribution: opt, pois, neg, neg(r), det")
     bench.add_argument("--N", type=int, help="single expected degree instead of the 5..100 sweep")
@@ -108,13 +110,12 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--M", "--probes", dest="M", type=int, default=10,
                      help="number of Rademacher probes")
     est.add_argument("--degree", type=int, help="fixed degree for --dist det")
-    est.add_argument("--epsilon", type=float, default=0.01,
-                     help="default lower eigenvalue bound when --a is absent")
 
     mc = sub.add_parser("mc-train", help="run the mc task")
     gp = sub.add_parser("gp-train", help="run the gp task")
     for train in (mc, gp):
         _add_common(train)
+        train.add_argument("--out", help="metrics CSV path")
         train.add_argument("--train", required=False, help="training data file")
         train.add_argument("--N", type=int, default=10)
         train.add_argument("--M", "--probes", dest="M", type=int, default=8)
@@ -210,20 +211,22 @@ def cmd_variance_bench(args) -> int:
     else:
         dist_specs = [("opt", 5.0), ("pois", 5.0), ("neg", 2.0), ("neg", 5.0),
                       ("neg", 10.0), ("det", 5.0)]
-    if any(kind == "opt" for kind, _ in dist_specs) and args.rho is None:
-        raise ParameterError("the optimal distribution needs --rho")
     if args.N is not None and args.N < 1:
         raise ParameterError(f"--N must be at least 1, got {args.N}")
     sweep = list(BENCH_SWEEP) if args.N is None else [args.N]
+    # built in double precision first, so a bad --rho or r fails here
+    swept = [(f"neg({neg_r:g})" if kind == "neg" else kind, mean_n,
+              make_degree_distribution(kind, mean_n, rho=args.rho, neg_r=neg_r))
+             for kind, neg_r in dist_specs for mean_n in sweep]
     # the sweep reaches degrees whose true variances sit far below what
     # double precision can represent, so the bench evaluates the closed
     # form in extended precision; mpmath loads for this command only
-    from ._mp_bench import mp_variance_rows
+    from ._mp_bench import mp_variances
 
     payload = f_or_coeffs if fname == "poly" else None
-    rows = mp_variance_rows(fname, payload, interval, dist_specs, sweep, args.rho)
+    values = mp_variances(fname, payload, interval, [dist for _, _, dist in swept])
     lines = ["function,distribution,N,weighted_variance"]
-    for label, mean_n, text in rows:
+    for (label, mean_n, _), text in zip(swept, values):
         lines.append(f"{fname},{label},{mean_n},{text}")
     Path(args.out).write_text("\n".join(lines) + "\n")
     print(f"wrote {len(lines) - 1} rows to {args.out}", file=sys.stderr)
@@ -233,18 +236,15 @@ def cmd_variance_bench(args) -> int:
 def cmd_estimate(args) -> int:
     if args.N < 1:
         raise ParameterError(f"--N must be at least 1, got {args.N}")
-    matrix_path = Path(args.matrix)
-    if not matrix_path.exists():
-        raise FileNotFoundError(f"matrix file not found: {matrix_path}")
-    matrix = load_matrix(matrix_path)
+    matrix = load_matrix(args.matrix)
     dim = matrix.shape[0]
     fname, f_or_coeffs = _parse_function(args)
     oracle = MatrixOracle.from_matrix(matrix)
     upper = args.b if args.b is not None else power_method_bound(oracle, 50, args.seed)
-    lower = args.a if args.a is not None else args.epsilon
+    lower = args.a if args.a is not None else ESTIMATE_LOWER
     interval = Interval(lower, upper)
     kind, neg_r = _parse_dist_name(args.dist)
-    degree_cap = max(4 * args.N + 120, (args.degree or 0) + 1, 60)
+    degree_cap = max(4 * args.N + 120, (args.degree or 0) + 1)
     series = _build_series(fname, f_or_coeffs, interval, degree_cap)
     rho = args.rho
     if rho is None:

@@ -45,7 +45,6 @@ __all__ = [
     "grad_estimate_generic",
     "grad_estimate_lowrank",
     "sample_spectral_grads",
-    "sample_lowrank_grads",
 ]
 
 # adjoints a_j per contraction: the backward pass never holds more than
@@ -70,6 +69,10 @@ class ParamMatrixOracle:
     apply: Callable[[np.ndarray, np.ndarray], np.ndarray]
     apply_partial: Callable[[int, np.ndarray, np.ndarray], np.ndarray]
     counter: MatvecCounter | None = None
+
+    @property
+    def grad_shape(self) -> tuple[int, ...]:
+        return (self.param_dim,)
 
     def mv(self, x: np.ndarray) -> np.ndarray:
         _count(self.counter, x)
@@ -126,6 +129,10 @@ class LowRankPSD:
     @property
     def dim(self) -> int:
         return self.theta.shape[0]
+
+    @property
+    def grad_shape(self) -> tuple[int, ...]:
+        return self.theta.shape
 
     def mv(self, x: np.ndarray) -> np.ndarray:
         _count(self.counter, x)
@@ -253,7 +260,7 @@ def grad_estimate_generic(
     coordinate for each probe.  A degree-0 draw returns exact zeros
     without building probes or touching the oracle.
     """
-    return _evaluate(_adjoint_block, pm, series, plan, dist, zero=np.zeros(pm.param_dim))
+    return _evaluate(_adjoint_block, pm, series, plan, dist, zero=np.zeros(pm.grad_shape))
 
 
 def grad_estimate_lowrank(
@@ -267,33 +274,20 @@ def grad_estimate_lowrank(
     parameterization but costs O(M n d r) with no d x d work.  Per-probe
     values are averaged in probe order whatever the thread count; a
     degree-0 draw returns exact zeros without building probes."""
-    return _evaluate(_adjoint_block, lr, series, plan, dist, zero=np.zeros_like(lr.theta))
+    return _evaluate(_adjoint_block, lr, series, plan, dist, zero=np.zeros(lr.grad_shape))
 
 
 def sample_spectral_grads(
-    pm: ParamMatrixOracle,
+    op: ParamMatrixOracle | LowRankPSD,
     series: ChebSeries,
     dist: DegreeDistribution,
     master_seed: int,
     num_samples: int,
     M: int = 1,
 ) -> np.ndarray:
-    """Independent gradient draws, shape (num_samples, param_dim); row t
-    reproduces grad_estimate_generic at evaluation index t, grouped by
-    degree in blocks of about 256 probe columns."""
-    return _evaluate_batch(_adjoint_block, 256, pm, series, dist, master_seed, num_samples, M,
-                           zero=np.zeros(pm.param_dim))
-
-
-def sample_lowrank_grads(
-    lr: LowRankPSD,
-    series: ChebSeries,
-    dist: DegreeDistribution,
-    master_seed: int,
-    num_samples: int,
-) -> np.ndarray:
-    """Independent single-probe amortized gradient draws, shape
-    (num_samples, d, r); row t reproduces grad_estimate_lowrank at
-    evaluation index t with M = 1."""
-    return _evaluate_batch(_adjoint_block, 256, lr, series, dist, master_seed, num_samples, 1,
-                           zero=np.zeros_like(lr.theta))
+    """Independent gradient draws from either oracle, shape
+    (num_samples, *op.grad_shape); row t reproduces grad_estimate_generic
+    or grad_estimate_lowrank at evaluation index t, grouped by degree in
+    blocks of about 256 probe columns."""
+    return _evaluate_batch(_adjoint_block, 256, op, series, dist, master_seed, num_samples, M,
+                           zero=np.zeros(op.grad_shape))

@@ -467,6 +467,8 @@ def power_method_bound(A: MatrixOracle, iters: int, seed: int) -> float:
     only covers a slow start.  ``expansion_for`` floors it at 2 * lower."""
     if iters < 1:
         raise ParameterError(f"need at least one iteration, got {iters}")
+    if A.dim < 1:
+        raise ParameterError(f"operator dimension must be at least 1, got {A.dim}")
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(2,)))
     u = rng.standard_normal(A.dim)
     norm = np.linalg.norm(u)
@@ -551,6 +553,10 @@ def load_matrix(path: str | Path):
         except Exception as exc:
             raise ParseError(f"cannot parse MatrixMarket file {path}: {exc}") from exc
         matrix = scipy.sparse.csr_matrix(matrix)
+        if matrix.shape[0] == 0:
+            raise ParseError(f"matrix in {path} is empty")
+        if matrix.shape[0] != matrix.shape[1]:
+            raise ParseError(f"matrix in {path} is not square: {matrix.shape}")
         asym = abs(matrix - matrix.T)
         scale = max(1.0, float(abs(matrix).max()))
         if asym.nnz and asym.max() > 1e-12 * scale:

@@ -7,17 +7,18 @@ factor box-constrained to [0, 5].  GP learning minimizes the negative
 log marginal likelihood of a dense RBF kernel; the quadratic data term
 is handled by conjugate-gradient solves and the log-determinant gradient
 by the unbiased spectral estimator.  Both re-bound the spectrum with a
-power method on an epoch schedule.  Both run on NumPy alone: the CG is
-written out here, and the exact NLL takes one Cholesky factor of the
-kernel bordered by y.  Both drivers return the optimizer's iteration
-records on their result and take no callback; only completion counts
-matvecs.
+power method on a fixed schedule (``COMPLETION_REFRESH_EVERY``,
+``GP_REFRESH_EVERY``).  Both run on NumPy alone: the CG is written out
+here, and the exact NLL takes one Cholesky factor of the kernel bordered
+by y.  GP training builds each iterate's kernel, partials and CG solve
+once, when it moves to the iterate, into the previous iterate's buffers.
+Both drivers return the optimizer's iteration records on their result and
+take no callback; only completion counts matvecs.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
@@ -66,6 +67,9 @@ __all__ = [
 ]
 
 RATING_BOX = (0.0, 5.0)
+# SGD iterations between spectrum re-bounds (SVRG re-bounds at every anchor)
+COMPLETION_REFRESH_EVERY = 100
+GP_REFRESH_EVERY = 10
 
 
 # ---------------------------------------------------------------------------
@@ -134,6 +138,8 @@ def _parse_triples(path: Path, fmt: str):
     if not triples:
         raise ParseError(f"{path}: no rating triples found")
     users, items, ratings = zip(*triples)
+    if not np.isfinite(ratings).all():
+        raise ParseError(f"{path}: non-finite rating")
     return np.asarray(users), np.asarray(items), np.asarray(ratings, dtype=float)
 
 
@@ -220,6 +226,8 @@ def load_gp_data(path: str | Path):
         raise ParseError(f"cannot parse regression data {path}: {exc}") from exc
     if data.shape[1] < 2:
         raise ParseError(f"{path}: need at least an input column and an output column")
+    if not np.isfinite(data).all():
+        raise ParseError(f"{path}: non-finite value in the regression data")
     return data[:, :-1], data[:, -1]
 
 
@@ -328,7 +336,6 @@ def _completion_model(
     dist_kind: str,
     neg_r: float,
     counter: MatvecCounter,
-    refresh_every: int,
 ) -> SpectralModel:
     def oracle_at(theta):
         return LowRankPSD(theta, problem.epsilon, counter=counter)
@@ -338,7 +345,7 @@ def _completion_model(
         return expansion_for(LowRankPSD(theta, problem.epsilon).mv, theta.shape[0],
                              np.sqrt, problem.epsilon, mean_degree, seed, dist_kind, neg_r)
 
-    return SpectralModel(oracle_at, refresh, refresh_every=refresh_every)
+    return SpectralModel(oracle_at, refresh, refresh_every=COMPLETION_REFRESH_EVERY)
 
 
 def completion_train(
@@ -348,7 +355,6 @@ def completion_train(
     optimizer: str = "sgd",
     dist_kind: str = "opt",
     neg_r: float = 5.0,
-    refresh_every: int = 100,
     svd_rank: int = 10,
 ) -> CompletionResult:
     """Train the completion factor with SGD or SVRG.
@@ -357,13 +363,12 @@ def completion_train(
     term has the analytic gradient 2 lambda (theta_ij - R_ij) on observed
     entries; every step projects back into the rating box.  A rank-
     truncated SVD is applied once after training, before the test RMSE.
-    ``refresh_every`` > 0 re-bounds the spectrum every that many SGD
-    iterations, but at every epoch's anchor under SVRG, whatever its
-    value; 0 bounds it once, at the start.
+    The spectrum is re-bounded every ``COMPLETION_REFRESH_EVERY`` SGD
+    iterations, and at every epoch's anchor under SVRG.
     """
     users, items, vals = ratings.split(train=True)
     counter = MatvecCounter()
-    model = _completion_model(problem, dist_kind, neg_r, counter, refresh_every)
+    model = _completion_model(problem, dist_kind, neg_r, counter)
 
     def g_value(theta):
         return _data_fit(problem, ratings, theta)
@@ -596,67 +601,39 @@ def _gp_partials_logspace(gp: GPProblem, theta: np.ndarray):
 
 
 class _GPIterate:
-    """The arrays gp_train needs at one log-parameter iterate, each built
-    once, on first use: the exp term, the kernel, the CG solution of the
-    data term, and the partials.  Degree-0 draws need no kernel matvecs
-    and the objective log no partials.
+    """The arrays gp_train needs at one log-parameter iterate, all built at
+    construction: the exp term, the kernel, the partials and the CG
+    solution ``alpha`` of the data term.  Every gradient step reads all of
+    them; the objective log reads the iterate the next step starts from.
 
     A ``donor`` (the previous iterate) hands over its exp term, kernel and
     partials, which this iterate overwrites in place instead of allocating
     four fresh d x d arrays per step (2 MB each at d = 512, which the
     allocator would otherwise hand back to the system and fault in again).
-    The donor forgets them, so a stale holder of it rebuilds them rather
-    than reading overwritten ones.
+    The donor deletes them, so a stale holder of it raises AttributeError
+    rather than reading overwritten arrays.
     """
 
-    _REUSED = ("exp_term", "kernel", "partials")
-
     def __init__(self, gp: GPProblem, phi: np.ndarray, donor: _GPIterate | None = None):
-        self.gp = gp
         self.theta = np.exp(phi)
-        self._arrays: dict = {}
-        self._spare: dict = {} if donor is None else donor._hand_over()
-        self._lock = threading.RLock()  # probe chunks may ask from worker threads
-
-    def _hand_over(self) -> dict:
-        with self._lock:
-            return {name: self._arrays.pop(name) for name in self._REUSED if name in self._arrays}
-
-    def _built(self, name: str, build: Callable[[object], object]):
-        """The named array, built on first use into the donor's buffer if any."""
-        with self._lock:
-            if name not in self._arrays:
-                self._arrays[name] = build(self._spare.pop(name, None))
-            return self._arrays[name]
-
-    @property
-    def exp_term(self) -> np.ndarray:
-        return self._built("exp_term", lambda out: _rbf_exp(self.gp.sq_dists, self.theta, out))
-
-    @property
-    def kernel(self) -> np.ndarray:
-        return self._built(
-            "kernel",
-            lambda out: _rbf_kernel(self.gp.sq_dists, self.theta, self.exp_term, out),
-        )
-
-    @property
-    def alpha(self) -> np.ndarray:
-        return self._built("alpha", lambda _: _cg_solve(self.kernel, self.gp.y))
+        exp_out = kernel_out = partials_out = None
+        if donor is not None:
+            exp_out, kernel_out, partials_out = donor.exp_term, donor.kernel, donor.partials
+            del donor.exp_term, donor.kernel, donor.partials
+        sq = gp.sq_dists
+        self.exp_term = _rbf_exp(sq, self.theta, exp_out)
+        self.kernel = _rbf_kernel(sq, self.theta, self.exp_term, kernel_out)
+        self.partials = _rbf_partials(sq, self.theta, self.exp_term, partials_out)
+        self.alpha = _cg_solve(self.kernel, gp.y)
 
     def partial_mv(self, i: int, x: np.ndarray) -> np.ndarray:
         """dA/dphi_i x; dA/dphi_0 = 2 noise^2 I is applied as a scaling."""
         if i == 0:
             return 2.0 * self.theta[0] ** 2 * x
-        partials = self._built(
-            "partials",
-            lambda out: _rbf_partials(self.gp.sq_dists, self.theta, self.exp_term, out),
-        )
-        return partials[i - 1] @ x
+        return self.partials[i - 1] @ x
 
 
-def _gp_model(gp: GPProblem, iterate_at: Callable[[np.ndarray], _GPIterate],
-              refresh_every: int) -> SpectralModel:
+def _gp_model(gp: GPProblem, iterate_at: Callable[[np.ndarray], _GPIterate]) -> SpectralModel:
     def oracle_at(phi):
         iterate = iterate_at(phi)
         return ParamMatrixOracle(
@@ -673,7 +650,7 @@ def _gp_model(gp: GPProblem, iterate_at: Callable[[np.ndarray], _GPIterate],
         return expansion_for(lambda x: a_mat @ x, gp.dim, lambda x: 0.5 * np.log(x),
                              0.5 * np.exp(phi)[0] ** 2, mean_degree, seed)
 
-    return SpectralModel(oracle_at, refresh, refresh_every=refresh_every)
+    return SpectralModel(oracle_at, refresh, refresh_every=GP_REFRESH_EVERY)
 
 
 def gp_exact_nll_grad_logspace(gp: GPProblem, phi: np.ndarray) -> np.ndarray:
@@ -694,7 +671,6 @@ def gp_exact_nll_grad_logspace(gp: GPProblem, phi: np.ndarray) -> np.ndarray:
 def gp_train(
     gp: GPProblem,
     cfg: SGDConfig,
-    refresh_every: int = 10,
     log_halfwidth: float = 3.0,
 ) -> GPResult:
     """Learn the hyperparameters by projected SGD in log-parameter space.
@@ -703,8 +679,8 @@ def gp_train(
     solve per step; the log-determinant gradient from the unbiased
     estimator.  Positivity comes from the log parameterization; the
     feasible set is a box of half-width ``log_halfwidth`` around the
-    starting point, which keeps the spectrum boundable between interval
-    refreshes.
+    starting point, which keeps the spectrum boundable between the interval
+    refreshes, every ``GP_REFRESH_EVERY`` iterations.
     """
     current: dict = {"key": None}
 
@@ -717,7 +693,7 @@ def gp_train(
                            iterate=_GPIterate(gp, phi, current.get("iterate")))
         return current["iterate"]
 
-    model = _gp_model(gp, iterate_at, refresh_every)
+    model = _gp_model(gp, iterate_at)
     const = 0.5 * gp.dim * math.log(2.0 * math.pi)
 
     def g_value(phi):

@@ -73,6 +73,17 @@ class TestVarianceBench:
         assert code == 1 and not out.exists()
         assert f"--N must be at least 1, got {degree}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--rho", "0.5"], "rho must be > 1, got 0.5"),
+        (["--rho", "1.0"], "rho must be > 1, got 1.0"),
+        (["--rho", "2.0", "--dist", "neg(0.5)"], "shape parameter must be >= 1, got 0.5"),
+    ])
+    def test_invalid_distribution_is_config_error(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "v.csv"
+        code = main(["variance-bench", "--func", "log", "--N", "5", *flags, "--out", str(out)])
+        assert code == 1 and not out.exists()
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+
     def test_quadrature_resolves_closed_form_coefficients(self):
         # log(h (x0 + t)) = log(h rho / 2) + sum_m 2 (-1)^(m+1) T_m(t) / (m rho^m)
         # and exp(c + h t) = e^c (I_0(h) + 2 sum_m I_m(h) T_m(t)), to the
@@ -126,6 +137,13 @@ class TestVarianceBench:
 
 
 class TestEstimate:
+    def test_empty_matrixmarket_is_data_error(self, tmp_path):
+        path = tmp_path / "empty.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate real symmetric\n0 0 0\n")
+        proc = run_cli(["estimate", str(path), "--func", "log"])
+        assert proc.returncode == 2
+        assert proc.stderr == f"data error: matrix in {path} is empty\n"
+
     def test_identity_polynomial_exact(self, tmp_path):
         path = write_identity(tmp_path)
         proc = run_cli(["estimate", str(path), "--func", "poly:0,1", "--a", "0", "--b", "2",
@@ -236,11 +254,14 @@ class TestArgumentHandling:
         ("gp-train", ["--test", "t.csv"]), ("gp-train", ["--dist", "pois"]),
         ("gp-train", ["--rho", "9"]), ("gp-train", ["--lambda", "2"]),
         ("gp-train", ["--epsilon", "0.1"]), ("gp-train", ["--rank", "3"]),
-        ("mc-train", ["--rho", "9"]),
+        ("mc-train", ["--rho", "9"]), ("estimate", ["--out", "o.csv"]),
+        ("estimate", ["--epsilon", "0.1"]),
     ])
     def test_training_flags_not_read_are_rejected(self, command, flags):
+        given = ["m.txt"] if command == "estimate" else ["--train", "x.csv"]
+        build_parser().parse_args([command, *given])
         with pytest.raises(SystemExit) as exc:
-            build_parser().parse_args([command, "--train", "x.csv", *flags])
+            build_parser().parse_args([command, *given, *flags])
         assert exc.value.code == 1
 
     @pytest.mark.parametrize("spec", ["neg(abc)", "neg()"])
@@ -322,6 +343,14 @@ class TestMcTrain:
         assert proc.returncode == 2
         assert "not found" in proc.stderr
 
+    def test_nonfinite_rating_is_data_error(self, tmp_path, capsys):
+        data = tmp_path / "ratings.csv"
+        data.write_text("user,item,rating\n1,1,4.0\n1,2,nan\n2,1,3.0\n")
+        out = tmp_path / "mc.csv"
+        assert main(["mc-train", "--train", str(data), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"data error: {data}: non-finite rating\n"
+        assert not out.exists()
+
     def test_optimizers_have_distinct_phase_columns(self, tmp_path):
         phases = {}
         for opt in ("sgd", "svrg"):
@@ -355,6 +384,15 @@ class TestGpTrain:
 
     def test_missing_data_exit_2(self, tmp_path):
         assert main(["gp-train", "--train", "/nope.csv", "--out", str(tmp_path / "g.csv")]) == 2
+
+    def test_nonfinite_output_is_data_error(self, tmp_path, capsys):
+        data = tmp_path / "gp.csv"
+        data.write_text("0.0,1.0\n0.5,nan\n1.0,0.5\n")
+        out = tmp_path / "g.csv"
+        assert main(["gp-train", "--train", str(data), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"data error: {data}: non-finite value in the regression data\n"
+        assert not out.exists()
 
     def test_empty_data_exit_2(self, tmp_path):
         empty = tmp_path / "empty.csv"

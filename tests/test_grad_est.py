@@ -29,7 +29,6 @@ from spectral_cheb.grad_est import (
     _adjoint_block,
     grad_estimate_generic,
     grad_estimate_lowrank,
-    sample_lowrank_grads,
     sample_spectral_grads,
     sum_prime_weights,
 )
@@ -233,7 +232,7 @@ class TestLowRankGradient:
         rho = 2.0
         dist = optimal_distribution(rho, 6)
         exact = exact_spectral_grad_lowrank(theta, eps, lambda x: 0.5 / np.sqrt(x))
-        grads = sample_lowrank_grads(lr, series, dist, 13, 10**5)
+        grads = sample_spectral_grads(lr, series, dist, 13, 10**5)
         mean = grads.mean(axis=0)
         se = grads.std(axis=0) / math.sqrt(grads.shape[0])
         assert np.all(np.abs(mean - exact) < 3 * se + 1e-12)
@@ -244,15 +243,15 @@ class TestLowRankGradient:
         lr = LowRankPSD(theta, 0.3)
         series = compute_coefficients(np.sqrt, Interval(0.2, 3.0), degree=50)
         dist = optimal_distribution(2.0, 5)
-        batch = sample_lowrank_grads(lr, series, dist, 14, 3)
+        batch = sample_spectral_grads(lr, series, dist, 14, 3)
         for t in range(3):
             # same streams as a batch of t+1 samples; block widths differ,
             # so agreement is exact up to float reassociation only
-            single = sample_lowrank_grads(lr, series, dist, 14, t + 1)[t]
+            single = sample_spectral_grads(lr, series, dist, 14, t + 1)[t]
             np.testing.assert_allclose(batch[t], single, rtol=1e-12, atol=1e-14)
         # bit equality holds only when the block holds the sample alone
         alone = grad_estimate_lowrank(lr, series, dist, ProbePlan(14, 1))
-        np.testing.assert_array_equal(sample_lowrank_grads(lr, series, dist, 14, 1)[0],
+        np.testing.assert_array_equal(sample_spectral_grads(lr, series, dist, 14, 1)[0],
                                       alone)
 
 

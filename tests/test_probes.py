@@ -513,6 +513,26 @@ class TestPowerMethod:
         lam_max = float(np.linalg.eigvalsh(matrix).max())
         assert power_method_bound(oracle, 100, seed=2) >= lam_max
 
+    def test_empty_operator_rejected(self):
+        # in a child process with a timeout: an unchecked length-0 start
+        # vector has norm 0 on every redraw and the retry loop never ends
+        import subprocess
+        import sys
+
+        code = """
+import numpy as np
+from spectral_cheb.exceptions import ParameterError
+from spectral_cheb.probes import MatrixOracle, power_method_bound
+try:
+    power_method_bound(MatrixOracle(dim=0, matvec=lambda x: x), 5, 0)
+except ParameterError as exc:
+    print(exc)
+"""
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=30)
+        assert proc.returncode == 0, proc.stderr
+        assert "dimension must be at least 1, got 0" in proc.stdout
+
 
 class TestExpansion:
     def test_polynomial_series_zero_padded(self):
@@ -577,6 +597,14 @@ class TestLoadMatrix:
     def test_missing_file(self):
         with pytest.raises(FileNotFoundError):
             load_matrix("/nonexistent/matrix.mtx")
+
+    @pytest.mark.parametrize("size, message", [("0 0 0", "empty"),
+                                               ("2 3 1\n1 1 1.0", "not square")])
+    def test_matrixmarket_shape_rejected(self, tmp_path, size, message):
+        path = tmp_path / "m.mtx"
+        path.write_text(f"%%MatrixMarket matrix coordinate real general\n{size}\n")
+        with pytest.raises(ParseError, match=message):
+            load_matrix(path)
 
 
 class TestProbePlan:
@@ -708,7 +736,7 @@ class TestSingleProbeBuilder:
             if isinstance(oracle, LowRankPSD):
                 runs += [lambda op: grad_est.grad_estimate_lowrank(op, series, dist,
                                                                    ProbePlan(1, 3)),
-                         lambda op: grad_est.sample_lowrank_grads(op, series, dist, 1, 2)]
+                         lambda op: grad_est.sample_spectral_grads(op, series, dist, 1, 2)]
             elif isinstance(oracle, ParamMatrixOracle):
                 runs += [lambda op: grad_est.grad_estimate_generic(op, series, dist,
                                                                    ProbePlan(1, 3)),

@@ -338,19 +338,23 @@ class TestGPTraining:
 
         x, y = synthetic_gp_data(30, [0.4, 1.0, 0.8], seed=11)
         gp = GPProblem(x, y, np.array([0.5, 0.8, 1.0]))
-        kernels, solves = [], []
+        kernels, solves, partials = [], [], []
         real_kernel, real_cg = tasks_module._rbf_kernel, tasks_module._cg_solve
+        real_partials = tasks_module._rbf_partials
         monkeypatch.setattr(tasks_module, "_rbf_kernel", lambda sq, theta, *rest: (
             kernels.append(np.asarray(theta).tobytes()) or real_kernel(sq, theta, *rest)))
         monkeypatch.setattr(tasks_module, "_cg_solve", lambda a_mat, rhs: (
             solves.append(a_mat.tobytes()) or real_cg(a_mat, rhs)))
+        monkeypatch.setattr(tasks_module, "_rbf_partials", lambda sq, theta, *rest: (
+            partials.append(np.asarray(theta).tobytes()) or real_partials(sq, theta, *rest)))
         # the exact NLL curve after training builds its own kernels
         monkeypatch.setattr(tasks_module, "gp_negloglik", lambda gp, theta: 0.0)
         cfg = SGDConfig(T=12, M=4, N=6, master_seed=13, step_rule="exp_decay", step0=2e-3)
-        gp_train(gp, cfg, refresh_every=5)
+        gp_train(gp, cfg)
         # every iterate takes a gradient step and all but the first are logged
         assert len(kernels) == len(set(kernels)) == cfg.T + 1
         assert len(solves) == len(set(solves)) == cfg.T + 1
+        assert partials == kernels
 
     def test_iterate_builds_once_under_concurrent_readers(self, monkeypatch):
         import sys
@@ -385,50 +389,39 @@ class TestGPTraining:
         assert len(seen) == 8 and len(kernels) == 1
         np.testing.assert_array_equal(seen[0][0], gp.kernel() @ probe)
 
-    def test_iterates_reuse_donor_arrays_and_stale_ones_rebuild(self, monkeypatch):
+    def test_iterates_reuse_donor_arrays_and_held_donors_raise(self, monkeypatch):
         import spectral_cheb.tasks as tasks_module
 
         x, y = synthetic_gp_data(30, [0.4, 1.0, 0.8], seed=11)
         gp = GPProblem(x, y, np.array([0.5, 0.8, 1.0]))
-        iterates, fresh_kernels_exact = [], []
+        iterates = []
 
         class Recording(tasks_module._GPIterate):
             def __init__(self, *args):
                 super().__init__(*args)
-                self.first_built = {}
+                self.built = (self.exp_term, self.kernel, *self.partials)
+                self.kernel_exact = np.array_equal(self.kernel, gp.kernel(self.theta))
                 iterates.append(self)
-
-            def _built(self, name, build):
-                arrays = super()._built(name, build)
-                if name not in self.first_built:
-                    self.first_built[name] = arrays
-                    if name == "kernel":
-                        fresh_kernels_exact.append(
-                            np.array_equal(arrays, gp.kernel(self.theta)))
-                return arrays
 
         monkeypatch.setattr(tasks_module, "_GPIterate", Recording)
         cfg = SGDConfig(T=6, M=2, N=6, master_seed=13, step_rule="exp_decay", step0=2e-3)
-        gp_train(gp, cfg, refresh_every=3)
+        gp_train(gp, cfg)
         assert len(iterates) == cfg.T + 1
-        assert fresh_kernels_exact == [True] * len(iterates)
-        for donor, iterate in zip(iterates, iterates[1:]):
-            for name in ("exp_term", "kernel"):
-                assert np.shares_memory(iterate.first_built[name], donor.first_built[name])
-            # the last iterate is only logged and needs no partials
-            if "partials" in iterate.first_built:
-                for new, old in zip(iterate.first_built["partials"],
-                                    donor.first_built["partials"]):
-                    assert np.shares_memory(new, old)
-        assert all("partials" in iterate.first_built for iterate in iterates[:-1])
-        # held after training moved on, each iterate still gives its own arrays
+        assert all(iterate.kernel_exact for iterate in iterates)
         probe = np.linspace(-1.0, 1.0, 30)
-        for iterate in iterates:
-            np.testing.assert_array_equal(iterate.kernel, gp.kernel(iterate.theta))
-            for i, partial in enumerate(tasks_module._gp_partials_logspace(gp, iterate.theta)):
-                np.testing.assert_allclose(iterate.partial_mv(i, probe), partial @ probe,
-                                           rtol=1e-14, atol=0)
-        assert not np.shares_memory(iterates[0].kernel, iterates[-1].kernel)
+        for donor, iterate in zip(iterates, iterates[1:]):
+            for new, old in zip(iterate.built, donor.built):
+                assert np.shares_memory(new, old)
+            # a held donor has handed its arrays over and cannot read them
+            with pytest.raises(AttributeError):
+                donor.kernel
+            with pytest.raises(AttributeError):
+                donor.partial_mv(1, probe)
+        last = iterates[-1]
+        np.testing.assert_array_equal(last.kernel, gp.kernel(last.theta))
+        for i, partial in enumerate(tasks_module._gp_partials_logspace(gp, last.theta)):
+            np.testing.assert_allclose(last.partial_mv(i, probe), partial @ probe,
+                                       rtol=1e-14, atol=0)
 
     def test_curve_reproducible(self):
         x, y = synthetic_gp_data(30, [0.4, 1.0, 0.8], seed=11)
@@ -461,3 +454,23 @@ class TestLoadGPData:
         path.write_text(text)
         with pytest.raises(ParseError, match="empty"):
             load_gp_data(path)
+
+
+def test_make_fixtures_reproduces_data():
+    # the ratings and the GP inputs byte for byte; the GP outputs come from
+    # a Cholesky draw whose last bits vary with the platform's LAPACK
+    import importlib.util
+    import io
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("make_fixtures",
+                                                  root / "scripts" / "make_fixtures.py")
+    make_fixtures = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(make_fixtures)
+    assert make_fixtures.ratings_text() == (root / "data" / "synthetic_ratings.csv").read_text()
+    made = np.loadtxt(io.StringIO(make_fixtures.gp_text()), delimiter=",")
+    committed = np.loadtxt(root / "data" / "synthetic_gp.csv", delimiter=",")
+    np.testing.assert_array_equal(made[:, 0], committed[:, 0])
+    np.testing.assert_allclose(made[:, 1], committed[:, 1], rtol=0,
+                               atol=1e-12 * np.abs(committed[:, 1]).max())
