@@ -5,7 +5,9 @@ variance of the degree distributions over a sweep of expected degrees,
 ``estimate`` runs one unbiased spectral-sum estimate on a matrix file,
 and ``mc-train`` / ``gp-train`` drive the optimization tasks; the two
 share one check of --train/--out and one writer of the metrics CSV,
-``<out>.trajectory.csv`` and ``<out>.theta.txt``.  A flat key=value
+``<out>.trajectory.csv`` and ``<out>.theta.txt``.  --dist passes its
+name (opt, pois, neg, neg(r), det) to ``degree_dist``, which parses it;
+``estimate --dist det`` truncates at the degree --N.  A flat key=value
 config file supplies defaults; flags override it.  Every CSV
 output is byte-stable for a fixed --seed (timing columns are zeroed;
 measured times go to stderr).
@@ -65,6 +67,7 @@ EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
 BENCH_SWEEP = tuple(range(5, 101, 5))
+BENCH_DISTS = ("opt", "pois", "neg(2)", "neg", "neg(10)", "det")
 # estimate's lower eigenvalue bound when --a is absent
 ESTIMATE_LOWER = 0.01
 
@@ -109,7 +112,6 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--N", type=int, default=10, help="expected truncation degree")
     est.add_argument("--M", "--probes", dest="M", type=int, default=10,
                      help="number of Rademacher probes")
-    est.add_argument("--degree", type=int, help="fixed degree for --dist det")
 
     mc = sub.add_parser("mc-train", help="run the mc task")
     gp = sub.add_parser("gp-train", help="run the gp task")
@@ -181,20 +183,6 @@ def _bench_interval(fname: str, args) -> Interval:
     raise ParameterError("custom polynomial needs explicit --a and --b")
 
 
-def _parse_dist_name(spec: str) -> tuple[str, float]:
-    spec = spec.strip()
-    if spec.startswith("neg(") and spec.endswith(")"):
-        try:
-            return "neg", float(spec[4:-1])
-        except ValueError as exc:
-            raise ParameterError(f"cannot parse the r of degree distribution {spec!r}") from exc
-    if spec in ("opt", "pois", "det"):
-        return spec, 5.0
-    if spec == "neg":
-        return "neg", 5.0
-    raise ParameterError(f"unknown degree distribution {spec!r}")
-
-
 def _build_series(fname, f_or_coeffs, interval, degree):
     if fname == "poly":
         return series_from_polynomial(f_or_coeffs, interval, degree=degree)
@@ -206,28 +194,22 @@ def cmd_variance_bench(args) -> int:
         raise ParameterError("variance-bench needs --out for the CSV file")
     fname, f_or_coeffs = _parse_function(args)
     interval = _bench_interval(fname, args)
-    if args.dist:
-        dist_specs = [_parse_dist_name(args.dist)]
-    else:
-        dist_specs = [("opt", 5.0), ("pois", 5.0), ("neg", 2.0), ("neg", 5.0),
-                      ("neg", 10.0), ("det", 5.0)]
     if args.N is not None and args.N < 1:
         raise ParameterError(f"--N must be at least 1, got {args.N}")
     sweep = list(BENCH_SWEEP) if args.N is None else [args.N]
     # built in double precision first, so a bad --rho or r fails here
-    swept = [(f"neg({neg_r:g})" if kind == "neg" else kind, mean_n,
-              make_degree_distribution(kind, mean_n, rho=args.rho, neg_r=neg_r))
-             for kind, neg_r in dist_specs for mean_n in sweep]
+    swept = [(mean_n, make_degree_distribution(name, mean_n, rho=args.rho))
+             for name in ([args.dist] if args.dist else BENCH_DISTS) for mean_n in sweep]
     # the sweep reaches degrees whose true variances sit far below what
     # double precision can represent, so the bench evaluates the closed
     # form in extended precision; mpmath loads for this command only
     from ._mp_bench import mp_variances
 
     payload = f_or_coeffs if fname == "poly" else None
-    values = mp_variances(fname, payload, interval, [dist for _, _, dist in swept])
+    values = mp_variances(fname, payload, interval, [dist for _, dist in swept])
     lines = ["function,distribution,N,weighted_variance"]
-    for (label, mean_n, _), text in zip(swept, values):
-        lines.append(f"{fname},{label},{mean_n},{text}")
+    for (mean_n, dist), text in zip(swept, values):
+        lines.append(f"{fname},{dist.name},{mean_n},{text}")
     Path(args.out).write_text("\n".join(lines) + "\n")
     print(f"wrote {len(lines) - 1} rows to {args.out}", file=sys.stderr)
     return 0
@@ -243,19 +225,14 @@ def cmd_estimate(args) -> int:
     upper = args.b if args.b is not None else power_method_bound(oracle, 50, args.seed)
     lower = args.a if args.a is not None else ESTIMATE_LOWER
     interval = Interval(lower, upper)
-    kind, neg_r = _parse_dist_name(args.dist)
-    degree_cap = max(4 * args.N + 120, (args.degree or 0) + 1)
-    series = _build_series(fname, f_or_coeffs, interval, degree_cap)
+    series = _build_series(fname, f_or_coeffs, interval, 4 * args.N + 120)
     rho = args.rho
     if rho is None:
         try:
             rho = estimate_rho(series, args.N, min(3 * args.N + 20, series.degree))
         except SpectralChebError:
             rho = None
-    mean_degree = args.degree if kind == "det" and args.degree is not None else args.N
-    if kind == "opt" and rho is None:
-        raise ParameterError("cannot estimate rho for the optimal distribution; pass --rho")
-    dist = make_degree_distribution(kind, mean_degree, rho=rho, neg_r=neg_r)
+    dist = make_degree_distribution(args.dist, args.N, rho=rho)
     plan = ProbePlan(args.seed, args.M)
     # a tail draw past the provisional series extends it
     expansion = Expansion(None if fname == "poly" else f_or_coeffs, series, dist)
@@ -271,9 +248,9 @@ def cmd_estimate(args) -> int:
         resolved = series.coeffs[: above[-1] + 1 if above.size else 1]
         j = np.arange(resolved.size, dtype=float)
         big_u = float(np.max(np.abs(resolved) * rho**j)) / 2.0
-        bound = dim * truncation_error_bound(AnalyticitySpec(rho, big_u), mean_degree)
+        bound = dim * truncation_error_bound(AnalyticitySpec(rho, big_u), args.N)
         print(
-            f"fixed-degree-{mean_degree} bias bound: {bound:.6g} "
+            f"fixed-degree-{args.N} bias bound: {bound:.6g} "
             f"(rho = {rho:.6g}, U ~ {big_u:.6g})",
             file=sys.stderr,
         )
@@ -313,7 +290,6 @@ def cmd_mc_train(args) -> int:
     mean_rating = float(ratings.ratings.mean())
     epsilon = args.epsilon if args.epsilon is not None else 1e-2 * mean_rating**2
     problem = CompletionProblem(theta0, epsilon=epsilon, lam=args.lam)
-    kind, neg_r = _parse_dist_name(args.dist)
     total_iters = args.epochs * args.inner_iters
     if args.optimizer == "sgd":
         cfg = SGDConfig(T=total_iters, M=args.M, N=args.N, master_seed=args.seed,
@@ -322,7 +298,7 @@ def cmd_mc_train(args) -> int:
         cfg = SVRGConfig(S=args.epochs, T=args.inner_iters, eta=args.step, M=args.M,
                          N=args.N, master_seed=args.seed)
     result = completion_train(problem, ratings, cfg, optimizer=args.optimizer,
-                              dist_kind=kind, neg_r=neg_r, svd_rank=args.rank)
+                              dist_kind=args.dist, svd_rank=args.rank)
     rmse = [completion_rmse(rec.theta, ratings, train=False) for rec in result.records]
     _write_training_outputs(args.out, result.records, rmse, result.theta)
     elapsed = time.perf_counter() - started

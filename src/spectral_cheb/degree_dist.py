@@ -7,6 +7,8 @@ distribution, so it stays accurate far below machine epsilon.  This
 module provides the variance-optimal distribution (a point mass at K
 plus a geometric tail of ratio 1/rho), the Poisson / negative-binomial /
 deterministic baselines (tabulated by their pmf ratio recurrences),
+the one parser of their names (``make_degree_distribution``: opt, pois,
+neg, neg(r), det; ``DegreeDistribution.name`` spells one back),
 exact inverse-CDF sampling, coefficient re-weighting, the closed-form
 weighted variance, the relaxed variance objective that the optimal
 distribution minimizes, and the finite-horizon KKT solution used as a
@@ -50,10 +52,10 @@ _TABLE_MASS_TOL = 1e-13
 
 
 class DistributionKind(Enum):
-    OPTIMAL = "optimal"
-    POISSON = "poisson"
-    NEG_BINOMIAL = "negbinomial"
-    DETERMINISTIC = "deterministic"
+    OPTIMAL = "opt"
+    POISSON = "pois"
+    NEG_BINOMIAL = "neg"
+    DETERMINISTIC = "det"
     TABULATED = "tabulated"
 
 
@@ -111,6 +113,15 @@ class DegreeDistribution:
         mass = self.total_mass()
         if abs(mass - 1.0) > 1e-12:
             raise ParameterError(f"total mass must be 1 within 1e-12, got {mass!r}")
+
+    @property
+    def name(self) -> str:
+        """The name ``make_degree_distribution`` builds this from: the
+        kind's value, plus r in shortest form for neg(r).  ``variance-bench``
+        labels its rows with it."""
+        if self.kind is DistributionKind.NEG_BINOMIAL:
+            return f"neg({self.params['r']:g})"
+        return self.kind.value
 
     # -- mass bookkeeping ------------------------------------------------
 
@@ -264,20 +275,29 @@ def deterministic_distribution(n: int) -> DegreeDistribution:
     )
 
 
-def make_degree_distribution(kind: str, mean_degree: int, rho: float | None = None,
-                             neg_r: float = 5.0) -> DegreeDistribution:
-    """Map a distribution name (opt, pois, neg, det) onto a constructor."""
-    if kind == "opt":
+def make_degree_distribution(name: str, mean_degree: int,
+                             rho: float | None = None) -> DegreeDistribution:
+    """The distribution a name spells, surrounding whitespace ignored: opt
+    (needs ``rho``), pois, neg (the default shape), neg(r), or det (a
+    point mass at ``mean_degree``)."""
+    spec = name.strip()
+    if spec == "opt":
         if rho is None:
             raise ParameterError("the optimal distribution needs the decay parameter rho")
         return optimal_distribution(rho, mean_degree)
-    if kind == "pois":
+    if spec == "pois":
         return poisson_distribution(mean_degree)
-    if kind == "neg":
-        return negbinomial_distribution(mean_degree, r=neg_r)
-    if kind == "det":
+    if spec == "neg":
+        return negbinomial_distribution(mean_degree)
+    if spec.startswith("neg(") and spec.endswith(")"):
+        try:
+            r = float(spec[4:-1])
+        except ValueError as exc:
+            raise ParameterError(f"cannot parse the r of degree distribution {spec!r}") from exc
+        return negbinomial_distribution(mean_degree, r)
+    if spec == "det":
         return deterministic_distribution(mean_degree)
-    raise ParameterError(f"unknown degree distribution {kind!r}")
+    raise ParameterError(f"unknown degree distribution {spec!r}")
 
 
 def sample_degree(dist: DegreeDistribution, rng: np.random.Generator) -> int:

@@ -42,6 +42,7 @@ import math
 import os
 import sys
 import threading
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -519,13 +520,13 @@ class Expansion:
 
 def expansion_for(matvec: Callable[[np.ndarray], np.ndarray], dim: int,
                   f: Callable[[float], float], lower: float, mean_degree: int, seed: int,
-                  kind: str = "opt", neg_r: float = 5.0) -> Expansion:
+                  kind: str = "opt") -> Expansion:
     """Expansion of f for an operator whose spectrum lies above ``lower``.
 
     The upper end is a 50-step power-method estimate, floored at
     2 * lower.  The series reaches the degree past which the optimal
     distribution's geometric tail holds ~1e-13 of the mass, kept within
-    [60, 1000]; ``kind`` and ``neg_r`` name the degree distribution.
+    [60, 1000]; ``kind`` names the degree distribution, such as neg(3).
     """
     upper = power_method_bound(MatrixOracle(dim=dim, matvec=matvec), 50, seed)
     interval = Interval(lower, max(upper, 2.0 * lower))
@@ -534,13 +535,15 @@ def expansion_for(matvec: Callable[[np.ndarray], np.ndarray], dim: int,
     return Expansion(
         f,
         compute_coefficients(f, interval, degree),
-        make_degree_distribution(kind, mean_degree, rho=rho, neg_r=neg_r),
+        make_degree_distribution(kind, mean_degree, rho=rho),
     )
 
 
 def load_matrix(path: str | Path):
     """Read a symmetric matrix: MatrixMarket coordinate (*.mtx) or dense
-    whitespace text.  Returns a dense ndarray or a scipy sparse matrix."""
+    whitespace text.  Returns a dense ndarray or a scipy sparse matrix.
+    Both formats pass one check: nonempty, square, and |A - A^T| at most
+    1e-12 max(1, |A|) entrywise."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"matrix file not found: {path}")
@@ -549,25 +552,21 @@ def load_matrix(path: str | Path):
         import scipy.sparse
 
         try:
-            matrix = scipy.io.mmread(str(path))
+            matrix = scipy.sparse.csr_matrix(scipy.io.mmread(str(path)))
         except Exception as exc:
             raise ParseError(f"cannot parse MatrixMarket file {path}: {exc}") from exc
-        matrix = scipy.sparse.csr_matrix(matrix)
-        if matrix.shape[0] == 0:
-            raise ParseError(f"matrix in {path} is empty")
-        if matrix.shape[0] != matrix.shape[1]:
-            raise ParseError(f"matrix in {path} is not square: {matrix.shape}")
-        asym = abs(matrix - matrix.T)
-        scale = max(1.0, float(abs(matrix).max()))
-        if asym.nnz and asym.max() > 1e-12 * scale:
-            raise ParseError(f"matrix in {path} is not symmetric")
-        return matrix
-    try:
-        matrix = np.loadtxt(str(path), dtype=float, ndmin=2)
-    except Exception as exc:
-        raise ParseError(f"cannot parse dense matrix file {path}: {exc}") from exc
+    else:
+        try:
+            with warnings.catch_warnings():  # an empty file is reported below
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                matrix = np.loadtxt(str(path), dtype=float, ndmin=2)
+        except Exception as exc:
+            raise ParseError(f"cannot parse dense matrix file {path}: {exc}") from exc
+    if 0 in matrix.shape:
+        raise ParseError(f"matrix in {path} is empty")
     if matrix.shape[0] != matrix.shape[1]:
         raise ParseError(f"matrix in {path} is not square: {matrix.shape}")
-    if not np.allclose(matrix, matrix.T, atol=1e-12 * max(1.0, float(np.abs(matrix).max()))):
+    # written so that a NaN fails it
+    if not abs(matrix - matrix.T).max() <= 1e-12 * max(1.0, float(abs(matrix).max())):
         raise ParseError(f"matrix in {path} is not symmetric")
     return matrix

@@ -70,6 +70,8 @@ RATING_BOX = (0.0, 5.0)
 # SGD iterations between spectrum re-bounds (SVRG re-bounds at every anchor)
 COMPLETION_REFRESH_EVERY = 100
 GP_REFRESH_EVERY = 10
+CG_RTOL = 1e-8  # relative residual at which the data-term CG stops
+NLL_MEAN_DEGREE = 10  # mean truncation degree of gp_negloglik(mode="estimate")
 
 
 # ---------------------------------------------------------------------------
@@ -256,11 +258,11 @@ def synthetic_completion_data(
     )
 
 
-def synthetic_gp_data(d: int, theta: Sequence[float], seed: int, input_dim: int = 1):
-    """Inputs on [0, 4]^input_dim and outputs drawn from the zero-mean
+def synthetic_gp_data(d: int, theta: Sequence[float], seed: int):
+    """One input column on [0, 4] and outputs drawn from the zero-mean
     Gaussian process with the RBF kernel at ``theta``."""
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(9,)))
-    x = np.sort(rng.uniform(0.0, 4.0, size=(d, input_dim)), axis=0)
+    x = np.sort(rng.uniform(0.0, 4.0, size=(d, 1)), axis=0)
     kernel = _rbf_kernel(_sq_dists(x), np.asarray(theta, dtype=float))
     chol = np.linalg.cholesky(kernel)
     y = chol @ rng.standard_normal(d)
@@ -284,7 +286,6 @@ class CompletionProblem:
     theta: np.ndarray
     epsilon: float
     lam: float
-    box: tuple[float, float] = RATING_BOX
 
     def __post_init__(self):
         self.theta = np.asarray(self.theta, dtype=float)
@@ -334,7 +335,6 @@ def _completion_exact_grad(problem: CompletionProblem, theta: np.ndarray) -> np.
 def _completion_model(
     problem: CompletionProblem,
     dist_kind: str,
-    neg_r: float,
     counter: MatvecCounter,
 ) -> SpectralModel:
     def oracle_at(theta):
@@ -343,7 +343,7 @@ def _completion_model(
     def refresh(theta, seed, mean_degree):
         # uncounted: the matvec budget covers the estimators only
         return expansion_for(LowRankPSD(theta, problem.epsilon).mv, theta.shape[0],
-                             np.sqrt, problem.epsilon, mean_degree, seed, dist_kind, neg_r)
+                             np.sqrt, problem.epsilon, mean_degree, seed, dist_kind)
 
     return SpectralModel(oracle_at, refresh, refresh_every=COMPLETION_REFRESH_EVERY)
 
@@ -354,7 +354,6 @@ def completion_train(
     cfg: SGDConfig | SVRGConfig,
     optimizer: str = "sgd",
     dist_kind: str = "opt",
-    neg_r: float = 5.0,
     svd_rank: int = 10,
 ) -> CompletionResult:
     """Train the completion factor with SGD or SVRG.
@@ -364,11 +363,12 @@ def completion_train(
     entries; every step projects back into the rating box.  A rank-
     truncated SVD is applied once after training, before the test RMSE.
     The spectrum is re-bounded every ``COMPLETION_REFRESH_EVERY`` SGD
-    iterations, and at every epoch's anchor under SVRG.
+    iterations, and at every epoch's anchor under SVRG.  ``dist_kind``
+    names the degree distribution, such as ``neg(3)``.
     """
     users, items, vals = ratings.split(train=True)
     counter = MatvecCounter()
-    model = _completion_model(problem, dist_kind, neg_r, counter)
+    model = _completion_model(problem, dist_kind, counter)
 
     def g_value(theta):
         return _data_fit(problem, ratings, theta)
@@ -382,7 +382,7 @@ def completion_train(
         spectral=model,
         g_value=g_value,
         g_grad=g_grad,
-        projection=lambda th: box_projection(th, *problem.box),
+        projection=lambda th: box_projection(th, *RATING_BOX),
     )
     records: list[IterationRecord] = []
     matvec_log: list[int] = []
@@ -515,15 +515,15 @@ class GPResult:
     nll_curve: np.ndarray
 
 
-def _cg_solve(a_mat: np.ndarray, rhs: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+def _cg_solve(a_mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Conjugate gradients for a_mat x = rhs from x = 0, unpreconditioned,
-    stopping once ||r|| < tol ||rhs||, within 10 d iterations.  The
-    arithmetic is SciPy's ``cg(rtol=tol, atol=0)`` step for step, so the
-    solutions agree bit for bit."""
+    stopping once ||r|| < CG_RTOL ||rhs||, within 10 d iterations.  The
+    arithmetic is SciPy's ``cg(rtol=CG_RTOL, atol=0)`` step for step, so
+    the solutions agree bit for bit."""
     rhs_norm = np.linalg.norm(rhs)
     if rhs_norm == 0.0:
         return rhs.copy()
-    limit = tol * rhs_norm
+    limit = CG_RTOL * rhs_norm
     x, r, p, rho_prev = np.zeros_like(rhs), rhs.copy(), None, None
     for _ in range(10 * rhs.size):
         if np.linalg.norm(r) < limit:
@@ -551,7 +551,6 @@ def gp_negloglik(
     mode: str = "exact",
     seed: int = 0,
     m_probes: int = 1,
-    mean_degree: int = 10,
 ) -> float:
     """Negative log marginal likelihood.
 
@@ -561,7 +560,8 @@ def gp_negloglik(
     has squared norm y^T A^{-1} y (the corner entry keeps the bordered
     matrix positive definite, as y^T A^{-1} y <= ||y||^2 / theta_1^2).
     Estimation mode solves the data term by conjugate gradients and
-    estimates the log-determinant with the unbiased randomized estimator.
+    estimates the log-determinant with the unbiased randomized estimator
+    at mean degree ``NLL_MEAN_DEGREE``.
     """
     theta = gp.theta if theta is None else np.asarray(theta, dtype=float)
     a_mat = gp.kernel(theta)
@@ -585,7 +585,7 @@ def gp_negloglik(
         raise ParameterError(f"unknown mode {mode!r}")
     alpha = _cg_solve(a_mat, gp.y)
     expansion = expansion_for(lambda x: a_mat @ x, d, np.log, 0.999 * theta[0] ** 2,
-                              mean_degree, seed)
+                              NLL_MEAN_DEGREE, seed)
     plan = ProbePlan(seed, m_probes)
     logdet_est = estimate_spectral_sum_unbiased(
         MatrixOracle.from_matrix(a_mat),

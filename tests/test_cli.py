@@ -121,6 +121,14 @@ class TestVarianceBench:
         rows = out.read_text().strip().split("\n")[1:]
         assert all(row.split(",")[-1] == "inf" for row in rows)
 
+    @pytest.mark.parametrize("spec, label", [("neg", "neg(5)"), ("neg(2.50)", "neg(2.5)"),
+                                             (" pois ", "pois")])
+    def test_row_label_spells_the_distribution(self, tmp_path, spec, label):
+        out = tmp_path / "v.csv"
+        assert main(["variance-bench", "--func", "exp", "--rho", "4.0", "--N", "5",
+                     "--dist", spec, "--out", str(out)]) == 0
+        assert out.read_text().split("\n")[1].split(",")[:3] == ["exp", label, "5"]
+
     def test_opt_below_baselines(self, tmp_path):
         out = tmp_path / "v.csv"
         assert main(["variance-bench", "--func", "log", "--rho", RHO_LOG,
@@ -147,7 +155,7 @@ class TestEstimate:
     def test_identity_polynomial_exact(self, tmp_path):
         path = write_identity(tmp_path)
         proc = run_cli(["estimate", str(path), "--func", "poly:0,1", "--a", "0", "--b", "2",
-                        "--dist", "det", "--degree", "1", "--M", "4", "--seed", "3"])
+                        "--dist", "det", "--N", "1", "--M", "4", "--seed", "3"])
         assert proc.returncode == 0
         assert proc.stdout.strip() == "5.0"
         assert "sampled degree" in proc.stderr
@@ -156,7 +164,7 @@ class TestEstimate:
         path = tmp_path / "diag.txt"
         path.write_text("1 0\n0 2\n")
         proc = run_cli(["estimate", str(path), "--func", "poly:0,0,1", "--a", "0", "--b", "2.5",
-                        "--dist", "det", "--degree", "2", "--probes", "100000", "--seed", "1"])
+                        "--dist", "det", "--N", "2", "--probes", "100000", "--seed", "1"])
         assert proc.returncode == 0
         # tr A^2 = 5; single-probe var is small here, 3 sigma band generous
         assert abs(float(proc.stdout.strip()) - 5.0) < 0.2
@@ -234,6 +242,28 @@ class TestEstimate:
         path.write_text("1 2\n0 1\n")
         assert main(["estimate", str(path), "--func", "exp", "--a", "0", "--b", "3"]) == 2
 
+    @pytest.mark.parametrize("suffix, body", [
+        (".txt", "2 1\n1.000001 2\n"),
+        (".mtx", "%%MatrixMarket matrix coordinate real general\n2 2 4\n"
+                 "1 1 2\n1 2 1\n2 1 1.000001\n2 2 2\n"),
+    ])
+    def test_nearly_symmetric_matrix_is_data_error_in_both_formats(self, tmp_path, suffix,
+                                                                   body):
+        # one check for both formats: an asymmetry of 1e-6 is far above 1e-12
+        path = tmp_path / f"near{suffix}"
+        path.write_text(body)
+        proc = run_cli(["estimate", str(path), "--func", "exp", "--a", "0", "--b", "4"])
+        assert proc.returncode == 2
+        assert proc.stderr == f"data error: matrix in {path} is not symmetric\n"
+
+    @pytest.mark.parametrize("body", ["", " \n\t\n"])
+    def test_empty_dense_file_is_data_error(self, tmp_path, body):
+        path = tmp_path / "empty.txt"
+        path.write_text(body)
+        proc = run_cli(["estimate", str(path), "--func", "exp", "--a", "0", "--b", "2"])
+        assert proc.returncode == 2
+        assert proc.stderr == f"data error: matrix in {path} is empty\n"
+
     def test_missing_matrix_is_data_error(self):
         assert main(["estimate", "/nonexistent.mtx", "--func", "exp"]) == 2
 
@@ -255,7 +285,7 @@ class TestArgumentHandling:
         ("gp-train", ["--rho", "9"]), ("gp-train", ["--lambda", "2"]),
         ("gp-train", ["--epsilon", "0.1"]), ("gp-train", ["--rank", "3"]),
         ("mc-train", ["--rho", "9"]), ("estimate", ["--out", "o.csv"]),
-        ("estimate", ["--epsilon", "0.1"]),
+        ("estimate", ["--epsilon", "0.1"]), ("estimate", ["--degree", "2"]),
     ])
     def test_training_flags_not_read_are_rejected(self, command, flags):
         given = ["m.txt"] if command == "estimate" else ["--train", "x.csv"]

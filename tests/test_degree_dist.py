@@ -23,6 +23,7 @@ from spectral_cheb.degree_dist import (
     chebyshev_weighted_variance,
     deterministic_distribution,
     finite_kkt_solution,
+    make_degree_distribution,
     negbinomial_distribution,
     optimal_distribution,
     poisson_distribution,
@@ -435,6 +436,35 @@ class TestKindLabels:
         assert poisson_distribution(2).kind is DistributionKind.POISSON
         assert negbinomial_distribution(2, 2).kind is DistributionKind.NEG_BINOMIAL
         assert deterministic_distribution(2).kind is DistributionKind.DETERMINISTIC
+
+
+class TestNames:
+    @pytest.mark.parametrize("spec, direct, name", [
+        (" opt ", lambda n: optimal_distribution(1.7, n), "opt"),
+        ("pois", poisson_distribution, "pois"),
+        ("neg", lambda n: negbinomial_distribution(n, 5), "neg(5)"),
+        ("neg(5)", lambda n: negbinomial_distribution(n, 5), "neg(5)"),
+        ("neg(2.50)", lambda n: negbinomial_distribution(n, 2.5), "neg(2.5)"),
+        ("det", deterministic_distribution, "det"),
+    ])
+    def test_each_spelling_builds_its_constructor(self, spec, direct, name):
+        built, want = make_degree_distribution(spec, 7, rho=1.7), direct(7)
+        assert built.kind is want.kind and built.params == want.params
+        assert built.tail_ratio == want.tail_ratio
+        assert np.array_equal(built.pmf_prefix, want.pmf_prefix)
+        assert built.name == name
+        assert make_degree_distribution(built.name, 7, rho=1.7).params == want.params
+
+    @pytest.mark.parametrize("spec, message", [
+        ("neg(abc)", "cannot parse the r of degree distribution 'neg(abc)'"),
+        ("neg()", "cannot parse the r of degree distribution 'neg()'"),
+        ("bogus", "unknown degree distribution 'bogus'"),
+        ("opt", "the optimal distribution needs the decay parameter rho"),
+    ])
+    def test_bad_spelling_or_missing_rho_raises(self, spec, message):
+        with pytest.raises(ParameterError) as exc:
+            make_degree_distribution(spec, 7)
+        assert str(exc.value) == message
 
 
 def test_package_import_leaves_scipy_stats_unloaded(tmp_path):

@@ -566,7 +566,7 @@ class TestExpansion:
 
     def test_builder_floors_upper_end_at_twice_lower(self):
         expansion = expansion_for(lambda x: 0.1 * x, 5, np.sqrt, 0.3, 4, seed=0,
-                                  kind="neg", neg_r=3.0)
+                                  kind="neg(3)")
         assert expansion.interval == Interval(0.3, 0.6)
         assert expansion.series.degree == 60
         assert expansion.dist.kind is DistributionKind.NEG_BINOMIAL
