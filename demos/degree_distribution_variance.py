@@ -56,7 +56,11 @@ for mean_n in (5, 10, 20, 50):
     print(f"{mean_n:>4} {v_opt:>12.3e} {v_pois:>12.3e} {v_neg:>12.3e}")
 
 # The full sweep (including the regime where doubles cannot even
-# represent the values) is what the CLI bench computes in extended
-# precision:
+# represent the values) is what the CLI bench computes, in double
+# precision but summed in log space.  It also decides convergence
+# analytically: Poisson's survival falls faster than any geometric while
+# these coefficients fall like rho^-j, so that series diverges.  The
+# Poisson column above is a partial sum over the coefficients above the
+# quadrature floor; the bench prints inf for every log Poisson row:
 #
 #   spectral-cheb variance-bench --func log --rho 1.5954 --out bench.csv

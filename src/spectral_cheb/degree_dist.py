@@ -8,11 +8,12 @@ module provides the variance-optimal distribution (a point mass at K
 plus a geometric tail of ratio 1/rho), the Poisson / negative-binomial /
 deterministic baselines (tabulated by their pmf ratio recurrences),
 the one parser of their names (``make_degree_distribution``: opt, pois,
-neg, neg(r), det; ``DegreeDistribution.name`` spells one back),
-exact inverse-CDF sampling, coefficient re-weighting, the closed-form
-weighted variance, the relaxed variance objective that the optimal
-distribution minimizes, and the finite-horizon KKT solution used as a
-reference oracle for optimality.
+neg, neg(r), det; ``DegreeDistribution.name`` spells one back), log
+masses that do not underflow (``DegreeDistribution.log_masses``, which
+``variance-bench`` sums in log space), exact inverse-CDF sampling,
+coefficient re-weighting, the closed-form weighted variance, the relaxed
+variance objective that the optimal distribution minimizes, and the
+finite-horizon KKT solution used as a reference oracle for optimality.
 """
 
 from __future__ import annotations
@@ -57,6 +58,9 @@ class DistributionKind(Enum):
     NEG_BINOMIAL = "neg"
     DETERMINISTIC = "det"
     TABULATED = "tabulated"
+
+
+_RECURRENCE_KINDS = (DistributionKind.POISSON, DistributionKind.NEG_BINOMIAL)
 
 
 def _kahan_cumsum(values: np.ndarray, start: float = 0.0) -> np.ndarray:
@@ -179,6 +183,49 @@ class DegreeDistribution:
             out[j_end + 1 :] = self.pmf_prefix[-1] * powers / (1.0 - c)
         return out
 
+    @property
+    def limit_ratio(self) -> float:
+        """c = lim q_{i+1} / q_i: the geometric tail's ratio, N / (N + r)
+        for neg(r), and 0 for Poisson and for finite support."""
+        if self.kind in _RECURRENCE_KINDS:
+            return _recurrence(self.kind, self.params)[2]
+        return self.tail_ratio or 0.0
+
+    def log_masses(self, upto: int) -> np.ndarray:
+        """log q_0..log q_upto, then log P(n > upto), with no underflow:
+        -inf where there is no mass.
+
+        The Poisson and negative-binomial laws follow their ratio
+        recurrence (their prefix stops where 1e-13 of the mass is left)
+        until what lies beyond is e^-40 of P(n > upto); a geometric tail
+        is extended and closed in log form, past underflow in the prefix.
+        """
+        if self.kind in _RECURRENCE_KINDS:
+            ratio = _recurrence(self.kind, self.params)[1]
+            length = 2 * upto + 2
+            while True:
+                log_q = _log_pmf_by_recurrence(self.kind, self.params, length)
+                r = float(ratio(length))
+                if r < 1.0 and log_q[-1] + math.log(r / (1.0 - r)) < log_q[upto + 1] - 40.0:
+                    break
+                length *= 2
+            return np.append(log_q[: upto + 1], np.logaddexp.reduce(log_q[upto + 1 :]))
+        with np.errstate(divide="ignore"):
+            log_q = np.log(self.pmf_prefix)
+        if self.tail_ratio is None:
+            log_q = np.append(log_q, np.full(max(upto + 2 - log_q.size, 1), -np.inf))
+        else:
+            # continue from the last mass that is a normal double (the
+            # optimal law's prefix is geometric from K + 1 on, and its end
+            # underflows for large rho) through max(upto, end) + 1; the
+            # last slot holds all the mass from its degree on
+            log_q = log_q[: np.nonzero(self.pmf_prefix >= np.finfo(float).tiny)[0][-1] + 1]
+            beyond = log_q[-1] + math.log(self.tail_ratio) * np.arange(
+                1.0, max(upto - log_q.size + 1, 0) + 2)
+            beyond[-1] -= math.log1p(-self.tail_ratio)
+            log_q = np.append(log_q, beyond)
+        return np.append(log_q[: upto + 1], np.logaddexp.reduce(log_q[upto + 1 :]))
+
 
 def optimal_distribution(rho: float, meanN: int) -> DegreeDistribution:
     """Variance-optimal degree distribution at expected degree ``meanN``.
@@ -209,24 +256,40 @@ def optimal_distribution(rho: float, meanN: int) -> DegreeDistribution:
     )
 
 
-def _tabulate(log_q0: float, ratio, mean: float, kind: DistributionKind,
-              params: dict) -> DegreeDistribution:
-    """Baseline pmf from q_0 and the ratio recurrence q_{i+1} = q_i ratio(i),
-    tabulated through the first doubling of 4 mean + 64 whose tail mass
-    P(n > length) is at most ``_TABLE_MASS_TOL``, then renormalized.
+def _recurrence(kind: DistributionKind, params: dict):
+    """(log q_0, ratio, c) of the Poisson or negative-binomial law with
+    these params: q_{i+1} = q_i ratio(i), and ratio(i) tends to c.  The
+    ratio falls below 1 past the mean and does not increase there."""
+    mean = params["N"]
+    if kind is DistributionKind.POISSON:
+        return -mean, lambda i: mean / (i + 1.0), 0.0
+    r = params["r"]
+    p = r / (r + mean)
+    return r * math.log(p), lambda i: (1.0 - p) * (i + r) / (i + 1.0), 1.0 - p
 
-    ``ratio`` must fall below 1 past the mean and not increase there (true
-    of the Poisson and negative-binomial laws), so the mass beyond 2 length
-    is at most q_{2 length} r / (1 - r), r = ratio(2 length).
+
+def _log_pmf_by_recurrence(kind: DistributionKind, params: dict, upto: int) -> np.ndarray:
+    """log q_0..log q_upto of a recurrence law, unnormalized."""
+    log_q0, ratio, _ = _recurrence(kind, params)
+    log_q = np.empty(upto + 1)
+    log_q[0] = log_q0
+    np.cumsum(np.log(ratio(np.arange(upto, dtype=float))), out=log_q[1:])
+    log_q[1:] += log_q0
+    return log_q
+
+
+def _tabulate(kind: DistributionKind, params: dict) -> DegreeDistribution:
+    """Baseline pmf from its ratio recurrence, tabulated through the first
+    doubling of 4 mean + 64 whose tail mass P(n > length) is at most
+    ``_TABLE_MASS_TOL``, then renormalized.
+
+    Past the mean the ratio is below 1 and does not increase, so the mass
+    beyond 2 length is at most q_{2 length} r / (1 - r), r = ratio(2 length).
     """
-    length = int(4 * mean + 64)
+    ratio = _recurrence(kind, params)[1]
+    length = int(4 * params["N"] + 64)
     while True:
-        i = np.arange(2 * length, dtype=float)
-        log_q = np.empty(2 * length + 1)
-        log_q[0] = log_q0
-        np.cumsum(np.log(ratio(i)), out=log_q[1:])
-        log_q[1:] += log_q0
-        q = np.exp(log_q)
+        q = np.exp(_log_pmf_by_recurrence(kind, params, 2 * length))
         r = float(ratio(2.0 * length))
         beyond = q[length + 1 :].sum() + q[-1] * r / (1.0 - r)
         if beyond <= _TABLE_MASS_TOL:
@@ -243,9 +306,7 @@ def poisson_distribution(meanN: float) -> DegreeDistribution:
     """Poisson baseline, tabulated and renormalized to unit mass."""
     if not meanN > 0:
         raise ParameterError(f"mean degree must be positive, got {meanN}")
-    mean = float(meanN)
-    return _tabulate(-mean, lambda i: mean / (i + 1.0), mean, DistributionKind.POISSON,
-                     {"N": mean})
+    return _tabulate(DistributionKind.POISSON, {"N": float(meanN)})
 
 
 def negbinomial_distribution(meanN: float, r: float = 5.0) -> DegreeDistribution:
@@ -254,14 +315,7 @@ def negbinomial_distribution(meanN: float, r: float = 5.0) -> DegreeDistribution
         raise ParameterError(f"mean degree must be positive, got {meanN}")
     if not r >= 1:
         raise ParameterError(f"shape parameter must be >= 1, got {r}")
-    p = r / (r + meanN)
-    return _tabulate(
-        r * math.log(p),
-        lambda i: (1.0 - p) * (i + r) / (i + 1.0),
-        meanN,
-        DistributionKind.NEG_BINOMIAL,
-        {"N": float(meanN), "r": float(r)},
-    )
+    return _tabulate(DistributionKind.NEG_BINOMIAL, {"N": float(meanN), "r": float(r)})
 
 
 def deterministic_distribution(n: int) -> DegreeDistribution:

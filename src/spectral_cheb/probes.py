@@ -542,8 +542,8 @@ def expansion_for(matvec: Callable[[np.ndarray], np.ndarray], dim: int,
 def load_matrix(path: str | Path):
     """Read a symmetric matrix: MatrixMarket coordinate (*.mtx) or dense
     whitespace text.  Returns a dense ndarray or a scipy sparse matrix.
-    Both formats pass one check: nonempty, square, and |A - A^T| at most
-    1e-12 max(1, |A|) entrywise."""
+    Both formats pass one check: nonempty, square, finite, and |A - A^T|
+    at most 1e-12 max(1, |A|) entrywise."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"matrix file not found: {path}")
@@ -555,6 +555,7 @@ def load_matrix(path: str | Path):
             matrix = scipy.sparse.csr_matrix(scipy.io.mmread(str(path)))
         except Exception as exc:
             raise ParseError(f"cannot parse MatrixMarket file {path}: {exc}") from exc
+        entries = matrix.data
     else:
         try:
             with warnings.catch_warnings():  # an empty file is reported below
@@ -562,11 +563,13 @@ def load_matrix(path: str | Path):
                 matrix = np.loadtxt(str(path), dtype=float, ndmin=2)
         except Exception as exc:
             raise ParseError(f"cannot parse dense matrix file {path}: {exc}") from exc
+        entries = matrix
     if 0 in matrix.shape:
         raise ParseError(f"matrix in {path} is empty")
     if matrix.shape[0] != matrix.shape[1]:
         raise ParseError(f"matrix in {path} is not square: {matrix.shape}")
-    # written so that a NaN fails it
+    if not np.isfinite(entries).all():
+        raise ParseError(f"matrix in {path} has a non-finite entry")
     if not abs(matrix - matrix.T).max() <= 1e-12 * max(1.0, float(abs(matrix).max())):
         raise ParseError(f"matrix in {path} is not symmetric")
     return matrix

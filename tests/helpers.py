@@ -7,14 +7,18 @@ recurrence the doubled Chebyshev moments are checked against, the
 full-length adjoint recurrence the gradient kernel is checked against,
 the dense cosine-table quadrature sum the FFT coefficients are checked
 against, the dense generic spectral gradient, finite-difference checks
-of a parametric oracle and of an objective, and the matrix-polynomial
-perturbation and trace-nuclear checks."""
+of a parametric oracle and of an objective, the matrix-polynomial
+perturbation and trace-nuclear checks, and the mpmath evaluation of the
+weighted-variance closed form that ``variance-bench`` is checked
+against."""
 
+import math
 from typing import IO, Callable
 
+import mpmath as mp
 import numpy as np
 
-from spectral_cheb.chebyshev import ChebSeries, Interval
+from spectral_cheb.chebyshev import ChebSeries, Interval, rho_from_endpoint_singularity
 from spectral_cheb.degree_dist import DegreeDistribution, DistributionKind
 from spectral_cheb.exceptions import DomainEvalError, ParameterError
 from spectral_cheb.grad_est import ParamMatrixOracle, sum_prime_weights
@@ -361,3 +365,109 @@ def trace_nuclear_check(a_mat: np.ndarray, b_mat: np.ndarray) -> bool:
     nuc = float(np.sum(np.abs(np.linalg.eigvalsh(a_mat))))
     spec = float(np.linalg.norm(b_mat, 2))
     return lhs <= nuc * spec + 1e-10 * max(1.0, nuc * spec)
+
+
+def mp_coefficients(fname: str, payload, interval: Interval, degree: int, dps: int) -> list:
+    """b_0..b_degree of log, sqrt, exp or the polynomial with monomial
+    coefficients ``payload`` on ``interval``, in mpmath at ``dps`` digits.
+
+    The Gauss-Chebyshev cosine sum at Q nodes carries the aliases
+    b_{2kQ-j} and b_{2kQ+j}; Q is taken so that they sit below
+    10^-(dps + 4) of the coefficients' scale.  log and sqrt decay at the
+    rate r of the ellipse through their singularity at 0; exp is entire,
+    growing on the ellipse E_r by at most exp(h (r + 1/r) / 2), h the
+    half-width, and the rate giving the fewest nodes is taken; a
+    polynomial of degree p is integrated exactly once 2Q > p + degree.
+    """
+    digits = (dps + 4) * math.log(10.0)
+    if fname == "poly":
+        alias = len(payload)
+    elif fname == "exp":
+        half = interval.width / 2.0
+        alias = min(math.ceil((digits + half * (r + 1.0 / r) / 2.0) / math.log(r))
+                    for r in (2.0 ** (k / 8.0) for k in range(1, 161)))
+    else:
+        alias = math.ceil(digits / math.log(rho_from_endpoint_singularity(interval)))
+    nodes = max(degree + 1, -(-(degree + alias) // 2))
+    with mp.workdps(dps):
+        if fname == "poly":
+            coeffs = [mp.mpf(c) for c in payload]
+
+            def f(x):
+                return mp.fsum(c * x**k for k, c in enumerate(coeffs))
+        else:
+            f = getattr(mp, fname)
+        half_width = (mp.mpf(interval.b) - interval.a) / 2
+        center = (mp.mpf(interval.b) + interval.a) / 2
+        sums = [mp.mpf(0)] * (degree + 1)
+        for k in range(nodes):
+            t = mp.cos(mp.pi * (2 * k + 1) / (2 * nodes))
+            fx = f(half_width * t + center)
+            t_prev, t_cur = mp.mpf(1), t
+            sums[0] += fx
+            for j in range(1, degree + 1):
+                sums[j] += fx * t_cur
+                t_prev, t_cur = t_cur, 2 * t * t_cur - t_prev
+        coeffs = [s * 2 / nodes for s in sums]
+        coeffs[0] /= 2
+        if fname == "poly":  # past the degree the sums hold rounding residue
+            coeffs[len(payload):] = [mp.mpf(0)] * (degree + 1 - len(payload))
+        return coeffs
+
+
+def mp_variances(fname: str, payload, interval: Interval, dists, degree: int = 220) -> list:
+    """(pi/2) sum_{j=1}^{degree} b_j^2 S_{j-1} / (1 - S_{j-1}) for each
+    distribution, in mpmath at 130 digits (380 for exp), each survival
+    1 - S_j recomputed from the distribution's parameters as one minus a
+    running sum; mp.inf where the mass runs out below a live coefficient.
+    A divergent series gives its partial sum, or rounding residue once a
+    survival falls below the working precision."""
+    dps = 380 if fname == "exp" else 130
+    coeffs = mp_coefficients(fname, payload, interval, degree, dps)
+    with mp.workdps(dps):
+        noise = max(abs(c) for c in coeffs) * mp.mpf(10) ** (12 - dps)
+        values = []
+        for dist in dists:
+            survival = _mp_survival(dist, degree)
+            total = mp.mpf(0)
+            for j in range(1, degree + 1):
+                d = survival[j - 1]
+                if d <= 0:
+                    if abs(coeffs[j]) > noise:
+                        total = mp.inf
+                        break
+                    continue
+                total += coeffs[j] ** 2 * (1 - d) / d
+            values.append(total * mp.pi / 2)
+        return values
+
+
+def _mp_survival(dist: DegreeDistribution, upto: int) -> list:
+    """1 - S_j for j = 0..upto at the working precision."""
+    p = dist.params
+    if dist.kind is DistributionKind.DETERMINISTIC:
+        return [mp.mpf(1) if j < p["n"] else mp.mpf(0) for j in range(upto + 1)]
+    if dist.kind is DistributionKind.OPTIMAL:
+        rho, k_supp, c = mp.mpf(p["rho"]), int(p["K"]), mp.mpf(p["N"] - p["K"])
+        return [mp.mpf(1) if j < k_supp else c * (rho - 1) * rho ** (k_supp - j - 1)
+                for j in range(upto + 1)]
+    mean = mp.mpf(p["N"])
+    if dist.kind is DistributionKind.POISSON:
+        q = mp.exp(-mean)
+
+        def step(i, q):
+            return q * mean / (i + 1)
+    elif dist.kind is DistributionKind.NEG_BINOMIAL:
+        r = mp.mpf(p["r"])
+        q = (r / (r + mean)) ** r
+
+        def step(i, q):
+            return q * mean / (r + mean) * (i + r) / (i + 1)
+    else:
+        raise ParameterError(f"no mp survival for {dist.kind}")
+    cum, out = mp.mpf(0), []
+    for i in range(upto + 1):
+        cum += q
+        out.append(1 - cum)
+        q = step(i, q)
+    return out

@@ -9,8 +9,11 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from spectral_cheb.cli import build_parser, main
-from spectral_cheb.degree_dist import optimal_distribution, sample_degree
+from helpers import mp_coefficients, mp_variances
+from spectral_cheb._variance_bench import SERIES_DEGREE, log_abs_coefficients
+from spectral_cheb.chebyshev import Interval
+from spectral_cheb.cli import BENCH_SWEEP, build_parser, main
+from spectral_cheb.degree_dist import make_degree_distribution, optimal_distribution, sample_degree
 from spectral_cheb.probes import degree_rng
 
 FIXTURE_RATINGS = "data/synthetic_ratings.csv"
@@ -84,28 +87,83 @@ class TestVarianceBench:
         assert code == 1 and not out.exists()
         assert capsys.readouterr().err == f"configuration error: {message}\n"
 
-    def test_quadrature_resolves_closed_form_coefficients(self):
-        # log(h (x0 + t)) = log(h rho / 2) + sum_m 2 (-1)^(m+1) T_m(t) / (m rho^m)
-        # and exp(c + h t) = e^c (I_0(h) + 2 sum_m I_m(h) T_m(t)), to the
-        # working precision of each function
-        from spectral_cheb._mp_bench import _DPS, SERIES_DEGREE, _mp_coefficients
-        from spectral_cheb.chebyshev import Interval
+    @pytest.mark.parametrize("fname, rho", [("log", "1.5954"), ("sqrt", "1.5954"),
+                                            ("exp", "4.0")])
+    def test_default_sweep_matches_mp_reference(self, tmp_path, fname, rho):
+        out = tmp_path / "v.csv"
+        assert main(["variance-bench", "--func", fname, "--rho", rho, "--out", str(out)]) == 0
+        rows = [row.split(",") for row in out.read_text().strip().split("\n")[1:]]
+        dists = [make_degree_distribution(dist, int(n), rho=float(rho)) for _, dist, n, _ in rows]
+        interval = Interval(-1.0, 1.0) if fname == "exp" else Interval(0.05, 0.95)
+        divergent = set()
+        with mp.workdps(30):
+            for (_, dist, n, text), want in zip(rows, mp_variances(fname, None, interval, dists)):
+                if text == "inf":
+                    divergent.add((dist, int(n)))
+                    continue
+                assert abs(mp.mpf(text) / want - 1) < 1e-12, (dist, n, text)
+                # spelled as mp.nstr spells the reference: its exponent,
+                # 17 significant digits at most, no trailing zero
+                spelled = mp.nstr(want, 17, min_fixed=1, max_fixed=0)
+                assert text.partition("e")[1:] == spelled.partition("e")[1:]
+                assert re.fullmatch(r"[1-9]\.(\d{0,15}[1-9]|0)(e[+-]\d+)?", text)
+        # c rho_f^2 <= 1, with rho_f^2 = 2.545: Poisson (c = 0) and neg(10)
+        # at N = 5 (c = 1/3); det has no mass past N
+        want = {("det", n) for n in BENCH_SWEEP}
+        if fname != "exp":
+            want |= {("pois", n) for n in BENCH_SWEEP} | {("neg(10)", 5)}
+        assert divergent == want
 
-        iv = Interval(0.05, 0.95)
-        with mp.workdps(_DPS["log"]):
-            got = _mp_coefficients("log", None, iv, SERIES_DEGREE)
-            rho = (mp.mpf(iv.b) + iv.a) / (mp.mpf(iv.b) - iv.a)
-            rho += mp.sqrt(rho**2 - 1)
-            want = [mp.log((mp.mpf(iv.b) - iv.a) / 2 * rho / 2)]
-            want += [2 * (-1) ** (m + 1) / (m * rho**m) for m in range(1, SERIES_DEGREE + 1)]
-            assert max(abs(g - w) for g, w in zip(got, want)) < mp.mpf(10) ** (8 - mp.mp.dps)
-        iv = Interval(-1.0, 2.0)
-        with mp.workdps(_DPS["exp"]):
-            got = _mp_coefficients("exp", None, iv, SERIES_DEGREE)
-            center, half = mp.mpf(0.5), mp.mpf(1.5)
-            want = [mp.exp(center) * mp.besseli(0, half)]
-            want += [2 * mp.exp(center) * mp.besseli(m, half) for m in range(1, SERIES_DEGREE + 1)]
-            assert max(abs(g - w) for g, w in zip(got, want)) < mp.mpf(10) ** (8 - mp.mp.dps)
+    @pytest.mark.parametrize("fname, a, b, dps", [
+        ("log", 0.05, 0.95, 70), ("log", 0.01, 10.0, 30),
+        ("sqrt", 0.05, 0.95, 70), ("sqrt", 0.01, 10.0, 30), ("exp", -1.0, 2.0, 480),
+    ])
+    def test_closed_form_coefficients_match_mp_quadrature(self, fname, a, b, dps):
+        # dps resolves b_220 to 1e-13 or better; on [0.01, 10] (rho_f = 1.065)
+        # the alternating binomial sum of sqrt cancels the most
+        interval = Interval(a, b)
+        got = log_abs_coefficients(fname, None, interval, SERIES_DEGREE)
+        want = mp_coefficients(fname, None, interval, SERIES_DEGREE, dps)[1:]
+        with mp.workdps(dps):
+            assert max(abs(g - float(mp.log(abs(w)))) for g, w in zip(got, want)) < 1e-12
+
+    @pytest.mark.parametrize("flags, inf_at", [
+        # Poisson's survival falls faster than any geometric
+        (["--func", "log", "--dist", "pois"], BENCH_SWEEP),
+        (["--func", "sqrt", "--dist", "pois"], BENCH_SWEEP),
+        # c rho_f^2 = 0.848 at N = 5 and 1.27 at N = 10
+        (["--func", "log", "--dist", "neg(10)"], (5,)),
+        (["--func", "sqrt", "--dist", "neg(10)"], (5,)),
+        # c rho_f^2 = 2.545 / 3
+        (["--func", "log", "--rho", "3", "--dist", "opt"], BENCH_SWEEP),
+        # exp is entire
+        (["--func", "exp", "--dist", "pois"], ()),
+    ], ids=["log-pois", "sqrt-pois", "log-neg10", "sqrt-neg10", "log-opt-rho3", "exp-pois"])
+    def test_rows_are_inf_where_the_series_diverges(self, tmp_path, flags, inf_at):
+        out = tmp_path / "v.csv"
+        assert main(["variance-bench", *flags, "--out", str(out)]) == 0
+        rows = [row.split(",") for row in out.read_text().strip().split("\n")[1:]]
+        assert [int(n) for *_, n, _ in rows] == list(BENCH_SWEEP)
+        assert [int(n) for *_, n, text in rows if text == "inf"] == list(inf_at)
+        assert all(mp.mpf(text) > 0 for *_, text in rows)
+
+    @pytest.mark.parametrize("mean_n, want", [("5", {"opt": "0.0", "det": "0.0"}),
+                                              ("1", {"det": "inf"})])
+    def test_polynomial_rows_exact(self, tmp_path, mean_n, want):
+        out = tmp_path / "v.csv"
+        assert main(["variance-bench", "--func", "poly:1,0.5,0.25", "--a", "0.1", "--b", "2",
+                     "--rho", "2", "--N", mean_n, "--out", str(out)]) == 0
+        rows = dict(row.split(",")[1::2] for row in out.read_text().strip().split("\n")[1:])
+        assert {dist: rows[dist] for dist in want} == want
+
+    @pytest.mark.parametrize("fname, a, b", [("log", "0", "1"), ("sqrt", "-1", "1")])
+    def test_interval_through_singularity_is_config_error(self, tmp_path, capsys, fname, a, b):
+        out = tmp_path / "v.csv"
+        assert main(["variance-bench", "--func", fname, "--a", a, "--b", b, "--rho", "2",
+                     "--out", str(out)]) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err == "configuration error: interval must be strictly positive\n"
 
     def test_byte_identical_reruns(self, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -255,6 +313,20 @@ class TestEstimate:
         proc = run_cli(["estimate", str(path), "--func", "exp", "--a", "0", "--b", "4"])
         assert proc.returncode == 2
         assert proc.stderr == f"data error: matrix in {path} is not symmetric\n"
+
+    @pytest.mark.parametrize("name, body", [
+        ("nan.txt", "2 nan\nnan 2\n"), ("inf.txt", "2 inf\ninf 2\n"),
+        ("nan.mtx", "%%MatrixMarket matrix coordinate real general\n2 2 4\n"
+                    "1 1 nan\n1 2 1\n2 1 1\n2 2 2\n"),
+    ], ids=["nan-txt", "inf-txt", "nan-mtx"])
+    def test_nonfinite_entry_is_data_error(self, tmp_path, name, body):
+        # named before the symmetry check, which a NaN fails and an inf
+        # turns into NumPy's invalid-value warning
+        path = tmp_path / name
+        path.write_text(body)
+        proc = run_cli(["estimate", str(path), "--func", "exp", "--a", "0", "--b", "4"])
+        assert proc.returncode == 2
+        assert proc.stderr == f"data error: matrix in {path} has a non-finite entry\n"
 
     @pytest.mark.parametrize("body", ["", " \n\t\n"])
     def test_empty_dense_file_is_data_error(self, tmp_path, body):

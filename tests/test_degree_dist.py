@@ -218,6 +218,40 @@ class TestSurvivalProperties:
         assert abs(1.0 - dist.cumulative_array(998)[-1] - want) > 1e-6 * want
 
 
+class TestLogMasses:
+    @pytest.mark.parametrize("dist", [optimal_distribution(RHO_LOG, 10), poisson_distribution(10),
+                                      negbinomial_distribution(10, 2),
+                                      deterministic_distribution(10)],
+                             ids=["opt", "pois", "neg2", "det"])
+    def test_partition_unit_mass_and_match_the_pmf(self, dist):
+        log_q = dist.log_masses(30)
+        assert abs(np.logaddexp.reduce(log_q)) <= 1e-14
+        np.testing.assert_allclose(np.exp(log_q[:-1]), dist.pmf_array(30), rtol=1e-12, atol=0)
+
+    def test_baselines_follow_their_law_past_the_tabulated_prefix(self):
+        # the tabulated prefixes stop near 1e-13 of mass left; at degree
+        # 220 these masses are ~2e-270 (Poisson) and ~1e-31 (neg(2))
+        j = 220
+        mean, r = 5.0, 2.0
+        pois = -mean + j * math.log(mean) - math.lgamma(j + 1.0)
+        neg = (math.lgamma(j + r) - math.lgamma(r) - math.lgamma(j + 1.0)
+               + r * math.log(r / (r + mean)) + j * math.log(mean / (r + mean)))
+        for dist, want in ((poisson_distribution(mean), pois),
+                           (negbinomial_distribution(mean, r), neg)):
+            got = dist.log_masses(j)[j]
+            assert abs(got - want) <= 1e-13 * abs(want)
+
+    def test_geometric_tail_continues_past_underflow(self):
+        dist = optimal_distribution(1e5, 5)
+        assert dist.pmf_prefix[-1] == 0.0  # rho^-64 underflows
+        log_q = dist.log_masses(220)
+        assert np.all(np.isfinite(log_q[4:]))
+        end = dist.pmf_prefix.size
+        np.testing.assert_allclose(np.diff(log_q[end:-1]), -math.log(1e5), rtol=1e-12)
+        assert log_q[-1] == pytest.approx(log_q[-2] - math.log(1e5) - math.log1p(-1e-5),
+                                          rel=1e-14)
+
+
 class TestSampling:
     def test_optimal_monte_carlo_matches_pmf(self):
         dist = optimal_distribution(2.0, 1)
@@ -469,8 +503,8 @@ class TestNames:
 
 def test_package_import_leaves_scipy_stats_unloaded(tmp_path):
     # numpy is the package's only third-party import, and the training
-    # commands load nothing more: scipy waits for a sparse matrix file,
-    # mpmath for variance-bench
+    # commands and a default variance-bench sweep load nothing more: scipy
+    # waits for a sparse matrix file, and mpmath is for the tests only
     import subprocess
     import sys
     from pathlib import Path
@@ -486,6 +520,9 @@ for command, train in (("mc-train", "synthetic_ratings.csv"), ("gp-train", "synt
     argv = [command, "--train", {str(data)!r} + "/" + train, *{short!r},
             "--out", {str(tmp_path)!r} + "/" + command + ".csv"]
     assert spectral_cheb.cli.main(argv) == 0
+argv = ["variance-bench", "--func", "log", "--rho", "1.5954",
+        "--out", {str(tmp_path)!r} + "/variance-bench.csv"]
+assert spectral_cheb.cli.main(argv) == 0
 print(loaded())
 """
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
