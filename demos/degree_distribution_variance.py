@@ -6,15 +6,18 @@ expanded function.  The price of unbiasedness is variance, and the
 variance depends entirely on the degree distribution.  This script
 compares the closed-form weighted variance of the optimal distribution
 (point mass plus geometric tail) against Poisson and negative-binomial
-baselines at equal expected degree.
+baselines at equal expected degree, from log's closed-form coefficients
+and the package's one variance evaluator, ``log_weighted_variance``.
 """
+
+import math
 
 import numpy as np
 
 from spectral_cheb import (
     Interval,
-    chebyshev_weighted_variance,
     compute_coefficients,
+    log_weighted_variance,
     negbinomial_distribution,
     optimal_distribution,
     poisson_distribution,
@@ -43,24 +46,27 @@ bhat = weighted_coefficients(series, dist, n)
 print(f"\nsampled degree n = {n}; re-weighting factors b_hat/b at j = 0..{n}:")
 print(np.array2string(bhat / series.coeffs[: n + 1], precision=3))
 
-# The variance comparison at equal mean degree.  The optimal
-# distribution wins by orders of magnitude; the deterministic baseline
-# would be infinite (it can never reach the coefficients above its
-# truncation point).
+# The variance comparison at equal mean degree, (pi/2) sum_j b_j^2
+# S_{j-1} / (1 - S_{j-1}) over j = 1..300.  log's coefficients are
+# b_j = 2 (-1)^(j+1) rho^-j / j in closed form, and the sum runs in log
+# space.  Passing rho also decides convergence of the infinite series:
+# coefficients falling like rho^-j against a law whose pmf ratio tends to
+# c converge iff c rho^2 > 1.  Poisson's ratio tends to 0, so its column
+# is inf; the optimal distribution wins by orders of magnitude over
+# negative-binomial, and the deterministic baseline would be inf too (it
+# never reaches the coefficients above its truncation point).
 
+j = np.arange(1, 301)
+log_b = math.log(2.0) - j * math.log(rho) - np.log(j)
 print(f"\n{'N':>4} {'optimal':>12} {'poisson':>12} {'negbin(5)':>12}")
 for mean_n in (5, 10, 20, 50):
-    v_opt = chebyshev_weighted_variance(series, optimal_distribution(rho, mean_n), 400)
-    v_pois = chebyshev_weighted_variance(series, poisson_distribution(mean_n), 400)
-    v_neg = chebyshev_weighted_variance(series, negbinomial_distribution(mean_n, 5), 400)
-    print(f"{mean_n:>4} {v_opt:>12.3e} {v_pois:>12.3e} {v_neg:>12.3e}")
+    dists = (optimal_distribution(rho, mean_n), poisson_distribution(mean_n),
+             negbinomial_distribution(mean_n, 5))
+    row = [math.exp(log_weighted_variance(log_b, dist, rho)) for dist in dists]
+    print(f"{mean_n:>4}" + "".join(f" {v:>12.3e}" for v in row))
 
-# The full sweep (including the regime where doubles cannot even
-# represent the values) is what the CLI bench computes, in double
-# precision but summed in log space.  It also decides convergence
-# analytically: Poisson's survival falls faster than any geometric while
-# these coefficients fall like rho^-j, so that series diverges.  The
-# Poisson column above is a partial sum over the coefficients above the
-# quadrature floor; the bench prints inf for every log Poisson row:
+# The CLI bench tabulates the same closed form for log, sqrt, exp and
+# polynomials over the sweep N = 5..100, including values below the
+# double range (it prints them from their logs):
 #
 #   spectral-cheb variance-bench --func log --rho 1.5954 --out bench.csv

@@ -23,14 +23,12 @@ from .chebyshev import (
 from .degree_dist import (
     DegreeDistribution,
     DistributionKind,
-    chebyshev_weighted_variance,
     deterministic_distribution,
-    finite_kkt_solution,
+    log_weighted_variance,
     make_degree_distribution,
     negbinomial_distribution,
     optimal_distribution,
     poisson_distribution,
-    relaxed_objective,
     sample_degree,
     weighted_coefficients,
 )
@@ -39,7 +37,6 @@ from .exceptions import (
     DegenerateDistributionError,
     DomainEvalError,
     EstimationError,
-    InfiniteVarianceError,
     NumericError,
     ParameterError,
     ParseError,

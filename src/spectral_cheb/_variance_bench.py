@@ -1,15 +1,13 @@
-"""The weighted-variance closed form that ``variance-bench`` tabulates,
+"""The rows of ``variance-bench``: the weighted-variance closed form
 (pi/2) sum_{j=1}^{D} b_j^2 S_{j-1} / (1 - S_{j-1}) with D = SERIES_DEGREE,
 in double precision.
 
 The sweep reaches variances far below the double range (exp with the
 optimal law at N = 100 is 1.5e-376), so every factor stays in log space:
-log|b_j| in closed form, the head S_j and the tail 1 - S_j each summed
-from ``DegreeDistribution.log_masses``, and one log-sum-exp.  Whether
-the infinite series converges is decided analytically: coefficients
-falling like rho_f^-j against a law whose pmf ratio tends to c converge
-iff c rho_f^2 > 1 (exp is entire and a polynomial finite), and a
-divergent row is ``inf``.
+log|b_j| in closed form here, and the sum by
+``degree_dist.log_weighted_variance``, which also decides convergence
+(rho_f from the singularity at 0 for log and sqrt; exp is entire and a
+polynomial finite); a divergent row is ``inf``.
 """
 
 from __future__ import annotations
@@ -19,7 +17,7 @@ import math
 import numpy as np
 
 from .chebyshev import Interval, rho_from_endpoint_singularity, series_from_polynomial
-from .degree_dist import DegreeDistribution
+from .degree_dist import DegreeDistribution, log_weighted_variance
 
 __all__ = ["SERIES_DEGREE", "log_abs_coefficients", "variance_texts"]
 
@@ -66,19 +64,6 @@ def log_abs_coefficients(fname: str, payload, interval: Interval, degree: int) -
             + np.log(np.abs(sums[1 : degree + 1])))
 
 
-def _log_variance(log_b: np.ndarray, dist: DegreeDistribution, rho_f: float) -> float:
-    """log of (pi/2) sum_j b_j^2 S_{j-1} / (1 - S_{j-1}), inf if divergent."""
-    if math.isfinite(rho_f) and not dist.limit_ratio * rho_f**2 > 1.0:
-        return math.inf
-    log_q = dist.log_masses(log_b.size - 1)
-    head = np.logaddexp.accumulate(log_q[:-1])  # log S_j
-    tail = np.logaddexp.accumulate(log_q[::-1])[-2::-1]  # log(1 - S_j)
-    # no mass past a degree with a live coefficient: an infinite term
-    with np.errstate(invalid="ignore"):
-        terms = np.where(log_b > -np.inf, 2.0 * log_b + head - tail, -np.inf)
-    return math.log(math.pi / 2.0) + float(np.logaddexp.reduce(terms))
-
-
 def _spell(log_v: float) -> str:
     """e^log_v as mpmath's nstr(v, 17, min_fixed=1, max_fixed=0) spells it
     (17 significant digits, trailing zeros stripped, no exponent for one
@@ -99,4 +84,4 @@ def variance_texts(fname: str, payload, interval: Interval,
     spelled for the bench CSV, or 'inf' where the series diverges."""
     log_b = log_abs_coefficients(fname, payload, interval, SERIES_DEGREE)
     rho_f = rho_from_endpoint_singularity(interval) if fname in ("log", "sqrt") else math.inf
-    return [_spell(_log_variance(log_b, dist, rho_f)) for dist in dists]
+    return [_spell(log_weighted_variance(log_b, dist, rho_f)) for dist in dists]

@@ -119,7 +119,7 @@ def _quadrature_nodes(count: int) -> np.ndarray:
 
 
 def compute_coefficients(
-    f: Callable[[float], float],
+    f: Callable[[np.ndarray], np.ndarray],
     interval: Interval,
     degree: int,
     quad_nodes: int | None = None,
@@ -130,7 +130,8 @@ def compute_coefficients(
     Coefficients come from Gauss-Chebyshev quadrature of the projection
     integral at ``quad_nodes`` cosine-spaced points; the default node
     count max(1024, 4*(degree+1)) keeps the transform safely oversampled.
-    ``f`` is called once per node, with a scalar.  The quadrature sum is
+    ``f`` is called once, on the array of nodes, and must return the
+    array of its values there (a NumPy ufunc does).  The quadrature sum is
     a DCT-II of the node values, evaluated by FFT in O(Q log Q) for Q
     nodes rather than as a (degree+1) x Q cosine table.
     Deterministic: same inputs give bit-identical coefficients.
@@ -145,7 +146,7 @@ def compute_coefficients(
         )
     t = _quadrature_nodes(quad_nodes)
     x = interval.from_unit(t)
-    fx = np.asarray([f(xi) for xi in x], dtype=float)
+    fx = np.asarray(f(x), dtype=float)
     bad = np.nonzero(~np.isfinite(fx))[0]
     if bad.size:
         raise DomainEvalError(

@@ -35,10 +35,9 @@ from .chebyshev import (
     truncation_error_bound,
 )
 from ._variance_bench import variance_texts
-from .degree_dist import make_degree_distribution
+from .degree_dist import DistributionKind, make_degree_distribution
 from .exceptions import (
     ConvergenceError,
-    InfiniteVarianceError,
     NumericError,
     ParameterError,
     ParseError,
@@ -230,8 +229,11 @@ def cmd_estimate(args) -> int:
     if rho is None:
         try:
             rho = estimate_rho(series, args.N, min(3 * args.N + 20, series.degree))
-        except SpectralChebError:
-            rho = None
+        except SpectralChebError as exc:
+            # other laws run without rho, and without the bias line
+            if args.dist.strip() == DistributionKind.OPTIMAL.value:
+                raise ParameterError(f"cannot fit the decay parameter rho ({exc}); "
+                                     "give it with --rho") from exc
     dist = make_degree_distribution(args.dist, args.N, rho=rho)
     plan = ProbePlan(args.seed, args.M)
     # a tail draw past the provisional series extends it
@@ -348,7 +350,7 @@ def main(argv: list[str] | None = None) -> int:
         argv = _apply_config_file(argv, parser)
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except (NumericError, InfiniteVarianceError, ConvergenceError) as exc:
+    except (NumericError, ConvergenceError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (ParseError, FileNotFoundError) as exc:

@@ -9,11 +9,10 @@ plus a geometric tail of ratio 1/rho), the Poisson / negative-binomial /
 deterministic baselines (tabulated by their pmf ratio recurrences),
 the one parser of their names (``make_degree_distribution``: opt, pois,
 neg, neg(r), det; ``DegreeDistribution.name`` spells one back), log
-masses that do not underflow (``DegreeDistribution.log_masses``, which
-``variance-bench`` sums in log space), exact inverse-CDF sampling,
-coefficient re-weighting, the closed-form weighted variance, the relaxed
-variance objective that the optimal distribution minimizes, and the
-finite-horizon KKT solution used as a reference oracle for optimality.
+masses that do not underflow (``DegreeDistribution.log_masses``), exact
+inverse-CDF sampling, coefficient re-weighting, and the one evaluator of
+the closed-form weighted variance (``log_weighted_variance``, summed in
+log space from the log masses, ``inf`` where the series diverges).
 """
 
 from __future__ import annotations
@@ -25,12 +24,7 @@ from enum import Enum
 import numpy as np
 
 from .chebyshev import ChebSeries
-from .exceptions import (
-    DegenerateDistributionError,
-    EstimationError,
-    InfiniteVarianceError,
-    ParameterError,
-)
+from .exceptions import DegenerateDistributionError, ParameterError
 
 __all__ = [
     "DistributionKind",
@@ -42,9 +36,7 @@ __all__ = [
     "make_degree_distribution",
     "sample_degree",
     "weighted_coefficients",
-    "chebyshev_weighted_variance",
-    "relaxed_objective",
-    "finite_kkt_solution",
+    "log_weighted_variance",
 ]
 
 # baselines are tabulated until at most this much mass is missing, then
@@ -160,10 +152,6 @@ class DegreeDistribution:
             out[j_end + 1 :] = self.pmf_prefix[-1] * self.tail_ratio**m
         return out
 
-    def cumulative_array(self, upto: int) -> np.ndarray:
-        """Compensated running sums S_0..S_upto."""
-        return _kahan_cumsum(self.pmf_array(upto))
-
     def survival_array(self, upto: int) -> np.ndarray:
         """1 - S_j for j = 0..upto: the stored prefix, then the geometric
         tail's closed form q_J c^(j-J+1) / (1 - c) (zero without a tail).
@@ -198,7 +186,7 @@ class DegreeDistribution:
         The Poisson and negative-binomial laws follow their ratio
         recurrence (their prefix stops where 1e-13 of the mass is left)
         until what lies beyond is e^-40 of P(n > upto); a geometric tail
-        is extended and closed in log form, past underflow in the prefix.
+        is extended and closed in log form.
         """
         if self.kind in _RECURRENCE_KINDS:
             ratio = _recurrence(self.kind, self.params)[1]
@@ -215,11 +203,8 @@ class DegreeDistribution:
         if self.tail_ratio is None:
             log_q = np.append(log_q, np.full(max(upto + 2 - log_q.size, 1), -np.inf))
         else:
-            # continue from the last mass that is a normal double (the
-            # optimal law's prefix is geometric from K + 1 on, and its end
-            # underflows for large rho) through max(upto, end) + 1; the
-            # last slot holds all the mass from its degree on
-            log_q = log_q[: np.nonzero(self.pmf_prefix >= np.finfo(float).tiny)[0][-1] + 1]
+            # extend the tail through max(upto, end) + 1; the last slot
+            # holds all the mass from its degree on
             beyond = log_q[-1] + math.log(self.tail_ratio) * np.arange(
                 1.0, max(upto - log_q.size + 1, 0) + 2)
             beyond[-1] -= math.log1p(-self.tail_ratio)
@@ -233,7 +218,9 @@ def optimal_distribution(rho: float, meanN: int) -> DegreeDistribution:
     Zero mass below K = max(0, N - floor(rho/(rho-1))), an atom
     q_K = 1 - (N-K)(rho-1)/rho, then a geometric tail
     q_i = (N-K)(rho-1)^2 rho^(K-i-1).  The atom at K may be zero when
-    rho/(rho-1) is integral.
+    rho/(rho-1) is integral.  The prefix stores the run through degree
+    K + 64, or through the last degree whose rho^(K-i-1) is a normal
+    double, and the closed-form geometric tail carries the rest.
     """
     if not rho > 1.0:
         raise ParameterError(f"rho must be > 1, got {rho}")
@@ -243,11 +230,11 @@ def optimal_distribution(rho: float, meanN: int) -> DegreeDistribution:
     K = max(0, n_mean - math.floor(rho / (rho - 1.0) + 1e-9))
     c = float(n_mean - K)
     q_at_K = 1.0 - c * (rho - 1.0) / rho
-    prefix_len = K + 64
-    i = np.arange(K + 1, prefix_len + 1, dtype=float)
-    prefix = np.zeros(prefix_len + 1)
+    powers = rho ** -np.arange(2.0, 66.0)
+    powers = powers[powers >= np.finfo(float).tiny]
+    prefix = np.zeros(K + 1 + powers.size)
     prefix[K] = max(q_at_K, 0.0)
-    prefix[K + 1 :] = c * (rho - 1.0) ** 2 * rho ** (K - i - 1.0)
+    prefix[K + 1 :] = c * (rho - 1.0) ** 2 * powers
     return DegreeDistribution(
         kind=DistributionKind.OPTIMAL,
         params={"rho": float(rho), "N": float(n_mean), "K": float(K)},
@@ -400,114 +387,24 @@ def weighted_coefficients(series: ChebSeries, dist: DegreeDistribution, n: int) 
     return series.coeffs[: n + 1] / denom
 
 
-def _variance_terms(series: ChebSeries, dist: DegreeDistribution, tail_terms: int):
-    """Shared guts: (j, b_j^2, survival_{j-1}) for j = 1..limit."""
-    if tail_terms < series.degree:
-        raise ParameterError(
-            f"tail_terms = {tail_terms} must cover the stored series degree {series.degree}"
-        )
-    limit = min(tail_terms, series.degree)
-    b = series.coeffs[1 : limit + 1]
-    surv = dist.survival_array(limit - 1) if limit >= 1 else np.empty(0)
-    return b, surv
+def log_weighted_variance(log_b: np.ndarray, dist: DegreeDistribution, rho_f: float) -> float:
+    """log of (pi/2) sum_j b_j^2 S_{j-1} / (1 - S_{j-1}), inf if divergent.
 
-
-def chebyshev_weighted_variance(
-    series: ChebSeries, dist: DegreeDistribution, tail_terms: int
-) -> float:
-    """Closed-form variance of the randomized expansion in the Chebyshev
-    weighted norm: (pi/2) * sum_j b_j^2 S_{j-1} / (1 - S_{j-1}).
-
-    Raises when mass is exhausted below a degree whose coefficient is
-    materially nonzero (the deterministic baseline on a non-polynomial).
+    ``log_b`` holds log|b_j| for j = 1..D (-inf where b_j = 0).  The head
+    S_j and the tail 1 - S_j are each summed in log space from
+    ``log_masses``, so the value stays accurate far outside the double
+    range (as a log); it is inf when a live coefficient lies past the
+    last mass.  ``rho_f`` is the decay rate of the infinite series behind the D terms:
+    coefficients falling like rho_f^-j against a law whose pmf ratio tends
+    to c converge iff c rho_f^2 > 1, and a divergent series is inf; pass
+    rho_f = inf for an entire function or a finite sum.
     """
-    b, surv = _variance_terms(series, dist, tail_terms)
-    # coefficients at the quadrature noise floor carry no information and
-    # must not be divided by genuinely tiny survivals
-    scale = float(np.max(np.abs(series.coeffs)))
-    negligible = np.abs(b) <= 1e-13 * scale
-    exhausted = surv == 0.0
-    if np.any(exhausted & ~negligible):
-        j_bad = int(np.nonzero(exhausted & ~negligible)[0][0]) + 1
-        raise InfiniteVarianceError(
-            f"all degree mass lies below j = {j_bad} but b_{j_bad} != 0; variance diverges"
-        )
-    keep = ~exhausted & ~negligible
-    ratio = (1.0 - surv[keep]) / surv[keep]
-    return float(0.5 * np.pi * np.sum(b[keep] ** 2 * ratio))
-
-
-def relaxed_objective(dist: DegreeDistribution, rho: float, terms: int) -> float:
-    """The decay-weighted surrogate sum_j rho^(-2j) S_{j-1}/(1 - S_{j-1})
-    that the optimal distribution minimizes at fixed mean degree."""
-    if terms < 1:
-        raise ParameterError(f"terms must be >= 1, got {terms}")
-    if not rho > 1.0:
-        raise ParameterError(f"rho must be > 1, got {rho}")
-    surv = dist.survival_array(terms - 1)
-    if np.any(surv == 0.0):
-        j_bad = int(np.nonzero(surv == 0.0)[0][0]) + 1
-        raise InfiniteVarianceError(
-            f"all degree mass lies below j = {j_bad}; relaxed objective diverges"
-        )
-    j = np.arange(1, terms + 1, dtype=float)
-    return float(np.sum(rho ** (-2.0 * j) * (1.0 - surv) / surv))
-
-
-def finite_kkt_solution(rho: float, meanN: int, T: int) -> DegreeDistribution:
-    """Optimal distribution of the horizon-T relaxed problem.
-
-    Closed-form KKT point: zero mass through k, an atom at k+1, a
-    geometric run through T-1 and a closing atom at T.  The support
-    offset k is the nominal N - 1 - floor(rho/(rho-1)) or its feasible
-    neighbor when the strict KKT interval excludes the nominal choice.
-    Raises when no offset satisfies both feasibility conditions (T too
-    small).
-    """
-    if not rho > 1.0:
-        raise ParameterError(f"rho must be > 1, got {rho}")
-    if meanN < 1:
-        raise ParameterError(f"mean degree must be >= 1, got {meanN}")
-    N = int(meanN)
-    nominal = N - 1 - math.floor(rho / (rho - 1.0) + 1e-9)
-    candidates = [nominal, nominal + 1, nominal - 1]
-    candidates += [k for k in range(-1, N - 1) if k not in candidates]
-    chosen = None
-    for k in candidates:
-        if k < -1 or k > N - 2 or T < k + 2:
-            continue
-        damp = 1.0 - rho ** (-(T - k - 1.0))
-        lo = damp / (rho - 1.0)
-        hi = rho * damp / (rho - 1.0)
-        if lo < N - k - 1 <= hi:
-            chosen = k
-            break
-    if chosen is None:
-        raise EstimationError(
-            f"no support offset k puts N-k-1 inside the KKT feasibility interval "
-            f"((1-rho^(k+1-T))/(rho-1), rho*(1-rho^(k+1-T))/(rho-1)] for rho={rho}, "
-            f"N={N}, T={T}; increase T"
-        )
-    k = chosen
-    damp = 1.0 - rho ** (-(T - k - 1.0))
-    c = float(N - k - 1)
-    q = np.zeros(T + 1)
-    q[k + 1] = 1.0 - c * (rho - 1.0) / (rho * damp)
-    n_run = np.arange(k + 2, T, dtype=float)
-    q[k + 2 : T] = c * (rho - 1.0) ** 2 * rho ** (k - n_run) / damp
-    q[T] = c * (rho - 1.0) / (rho ** (T - k - 1.0) - 1.0)
-    objective = (1.0 - rho ** (-2.0 * (k + 1))) / (rho**2 - 1.0) + damp**2 / (
-        c * (rho - 1.0) ** 2 * rho ** (2.0 * (k + 1))
-    )
-    return DegreeDistribution(
-        kind=DistributionKind.TABULATED,
-        params={
-            "rho": float(rho),
-            "N": float(N),
-            "T": float(T),
-            "k": float(k),
-            "kkt_objective": objective,
-        },
-        pmf_prefix=q,
-        tail_ratio=None,
-    )
+    if math.isfinite(rho_f) and not dist.limit_ratio * rho_f**2 > 1.0:
+        return math.inf
+    log_q = dist.log_masses(log_b.size - 1)
+    head = np.logaddexp.accumulate(log_q[:-1])  # log S_j
+    tail = np.logaddexp.accumulate(log_q[::-1])[-2::-1]  # log(1 - S_j)
+    # no mass past a degree with a live coefficient: an infinite term
+    with np.errstate(invalid="ignore"):
+        terms = np.where(log_b > -np.inf, 2.0 * log_b + head - tail, -np.inf)
+    return math.log(math.pi / 2.0) + float(np.logaddexp.reduce(terms))

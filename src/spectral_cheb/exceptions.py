@@ -3,13 +3,13 @@
 The hierarchy distinguishes configuration mistakes (bad arguments, bad
 config files), data problems (unparseable input files), and numerical
 failures (non-finite intermediates, degenerate distributions).  The CLI
-maps these onto exit codes 1, 2 and 3 respectively.
+maps these onto exit codes 1, 2 and 3 respectively.  A divergent
+weighted variance is not an error: its evaluator returns inf.
 """
 
 __all__ = [
     "SpectralChebError", "ParameterError", "DomainEvalError", "EstimationError",
-    "DegenerateDistributionError", "InfiniteVarianceError", "NumericError", "ParseError",
-    "ConvergenceError",
+    "DegenerateDistributionError", "NumericError", "ParseError", "ConvergenceError",
 ]
 
 
@@ -28,16 +28,11 @@ class DomainEvalError(ParameterError):
 
 class EstimationError(SpectralChebError, RuntimeError):
     """A fit or closed-form construction could not be carried out
-    (decay-rate fit not resolvable, KKT feasibility interval empty)."""
+    (decay-rate fit not resolvable)."""
 
 
 class DegenerateDistributionError(SpectralChebError, ValueError):
     """Coefficient re-weighting hit a vanishing denominator."""
-
-
-class InfiniteVarianceError(SpectralChebError, ArithmeticError):
-    """The weighted variance of a degree distribution diverges
-    (all mass exhausted below a degree whose coefficient is nonzero)."""
 
 
 class NumericError(SpectralChebError, ArithmeticError):

@@ -1,6 +1,8 @@
 """Shared test utilities: scalar Chebyshev polynomials and Clenshaw
-series evaluation, explicit-pmf distributions and their CSV dump, random
-feasible pmfs, dense matrix factories, the quadrature used by
+series evaluation, explicit-pmf distributions, compensated running sums
+S_j and their CSV dump, random feasible pmfs, the relaxed variance
+objective the optimal distribution minimizes and the finite-horizon KKT
+solution it is checked against, dense matrix factories, the quadrature used by
 Monte-Carlo variance oracles, the dense check of the second-kind
 recurrence behind the amortized gradient, the direct three-term
 recurrence the doubled Chebyshev moments are checked against, the
@@ -19,8 +21,13 @@ import mpmath as mp
 import numpy as np
 
 from spectral_cheb.chebyshev import ChebSeries, Interval, rho_from_endpoint_singularity
-from spectral_cheb.degree_dist import DegreeDistribution, DistributionKind
-from spectral_cheb.exceptions import DomainEvalError, ParameterError
+from spectral_cheb.degree_dist import (
+    DegreeDistribution,
+    DistributionKind,
+    _kahan_cumsum,
+    log_weighted_variance,
+)
+from spectral_cheb.exceptions import DomainEvalError, EstimationError, ParameterError
 from spectral_cheb.grad_est import ParamMatrixOracle, sum_prime_weights
 from spectral_cheb.optimize import Objective
 from spectral_cheb.reference import check_dense_symmetric
@@ -86,10 +93,15 @@ def tabulated_distribution(
     )
 
 
+def cumulative_array(dist: DegreeDistribution, upto: int) -> np.ndarray:
+    """Compensated running sums S_0..S_upto."""
+    return _kahan_cumsum(dist.pmf_array(upto))
+
+
 def write_pmf_csv(dist: DegreeDistribution, fh: IO[str], count: int) -> None:
     """Emit rows (i, q_i, cumsum) for i = 0..count."""
     q = dist.pmf_array(count)
-    cums = dist.cumulative_array(count)
+    cums = cumulative_array(dist, count)
     fh.write("i,q_i,cumsum\n")
     for i in range(count + 1):
         fh.write(f"{i},{float(q[i])!r},{float(cums[i])!r}\n")
@@ -161,6 +173,60 @@ def random_feasible_pmf(rng: np.random.Generator, mean_n: int) -> DegreeDistribu
             if abs(dist.mean() - mean_n) < 1e-9:
                 return dist
     raise AssertionError("could not build a random feasible pmf")
+
+
+def relaxed_objective(dist: DegreeDistribution, rho: float, terms: int) -> float:
+    """The decay-weighted surrogate sum_{j=1}^{terms} rho^(-2j) S_{j-1}/(1 - S_{j-1})
+    that the optimal distribution minimizes at fixed mean degree: the
+    weighted variance at b_j = rho^-j without its pi/2, inf where the
+    mass runs out below degree ``terms``."""
+    log_b = -math.log(rho) * np.arange(1, terms + 1)
+    return math.exp(log_weighted_variance(log_b, dist, math.inf) - math.log(math.pi / 2.0))
+
+
+def finite_kkt_solution(rho: float, meanN: int, T: int) -> DegreeDistribution:
+    """Optimal distribution of the horizon-T relaxed problem.
+
+    Closed-form KKT point: zero mass through k, an atom at k+1, a
+    geometric run through T-1 and a closing atom at T.  The support
+    offset k is the nominal N - 1 - floor(rho/(rho-1)) or its feasible
+    neighbor when the strict KKT interval excludes the nominal choice.
+    Raises when no offset satisfies both feasibility conditions (T too
+    small).
+    """
+    N = int(meanN)
+    nominal = N - 1 - math.floor(rho / (rho - 1.0) + 1e-9)
+    candidates = [nominal, nominal + 1, nominal - 1]
+    candidates += [k for k in range(-1, N - 1) if k not in candidates]
+    chosen = None
+    for k in candidates:
+        if k < -1 or k > N - 2 or T < k + 2:
+            continue
+        damp = 1.0 - rho ** (-(T - k - 1.0))
+        lo = damp / (rho - 1.0)
+        hi = rho * damp / (rho - 1.0)
+        if lo < N - k - 1 <= hi:
+            chosen = k
+            break
+    if chosen is None:
+        raise EstimationError(
+            f"no support offset k puts N-k-1 inside the KKT feasibility interval "
+            f"((1-rho^(k+1-T))/(rho-1), rho*(1-rho^(k+1-T))/(rho-1)] for rho={rho}, "
+            f"N={N}, T={T}; increase T"
+        )
+    k = chosen
+    damp = 1.0 - rho ** (-(T - k - 1.0))
+    c = float(N - k - 1)
+    q = np.zeros(T + 1)
+    q[k + 1] = 1.0 - c * (rho - 1.0) / (rho * damp)
+    n_run = np.arange(k + 2, T, dtype=float)
+    q[k + 2 : T] = c * (rho - 1.0) ** 2 * rho ** (k - n_run) / damp
+    q[T] = c * (rho - 1.0) / (rho ** (T - k - 1.0) - 1.0)
+    objective = (1.0 - rho ** (-2.0 * (k + 1))) / (rho**2 - 1.0) + damp**2 / (
+        c * (rho - 1.0) ** 2 * rho ** (2.0 * (k + 1))
+    )
+    return tabulated_distribution(q, params={"rho": float(rho), "N": float(N), "T": float(T),
+                                             "k": float(k), "kkt_objective": objective})
 
 
 def random_spd(rng: np.random.Generator, dim: int, lo: float = 0.1, hi: float = 3.0) -> np.ndarray:
@@ -415,14 +481,15 @@ def mp_coefficients(fname: str, payload, interval: Interval, degree: int, dps: i
         return coeffs
 
 
-def mp_variances(fname: str, payload, interval: Interval, dists, degree: int = 220) -> list:
+def mp_variances(fname: str, payload, interval: Interval, dists, degree: int = 220,
+                 dps: int | None = None) -> list:
     """(pi/2) sum_{j=1}^{degree} b_j^2 S_{j-1} / (1 - S_{j-1}) for each
-    distribution, in mpmath at 130 digits (380 for exp), each survival
+    distribution, in mpmath at ``dps`` digits (default 130, 380 for exp), each survival
     1 - S_j recomputed from the distribution's parameters as one minus a
     running sum; mp.inf where the mass runs out below a live coefficient.
     A divergent series gives its partial sum, or rounding residue once a
     survival falls below the working precision."""
-    dps = 380 if fname == "exp" else 130
+    dps = dps or (380 if fname == "exp" else 130)
     coeffs = mp_coefficients(fname, payload, interval, degree, dps)
     with mp.workdps(dps):
         noise = max(abs(c) for c in coeffs) * mp.mpf(10) ** (12 - dps)

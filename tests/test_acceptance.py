@@ -16,10 +16,12 @@ from helpers import (
     chebyshev_perturbation_check,
     conditional_weighted_variance,
     exact_spectral_grad_generic,
+    finite_kkt_solution,
     observable_horizon,
     random_feasible_pmf,
     random_spd,
     random_symmetric,
+    relaxed_objective,
     trace_nuclear_check,
     weighted_norm_sq,
 )
@@ -117,18 +119,18 @@ def test_criterion_3_optimal_distribution_optimality():
                 opt = sc.optimal_distribution(rho, mean_n)
                 assert abs(opt.total_mass() - 1.0) <= 1e-12
                 assert abs(opt.mean() - mean_n) <= 1e-9
-                fkkt = sc.finite_kkt_solution(rho, mean_n, 64)
+                fkkt = finite_kkt_solution(rho, mean_n, 64)
                 assert abs(fkkt.total_mass() - 1.0) <= 1e-12
                 assert abs(fkkt.mean() - mean_n) <= 1e-9
-                v_opt64 = sc.relaxed_objective(opt, rho, 64)
-                v_kkt64 = sc.relaxed_objective(fkkt, rho, 64)
+                v_opt64 = relaxed_objective(opt, rho, 64)
+                v_kkt64 = relaxed_objective(fkkt, rho, 64)
                 assert v_opt64 <= v_kkt64 + 1e-10
-                v_opt = sc.relaxed_objective(opt, rho, 300)
+                v_opt = relaxed_objective(opt, rho, 300)
                 for _ in range(200):
                     q = random_feasible_pmf(rng, mean_n)
                     assert abs(q.total_mass() - 1.0) <= 1e-12
                     assert abs(q.mean() - mean_n) <= 1e-9
-                    assert v_opt <= sc.relaxed_objective(q, rho, 300) + 1e-10
+                    assert v_opt <= relaxed_objective(q, rho, 300) + 1e-10
 
 
 def test_criterion_4_figure_ordering(tmp_path):

@@ -153,6 +153,22 @@ class TestCoefficientTransform:
                 assert abs(series.coeffs[j] - exact) <= tol, (j, series.coeffs[j], exact)
 
 
+    @pytest.mark.parametrize("name", sorted(EXPANDED))
+    def test_f_called_once_on_the_node_array(self, name):
+        # bit for bit the values of one call per node
+        f, iv = EXPANDED[name]
+        shapes = []
+
+        def recorded(x):
+            shapes.append(np.shape(x))
+            return f(x)
+
+        series = compute_coefficients(recorded, iv, 300)
+        assert shapes == [(_default_nodes(300),)]
+        per_node = compute_coefficients(lambda x: np.array([f(xi) for xi in x]), iv, 300)
+        assert np.array_equal(series.coeffs, per_node.coeffs)
+
+
 class TestRecurrences:
     def test_T_base_cases(self):
         assert eval_T(0, 0.3) == 1.0

@@ -114,6 +114,20 @@ class TestVarianceBench:
             want |= {("pois", n) for n in BENCH_SWEEP} | {("neg(10)", 5)}
         assert divergent == want
 
+    def test_optimal_rows_past_underflow_match_mp_reference(self, tmp_path):
+        # at rho = 1e5 the optimal law's masses leave the double range by
+        # degree 62, and exp's b_220 is ~1e-493: 600 digits resolve it,
+        # where the default 380 leave rounding residue
+        out = tmp_path / "v.csv"
+        assert main(["variance-bench", "--func", "exp", "--rho", "1e5", "--dist", "opt",
+                     "--out", str(out)]) == 0
+        rows = [row.split(",") for row in out.read_text().strip().split("\n")[1:]]
+        dists = [optimal_distribution(1e5, int(n)) for _, _, n, _ in rows]
+        wants = mp_variances("exp", None, Interval(-1.0, 1.0), dists, dps=600)
+        with mp.workdps(30):
+            for (_, _, n, text), want in zip(rows, wants):
+                assert abs(mp.mpf(text) / want - 1) < 1e-12, (n, text)
+
     @pytest.mark.parametrize("fname, a, b, dps", [
         ("log", 0.05, 0.95, 70), ("log", 0.01, 10.0, 30),
         ("sqrt", 0.05, 0.95, 70), ("sqrt", 0.01, 10.0, 30), ("exp", -1.0, 2.0, 480),
@@ -217,6 +231,25 @@ class TestEstimate:
         assert proc.returncode == 0
         assert proc.stdout.strip() == "5.0"
         assert "sampled degree" in proc.stderr
+
+    def test_failed_decay_fit_names_its_reason(self, tmp_path):
+        # log on [1.5, ~2.2]: the coefficients reach the 1e-14 floor before
+        # the fit window starts at degree N
+        path = tmp_path / "two.txt"
+        path.write_text("\n".join(" ".join("2" if i == j else "0" for j in range(4))
+                                  for i in range(4)) + "\n")
+        args = ["estimate", str(path), "--func", "log", "--a", "1.5", "--N", "10"]
+        proc = run_cli(args)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            "configuration error: cannot fit the decay parameter rho (fewer than 5 "
+            "coefficients above 1e-14 from degree 10; decay rate not resolvable); "
+            "give it with --rho\n")
+        # the other laws need no rho, and print no bias line without it
+        proc = run_cli(args + ["--dist", "pois"])
+        assert proc.returncode == 0
+        assert "bias bound" not in proc.stderr
 
     def test_diag_square_with_many_probes(self, tmp_path):
         path = tmp_path / "diag.txt"
