@@ -48,7 +48,6 @@ from .grad_est import (
     grad_estimate_generic,
     grad_estimate_lowrank,
     sample_spectral_grads,
-    sum_prime_weights,
 )
 from .optimize import (
     IterationRecord,
@@ -88,7 +87,6 @@ from .tasks import (
     gp_negloglik,
     gp_train,
     load_gp_data,
-    load_movielens,
     ratings_from_files,
     synthetic_completion_data,
     synthetic_gp_data,

@@ -19,7 +19,7 @@ import numpy as np
 from .chebyshev import Interval, rho_from_endpoint_singularity, series_from_polynomial
 from .degree_dist import DegreeDistribution, log_weighted_variance
 
-__all__ = ["SERIES_DEGREE", "log_abs_coefficients", "variance_texts"]
+__all__ = ["variance_texts"]
 
 SERIES_DEGREE = 220
 

@@ -76,36 +76,22 @@ class AnalyticitySpec:
             raise ParameterError(f"magnitude bound must be positive, got {self.bigU}")
 
 
-_DECAY_SLACK = 1e-9
-
-
 @dataclass(frozen=True)
 class ChebSeries:
     """Truncated Chebyshev series of a function on an interval.
 
     ``coeffs[j]`` multiplies the degree-j first-kind polynomial of the
-    interval-mapped argument.  When ``spec`` is present the stored
-    coefficients are checked against the geometric decay bound.
+    interval-mapped argument.
     """
 
     interval: Interval
     coeffs: np.ndarray
-    spec: AnalyticitySpec | None = None
 
     def __post_init__(self):
         coeffs = np.asarray(self.coeffs, dtype=float)
         if coeffs.ndim != 1 or coeffs.size == 0:
             raise ParameterError("series needs a nonempty 1-d coefficient array")
         object.__setattr__(self, "coeffs", coeffs)
-        if self.spec is not None:
-            j = np.arange(coeffs.size, dtype=float)
-            bound = 2.0 * self.spec.bigU * self.spec.rho ** (-j)
-            bad = np.nonzero(np.abs(coeffs) > bound + _DECAY_SLACK)[0]
-            if bad.size:
-                raise ParameterError(
-                    f"coefficient {bad[0]} breaks the decay bound: "
-                    f"|{coeffs[bad[0]]!r}| > 2U/rho^j = {bound[bad[0]]!r}"
-                )
 
     @property
     def degree(self) -> int:
@@ -122,28 +108,20 @@ def compute_coefficients(
     f: Callable[[np.ndarray], np.ndarray],
     interval: Interval,
     degree: int,
-    quad_nodes: int | None = None,
-    spec: AnalyticitySpec | None = None,
 ) -> ChebSeries:
     """Expand ``f`` on ``interval`` to the given degree.
 
     Coefficients come from Gauss-Chebyshev quadrature of the projection
-    integral at ``quad_nodes`` cosine-spaced points; the default node
-    count max(1024, 4*(degree+1)) keeps the transform safely oversampled.
-    ``f`` is called once, on the array of nodes, and must return the
-    array of its values there (a NumPy ufunc does).  The quadrature sum is
-    a DCT-II of the node values, evaluated by FFT in O(Q log Q) for Q
-    nodes rather than as a (degree+1) x Q cosine table.
-    Deterministic: same inputs give bit-identical coefficients.
+    integral at Q = max(1024, 4*(degree+1)) cosine-spaced points, which
+    keeps the transform safely oversampled.  ``f`` is called once, on the
+    array of nodes, and must return the array of its values there (a
+    NumPy ufunc does).  The quadrature sum is a DCT-II of the node values,
+    evaluated by FFT in O(Q log Q) rather than as a (degree+1) x Q cosine
+    table.  Deterministic: same inputs give bit-identical coefficients.
     """
     if degree < 0:
         raise ParameterError(f"degree must be >= 0, got {degree}")
-    if quad_nodes is None:
-        quad_nodes = max(1024, 4 * (degree + 1))
-    if quad_nodes < 4 * (degree + 1):
-        raise ParameterError(
-            f"need at least 4*(degree+1) = {4 * (degree + 1)} quadrature nodes, got {quad_nodes}"
-        )
+    quad_nodes = max(1024, 4 * (degree + 1))
     t = _quadrature_nodes(quad_nodes)
     x = interval.from_unit(t)
     fx = np.asarray(f(x), dtype=float)
@@ -160,7 +138,7 @@ def compute_coefficients(
     phase = 0.5 * np.pi * np.arange(degree + 1) / quad_nodes
     coeffs = (np.cos(phase) * z.real + np.sin(phase) * z.imag) / quad_nodes
     coeffs[0] *= 0.5
-    return ChebSeries(interval=interval, coeffs=coeffs, spec=spec)
+    return ChebSeries(interval=interval, coeffs=coeffs)
 
 
 def series_from_polynomial(

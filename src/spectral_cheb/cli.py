@@ -62,7 +62,7 @@ from .tasks import (
     ratings_from_files,
 )
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main"]
 
 EXIT_CONFIG = 1
 EXIT_DATA = 2

@@ -140,18 +140,6 @@ class DegreeDistribution:
         tail_mean = head * (j_end * c / (1.0 - c) + c / (1.0 - c) ** 2)
         return prefix_mean + tail_mean
 
-    def pmf_array(self, upto: int) -> np.ndarray:
-        """q_0..q_upto, extending beyond the prefix by the tail rule."""
-        j_end = self.pmf_prefix.size - 1
-        if upto <= j_end:
-            return self.pmf_prefix[: upto + 1].copy()
-        out = np.zeros(upto + 1)
-        out[: j_end + 1] = self.pmf_prefix
-        if self.tail_ratio is not None:
-            m = np.arange(1, upto - j_end + 1, dtype=float)
-            out[j_end + 1 :] = self.pmf_prefix[-1] * self.tail_ratio**m
-        return out
-
     def survival_array(self, upto: int) -> np.ndarray:
         """1 - S_j for j = 0..upto: the stored prefix, then the geometric
         tail's closed form q_J c^(j-J+1) / (1 - c) (zero without a tail).
@@ -220,21 +208,30 @@ def optimal_distribution(rho: float, meanN: int) -> DegreeDistribution:
     q_i = (N-K)(rho-1)^2 rho^(K-i-1).  The atom at K may be zero when
     rho/(rho-1) is integral.  The prefix stores the run through degree
     K + 64, or through the last degree whose rho^(K-i-1) is a normal
-    double, and the closed-form geometric tail carries the rest.
+    double, and the closed-form geometric tail carries the rest.  Past
+    rho^2 = 1/tiny, where rho^-2 underflows and then (rho-1)^2 overflows,
+    the run is formed as (N-K)((rho-1)/rho)^2 rho^(K-i+1) instead, through
+    the last degree whose rho^(K-i+1) is normal.
     """
     if not rho > 1.0:
         raise ParameterError(f"rho must be > 1, got {rho}")
+    if math.isinf(rho):
+        raise ParameterError(f"rho must be finite, got {rho}")
     if meanN < 1:
         raise ParameterError(f"mean degree must be >= 1, got {meanN}")
     n_mean = int(meanN)
     K = max(0, n_mean - math.floor(rho / (rho - 1.0) + 1e-9))
     c = float(n_mean - K)
     q_at_K = 1.0 - c * (rho - 1.0) / rho
-    powers = rho ** -np.arange(2.0, 66.0)
-    powers = powers[powers >= np.finfo(float).tiny]
+    tiny = np.finfo(float).tiny
+    if rho * rho < 1.0 / tiny:
+        powers, scale = rho ** -np.arange(2.0, 66.0), (rho - 1.0) ** 2
+    else:
+        powers, scale = rho ** -np.arange(0.0, 64.0), ((rho - 1.0) / rho) ** 2
+    powers = powers[powers >= tiny]
     prefix = np.zeros(K + 1 + powers.size)
     prefix[K] = max(q_at_K, 0.0)
-    prefix[K + 1 :] = c * (rho - 1.0) ** 2 * powers
+    prefix[K + 1 :] = c * scale * powers
     return DegreeDistribution(
         kind=DistributionKind.OPTIMAL,
         params={"rho": float(rho), "N": float(n_mean), "K": float(K)},

@@ -27,7 +27,6 @@ return the gradient array, the drawn degree staying on the plan.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Callable
 
@@ -41,7 +40,6 @@ from .probes import MatvecCounter, ProbePlan, _count, _evaluate, _evaluate_batch
 __all__ = [
     "ParamMatrixOracle",
     "LowRankPSD",
-    "sum_prime_weights",
     "grad_estimate_generic",
     "grad_estimate_lowrank",
     "sample_spectral_grads",
@@ -87,9 +85,6 @@ class ParamMatrixOracle:
         """scale * B w - w_prev (no subtraction when ``w_prev`` is None) in
         a fresh array, mapping the result of one ``mv`` onto iv."""
         return _mapped_step(self.mv(w), w, w_prev, scale, iv)
-
-    def at(self, theta: np.ndarray) -> "ParamMatrixOracle":
-        return dataclasses.replace(self, theta=np.asarray(theta, dtype=float))
 
     def contract(self, w: np.ndarray, a: np.ndarray, weights: np.ndarray) -> np.ndarray:
         """Per-column sum_b weights_b w_b^T (dA/dtheta_i) a_b for (m, blk, d)
@@ -151,12 +146,6 @@ class LowRankPSD:
             y -= w_prev
         return y
 
-    def dense(self) -> np.ndarray:
-        return self.theta @ self.theta.T + self.epsilon * np.eye(self.dim)
-
-    def at(self, theta: np.ndarray) -> "LowRankPSD":
-        return dataclasses.replace(self, theta=np.asarray(theta, dtype=float))
-
     def contract(self, w: np.ndarray, a: np.ndarray, weights: np.ndarray) -> np.ndarray:
         """Per-column sum_b weights_b (w_b (a_b^T theta) + a_b (w_b^T theta))
         for (m, blk, d) blocks w and a, shape (m, d, r).  Each partial of
@@ -172,7 +161,7 @@ class LowRankPSD:
         return out
 
 
-def sum_prime_weights(count: int) -> np.ndarray:
+def _sum_prime_weights(count: int) -> np.ndarray:
     """The halved-first-term convention (2 - 1_{i=0}) as explicit weights
     [1, 2, 2, ...]; the single shared source of this constant."""
     w = np.full(count, 2.0)
@@ -224,7 +213,7 @@ def _adjoint_block(op, iv: Interval, bhat: np.ndarray, n: int,
     for j in range(1, stored):
         prev, cur = cur, op.step(cur, prev, 2.0 if j > 1 else 1.0, iv)
         w[:, j] = cur.T
-    weights = sum_prime_weights(half) * (2.0 / iv.width)
+    weights = _sum_prime_weights(half) * (2.0 / iv.width)
     acc = 0.0
     a_next, a_after = None, None  # a_{j+1}, a_{j+2}
     for top in range(half, 0, -_DEGREE_BLOCK):

@@ -472,11 +472,7 @@ def power_method_bound(A: MatrixOracle, iters: int, seed: int) -> float:
         raise ParameterError(f"operator dimension must be at least 1, got {A.dim}")
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(2,)))
     u = rng.standard_normal(A.dim)
-    norm = np.linalg.norm(u)
-    while norm == 0.0:  # probability zero; retry with the next stream
-        u = rng.standard_normal(A.dim)
-        norm = np.linalg.norm(u)
-    u /= norm
+    u /= np.linalg.norm(u)
     rayleigh = 0.0
     for _ in range(iters):
         v = A.apply(u)
@@ -493,10 +489,12 @@ class Expansion:
     """What the estimators need of f besides the operator: its Chebyshev
     series on the eigenvalue interval and the truncation-degree
     distribution.  The series' interval is the one declaration of where
-    the spectrum lies; every recurrence step is mapped onto it.  ``f`` is
-    None for a polynomial series."""
+    the spectrum lies; every recurrence step is mapped onto it.  ``f``
+    maps an array of points to the array of its values there, as
+    ``compute_coefficients`` calls it, or is None for a polynomial
+    series."""
 
-    f: Callable[[float], float] | None
+    f: Callable[[np.ndarray], np.ndarray] | None
     series: ChebSeries
     dist: DegreeDistribution
 
@@ -519,9 +517,11 @@ class Expansion:
 
 
 def expansion_for(matvec: Callable[[np.ndarray], np.ndarray], dim: int,
-                  f: Callable[[float], float], lower: float, mean_degree: int, seed: int,
-                  kind: str = "opt") -> Expansion:
-    """Expansion of f for an operator whose spectrum lies above ``lower``.
+                  f: Callable[[np.ndarray], np.ndarray], lower: float, mean_degree: int,
+                  seed: int, kind: str = "opt") -> Expansion:
+    """Expansion of f for an operator whose spectrum lies above ``lower``;
+    f maps an array of points to the array of its values, as
+    ``compute_coefficients`` calls it.
 
     The upper end is a 50-step power-method estimate, floored at
     2 * lower.  The series reaches the degree past which the optimal

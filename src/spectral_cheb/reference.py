@@ -14,11 +14,7 @@ import numpy as np
 
 from .exceptions import ParameterError
 
-__all__ = [
-    "check_dense_symmetric",
-    "exact_spectral_sum",
-    "exact_spectral_grad_lowrank",
-]
+__all__ = ["exact_spectral_sum", "exact_spectral_grad_lowrank"]
 
 _MAX_DIM = 512
 

@@ -52,9 +52,7 @@ __all__ = [
     "CompletionResult",
     "GPProblem",
     "GPResult",
-    "load_movielens",
     "ratings_from_files",
-    "detect_ratings_format",
     "load_gp_data",
     "synthetic_completion_data",
     "synthetic_gp_data",
@@ -72,6 +70,7 @@ COMPLETION_REFRESH_EVERY = 100
 GP_REFRESH_EVERY = 10
 CG_RTOL = 1e-8  # relative residual at which the data-term CG stops
 NLL_MEAN_DEGREE = 10  # mean truncation degree of gp_negloglik(mode="estimate")
+TRAIN_FRAC = 0.9  # share of the triples a seeded split puts in training
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +108,7 @@ class RatingSet:
         return self.users[mask], self.items[mask], self.ratings[mask]
 
 
-def _split_mask(count: int, train_frac: float, seed: int) -> np.ndarray:
+def _split_mask(count: int, seed: int) -> np.ndarray:
     order = np.arange(count)
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(7,)))
     # Fisher-Yates, explicit for reproducibility of the split contract
@@ -117,26 +116,32 @@ def _split_mask(count: int, train_frac: float, seed: int) -> np.ndarray:
         j = int(rng.integers(0, i + 1))
         order[i], order[j] = order[j], order[i]
     mask = np.zeros(count, dtype=bool)
-    mask[order[: int(math.floor(train_frac * count))]] = True
+    mask[order[: int(math.floor(TRAIN_FRAC * count))]] = True
     return mask
 
 
-def _parse_triples(path: Path, fmt: str):
-    """Triples of a ratings file; a CSV's first nonempty line is skipped as
-    a header when it does not parse as a triple."""
-    triples, header_allowed = [], fmt == "csv"
+def _parse_triples(path: Path):
+    """Triples of a ratings file, in one pass: user::item::rating::timestamp
+    lines when the first nonempty line contains '::', else user,item,rating
+    rows, whose first nonempty line is skipped as a header when it does not
+    parse as a triple."""
+    triples, sep = [], None
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
-            parts = line.split("::") if fmt == "double_colon" else line.split(",")
+            header_allowed = sep is None and "::" not in line
+            if sep is None:
+                sep = "::" if "::" in line else ","
+            parts = line.split(sep)
             try:
                 triples.append((int(parts[0]), int(parts[1]), float(parts[2])))
             except (IndexError, ValueError) as exc:
                 if not header_allowed:
                     raise ParseError(f"{path}:{lineno}: malformed rating line {line!r}") from exc
-            header_allowed = False
+    if sep is None:
+        raise ParseError(f"{path}: empty ratings file")
     if not triples:
         raise ParseError(f"{path}: no rating triples found")
     users, items, ratings = zip(*triples)
@@ -145,19 +150,28 @@ def _parse_triples(path: Path, fmt: str):
     return np.asarray(users), np.asarray(items), np.asarray(ratings, dtype=float)
 
 
-def detect_ratings_format(path: str | Path) -> str:
-    """double_colon when the first nonempty line contains '::', else csv."""
-    with open(path) as fh:
-        for line in fh:
-            if line.strip():
-                return "double_colon" if "::" in line else "csv"
-    raise ParseError(f"{path}: empty ratings file")
+def ratings_from_files(
+    train_path: str | Path,
+    test_path: str | Path | None = None,
+    seed: int = 0,
+) -> RatingSet:
+    """Parse ratings files into a RatingSet, each file's format read off
+    its first nonempty line (see ``_parse_triples``).
 
-
-def _rating_set(users: np.ndarray, items: np.ndarray, ratings: np.ndarray,
-                train_mask: np.ndarray) -> RatingSet:
-    """A RatingSet of raw triples: ratings clamped to [0.5, 5], raw ids
-    remapped to contiguous indices in sorted order."""
+    Ratings are clamped to [0.5, 5]; raw ids are remapped to contiguous
+    indices in sorted order, one index space across both files.  With one
+    file the train split takes floor(TRAIN_FRAC * count) triples chosen by
+    a shuffle seeded with ``seed``; with an explicit test file the mask
+    follows the files.
+    """
+    users, items, ratings = _parse_triples(Path(train_path))
+    if test_path is None:
+        mask = _split_mask(users.size, seed)
+    else:
+        u2, i2, r2 = _parse_triples(Path(test_path))
+        mask = np.arange(users.size + u2.size) < users.size
+        users, items = np.concatenate([users, u2]), np.concatenate([items, i2])
+        ratings = np.concatenate([ratings, r2])
     user_ids = np.unique(users)
     item_ids = np.unique(items)
     return RatingSet(
@@ -166,52 +180,8 @@ def _rating_set(users: np.ndarray, items: np.ndarray, ratings: np.ndarray,
         users=np.searchsorted(user_ids, users),
         items=np.searchsorted(item_ids, items),
         ratings=np.clip(ratings, 0.5, 5.0),
-        train_mask=train_mask,
+        train_mask=mask,
     )
-
-
-def load_movielens(
-    path: str | Path,
-    fmt: str = "double_colon",
-    train_frac: float = 0.9,
-    seed: int = 0,
-) -> RatingSet:
-    """Parse ratings and split deterministically.
-
-    ``double_colon`` reads user::item::rating::timestamp lines; ``csv``
-    reads user,item,rating rows under an optional header line.  Ratings are
-    clamped to [0.5, 5]; raw ids are remapped to contiguous indices in
-    sorted order; the train split takes floor(train_frac * count) triples
-    chosen by a seeded shuffle.
-    """
-    path = Path(path)
-    if fmt not in ("double_colon", "csv"):
-        raise ParameterError(f"unknown ratings format {fmt!r}")
-    users, items, ratings = _parse_triples(path, fmt)
-    return _rating_set(users, items, ratings, _split_mask(users.size, train_frac, seed))
-
-
-def ratings_from_files(
-    train_path: str | Path,
-    test_path: str | Path | None = None,
-    train_frac: float = 0.9,
-    seed: int = 0,
-) -> RatingSet:
-    """Build a RatingSet from data files, sniffing the format.
-
-    With one file the split is internal; with an explicit test file both
-    files share one contiguous index space and the mask follows the
-    files.
-    """
-    fmt = detect_ratings_format(train_path)
-    if test_path is None:
-        return load_movielens(train_path, fmt=fmt, train_frac=train_frac, seed=seed)
-    u1, i1, r1 = _parse_triples(Path(train_path), fmt)
-    u2, i2, r2 = _parse_triples(Path(test_path), detect_ratings_format(test_path))
-    mask = np.zeros(u1.size + u2.size, dtype=bool)
-    mask[: u1.size] = True
-    return _rating_set(np.concatenate([u1, u2]), np.concatenate([i1, i2]),
-                       np.concatenate([r1, r2]), mask)
 
 
 def load_gp_data(path: str | Path):
@@ -234,7 +204,7 @@ def load_gp_data(path: str | Path):
 
 
 def synthetic_completion_data(
-    d: int, r: int, rank: int, observed_frac: float, seed: int, train_frac: float = 0.9
+    d: int, r: int, rank: int, observed_frac: float, seed: int
 ) -> RatingSet:
     """Low-rank ground-truth ratings in [0, 5] with a random observation
     mask, packaged like a parsed ratings file."""
@@ -247,7 +217,7 @@ def synthetic_completion_data(
     keep = rng.random(all_pairs.shape[0]) < observed_frac
     pairs = all_pairs[keep]
     ratings = truth[pairs[:, 0], pairs[:, 1]]
-    mask = _split_mask(pairs.shape[0], train_frac, seed)
+    mask = _split_mask(pairs.shape[0], seed)
     return RatingSet(
         d_users=d,
         d_items=r,
@@ -364,8 +334,11 @@ def completion_train(
     truncated SVD is applied once after training, before the test RMSE.
     The spectrum is re-bounded every ``COMPLETION_REFRESH_EVERY`` SGD
     iterations, and at every epoch's anchor under SVRG.  ``dist_kind``
-    names the degree distribution, such as ``neg(3)``.
+    names the degree distribution, such as ``neg(3)``; ``svd_rank`` must
+    be at least 1.
     """
+    if svd_rank < 1:
+        raise ParameterError(f"SVD rank must be >= 1, got {svd_rank}")
     users, items, vals = ratings.split(train=True)
     counter = MatvecCounter()
     model = _completion_model(problem, dist_kind, counter)

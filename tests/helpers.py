@@ -1,10 +1,11 @@
 """Shared test utilities: scalar Chebyshev polynomials and Clenshaw
-series evaluation, explicit-pmf distributions, compensated running sums
-S_j and their CSV dump, random feasible pmfs, the relaxed variance
+series evaluation, explicit-pmf distributions, a distribution's masses
+q_0..q_n, compensated running sums S_j and their CSV dump, random feasible pmfs, the relaxed variance
 objective the optimal distribution minimizes and the finite-horizon KKT
 solution it is checked against, dense matrix factories, the quadrature used by
 Monte-Carlo variance oracles, the dense check of the second-kind
-recurrence behind the amortized gradient, the direct three-term
+recurrence behind the amortized gradient, the dense matrix of a
+low-rank oracle, the direct three-term
 recurrence the doubled Chebyshev moments are checked against, the
 full-length adjoint recurrence the gradient kernel is checked against,
 the dense cosine-table quadrature sum the FFT coefficients are checked
@@ -28,7 +29,7 @@ from spectral_cheb.degree_dist import (
     log_weighted_variance,
 )
 from spectral_cheb.exceptions import DomainEvalError, EstimationError, ParameterError
-from spectral_cheb.grad_est import ParamMatrixOracle, sum_prime_weights
+from spectral_cheb.grad_est import LowRankPSD, ParamMatrixOracle, _sum_prime_weights
 from spectral_cheb.optimize import Objective
 from spectral_cheb.reference import check_dense_symmetric
 
@@ -93,18 +94,36 @@ def tabulated_distribution(
     )
 
 
+def pmf_array(dist: DegreeDistribution, upto: int) -> np.ndarray:
+    """q_0..q_upto, extending beyond the prefix by the tail rule."""
+    j_end = dist.pmf_prefix.size - 1
+    if upto <= j_end:
+        return dist.pmf_prefix[: upto + 1].copy()
+    out = np.zeros(upto + 1)
+    out[: j_end + 1] = dist.pmf_prefix
+    if dist.tail_ratio is not None:
+        m = np.arange(1, upto - j_end + 1, dtype=float)
+        out[j_end + 1 :] = dist.pmf_prefix[-1] * dist.tail_ratio**m
+    return out
+
+
 def cumulative_array(dist: DegreeDistribution, upto: int) -> np.ndarray:
     """Compensated running sums S_0..S_upto."""
-    return _kahan_cumsum(dist.pmf_array(upto))
+    return _kahan_cumsum(pmf_array(dist, upto))
 
 
 def write_pmf_csv(dist: DegreeDistribution, fh: IO[str], count: int) -> None:
     """Emit rows (i, q_i, cumsum) for i = 0..count."""
-    q = dist.pmf_array(count)
+    q = pmf_array(dist, count)
     cums = cumulative_array(dist, count)
     fh.write("i,q_i,cumsum\n")
     for i in range(count + 1):
         fh.write(f"{i},{float(q[i])!r},{float(cums[i])!r}\n")
+
+
+def dense_lowrank(lr: LowRankPSD) -> np.ndarray:
+    """The dense theta theta^T + epsilon I a low-rank oracle applies."""
+    return lr.theta @ lr.theta.T + lr.epsilon * np.eye(lr.dim)
 
 
 def validate_param_oracle(pm: ParamMatrixOracle, rng: np.random.Generator,
@@ -252,7 +271,7 @@ def conditional_weighted_variance(series: ChebSeries, dist: DegreeDistribution,
     diverges in a tail no finite Monte-Carlo budget can reach.
     """
     b2 = series.coeffs**2
-    q = dist.pmf_array(horizon)
+    q = pmf_array(dist, horizon)
     surv_incl = dist.survival_array(horizon)  # 1 - S_n
     ratio = np.zeros(horizon + 1)  # S_{j-1}/(1 - S_{j-1}) for j = 1..horizon
     ratio[1:] = (1.0 - surv_incl[:-1]) / surv_incl[:-1]
@@ -345,7 +364,7 @@ def full_recurrence_adjoint_block(op, iv: Interval, bhat: np.ndarray, n: int,
             s[i] += op.step(s[i + 1], s[i + 2] if i < n - 2 else None, 2.0, iv)
     # (m, n, d) probe-major blocks, the layout ``contract`` takes
     return op.contract(np.stack([x.T for x in w], axis=1), np.stack([x.T for x in s], axis=1),
-                       sum_prime_weights(n) * (2.0 / iv.width))
+                       _sum_prime_weights(n) * (2.0 / iv.width))
 
 
 def cosine_table_coefficients(f, interval: Interval, degree: int, quad_nodes: int):

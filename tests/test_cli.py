@@ -80,6 +80,7 @@ class TestVarianceBench:
         (["--rho", "0.5"], "rho must be > 1, got 0.5"),
         (["--rho", "1.0"], "rho must be > 1, got 1.0"),
         (["--rho", "2.0", "--dist", "neg(0.5)"], "shape parameter must be >= 1, got 0.5"),
+        (["--rho", "inf"], "rho must be finite, got inf"),
     ])
     def test_invalid_distribution_is_config_error(self, tmp_path, capsys, flags, message):
         out = tmp_path / "v.csv"
@@ -127,6 +128,20 @@ class TestVarianceBench:
         with mp.workdps(30):
             for (_, _, n, text), want in zip(rows, wants):
                 assert abs(mp.mpf(text) / want - 1) < 1e-12, (n, text)
+
+    @pytest.mark.parametrize("rho", ["1e154", "2e154"])
+    def test_optimal_row_at_huge_rho_matches_mp_reference(self, tmp_path, rho):
+        # the optimal law's rho^-2 underflows past rho ~ 6.7e153 and its
+        # (rho - 1)^2 overflows past ~1.34e154; the row's log is ~7.4e4,
+        # whose last bit alone is ~1.5e-11 of the value
+        out = tmp_path / "v.csv"
+        assert main(["variance-bench", "--func", "exp", "--rho", rho, "--dist", "opt",
+                     "--N", "5", "--out", str(out)]) == 0
+        (row,) = out.read_text().strip().split("\n")[1:]
+        (want,) = mp_variances("exp", None, Interval(-1.0, 1.0),
+                               [optimal_distribution(float(rho), 5)], dps=600)
+        with mp.workdps(30):
+            assert abs(mp.mpf(row.split(",")[3]) / want - 1) < 1e-10
 
     @pytest.mark.parametrize("fname, a, b, dps", [
         ("log", 0.05, 0.95, 70), ("log", 0.01, 10.0, 30),
@@ -484,6 +499,15 @@ class TestMcTrain:
         out = tmp_path / "mc.csv"
         assert main(["mc-train", "--train", str(data), "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"data error: {data}: non-finite rating\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rank", ["0", "-1"])
+    def test_rank_below_one_is_config_error(self, tmp_path, capsys, rank):
+        out = tmp_path / "mc.csv"
+        assert main(["mc-train", "--train", FIXTURE_RATINGS, "--epochs", "1",
+                     "--inner-iters", "2", "--rank", rank, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"configuration error: SVD rank must be >= 1, got {rank}\n")
         assert not out.exists()
 
     def test_optimizers_have_distinct_phase_columns(self, tmp_path):

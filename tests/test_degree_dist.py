@@ -11,6 +11,7 @@ from helpers import (
     cumulative_array,
     finite_kkt_solution,
     observable_horizon,
+    pmf_array,
     random_feasible_pmf,
     relaxed_objective,
     tabulated_distribution,
@@ -51,7 +52,7 @@ class TestOptimalDistribution:
     def test_rho2_mean1(self):
         dist = optimal_distribution(2.0, 1)
         assert dist.params["K"] == 0
-        q = dist.pmf_array(4)
+        q = pmf_array(dist, 4)
         np.testing.assert_allclose(q, [0.5, 0.25, 0.125, 0.0625, 0.03125], rtol=1e-13)
         assert dist.total_mass() == pytest.approx(1.0, abs=1e-13)
         assert dist.mean() == pytest.approx(1.0, abs=1e-10)
@@ -59,7 +60,7 @@ class TestOptimalDistribution:
     def test_rho3_mean2(self):
         dist = optimal_distribution(3.0, 2)
         assert dist.params["K"] == 1
-        q = dist.pmf_array(3)
+        q = pmf_array(dist, 3)
         np.testing.assert_allclose(q, [0.0, 1 / 3, 4 / 9, 4 / 27], rtol=1e-13)
         assert dist.mean() == pytest.approx(2.0, abs=1e-10)
 
@@ -67,7 +68,7 @@ class TestOptimalDistribution:
         # rho/(rho-1) integral makes the atom at K vanish
         dist = optimal_distribution(2.0, 5)
         assert dist.params["K"] == 3
-        q = dist.pmf_array(5)
+        q = pmf_array(dist, 5)
         np.testing.assert_allclose(q[:3], 0.0, atol=0)
         assert q[3] == pytest.approx(0.0, abs=1e-15)
         np.testing.assert_allclose(q[4:], [0.5, 0.25], rtol=1e-13)
@@ -75,6 +76,28 @@ class TestOptimalDistribution:
     def test_invalid_rho(self):
         with pytest.raises(ParameterError):
             optimal_distribution(1.0, 5)
+
+    @pytest.mark.parametrize("rho", [1.0247, 2.0, 1e5, 1e150, 6e153])
+    def test_run_formed_from_rho_minus_one_squared(self, rho):
+        dist = optimal_distribution(rho, 5)
+        k_supp = int(dist.params["K"])
+        powers = rho ** -np.arange(2.0, 66.0)
+        powers = powers[powers >= np.finfo(float).tiny]
+        want = (5.0 - k_supp) * (rho - 1.0) ** 2 * powers
+        np.testing.assert_array_equal(dist.pmf_prefix[k_supp + 1:], want)
+
+    @pytest.mark.parametrize("rho", [1e154, 2e154, 1e300])
+    def test_huge_rho_run_formed_from_the_ratio(self, rho):
+        # rho^-2 underflows past rho ~ 6.7e153 and (rho - 1)^2 overflows
+        # past ~1.34e154: the run is c ((rho-1)/rho)^2 rho^(K-i+1) there
+        dist = optimal_distribution(rho, 5)
+        assert dist.params["K"] == 4
+        run = dist.pmf_prefix[5:]
+        np.testing.assert_array_equal(run, ((rho - 1.0) / rho) ** 2
+                                      * rho ** -np.arange(0.0, run.size))
+        assert np.all(run >= np.finfo(float).tiny)
+        assert abs(dist.total_mass() - 1.0) <= 1e-12
+        assert abs(dist.mean() - 5.0) <= 1e-9
 
     @pytest.mark.parametrize("rho,mean_n", [(2.0, 1), (3.0, 2), (2.0, 5), (1.3, 7), (5.0, 20)])
     def test_constraints(self, rho, mean_n):
@@ -105,11 +128,11 @@ class TestBaselines:
     def test_poisson_pmf_at_mean(self):
         # frozen from e^-10 10^10 / 10!
         dist = poisson_distribution(10)
-        assert dist.pmf_array(10)[10] == pytest.approx(0.125110035721133, rel=1e-10)
+        assert pmf_array(dist, 10)[10] == pytest.approx(0.125110035721133, rel=1e-10)
 
     def test_poisson_small_mean(self):
         dist = poisson_distribution(0.5)
-        assert dist.pmf_array(0)[0] == pytest.approx(math.exp(-0.5), rel=1e-12)
+        assert pmf_array(dist, 0)[0] == pytest.approx(math.exp(-0.5), rel=1e-12)
 
     @pytest.mark.parametrize("mean_n", [1, 5, 10, 50, 100])
     def test_mean_constraints(self, mean_n):
@@ -201,7 +224,7 @@ class TestSurvivalProperties:
     def test_inverse_cdf_agrees_with_pmf(self, dist, u):
         n = sample_degree(dist, _FixedUniform(u))
         surv = dist.survival_array(n)
-        assert dist.pmf_array(n)[n] > 0.0
+        assert pmf_array(dist, n)[n] > 0.0
         below = 1.0 - (surv[n - 1] if n >= 1 else 1.0)  # P(degree < n)
         assert below - 1e-13 <= u <= 1.0 - surv[n] + 1e-13
 
@@ -224,7 +247,7 @@ class TestLogMasses:
     def test_partition_unit_mass_and_match_the_pmf(self, dist):
         log_q = dist.log_masses(30)
         assert abs(np.logaddexp.reduce(log_q)) <= 1e-14
-        np.testing.assert_allclose(np.exp(log_q[:-1]), dist.pmf_array(30), rtol=1e-12, atol=0)
+        np.testing.assert_allclose(np.exp(log_q[:-1]), pmf_array(dist, 30), rtol=1e-12, atol=0)
 
     def test_baselines_follow_their_law_past_the_tabulated_prefix(self):
         # the tabulated prefixes stop near 1e-13 of mass left; at degree
@@ -257,7 +280,7 @@ class TestSampling:
         rng = np.random.default_rng(42)
         draws = np.array([sample_degree(dist, rng) for _ in range(10**6)])
         # mean 1, atom q_0 = 0.5; variance of the degree distribution:
-        q = dist.pmf_array(400)
+        q = pmf_array(dist, 400)
         i = np.arange(401, dtype=float)
         var = float(q @ (i - 1.0) ** 2) + dist._tail_mass_beyond_prefix() * 400**2
         se_mean = math.sqrt(var / draws.size)
@@ -462,7 +485,7 @@ class TestRelaxedObjective:
 class TestFiniteKKT:
     def test_hand_value_rho3_mean2(self):
         dist = finite_kkt_solution(3.0, 2, 8)
-        q1 = dist.pmf_array(1)[1]
+        q1 = pmf_array(dist, 1)[1]
         assert q1 == pytest.approx(1.0 - (2.0 / 3.0) * (2187.0 / 2186.0), rel=1e-12)
         assert abs(dist.total_mass() - 1.0) <= 1e-12
         assert dist.mean() == pytest.approx(2.0, abs=1e-9)
@@ -480,8 +503,8 @@ class TestFiniteKKT:
         for rho, mean_n in [(3.0, 2), (2.0, 5), (5.0, 10)]:
             fkkt = finite_kkt_solution(rho, mean_n, 64)
             opt = optimal_distribution(rho, mean_n)
-            q_f = fkkt.pmf_array(63)
-            q_o = opt.pmf_array(63)
+            q_f = pmf_array(fkkt, 63)
+            q_o = pmf_array(opt, 63)
             assert np.max(np.abs(q_f - q_o)) < 1e-12
 
     def test_objective_closed_form(self):
@@ -509,7 +532,7 @@ class TestCsvExport:
         assert len(lines) == 22
         i, q, s = lines[5].split(",")
         assert int(i) == 4
-        assert float(q) == dist.pmf_array(4)[4]
+        assert float(q) == pmf_array(dist, 4)[4]
 
 
 class TestKindLabels:

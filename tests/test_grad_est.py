@@ -1,10 +1,12 @@
 """Tests for the stochastic spectral-sum gradient estimators."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from helpers import (
+    dense_lowrank,
     exact_spectral_grad_generic,
     full_recurrence_adjoint_block,
     random_spd,
@@ -27,10 +29,10 @@ from spectral_cheb.grad_est import (
     LowRankPSD,
     ParamMatrixOracle,
     _adjoint_block,
+    _sum_prime_weights,
     grad_estimate_generic,
     grad_estimate_lowrank,
     sample_spectral_grads,
-    sum_prime_weights,
 )
 from spectral_cheb.probes import MatvecCounter, ProbePlan
 from spectral_cheb.reference import exact_spectral_grad_lowrank
@@ -85,8 +87,8 @@ def lowrank_as_generic(lr: LowRankPSD) -> ParamMatrixOracle:
 
 class TestSumPrimeWeights:
     def test_values(self):
-        np.testing.assert_array_equal(sum_prime_weights(4), [1.0, 2.0, 2.0, 2.0])
-        assert sum_prime_weights(0).size == 0
+        np.testing.assert_array_equal(_sum_prime_weights(4), [1.0, 2.0, 2.0, 2.0])
+        assert _sum_prime_weights(0).size == 0
 
 
 class TestGenericGradient:
@@ -329,7 +331,7 @@ class TestSharedProbePlan:
         ):
             for n in (6, 2):
                 shared = ProbePlan(21, 40, degree=n)
-                for oracle in (op, op.at(moved(op.theta))):
+                for oracle in (op, dataclasses.replace(op, theta=moved(op.theta))):
                     got = estimate(oracle, series, dist, shared)
                     fresh = estimate(oracle, series, dist, ProbePlan(21, 40, degree=n))
                     np.testing.assert_array_equal(got, fresh)
@@ -411,7 +413,7 @@ class TestAdjointKernel:
             dense = base + 0.1 * partials[0] - 0.2 * partials[1] + 0.3 * partials[2]
         else:
             op = LowRankPSD(rng.uniform(0.0, 0.5, size=(10, 3)), 0.2)
-            dense = op.dense()
+            dense = dense_lowrank(op)
         eigs = np.linalg.eigvalsh(dense)
         iv = (Interval(float(eigs[0]), float(eigs[-1])) if tight
               else Interval(0.9 * eigs[0], 1.1 * eigs[-1]))

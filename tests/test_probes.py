@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 import scipy.io
 import scipy.sparse
-from helpers import direct_bilinear_sums, eval_series, random_spd, random_symmetric
+from helpers import (
+    dense_lowrank,
+    direct_bilinear_sums,
+    eval_series,
+    random_spd,
+    random_symmetric,
+)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -93,7 +99,7 @@ def _step_oracles(rng, dim, counter):
         ("dense", dense, MatrixOracle.from_matrix(dense, counter=counter)),
         ("callable", dense, MatrixOracle(dim=dim, matvec=lambda x: dense @ x,
                                          counter=counter)),
-        ("lowrank", lowrank.dense(), lowrank),
+        ("lowrank", dense_lowrank(lowrank), lowrank),
         ("param", dense + 0.5 * partial, param),
     ]
 

@@ -26,6 +26,50 @@ def test_declared_names_exist():
         assert [n for n in module.__all__ if not hasattr(module, n)] == []
 
 
+# names in a module's __all__ that no code outside tests/ reads, each kept
+# public for what pins it
+CENSUS_ALLOWED = {
+    # results of ratings_from_files, completion_train and gp_train, whose
+    # fields bench/worker.py reads
+    "tasks.RatingSet", "tasks.CompletionResult", "tasks.GPResult",
+    # criteria 5 and 11 draw their gradient samples with it
+    "grad_est.sample_spectral_grads",
+    # criterion 11 checks the GP gradients against it
+    "tasks.gp_exact_nll_grad_logspace",
+}
+
+
+def test_public_names_are_used_outside_tests():
+    # every name a module declares public is read by another module, the
+    # benchmark, a demo or a script (the package __init__ only re-exports),
+    # or is allowed above
+    root = Path(__file__).resolve().parents[1]
+    package = root / "src" / "spectral_cheb"
+    files = [*package.glob("*.py"), *(root / "bench").glob("*.py"),
+             *(root / "demos").glob("*.py"), *(root / "scripts").glob("*.py")]
+    read = {}
+    for path in files:
+        names = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                names.update(alias.name for alias in node.names)
+        read[path] = names
+    unused = []
+    for module_path in sorted(package.glob("*.py")):
+        if module_path.name == "__init__.py":
+            continue
+        module = importlib.import_module(f"spectral_cheb.{module_path.stem}")
+        unused += [f"{module_path.stem}.{name}" for name in getattr(module, "__all__", ())
+                   if not any(name in names for path, names in read.items()
+                              if path not in (module_path, package / "__init__.py"))]
+    assert sorted(set(unused) - CENSUS_ALLOWED) == []
+    assert sorted(CENSUS_ALLOWED - set(unused)) == []
+
+
 def test_benchmark_tracer_installs_and_uninstalls():
     # bench/tracer.py rebinds package functions and methods by name; a
     # removed name fails its install here rather than only in the bench's

@@ -1,5 +1,6 @@
 """Tests for the matrix-completion and GP-learning drivers."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -20,7 +21,6 @@ from spectral_cheb.tasks import (
     gp_negloglik,
     gp_train,
     load_gp_data,
-    load_movielens,
     ratings_from_files,
     synthetic_completion_data,
     synthetic_gp_data,
@@ -28,11 +28,20 @@ from spectral_cheb.tasks import (
 from spectral_cheb.tasks import _cg_solve
 
 
+def all_train(rs):
+    """The same ratings with every triple in the training split."""
+    return dataclasses.replace(rs, train_mask=np.ones_like(rs.train_mask))
+
+
 class TestLoadMovielens:
+    """MovieLens-style ratings files, user::item::rating::timestamp lines or
+    user,item,rating rows under an optional header, read by
+    ``ratings_from_files``."""
+
     def test_double_colon_triples(self, tmp_path):
         path = tmp_path / "r.dat"
         path.write_text("1::10::4.0::123\n2::20::3.5::124\n1::20::5.0::125\n")
-        rs = load_movielens(path, fmt="double_colon", train_frac=1.0, seed=0)
+        rs = ratings_from_files(path)
         assert rs.d_users == 2 and rs.d_items == 2
         assert rs.users.tolist() == [0, 1, 0]
         assert rs.items.tolist() == [0, 1, 1]
@@ -41,7 +50,7 @@ class TestLoadMovielens:
     def test_csv_with_header(self, tmp_path):
         path = tmp_path / "r.csv"
         path.write_text("user,item,rating\n5,7,2.0\n6,7,9.0\n")
-        rs = load_movielens(path, fmt="csv", train_frac=1.0, seed=0)
+        rs = ratings_from_files(path)
         assert rs.ratings.tolist() == [2.0, 5.0]  # clamped to [0.5, 5]
 
     def test_csv_without_header_keeps_every_rating(self, tmp_path):
@@ -50,35 +59,58 @@ class TestLoadMovielens:
         bare.write_text("\n".join(rows) + "\n")
         headed.write_text("\n".join(["user,item,rating"] + rows) + "\n")
         for path in (bare, headed):
-            rs = load_movielens(path, fmt="csv", train_frac=1.0, seed=0)
+            rs = ratings_from_files(path)
             assert rs.ratings.tolist() == [4.0, 3.0, 2.5, 1.0, 5.0, 0.5]
 
     def test_csv_header_skipped_only_once(self, tmp_path):
         path = tmp_path / "r.csv"
         path.write_text("\nuser,item,rating\n5,7,2.0\nuser,item,rating\n")
         with pytest.raises(ParseError, match=":4"):
-            load_movielens(path, fmt="csv")
+            ratings_from_files(path)
+
+    def test_double_colon_file_has_no_header(self, tmp_path):
+        path = tmp_path / "r.dat"
+        path.write_text("user::item::rating::timestamp\n1::2::3.0::0\n")
+        with pytest.raises(ParseError, match=":1: malformed"):
+            ratings_from_files(path)
+
+    @pytest.mark.parametrize("body", ["", "\n  \n"])
+    def test_empty_file(self, tmp_path, body):
+        path = tmp_path / "r.csv"
+        path.write_text(body)
+        with pytest.raises(ParseError, match="empty ratings file"):
+            ratings_from_files(path)
+
+    def test_header_alone_has_no_triples(self, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_text("user,item,rating\n")
+        with pytest.raises(ParseError, match="no rating triples"):
+            ratings_from_files(path)
 
     def test_floor_split_count(self, tmp_path):
         lines = [f"{i}::{i % 7}::3.0::0" for i in range(1000)]
         path = tmp_path / "r.dat"
         path.write_text("\n".join(lines) + "\n")
-        rs = load_movielens(path, train_frac=0.9, seed=3)
+        rs = ratings_from_files(path, seed=3)
         assert rs.n_train == 900
+        # floor(0.9 * 19) = 17
+        path.write_text("\n".join(lines[:19]) + "\n")
+        assert ratings_from_files(path, seed=3).n_train == 17
 
     def test_deterministic_split(self, tmp_path):
         lines = [f"{i}::{i % 5}::3.0::0" for i in range(100)]
         path = tmp_path / "r.dat"
         path.write_text("\n".join(lines) + "\n")
-        a = load_movielens(path, train_frac=0.8, seed=11)
-        b = load_movielens(path, train_frac=0.8, seed=11)
+        a = ratings_from_files(path, seed=11)
+        b = ratings_from_files(path, seed=11)
         assert np.array_equal(a.train_mask, b.train_mask)
+        assert not np.array_equal(a.train_mask, ratings_from_files(path, seed=12).train_mask)
 
     def test_malformed_line_number(self, tmp_path):
         path = tmp_path / "bad.dat"
         path.write_text("1::2::3.0::0\nnot-a-line\n")
         with pytest.raises(ParseError, match=":2"):
-            load_movielens(path)
+            ratings_from_files(path)
 
 
 class TestRatingsFromFiles:
@@ -96,7 +128,7 @@ class TestRatingsFromFiles:
 
 class TestCompletionObjective:
     def test_zero_factor(self):
-        rs = synthetic_completion_data(5, 4, 2, 1.0, seed=0, train_frac=1.0)
+        rs = all_train(synthetic_completion_data(5, 4, 2, 1.0, seed=0))
         problem = CompletionProblem(np.zeros((5, 4)), epsilon=1.0, lam=2.0)
         val = completion_objective(problem, rs)
         data = 2.0 * float(np.sum(rs.ratings**2))
@@ -116,7 +148,7 @@ class TestCompletionObjective:
     def test_descends_along_negative_gradient(self):
         from spectral_cheb.tasks import _completion_exact_grad
 
-        rs = synthetic_completion_data(8, 6, 2, 0.7, seed=1, train_frac=1.0)
+        rs = all_train(synthetic_completion_data(8, 6, 2, 0.7, seed=1))
         rng = np.random.default_rng(61)
         theta = rng.uniform(1.0, 4.0, size=(8, 6))
         problem = CompletionProblem(theta, epsilon=0.1, lam=1.0)
@@ -167,7 +199,7 @@ class TestCompletionTraining:
         assert result.test_rmse <= 1.2 * oracle_rmse
 
     def test_fully_observed_large_lambda(self):
-        rs = synthetic_completion_data(10, 8, 2, 1.0, seed=3, train_frac=1.0)
+        rs = all_train(synthetic_completion_data(10, 8, 2, 1.0, seed=3))
         rng = np.random.default_rng(64)
         theta0 = rng.uniform(0.0, 5.0, size=(10, 8))
         problem = CompletionProblem(theta0, epsilon=0.05, lam=50.0)
