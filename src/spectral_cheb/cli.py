@@ -50,7 +50,6 @@ from .probes import (
     ProbePlan,
     estimate_spectral_sum_unbiased,
     load_matrix,
-    power_method_bound,
 )
 from .tasks import (
     CompletionProblem,
@@ -221,8 +220,16 @@ def cmd_estimate(args) -> int:
     dim = matrix.shape[0]
     fname, f_or_coeffs = _parse_function(args)
     oracle = MatrixOracle.from_matrix(matrix)
-    upper = args.b if args.b is not None else power_method_bound(oracle, 50, args.seed)
     lower = args.a if args.a is not None else ESTIMATE_LOWER
+    if args.b is not None:
+        upper = args.b
+    else:
+        # the infinity norm, the largest absolute row sum, bounds every eigenvalue
+        upper = float(np.max(abs(matrix).sum(axis=1)))
+        if upper <= lower:
+            given = "--a" if args.a is not None else "the default lower end"
+            raise ParameterError(f"the matrix's infinity norm {upper!r} does not exceed "
+                                 f"{given} {lower!r}; give the upper end with --b")
     interval = Interval(lower, upper)
     series = _build_series(fname, f_or_coeffs, interval, 4 * args.N + 120)
     rho = args.rho

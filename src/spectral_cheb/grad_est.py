@@ -9,9 +9,12 @@ from a_j = g_j + 2 B a_{j+1} - a_{j+2}, g_j the direct terms the doubled
 moments put on w_j, starting at a_J = g_J.  Every recurrence step is the
 oracle's ``step(w, w_prev, scale, iv)`` = scale * B w - w_prev, iv the
 interval of the series being differentiated: the expansion owns the
-interval and no oracle stores one.  ``LowRankPSD`` folds the map into
-two scalars, c1 theta (theta^T x) + c2 x, and the generic
-``ParamMatrixOracle`` maps each matvec's result in place.  The gradient
+interval and no oracle stores one.  A step may write its result into
+w_prev, so both passes hand over only a vector already copied into the
+stored sequence or the adjoint block, and the probe block read-only.
+``LowRankPSD`` folds the map into two scalars, c1 theta (theta^T x) +
+c2 x, and the generic ``ParamMatrixOracle`` maps each matvec's result
+in place.  The gradient
 is (2/(b-a)) sum_{j<J}' a_{j+1}^T dA w_j: 2J - 1 matvecs of A per probe
 (none at n = 1) and J partial matvecs per coordinate.  Each oracle
 contracts it in one place: the generic ``ParamMatrixOracle`` applies
@@ -205,11 +208,13 @@ def _adjoint_block(op, iv: Interval, bhat: np.ndarray, n: int,
     # probe-major storage: w[:, j] holds T_j(B) v for every probe as an
     # (m, d) row block, zero past the last one formed (the direct terms
     # weigh those slots by zero); each step reads the contiguous (d, m)
-    # results of the two steps before it
+    # results of the two steps before it and hands over the older one,
+    # already copied into w (the probe block read-only, never written)
     w = np.empty((m, half + 2, d))
     w[:, stored:] = 0.0
     w[:, 0] = probes.T
-    prev, cur = None, probes
+    prev, cur = None, probes.view()
+    cur.flags.writeable = False
     for j in range(1, stored):
         prev, cur = cur, op.step(cur, prev, 2.0 if j > 1 else 1.0, iv)
         w[:, j] = cur.T
@@ -226,6 +231,7 @@ def _adjoint_block(op, iv: Interval, bhat: np.ndarray, n: int,
             if a_next is None:
                 a_j = a[:, j - low].T.copy()
             else:
+                # a_{j+2} is handed over: its block row already holds it
                 a_j = op.step(a_next, a_after, 2.0, iv)
                 a_j += a[:, j - low].T
                 a[:, j - low] = a_j.T

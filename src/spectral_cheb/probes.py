@@ -1,6 +1,6 @@
 """Matrix-side estimation: oracles, Rademacher probing, spectral-sum
 estimators, and the expansion builder (power-method interval, Chebyshev
-series, degree distribution).
+series, degree distribution) that training uses.
 
 The expansion owns the eigenvalue interval [a, b]: no oracle stores one,
 and the drivers hand the series' interval to each recurrence step,
@@ -9,9 +9,14 @@ the interval-mapped operator.  An oracle built from an explicit dense or
 sparse matrix folds the map into a copy 2B of it, cached for the last
 interval it was stepped on, so a step is one product and one
 subtraction; an oracle known only through its matvec maps each
-product's result in place.  A degree-n estimate costs ceil(n/2) matvecs
-per probe: with w_j = T_j(B) v, the moments mu_k = v^T T_k(B) v follow
-from mu_{2j} = 2 w_j^T w_j - mu_0 and mu_{2j+1} = 2 w_{j+1}^T w_j - mu_1.
+product's result in place.  ``w_prev`` is handed over: a step may return
+its result in w_prev's buffer, and the sparse fold does, negating it and
+accumulating 2B w into it with SciPy's CSR kernel, so the value
+recurrence rotates two buffers per chunk and calls no BLAS.  A read-only
+``w_prev``, such as a plan's probe block, is never written.  A degree-n
+estimate costs ceil(n/2) matvecs per probe: with w_j = T_j(B) v, the
+moments mu_k = v^T T_k(B) v follow from mu_{2j} = 2 w_j^T w_j - mu_0
+and mu_{2j+1} = 2 w_{j+1}^T w_j - mu_1.
 Every probe owns an rng stream derived from (master_seed, evaluation
 index, probe index), so results do not depend on evaluation order; a
 chunk of probes is filled in one pass from the raw words of those
@@ -145,6 +150,22 @@ def _fold_interval(matrix, iv: Interval):
     return folded
 
 
+def _csr_accumulate(folded, w: np.ndarray, y: np.ndarray) -> None:
+    """y += folded @ w in place for a CSR ``folded`` and a C-contiguous
+    float y of w's shape, (d,) or (d, m).
+
+    SciPy's own CSR product zero-fills its result and runs this kernel;
+    no public call accumulates into an existing array, and a NumPy CSR
+    product would build an nnz x m temporary.  The kernel is private, so
+    ``tests/test_probes.py`` pins its accumulate semantics."""
+    from scipy.sparse._sparsetools import csr_matvecs
+
+    rows, cols = folded.shape
+    x = np.ascontiguousarray(w, dtype=np.float64)
+    csr_matvecs(rows, cols, 1 if x.ndim == 1 else x.shape[1],
+                folded.indptr, folded.indices, folded.data, x, y)
+
+
 @dataclass
 class MatrixOracle:
     """Symmetric operator exposed through its matvec.
@@ -178,13 +199,27 @@ class MatrixOracle:
 
     def step(self, w: np.ndarray, w_prev: np.ndarray | None, scale: float,
              iv: Interval) -> np.ndarray:
-        """scale * B w - w_prev (no subtraction when ``w_prev`` is None) in
-        a fresh array, B = (2A - (b+a)I)/(b-a) on iv = [a, b]; one matvec
-        per column."""
+        """scale * B w - w_prev (no subtraction when ``w_prev`` is None),
+        B = (2A - (b+a)I)/(b-a) on iv = [a, b]; one matvec per column.
+
+        ``w_prev`` is handed over: a sparse fold at scale 2 negates a
+        writeable, C-contiguous float ``w_prev`` of ``w``'s shape in place,
+        accumulates 2B w into it and returns it, so a step allocates
+        nothing.  Every other step, and every read-only ``w_prev`` such as
+        a plan's probe block, gets a fresh array; ``w`` is never written.
+        """
         if self.matrix is None:
             return _mapped_step(self.apply(w), w, w_prev, scale, iv)
         _count(self.counter, w)
-        y = self._folded(iv) @ w
+        folded = self._folded(iv)
+        if (scale == 2.0 and w_prev is not None and _issparse(folded)
+                and w_prev.flags.writeable and w_prev.flags.c_contiguous
+                and w_prev.dtype == np.float64 and w_prev.shape == w.shape
+                and not np.may_share_memory(w_prev, w)):
+            np.negative(w_prev, out=w_prev)
+            _csr_accumulate(folded, w, w_prev)
+            return w_prev
+        y = folded @ w
         if scale != 2.0:
             y *= 0.5 * scale
         if w_prev is not None:
@@ -304,11 +339,16 @@ def _bilinear_block(oracle: MatrixOracle, iv: Interval, coeffs: np.ndarray, n: i
     Only w_j = T_j(B) v for j <= ceil(n/2) is formed by the three-term
     recurrence: T_{2j} = 2 T_j^2 - T_0 and T_{2j+1} = 2 T_{j+1} T_j - T_1
     give mu_{2j} = 2 w_j^T w_j - mu_0 and mu_{2j+1} = 2 w_{j+1}^T w_j - mu_1.
+    Each step hands over w_{j-1}, which no later moment reads, so an
+    oracle that writes into it rotates two buffers through the chunk; the
+    probe block itself is handed over read-only and never written.
     """
     mu0 = np.einsum("dk,dk->k", probes, probes)
     acc = coeffs[0] * mu0
     if n == 0:
         return acc
+    probes = probes.view()
+    probes.flags.writeable = False
     w_prev, w = probes, oracle.step(probes, None, 1.0, iv)
     mu1 = np.einsum("dk,dk->k", probes, w)
     acc = acc + coeffs[1] * mu1
@@ -465,7 +505,10 @@ def power_method_bound(A: MatrixOracle, iters: int, seed: int) -> float:
     """Estimate of the largest eigenvalue: the Rayleigh quotient after
     ``iters`` power iterations times a 1.1 safety factor.  Not a bound:
     the quotient approaches the top eigenvalue from below, and the factor
-    only covers a slow start.  ``expansion_for`` floors it at 2 * lower."""
+    only covers a slow start.  ``expansion_for`` (completion and the GP)
+    floors it at 2 * lower; acceptance criterion 11 and
+    ``demos/unbiased_logdet.py`` call it too.  ``estimate`` takes the
+    certified infinity norm instead."""
     if iters < 1:
         raise ParameterError(f"need at least one iteration, got {iters}")
     if A.dim < 1:

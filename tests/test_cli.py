@@ -301,11 +301,54 @@ class TestEstimate:
         assert main(["estimate", str(path), "--func", "log", "--a", "0.05", "--N", "30",
                      "--M", "8", "--seed", "2"]) == 0
         out = capsys.readouterr()
-        assert out.out == "480.3467008020235\n"
+        assert out.out == "480.38928206226683\n"
         assert out.err == (
             "sampled degree n = 30\nprobes M = 8\n"
-            "fixed-degree-30 bias bound: 59.2842 (rho = 1.18195, U ~ 1.01553)\n"
+            "fixed-degree-30 bias bound: 47.313 (rho = 1.1893, U ~ 1.01553)\n"
         )
+
+    @pytest.mark.parametrize("suffix", [".txt", ".mtx"])
+    def test_upper_end_is_the_infinity_norm(self, tmp_path, capsys, monkeypatch, suffix):
+        # without --b the interval ends at the largest absolute row sum,
+        # a certified bound, and the power method never runs
+        import spectral_cheb.cli as cli
+        import spectral_cheb.probes as probes
+
+        if suffix == ".txt":
+            dense = np.array([[3.0, -1.0, 0.5], [-1.0, 2.0, -2.0], [0.5, -2.0, 4.0]])
+            path = tmp_path / "signed.txt"
+            np.savetxt(path, dense)
+        else:
+            path = write_shifted_grid_laplacian(tmp_path, 0.3, side=5)
+            import scipy.io
+
+            dense = scipy.io.mmread(str(path)).toarray()
+        want = max(math.fsum(abs(x) for x in row) for row in dense)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("estimate called the power method")
+
+        monkeypatch.setattr(probes, "power_method_bound", refuse)
+        intervals = []
+        build = cli._build_series
+        monkeypatch.setattr(cli, "_build_series", lambda name, f, interval, degree: (
+            intervals.append(interval) or build(name, f, interval, degree)))
+        assert main(["estimate", str(path), "--func", "log", "--a", "0.2", "--rho", "1.5",
+                     "--N", "4", "--M", "2"]) == 0
+        capsys.readouterr()
+        assert intervals == [Interval(0.2, want)]
+
+    def test_infinity_norm_at_the_lower_end_asks_for_b(self, tmp_path, capsys):
+        # 2 I with --a 2: the certified upper end leaves a zero-width interval
+        path = tmp_path / "two.txt"
+        path.write_text("2 0\n0 2\n")
+        assert main(["estimate", str(path), "--func", "log", "--a", "2"]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == ("configuration error: the matrix's infinity norm 2.0 does not "
+                           "exceed --a 2.0; give the upper end with --b\n")
+        assert main(["estimate", str(path), "--func", "log", "--a", "2", "--b", "2.5",
+                     "--rho", "3", "--N", "2"]) == 0
 
     def test_sparse_estimate_identical_at_one_and_two_threads(self, tmp_path, capsys,
                                                               monkeypatch):

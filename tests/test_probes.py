@@ -150,6 +150,89 @@ class TestStep:
                 np.testing.assert_array_equal(w_prev, kept[1])
                 assert not np.may_share_memory(got, w_prev), name
 
+    @pytest.mark.parametrize("layout", ["vector", "C", "F"])
+    def test_handed_over_w_prev_holds_the_step(self, layout):
+        # w is never written; a writeable w_prev may come back as the
+        # result, and then holds scale * B w - w_prev; the sparse fold
+        # always reuses a C-ordered one
+        rng = np.random.default_rng(63)
+        dim = 40
+        iv = Interval(0.1, 5.0)
+        for name, matrix, oracle in _step_oracles(rng, dim, None):
+            w = rng.standard_normal(dim if layout == "vector" else (dim, 4))
+            if layout == "F":
+                w = np.asfortranarray(w)
+            w_prev = rng.standard_normal(w.shape)
+            kept = [w.copy(), w_prev.copy()]
+            got = oracle.step(w, w_prev, 2.0, iv)
+            want = 2.0 * (2.0 * (matrix @ kept[0]) - (iv.b + iv.a) * kept[0]) / iv.width
+            want -= kept[1]
+            norm = np.linalg.norm(matrix, 2)
+            assert np.max(np.abs(got - want)) <= 1e-14 * norm * np.max(np.abs(w)), name
+            np.testing.assert_array_equal(w, kept[0])
+            assert not np.may_share_memory(got, w), name
+            if not np.may_share_memory(got, w_prev):
+                np.testing.assert_array_equal(w_prev, kept[1])
+            if name == "csr":
+                assert got is w_prev, name
+
+    def test_sparse_chunk_allocates_no_block_per_step(self):
+        # every array a step returns is kept alive, so a step that
+        # allocates its result leaves one block behind per step (~n/2)
+        import tracemalloc
+
+        side, cols, n = 64, 32, 40
+        line = scipy.sparse.diags([2.0 * np.ones(side), -np.ones(side - 1), -np.ones(side - 1)],
+                                  [0, 1, -1])
+        oracle = MatrixOracle.from_matrix(scipy.sparse.kronsum(line, line).tocsr())
+        iv = Interval(0.01, 8.0)
+        probes = ProbePlan(3, cols).probes(side * side, 0, cols)
+        coeffs = np.random.default_rng(64).standard_normal(n + 1)
+        oracle._folded(iv)  # the fold is built once per interval, not per chunk
+
+        class Holding:
+            def __init__(self):
+                self.results = []
+
+            def step(self, w, w_prev, scale, iv):
+                self.results.append(oracle.step(w, w_prev, scale, iv))
+                return self.results[-1]
+
+        held = Holding()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            probes_module._bilinear_block(held, iv, coeffs, n, probes)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(held.results) == (n + 1) // 2
+        assert grown <= 3 * probes.nbytes, grown
+
+    @pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+    @pytest.mark.parametrize("cols", [None, 5])
+    def test_private_csr_kernel_accumulates(self, index_dtype, cols):
+        # the sparse fold accumulates through SciPy's private CSR kernel,
+        # Y += A X on C-ordered operands; a SciPy upgrade that moves or
+        # changes it fails here
+        from scipy.sparse._sparsetools import csr_matvecs
+
+        rng = np.random.default_rng(65)
+        rows, inner = 30, 20
+        matrix = scipy.sparse.random(rows, inner, density=0.3, random_state=rng, format="csr")
+        indptr, indices = matrix.indptr.astype(index_dtype), matrix.indices.astype(index_dtype)
+        shape = (inner,) if cols is None else (inner, cols)
+        x = rng.standard_normal(shape)
+        y0 = rng.standard_normal((rows,) + shape[1:])
+        y = y0.copy()
+        csr_matvecs(rows, inner, 1 if cols is None else cols, indptr, indices, matrix.data, x, y)
+        np.testing.assert_allclose(y, y0 + matrix.toarray() @ x, rtol=0, atol=1e-13)
+        # the package's one caller, also with a Fortran-ordered operand
+        folded = scipy.sparse.csr_matrix((matrix.data, indices, indptr), shape=matrix.shape)
+        y = y0.copy()
+        probes_module._csr_accumulate(folded, np.asfortranarray(x), y)
+        np.testing.assert_allclose(y, y0 + matrix.toarray() @ x, rtol=0, atol=1e-13)
+
     def test_identity_matvec_operands_not_overwritten(self):
         identity = MatrixOracle(dim=5, matvec=lambda x: x)
         w = np.arange(5.0)
