@@ -48,6 +48,7 @@ from .probes import (
     Expansion,
     MatrixOracle,
     ProbePlan,
+    certified_ends,
     estimate_spectral_sum_unbiased,
     load_matrix,
 )
@@ -69,8 +70,6 @@ EXIT_NUMERIC = 3
 
 BENCH_SWEEP = tuple(range(5, 101, 5))
 BENCH_DISTS = ("opt", "pois", "neg(2)", "neg", "neg(10)", "det")
-# estimate's lower eigenvalue bound when --a is absent
-ESTIMATE_LOWER = 0.01
 
 
 class _Parser(argparse.ArgumentParser):
@@ -125,7 +124,8 @@ def build_parser() -> argparse.ArgumentParser:
         train.add_argument("--epochs", type=int, default=4, help="svrg outer epochs; sgd blocks")
         train.add_argument("--inner-iters", dest="inner_iters", type=int, default=100)
         train.add_argument("--step", type=float, default=0.1)
-        train.add_argument("--step-decay", dest="step_decay", type=float, default=0.97)
+        train.add_argument("--step-decay", dest="step_decay", type=float,
+                           help=f"SGD step decay per iteration (default {SGDConfig.decay})")
     mc.add_argument("--test", help="held-out ratings file")
     mc.add_argument("--optimizer", default="sgd", choices=["sgd", "svrg"])
     mc.add_argument("--dist", default="opt")
@@ -220,16 +220,17 @@ def cmd_estimate(args) -> int:
     dim = matrix.shape[0]
     fname, f_or_coeffs = _parse_function(args)
     oracle = MatrixOracle.from_matrix(matrix)
-    lower = args.a if args.a is not None else ESTIMATE_LOWER
-    if args.b is not None:
-        upper = args.b
-    else:
-        # the infinity norm, the largest absolute row sum, bounds every eigenvalue
-        upper = float(np.max(abs(matrix).sum(axis=1)))
-        if upper <= lower:
-            given = "--a" if args.a is not None else "the default lower end"
-            raise ParameterError(f"the matrix's infinity norm {upper!r} does not exceed "
-                                 f"{given} {lower!r}; give the upper end with --b")
+    # Gershgorin's lower end and the infinity norm bound every eigenvalue
+    ends = certified_ends(matrix) if args.a is None or args.b is None else None
+    lower = ends[0] if args.a is None else args.a
+    upper = ends[1] if args.b is None else args.b
+    if args.a is None and lower <= 0 and fname in ("log", "sqrt"):
+        raise ParameterError(f"the matrix's Gershgorin lower end {lower!r} is not positive "
+                             f"and {fname} is singular at 0; give the lower end with --a")
+    if args.b is None and upper <= lower:
+        given = "--a" if args.a is not None else "the Gershgorin lower end"
+        raise ParameterError(f"the matrix's infinity norm {upper!r} does not exceed "
+                             f"{given} {lower!r}; give the upper end with --b")
     interval = Interval(lower, upper)
     series = _build_series(fname, f_or_coeffs, interval, 4 * args.N + 120)
     rho = args.rho
@@ -267,7 +268,8 @@ def cmd_estimate(args) -> int:
 
 
 def _check_training_args(args) -> None:
-    """--train and --out are given, and every data file named exists."""
+    """--train and --out are given, every data file named exists, and
+    --step-decay, SGD's (``SGDConfig.decay`` when absent), is not given to SVRG."""
     if args.train is None:
         raise ParameterError(f"{args.command} needs --train")
     for kind, path in (("training", args.train), ("test", getattr(args, "test", None))):
@@ -275,6 +277,11 @@ def _check_training_args(args) -> None:
             raise FileNotFoundError(f"{kind} data not found: {path}")
     if args.out is None:
         raise ParameterError(f"{args.command} needs --out for the metrics CSV")
+    if args.step_decay is None:
+        args.step_decay = SGDConfig.decay
+    elif getattr(args, "optimizer", "sgd") == "svrg":
+        raise ParameterError("--step-decay applies to SGD only; SVRG steps at the constant "
+                             "--step")
 
 
 def _write_training_outputs(out, records, metrics, theta) -> None:

@@ -5,7 +5,7 @@ estimators; SVRG's control variate evaluates the estimator at the current
 and the anchor parameters with identical probes and an identical drawn
 degree, so the correction vanishes exactly when they coincide.  The model's
 ``Expansion`` owns the eigenvalue interval, the series and the degree
-distribution, refreshed on an epoch schedule, not per sample; each step's
+distribution, refreshed on a schedule, not per sample; each step's
 ``ProbePlan`` owns its degree and probes, and the drivers read the drawn
 degree back from the plan they built.  Both drivers take their steps
 through one step body: it checks the direction, projects, checks the
@@ -42,39 +42,30 @@ __all__ = [
     "write_trajectory_csv",
 ]
 
+# SGD iterations between interval refreshes; SVRG refreshes at every anchor
+REFRESH_EVERY = 10
+
 
 class SpectralModel:
     """Bundle of the parametric oracle and the (refreshable) expansion.
 
     ``oracle_at(theta)`` returns the operator at given parameters; the
     estimators step it on the interval of ``model.expansion``, which
-    ``refresh(theta, seed, mean_degree)`` replaces, typically with one
-    from ``expansion_for``.
-    ``ensure(theta, iteration, ...)`` refreshes when no expansion exists
-    yet, or when ``refresh_every`` > 0 divides ``iteration``; 0 refreshes
-    once, at the start.  ``sgd_run`` passes its iteration count, so there
-    the value is the number of iterations between refreshes; ``svrg_run``
-    passes 0 at each epoch's anchor, so there any positive value refreshes
-    once per epoch, whatever its size.
+    ``refresh(theta, mean_degree)`` replaces with one from certified ends
+    at ``theta``.  ``ensure(theta, iteration, mean_degree)`` refreshes when
+    no expansion exists yet or ``REFRESH_EVERY`` divides ``iteration``:
+    ``sgd_run`` passes its iteration count, ``svrg_run`` 0 at each anchor.
     """
 
-    def __init__(
-        self,
-        oracle_at: Callable[[np.ndarray], ParamMatrixOracle | LowRankPSD],
-        refresh: Callable[[np.ndarray, int, int], Expansion],
-        refresh_every: int = 0,
-    ):
+    def __init__(self, oracle_at: Callable[[np.ndarray], ParamMatrixOracle | LowRankPSD],
+                 refresh: Callable[[np.ndarray, int], Expansion]):
         self.oracle_at = oracle_at
         self.refresh = refresh
-        self.refresh_every = refresh_every
         self.expansion: Expansion | None = None
 
-    def ensure(self, theta: np.ndarray, iteration: int, seed: int, mean_degree: int) -> None:
-        due = self.expansion is None or (
-            self.refresh_every > 0 and iteration % self.refresh_every == 0
-        )
-        if due:
-            self.expansion = self.refresh(theta, seed, mean_degree)
+    def ensure(self, theta: np.ndarray, iteration: int, mean_degree: int) -> None:
+        if self.expansion is None or iteration % REFRESH_EVERY == 0:
+            self.expansion = self.refresh(theta, mean_degree)
 
     def extend_series(self, degree: int) -> None:
         """Extend the series to ``degree``; kept until the next refresh."""
@@ -104,26 +95,14 @@ class SpectralModel:
                                            min(degree, series.degree), plan)
 
 
-def _zero_value(theta):
-    return 0.0
-
-
-def _zero_grad(theta):
-    return np.zeros_like(theta)
-
-
-def _identity(theta):
-    return theta
-
-
 @dataclass
 class Objective:
     """min tr f(A(theta)) + g(theta) over the projection's fixed-point set."""
 
     spectral: SpectralModel | None = None
-    g_value: Callable[[np.ndarray], float] = _zero_value
-    g_grad: Callable[[np.ndarray], np.ndarray] = _zero_grad
-    projection: Callable[[np.ndarray], np.ndarray] = _identity
+    g_value: Callable[[np.ndarray], float] = lambda theta: 0.0
+    g_grad: Callable[[np.ndarray], np.ndarray] = np.zeros_like
+    projection: Callable[[np.ndarray], np.ndarray] = lambda theta: theta
 
 
 @dataclass
@@ -255,7 +234,7 @@ def sgd_run(
     step = _step_body(obj, cfg, "sgd", callback)
     for t in range(cfg.T):
         if obj.spectral is not None:
-            obj.spectral.ensure(theta, t, int(seeds[t]), cfg.N)
+            obj.spectral.ensure(theta, t, cfg.N)
             plan = ProbePlan(int(seeds[t]), cfg.M)
             psi, degree = obj.spectral.grad_sample(theta, plan), plan.degree
         else:
@@ -279,10 +258,8 @@ def svrg_run(
     evaluates the estimator at both the current iterate and the anchor
     with that identical randomness, the anchor running on the current
     evaluation's plan.  The epoch output is the average of the inner
-    iterates.  The expansion is refreshed at each epoch's anchor when the
-    model's ``refresh_every`` is positive (its size does not matter here),
-    and once at the start when it is 0.  Returns the anchors
-    theta_tilde^(0..S).
+    iterates.  The expansion is refreshed at each epoch's anchor.  Returns
+    the anchors theta_tilde^(0..S).
     """
     theta_tilde = np.asarray(theta0, dtype=float).copy()
     anchors = np.empty((cfg.S + 1,) + theta_tilde.shape)
@@ -291,7 +268,7 @@ def svrg_run(
     step = _step_body(obj, cfg, "svrg", callback)
     for s in range(1, cfg.S + 1):
         if obj.spectral is not None:
-            obj.spectral.ensure(theta_tilde, 0, int(seeds[(s - 1) * cfg.T]), cfg.N)
+            obj.spectral.ensure(theta_tilde, 0, cfg.N)
         mu = np.asarray(exact_grad(theta_tilde), dtype=float)
         theta = theta_tilde.copy()
         inner_sum = np.zeros_like(theta)

@@ -1,6 +1,6 @@
 """Matrix-side estimation: oracles, Rademacher probing, spectral-sum
-estimators, and the expansion builder (power-method interval, Chebyshev
-series, degree distribution) that training uses.
+estimators, certified spectrum ends, and the expansion builder (interval,
+Chebyshev series, degree distribution) that training uses.
 
 The expansion owns the eigenvalue interval [a, b]: no oracle stores one,
 and the drivers hand the series' interval to each recurrence step,
@@ -78,10 +78,15 @@ __all__ = [
     "estimate_spectral_sum_unbiased",
     "sample_spectral_sums",
     "power_method_bound",
+    "certified_ends",
     "Expansion",
     "expansion_for",
     "load_matrix",
 ]
+
+# expansion_for's margin on the upper end, which bounds one iterate's
+# spectrum: it covers the iterates that step on it until the next refresh
+HEADROOM = 1.1
 
 _CHUNK = 32  # probes per work unit; fixed so thread count never changes results
 # dim * chunk width below which chunks run inline: under ~2^15 entries a
@@ -505,10 +510,9 @@ def power_method_bound(A: MatrixOracle, iters: int, seed: int) -> float:
     """Estimate of the largest eigenvalue: the Rayleigh quotient after
     ``iters`` power iterations times a 1.1 safety factor.  Not a bound:
     the quotient approaches the top eigenvalue from below, and the factor
-    only covers a slow start.  ``expansion_for`` (completion and the GP)
-    floors it at 2 * lower; acceptance criterion 11 and
-    ``demos/unbiased_logdet.py`` call it too.  ``estimate`` takes the
-    certified infinity norm instead."""
+    only covers a slow start.  No package path calls it; acceptance
+    criterion 11 and ``demos/unbiased_logdet.py`` do.  The package takes
+    certified ends instead (``certified_ends``)."""
     if iters < 1:
         raise ParameterError(f"need at least one iteration, got {iters}")
     if A.dim < 1:
@@ -525,6 +529,15 @@ def power_method_bound(A: MatrixOracle, iters: int, seed: int) -> float:
             return 0.0
         u = v / norm
     return 1.1 * rayleigh
+
+
+def certified_ends(matrix) -> tuple[float, float]:
+    """Certified spectrum ends of a symmetric dense or CSR matrix from one
+    pass of absolute row sums: Gershgorin's lower end
+    min_i (a_ii - sum_{j != i} |a_ij|) and the infinity norm max_i sum_j |a_ij|."""
+    row_sums = np.asarray(abs(matrix).sum(axis=1)).ravel()
+    diag = matrix.diagonal()
+    return float(np.min(diag + np.abs(diag) - row_sums)), float(np.max(row_sums))
 
 
 @dataclass(frozen=True)
@@ -559,20 +572,18 @@ class Expansion:
         return Expansion(self.f, series, self.dist)
 
 
-def expansion_for(matvec: Callable[[np.ndarray], np.ndarray], dim: int,
-                  f: Callable[[np.ndarray], np.ndarray], lower: float, mean_degree: int,
-                  seed: int, kind: str = "opt") -> Expansion:
-    """Expansion of f for an operator whose spectrum lies above ``lower``;
+def expansion_for(f: Callable[[np.ndarray], np.ndarray], lower: float, upper: float,
+                  mean_degree: int, kind: str = "opt") -> Expansion:
+    """Expansion of f for an operator whose spectrum lies in [lower, upper];
     f maps an array of points to the array of its values, as
     ``compute_coefficients`` calls it.
 
-    The upper end is a 50-step power-method estimate, floored at
-    2 * lower.  The series reaches the degree past which the optimal
-    distribution's geometric tail holds ~1e-13 of the mass, kept within
-    [60, 1000]; ``kind`` names the degree distribution, such as neg(3).
+    The interval is [lower, max(HEADROOM * upper, 2 * lower)].  The series
+    reaches the degree past which the optimal distribution's geometric
+    tail holds ~1e-13 of the mass, kept within [60, 1000]; ``kind`` names
+    the degree distribution, such as neg(3).
     """
-    upper = power_method_bound(MatrixOracle(dim=dim, matvec=matvec), 50, seed)
-    interval = Interval(lower, max(upper, 2.0 * lower))
+    interval = Interval(lower, max(HEADROOM * upper, 2.0 * lower))
     rho = rho_from_endpoint_singularity(interval)
     degree = min(max(mean_degree + 1 + math.ceil(math.log(1e13) / math.log(rho)), 60), 1000)
     return Expansion(

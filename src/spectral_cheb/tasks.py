@@ -6,14 +6,16 @@ entrywise data fit of the factor against the observed ratings, with the
 factor box-constrained to [0, 5].  GP learning minimizes the negative
 log marginal likelihood of a dense RBF kernel; the quadratic data term
 is handled by conjugate-gradient solves and the log-determinant gradient
-by the unbiased spectral estimator.  Both re-bound the spectrum with a
-power method on a fixed schedule (``COMPLETION_REFRESH_EVERY``,
-``GP_REFRESH_EVERY``).  Both run on NumPy alone: the CG is written out
-here, and the exact NLL takes one Cholesky factor of the kernel bordered
-by y.  GP training builds each iterate's kernel, partials and CG solve
-once, when it moves to the iterate, into the previous iterate's buffers.
-Both drivers return the optimizer's iteration records on their result and
-take no callback; only completion counts matvecs.
+by the unbiased spectral estimator.  Each refresh re-bounds the spectrum
+with certified ends: completion's are eps and eps plus the top eigenvalue
+of the factor's smaller-side Gram matrix, the GP's half the noise floor
+and the kernel's infinity norm.  Both run on NumPy alone: the CG is
+written out here, and the exact NLL takes one Cholesky factor of the
+kernel bordered by y.  GP training builds each iterate's kernel, partials
+and CG solve once, when it moves to the iterate, into the previous
+iterate's buffers.  Both drivers return the optimizer's iteration
+records on their result and take no callback; only completion counts
+matvecs.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from .probes import (
     MatrixOracle,
     MatvecCounter,
     ProbePlan,
+    certified_ends,
     estimate_spectral_sum_unbiased,
     expansion_for,
 )
@@ -65,9 +68,6 @@ __all__ = [
 ]
 
 RATING_BOX = (0.0, 5.0)
-# SGD iterations between spectrum re-bounds (SVRG re-bounds at every anchor)
-COMPLETION_REFRESH_EVERY = 100
-GP_REFRESH_EVERY = 10
 CG_RTOL = 1e-8  # relative residual at which the data-term CG stops
 NLL_MEAN_DEGREE = 10  # mean truncation degree of gp_negloglik(mode="estimate")
 TRAIN_FRAC = 0.9  # share of the triples a seeded split puts in training
@@ -310,12 +310,14 @@ def _completion_model(
     def oracle_at(theta):
         return LowRankPSD(theta, problem.epsilon, counter=counter)
 
-    def refresh(theta, seed, mean_degree):
-        # uncounted: the matvec budget covers the estimators only
-        return expansion_for(LowRankPSD(theta, problem.epsilon).mv, theta.shape[0],
-                             np.sqrt, problem.epsilon, mean_degree, seed, dist_kind)
+    def refresh(theta, mean_degree):
+        # theta theta^T and the smaller-side Gram matrix share their nonzero
+        # eigenvalues; eps bounds the spectrum below, exactly when d > r
+        gram = theta.T @ theta if theta.shape[0] >= theta.shape[1] else theta @ theta.T
+        upper = problem.epsilon + float(np.linalg.eigvalsh(gram)[-1])
+        return expansion_for(np.sqrt, problem.epsilon, upper, mean_degree, dist_kind)
 
-    return SpectralModel(oracle_at, refresh, refresh_every=COMPLETION_REFRESH_EVERY)
+    return SpectralModel(oracle_at, refresh)
 
 
 def completion_train(
@@ -332,7 +334,7 @@ def completion_train(
     term has the analytic gradient 2 lambda (theta_ij - R_ij) on observed
     entries; every step projects back into the rating box.  A rank-
     truncated SVD is applied once after training, before the test RMSE.
-    The spectrum is re-bounded every ``COMPLETION_REFRESH_EVERY`` SGD
+    The spectrum is re-bounded every ``optimize.REFRESH_EVERY`` SGD
     iterations, and at every epoch's anchor under SVRG.  ``dist_kind``
     names the degree distribution, such as ``neg(3)``; ``svd_rank`` must
     be at least 1.
@@ -534,7 +536,8 @@ def gp_negloglik(
     matrix positive definite, as y^T A^{-1} y <= ||y||^2 / theta_1^2).
     Estimation mode solves the data term by conjugate gradients and
     estimates the log-determinant with the unbiased randomized estimator
-    at mean degree ``NLL_MEAN_DEGREE``.
+    at mean degree ``NLL_MEAN_DEGREE``, its interval bounded by 0.999
+    theta_1^2 below and the kernel's infinity norm above.
     """
     theta = gp.theta if theta is None else np.asarray(theta, dtype=float)
     a_mat = gp.kernel(theta)
@@ -557,8 +560,8 @@ def gp_negloglik(
     if mode != "estimate":
         raise ParameterError(f"unknown mode {mode!r}")
     alpha = _cg_solve(a_mat, gp.y)
-    expansion = expansion_for(lambda x: a_mat @ x, d, np.log, 0.999 * theta[0] ** 2,
-                              NLL_MEAN_DEGREE, seed)
+    expansion = expansion_for(np.log, 0.999 * theta[0] ** 2, certified_ends(a_mat)[1],
+                              NLL_MEAN_DEGREE)
     plan = ProbePlan(seed, m_probes)
     logdet_est = estimate_spectral_sum_unbiased(
         MatrixOracle.from_matrix(a_mat),
@@ -617,13 +620,13 @@ def _gp_model(gp: GPProblem, iterate_at: Callable[[np.ndarray], _GPIterate]) -> 
             apply_partial=lambda i, _phi, x: iterate.partial_mv(i, x),
         )
 
-    def refresh(phi, seed, mean_degree):
-        a_mat = iterate_at(phi).kernel
-        # noise floor bounds the spectrum below; keep a stale-safe margin
-        return expansion_for(lambda x: a_mat @ x, gp.dim, lambda x: 0.5 * np.log(x),
-                             0.5 * np.exp(phi)[0] ** 2, mean_degree, seed)
+    def refresh(phi, mean_degree):
+        # the noise floor sigma^2 bounds the spectrum below; half of it keeps
+        # a margin for the iterates until the next refresh
+        return expansion_for(lambda x: 0.5 * np.log(x), 0.5 * np.exp(phi)[0] ** 2,
+                             certified_ends(iterate_at(phi).kernel)[1], mean_degree)
 
-    return SpectralModel(oracle_at, refresh, refresh_every=GP_REFRESH_EVERY)
+    return SpectralModel(oracle_at, refresh)
 
 
 def gp_exact_nll_grad_logspace(gp: GPProblem, phi: np.ndarray) -> np.ndarray:
@@ -653,7 +656,7 @@ def gp_train(
     estimator.  Positivity comes from the log parameterization; the
     feasible set is a box of half-width ``log_halfwidth`` around the
     starting point, which keeps the spectrum boundable between the interval
-    refreshes, every ``GP_REFRESH_EVERY`` iterations.
+    refreshes, every ``optimize.REFRESH_EVERY`` iterations.
     """
     current: dict = {"key": None}
 

@@ -243,7 +243,7 @@ def test_criterion_8_sgd_rate_shape():
         series = sc.series_from_polynomial([0.0, 0.0, 1.0], interval, degree=60)
         model = sc.SpectralModel(
             lambda th: affine_param_oracle(base, partials, th),
-            lambda th, s, n: sc.Expansion(None, series, sc.optimal_distribution(2.0, n)),
+            lambda th, n: sc.Expansion(None, series, sc.optimal_distribution(2.0, n)),
         )
         gram = np.array([[np.sum(a * b) for b in partials] for a in partials])
         lin = np.array([np.sum(base * p) for p in partials])
@@ -277,9 +277,9 @@ def test_criterion_9_svrg_control_variate():
         series = sc.series_from_polynomial([0.0, 0.0, 1.0], interval, degree=60)
         model = sc.SpectralModel(
             lambda th: affine_param_oracle(base, partials, th),
-            lambda th, s, n: sc.Expansion(None, series, sc.optimal_distribution(2.0, n)),
+            lambda th, n: sc.Expansion(None, series, sc.optimal_distribution(2.0, n)),
         )
-        model.ensure(np.zeros(2), 0, 0, 4)
+        model.ensure(np.zeros(2), 0, 4)
         anchor_theta = np.array([0.3, -0.2])
         plan = sc.ProbePlan(4242, 2)
         cur = model.grad_sample(anchor_theta, plan)

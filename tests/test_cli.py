@@ -14,6 +14,7 @@ from spectral_cheb._variance_bench import SERIES_DEGREE, log_abs_coefficients
 from spectral_cheb.chebyshev import Interval
 from spectral_cheb.cli import BENCH_SWEEP, build_parser, main
 from spectral_cheb.degree_dist import make_degree_distribution, optimal_distribution, sample_degree
+from spectral_cheb.exceptions import ParameterError
 from spectral_cheb.probes import degree_rng
 
 FIXTURE_RATINGS = "data/synthetic_ratings.csv"
@@ -350,6 +351,71 @@ class TestEstimate:
         assert main(["estimate", str(path), "--func", "log", "--a", "2", "--b", "2.5",
                      "--rho", "3", "--N", "2"]) == 0
 
+    @staticmethod
+    def _record_intervals(monkeypatch):
+        import spectral_cheb.cli as cli
+
+        intervals = []
+        build = cli._build_series
+        monkeypatch.setattr(cli, "_build_series", lambda name, f, interval, degree: (
+            intervals.append(interval) or build(name, f, interval, degree)))
+        return intervals
+
+    @pytest.mark.parametrize("suffix", [".txt", ".mtx"])
+    def test_lower_end_is_gershgorins(self, tmp_path, capsys, monkeypatch, suffix):
+        # without --a the interval starts at min_i (a_ii - sum_{j != i} |a_ij|)
+        if suffix == ".txt":
+            dense = np.array([[4.0, -1.0, 0.5], [-1.0, 3.0, -1.0], [0.5, -1.0, 5.0]])
+            path = tmp_path / "spd.txt"
+            np.savetxt(path, dense)
+        else:
+            path = write_shifted_grid_laplacian(tmp_path, 0.3, side=5)
+            import scipy.io
+
+            dense = scipy.io.mmread(str(path)).toarray()
+        want = min(row[i] - math.fsum(abs(x) for j, x in enumerate(row) if j != i)
+                   for i, row in enumerate(dense))
+        norm = max(math.fsum(abs(x) for x in row) for row in dense)
+        intervals = self._record_intervals(monkeypatch)
+        assert main(["estimate", str(path), "--func", "log", "--rho", "1.5", "--N", "4",
+                     "--M", "2"]) == 0
+        capsys.readouterr()
+        assert len(intervals) == 1
+        assert intervals[0].a == pytest.approx(want, rel=1e-12)
+        assert intervals[0].b == norm
+
+    @pytest.mark.parametrize("func", ["log", "sqrt"])
+    def test_nonpositive_gershgorin_end_asks_for_a(self, tmp_path, capsys, func):
+        # eigenvalues 2 and -0.5; a guessed lower end of 0.01 once printed
+        # an estimate of -532.9 here and exited 0
+        path = tmp_path / "indefinite.txt"
+        path.write_text("0.75 1.25\n1.25 0.75\n")
+        assert main(["estimate", str(path), "--func", func]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == ("configuration error: the matrix's Gershgorin lower end -0.5 is not "
+                           f"positive and {func} is singular at 0; give the lower end with --a\n")
+
+    @pytest.mark.parametrize("func", ["exp", "poly:0,1"])
+    def test_nonpositive_gershgorin_end_taken_as_it_is(self, tmp_path, capsys, monkeypatch,
+                                                       func):
+        path = tmp_path / "indefinite.txt"
+        path.write_text("0.75 1.25\n1.25 0.75\n")
+        intervals = self._record_intervals(monkeypatch)
+        assert main(["estimate", str(path), "--func", func, "--rho", "3", "--N", "4",
+                     "--M", "2"]) == 0
+        assert math.isfinite(float(capsys.readouterr().out))
+        assert intervals == [Interval(-0.5, 2.0)]
+
+    def test_gershgorin_end_at_the_infinity_norm_asks_for_b(self, tmp_path, capsys):
+        path = tmp_path / "two.txt"
+        path.write_text("2 0\n0 2\n")
+        assert main(["estimate", str(path), "--func", "log"]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == ("configuration error: the matrix's infinity norm 2.0 does not "
+                           "exceed the Gershgorin lower end 2.0; give the upper end with --b\n")
+
     def test_sparse_estimate_identical_at_one_and_two_threads(self, tmp_path, capsys,
                                                               monkeypatch):
         # d = 1600 with 64 probes: two chunks, each above the inline limit
@@ -483,6 +549,39 @@ class TestArgumentHandling:
         assert not out.exists()
         err = capsys.readouterr().err
         assert err.startswith("configuration error: step ")
+
+    @pytest.mark.parametrize("via_config", [False, True])
+    def test_svrg_rejects_step_decay(self, tmp_path, capsys, via_config):
+        out = tmp_path / "mc.csv"
+        argv = ["mc-train", "--train", FIXTURE_RATINGS, "--optimizer", "svrg", "--epochs", "1",
+                "--inner-iters", "2", "--out", str(out)]
+        if via_config:
+            config = tmp_path / "run.cfg"
+            config.write_text("step_decay=0.0\n")
+            argv += ["--config", str(config)]
+        else:
+            argv += ["--step-decay", "0.0"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == ("configuration error: --step-decay applies to SGD "
+                                           "only; SVRG steps at the constant --step\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["mc-train", "gp-train"])
+    def test_sgd_step_decay_defaults_to_config_default(self, tmp_path, monkeypatch, command):
+        import spectral_cheb.cli as cli
+        from spectral_cheb.optimize import SGDConfig
+
+        seen = []
+
+        def stop(problem, *args, **kwargs):
+            seen.extend(arg for arg in args if isinstance(arg, SGDConfig))
+            raise ParameterError("stopped")
+
+        monkeypatch.setattr(cli, "completion_train" if command == "mc-train" else "gp_train",
+                            stop)
+        train = FIXTURE_RATINGS if command == "mc-train" else FIXTURE_GP
+        assert main([command, "--train", train, "--out", str(tmp_path / "o.csv")]) == 1
+        assert seen[0].decay == SGDConfig.decay == 0.97
 
     def test_help_lists_flags(self):
         proc = run_cli(["mc-train", "--help"])

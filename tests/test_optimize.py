@@ -17,6 +17,7 @@ from spectral_cheb.degree_dist import optimal_distribution
 from spectral_cheb.exceptions import NumericError, ParameterError
 from spectral_cheb.grad_est import ParamMatrixOracle
 from spectral_cheb.optimize import (
+    REFRESH_EVERY,
     IterationRecord,
     Objective,
     SGDConfig,
@@ -61,7 +62,7 @@ def affine_spectral_model(rng, dim=6, scale=0.08, interval=Interval(0.2, 3.0)):
 
     series = series_from_polynomial([0.0, 0.0, 1.0], interval, degree=60)
 
-    def refresh(theta, seed, mean_degree):
+    def refresh(theta, mean_degree):
         return Expansion(None, series, optimal_distribution(2.0, mean_degree))
 
     return SpectralModel(oracle_at, refresh), base, partials
@@ -112,16 +113,25 @@ class TestSGD:
         rng = np.random.default_rng(54)
         model, _, _ = affine_spectral_model(rng)
         short = series_from_polynomial([0.0, 0.0, 1.0], Interval(0.2, 3.0), degree=8)
-        model.refresh = lambda th, s, n: Expansion(None, short, optimal_distribution(2.0, n))
+        model.refresh = lambda th, n: Expansion(None, short, optimal_distribution(2.0, n))
         theta = np.array([0.1, -0.1])
-        model.ensure(theta, 0, 5, 3)
+        model.ensure(theta, 0, 3)
         model.grad_sample(theta, ProbePlan(5, 1, degree=20))
         assert model.expansion.series.degree == 20
         model.grad_sample(theta, ProbePlan(6, 1, degree=4))
         assert model.expansion.series.degree == 20
-        model.refresh_every = 1
-        model.ensure(theta, 1, 7, 3)
+        model.ensure(theta, REFRESH_EVERY, 3)
         assert model.expansion.series is short
+
+    def test_refreshes_every_refresh_every_iterations(self):
+        model, _, _ = affine_spectral_model(np.random.default_rng(55))
+        refreshed = []
+        refresh = model.refresh
+        model.refresh = lambda th, n: refreshed.append(th.copy()) or refresh(th, n)
+        cfg = SGDConfig(T=25, M=2, N=3, master_seed=8, step_rule="exp_decay", step0=0.05)
+        traj = sgd_run(Objective(spectral=model), np.array([0.5, -0.2]), cfg)
+        assert REFRESH_EVERY == 10
+        assert np.array_equal(np.array(refreshed), traj[[0, 10, 20]])
 
     def test_deterministic_trajectory(self):
         rng = np.random.default_rng(52)
@@ -230,7 +240,7 @@ class TestSVRG:
     def test_control_variate_exactly_zero_at_anchor(self):
         obj, exact_grad, _, _ = self._setup()
         theta = np.array([0.4, -0.1])
-        obj.spectral.ensure(theta, 0, 99, 3)
+        obj.spectral.ensure(theta, 0, 3)
         plan = ProbePlan(1234, 3)
         cur = obj.spectral.grad_sample(theta, plan)
         anchor = obj.spectral.grad_sample(theta, ProbePlan(1234, 3, degree=plan.degree))
@@ -240,7 +250,7 @@ class TestSVRG:
         obj, exact_grad, _, _ = self._setup()
         theta_tilde = np.array([0.4, -0.1])
         theta = theta_tilde + 1e-2
-        obj.spectral.ensure(theta_tilde, 0, 99, 3)
+        obj.spectral.ensure(theta_tilde, 0, 3)
         mu = exact_grad(theta_tilde)
         plain, reduced = [], []
         for seed in range(1000):
@@ -286,6 +296,15 @@ class TestSVRG:
         probed_steps = sum(rec.degree > 0 for rec in records)
         assert 0 < probed_steps < len(records)
         assert len(seeds) - cfg.M == cfg.M * probed_steps
+
+    def test_refreshes_at_every_anchor(self):
+        obj, exact_grad, _, _ = self._setup()
+        refreshed = []
+        refresh = obj.spectral.refresh
+        obj.spectral.refresh = lambda th, n: refreshed.append(th.copy()) or refresh(th, n)
+        cfg = SVRGConfig(S=3, T=12, eta=0.02, M=2, N=3, master_seed=6, log_objective=False)
+        anchors = svrg_run(obj, np.array([0.3, 0.3]), cfg, exact_grad)
+        assert np.array_equal(np.array(refreshed), anchors[:3])
 
     def test_deterministic(self):
         obj, exact_grad, _, _ = self._setup()

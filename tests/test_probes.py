@@ -34,10 +34,12 @@ from spectral_cheb.degree_dist import (
 from spectral_cheb.exceptions import ParseError
 from spectral_cheb.grad_est import LowRankPSD, ParamMatrixOracle
 from spectral_cheb.probes import (
+    HEADROOM,
     Expansion,
     MatrixOracle,
     MatvecCounter,
     ProbePlan,
+    certified_ends,
     estimate_spectral_sum_fixed,
     estimate_spectral_sum_unbiased,
     expansion_for,
@@ -643,9 +645,9 @@ class TestExpansion:
 
     def test_builder_interval_degree_and_distribution(self):
         a_mat = random_spd(np.random.default_rng(41), 20, 0.5, 6.0)
-        expansion = expansion_for(lambda x: a_mat @ x, 20, np.log, 0.4, 10, seed=3)
-        upper = power_method_bound(MatrixOracle.from_matrix(a_mat), 50, 3)
-        assert expansion.interval == Interval(0.4, upper)
+        upper = certified_ends(a_mat)[1]
+        expansion = expansion_for(np.log, 0.4, upper, 10)
+        assert expansion.interval == Interval(0.4, HEADROOM * upper)
         rho = rho_from_endpoint_singularity(expansion.interval)
         headroom = 11 + math.ceil(math.log(1e13) / math.log(rho))
         assert expansion.series.degree == min(max(headroom, 60), 1000)
@@ -654,8 +656,7 @@ class TestExpansion:
         assert np.array_equal(expansion.dist.pmf_prefix, optimal_distribution(rho, 10).pmf_prefix)
 
     def test_builder_floors_upper_end_at_twice_lower(self):
-        expansion = expansion_for(lambda x: 0.1 * x, 5, np.sqrt, 0.3, 4, seed=0,
-                                  kind="neg(3)")
+        expansion = expansion_for(np.sqrt, 0.3, 0.1, 4, kind="neg(3)")
         assert expansion.interval == Interval(0.3, 0.6)
         assert expansion.series.degree == 60
         assert expansion.dist.kind is DistributionKind.NEG_BINOMIAL

@@ -9,7 +9,7 @@ import pytest
 from spectral_cheb.degree_dist import sample_degree
 from spectral_cheb.exceptions import ConvergenceError, ParameterError, ParseError
 from spectral_cheb.optimize import SGDConfig, SVRGConfig
-from spectral_cheb.probes import degree_rng, expansion_for
+from spectral_cheb.probes import certified_ends, degree_rng, expansion_for
 from spectral_cheb.reference import exact_spectral_sum
 from spectral_cheb.tasks import (
     CompletionProblem,
@@ -277,7 +277,7 @@ class TestGPNegLogLik:
         gp = GPProblem(x, y, np.array([0.01, 1.0, 0.8]))
         a_mat = gp.kernel()
         for seed in range(5000):
-            expansion = expansion_for(lambda v: a_mat @ v, 200, np.log, 0.999 * 0.01**2, 10, seed)
+            expansion = expansion_for(np.log, 0.999 * 0.01**2, certified_ends(a_mat)[1], 10)
             if sample_degree(expansion.dist, degree_rng(seed, 0)) > expansion.series.degree:
                 break
         else:
@@ -463,6 +463,70 @@ class TestGPTraining:
         a = gp_train(gp, cfg).nll_curve
         b = gp_train(gp, cfg).nll_curve
         assert np.array_equal(a, b)
+
+
+class TestCertifiedIntervals:
+    """Training and the estimated NLL bound the spectrum with certificates:
+    completion by eps plus the top Gram eigenvalue, the GP by the kernel's
+    infinity norm; none of them runs the power method."""
+
+    @staticmethod
+    def _capture_expansions(monkeypatch):
+        import spectral_cheb.tasks as tasks_module
+
+        built = []
+        build = tasks_module.expansion_for
+        monkeypatch.setattr(tasks_module, "expansion_for",
+                            lambda *args, **kwargs: built.append(build(*args, **kwargs))
+                            or built[-1])
+        return built
+
+    def test_no_path_runs_the_power_method(self, monkeypatch, tmp_path, capsys):
+        import sys
+
+        from spectral_cheb.cli import main
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the power method ran")
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("spectral_cheb") and hasattr(module, "power_method_bound"):
+                monkeypatch.setattr(module, "power_method_bound", refuse)
+        rs = synthetic_completion_data(12, 8, 2, 0.6, seed=3)
+        problem = CompletionProblem(np.random.default_rng(1).uniform(0.0, 5.0, size=(12, 8)),
+                                    epsilon=0.1, lam=1.0)
+        completion_train(problem, rs, SGDConfig(T=12, M=2, N=4, master_seed=1), "sgd")
+        completion_train(problem, rs, SVRGConfig(S=2, T=3, eta=0.05, M=2, N=4,
+                                                 master_seed=1), "svrg")
+        x, y = synthetic_gp_data(30, [0.3, 1.0, 0.8], seed=2)
+        gp = GPProblem(x, y, np.array([0.3, 1.0, 0.8]))
+        gp_train(gp, SGDConfig(T=12, M=2, N=4, master_seed=2, step0=1e-3))
+        assert math.isfinite(gp_negloglik(gp, mode="estimate", seed=4, m_probes=2))
+        path = tmp_path / "spd.txt"
+        path.write_text("4 -1 0.5\n-1 3 -1\n0.5 -1 5\n")
+        assert main(["estimate", str(path), "--func", "log", "--rho", "2", "--N", "4",
+                     "--M", "2"]) == 0
+        assert math.isfinite(float(capsys.readouterr().out))
+
+    def test_completion_upper_end_is_eps_plus_gram_top(self, monkeypatch):
+        built = self._capture_expansions(monkeypatch)
+        rs = synthetic_completion_data(30, 20, 2, 0.6, seed=2)
+        theta0 = np.random.default_rng(63).uniform(0.0, 5.0, size=(30, 20))
+        problem = CompletionProblem(theta0, epsilon=0.3, lam=1.0)
+        completion_train(problem, rs, SGDConfig(T=1, M=2, N=4, master_seed=1), "sgd")
+        top = float(np.linalg.eigvalsh(theta0 @ theta0.T)[-1])
+        assert len(built) == 1 and built[0].interval.a == 0.3
+        assert built[0].interval.b == pytest.approx(1.1 * (0.3 + top), rel=1e-12)
+
+    def test_gp_ends_are_half_the_noise_floor_and_the_infinity_norm(self, monkeypatch):
+        built = self._capture_expansions(monkeypatch)
+        x, y = synthetic_gp_data(40, [0.3, 1.0, 0.8], seed=2)
+        gp = GPProblem(x, y, np.array([0.4, 1.1, 0.7]))
+        gp_train(gp, SGDConfig(T=1, M=2, N=4, master_seed=2, step0=1e-3))
+        norm = max(math.fsum(abs(v) for v in row) for row in gp.kernel())
+        assert len(built) == 1
+        assert built[0].interval.a == pytest.approx(0.5 * 0.4**2, rel=1e-12)
+        assert built[0].interval.b == pytest.approx(1.1 * norm, rel=1e-12)
 
 
 class TestLoadGPData:
