@@ -47,10 +47,6 @@ class Interval:
     def width(self) -> float:
         return self.b - self.a
 
-    def to_unit(self, x):
-        """Affine map [a, b] -> [-1, 1]."""
-        return (2.0 * x - (self.b + self.a)) / self.width
-
     def from_unit(self, t):
         """Affine map [-1, 1] -> [a, b]."""
         return 0.5 * self.width * t + 0.5 * (self.b + self.a)

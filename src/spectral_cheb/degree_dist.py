@@ -2,17 +2,19 @@
 
 The estimator truncates a Chebyshev series at a random degree n ~ {q_i}
 and re-weights each coefficient b_j by 1/P(n >= j) so the result stays
-unbiased; the survival P(n >= j) is summed from the tail inward once per
-distribution, so it stays accurate far below machine epsilon.  This
-module provides the variance-optimal distribution (a point mass at K
-plus a geometric tail of ratio 1/rho), the Poisson / negative-binomial /
-deterministic baselines (tabulated by their pmf ratio recurrences),
-the one parser of their names (``make_degree_distribution``: opt, pois,
-neg, neg(r), det; ``DegreeDistribution.name`` spells one back), log
-masses that do not underflow (``DegreeDistribution.log_masses``), exact
-inverse-CDF sampling, coefficient re-weighting, and the one evaluator of
-the closed-form weighted variance (``log_weighted_variance``, summed in
-log space from the log masses, ``inf`` where the series diverges).
+unbiased; the survival is summed from the tail inward once per
+distribution, so it stays accurate far below machine epsilon, and
+sampling inverts the same sum.  This module provides the
+variance-optimal distribution (a point mass at K plus a geometric tail
+of ratio 1/rho, stored as its atom and closed-form tail), the Poisson /
+negative-binomial / deterministic baselines (tabulated by their pmf
+ratio recurrences), the one parser of their names
+(``make_degree_distribution``: opt, pois, neg, neg(r), det;
+``DegreeDistribution.name`` spells one back), log masses that do not
+underflow (``DegreeDistribution.log_masses``), inverse-CDF sampling,
+coefficient re-weighting, and the one evaluator of the closed-form
+weighted variance (``log_weighted_variance``, summed in log space from
+the log masses, ``inf`` where the series diverges).
 """
 
 from __future__ import annotations
@@ -75,18 +77,18 @@ class DegreeDistribution:
 
     ``pmf_prefix`` stores q_0..q_J explicitly; beyond the prefix the mass
     either continues geometrically with ``tail_ratio`` (q_{J+m} =
-    q_J * tail_ratio**m) or is zero.  ``cumsum_prefix`` holds the
-    compensated running sums S_j of the prefix and ``survival_prefix`` the
-    survivals 1 - S_j, summed from the tail inward (exactly 1 below the
-    first degree with mass).
+    q_J * tail_ratio**m) or is zero.  ``survival_prefix`` holds the
+    survivals P(n > j), j = 0..J: one compensated sum from the tail
+    inward, exactly 1 below the first degree with mass.  Sampling and
+    re-weighting both read it.
     """
 
     kind: DistributionKind
     params: dict = field(default_factory=dict)
     pmf_prefix: np.ndarray = field(default_factory=lambda: np.zeros(1))
-    cumsum_prefix: np.ndarray = field(init=False)
     tail_ratio: float | None = None
     survival_prefix: np.ndarray = field(init=False)
+    _mass: float = field(init=False, repr=False)
 
     def __post_init__(self):
         q = np.asarray(self.pmf_prefix, dtype=float)
@@ -96,19 +98,17 @@ class DegreeDistribution:
             raise ParameterError("pmf entries must be nonnegative")
         q = np.maximum(q, 0.0)
         object.__setattr__(self, "pmf_prefix", q)
-        object.__setattr__(self, "cumsum_prefix", _kahan_cumsum(q))
         if self.tail_ratio is not None and not 0.0 < self.tail_ratio < 1.0:
             raise ParameterError(f"geometric tail ratio must be in (0, 1), got {self.tail_ratio}")
-        if np.any(np.diff(self.cumsum_prefix) < -1e-15):
-            raise ParameterError("cumulative sums must be monotone")
-        # 1 - S_j: the mass past the prefix plus q_{j+1..J}, summed tail-inward
+        # P(n >= j): the mass past the prefix plus q_{j..J}, summed tail-inward
         tail = self._tail_mass_beyond_prefix()
-        survival = np.append(_kahan_cumsum(q[:0:-1], tail)[::-1], tail)
-        survival[self.cumsum_prefix == 0.0] = 1.0
+        at_least = _kahan_cumsum(q[::-1], tail)[::-1]
+        survival = np.append(at_least[1:], tail)
+        survival[: np.argmax(q > 0.0)] = 1.0
         object.__setattr__(self, "survival_prefix", survival)
-        mass = self.total_mass()
-        if abs(mass - 1.0) > 1e-12:
-            raise ParameterError(f"total mass must be 1 within 1e-12, got {mass!r}")
+        object.__setattr__(self, "_mass", float(at_least[0]))
+        if abs(self._mass - 1.0) > 1e-12:
+            raise ParameterError(f"total mass must be 1 within 1e-12, got {self._mass!r}")
 
     @property
     def name(self) -> str:
@@ -128,7 +128,7 @@ class DegreeDistribution:
         return self.pmf_prefix[-1] * c / (1.0 - c)
 
     def total_mass(self) -> float:
-        return float(self.cumsum_prefix[-1] + self._tail_mass_beyond_prefix())
+        return self._mass
 
     def mean(self) -> float:
         j_end = self.pmf_prefix.size - 1
@@ -141,8 +141,9 @@ class DegreeDistribution:
         return prefix_mean + tail_mean
 
     def survival_array(self, upto: int) -> np.ndarray:
-        """1 - S_j for j = 0..upto: the stored prefix, then the geometric
-        tail's closed form q_J c^(j-J+1) / (1 - c) (zero without a tail).
+        """P(n > j) = 1 - S_j for j = 0..upto: the stored prefix, then the
+        geometric tail's closed form q_J c^(j-J+1) / (1 - c) (zero without
+        a tail).
 
         Summing small positives from the tail inward avoids the
         cancellation that 1 - S_j suffers once S_j saturates; the result
@@ -206,12 +207,10 @@ def optimal_distribution(rho: float, meanN: int) -> DegreeDistribution:
     Zero mass below K = max(0, N - floor(rho/(rho-1))), an atom
     q_K = 1 - (N-K)(rho-1)/rho, then a geometric tail
     q_i = (N-K)(rho-1)^2 rho^(K-i-1).  The atom at K may be zero when
-    rho/(rho-1) is integral.  The prefix stores the run through degree
-    K + 64, or through the last degree whose rho^(K-i-1) is a normal
-    double, and the closed-form geometric tail carries the rest.  Past
-    rho^2 = 1/tiny, where rho^-2 underflows and then (rho-1)^2 overflows,
-    the run is formed as (N-K)((rho-1)/rho)^2 rho^(K-i+1) instead, through
-    the last degree whose rho^(K-i+1) is normal.
+    rho/(rho-1) is integral.  The prefix stores q_K and the first tail
+    mass q_{K+1} = (N-K)((rho-1)/rho)^2, which cannot overflow, so every
+    finite rho > 1 builds; the closed-form tail of ratio 1/rho carries
+    the rest.
     """
     if not rho > 1.0:
         raise ParameterError(f"rho must be > 1, got {rho}")
@@ -222,16 +221,9 @@ def optimal_distribution(rho: float, meanN: int) -> DegreeDistribution:
     n_mean = int(meanN)
     K = max(0, n_mean - math.floor(rho / (rho - 1.0) + 1e-9))
     c = float(n_mean - K)
-    q_at_K = 1.0 - c * (rho - 1.0) / rho
-    tiny = np.finfo(float).tiny
-    if rho * rho < 1.0 / tiny:
-        powers, scale = rho ** -np.arange(2.0, 66.0), (rho - 1.0) ** 2
-    else:
-        powers, scale = rho ** -np.arange(0.0, 64.0), ((rho - 1.0) / rho) ** 2
-    powers = powers[powers >= tiny]
-    prefix = np.zeros(K + 1 + powers.size)
-    prefix[K] = max(q_at_K, 0.0)
-    prefix[K + 1 :] = c * scale * powers
+    prefix = np.zeros(K + 2)
+    prefix[K] = max(1.0 - c * (rho - 1.0) / rho, 0.0)
+    prefix[K + 1] = c * ((rho - 1.0) / rho) ** 2
     return DegreeDistribution(
         kind=DistributionKind.OPTIMAL,
         params={"rho": float(rho), "N": float(n_mean), "K": float(K)},
@@ -248,8 +240,8 @@ def _recurrence(kind: DistributionKind, params: dict):
     if kind is DistributionKind.POISSON:
         return -mean, lambda i: mean / (i + 1.0), 0.0
     r = params["r"]
-    p = r / (r + mean)
-    return r * math.log(p), lambda i: (1.0 - p) * (i + r) / (i + 1.0), 1.0 - p
+    c = mean / (r + mean)  # 1 - p without the cancellation that grows with r
+    return -r * math.log1p(mean / r), lambda i: c * (i + r) / (i + 1.0), c
 
 
 def _log_pmf_by_recurrence(kind: DistributionKind, params: dict, upto: int) -> np.ndarray:
@@ -299,6 +291,8 @@ def negbinomial_distribution(meanN: float, r: float = 5.0) -> DegreeDistribution
         raise ParameterError(f"mean degree must be positive, got {meanN}")
     if not r >= 1:
         raise ParameterError(f"shape parameter must be >= 1, got {r}")
+    if math.isinf(r):
+        raise ParameterError(f"shape parameter r must be finite, got {r}")
     return _tabulate(DistributionKind.NEG_BINOMIAL, {"N": float(meanN), "r": float(r)})
 
 
@@ -339,28 +333,27 @@ def make_degree_distribution(name: str, mean_degree: int,
 
 
 def sample_degree(dist: DegreeDistribution, rng: np.random.Generator) -> int:
-    """Exact inverse-CDF draw of a truncation degree.
+    """Inverse-CDF draw of a truncation degree from the survival sums.
 
-    Consumes a single uniform variate; the geometric tail of the optimal
-    distribution is inverted in closed form, so arbitrarily large degrees
-    are reachable without tabulating them.  Zero-mass atoms are never
-    returned.
+    Consumes a single uniform variate u; with left = 1 - u (exact for a
+    53-bit uniform) the degree is the first j with P(n > j) < left.  Past
+    the prefix end J the geometric tail is inverted in closed form, so
+    arbitrarily large degrees are reachable without tabulating them; a
+    tabulated law's last survival is 0, so its draws stay in the prefix.
+    Zero-mass atoms below the first degree with mass are never returned.
     """
     if dist.kind is DistributionKind.DETERMINISTIC:
         return int(dist.params["n"])
-    u = rng.random()
-    cums = dist.cumsum_prefix
-    if u < cums[-1]:
-        return int(np.searchsorted(cums, u, side="right"))
-    if dist.tail_ratio is None:
-        return int(cums.size - 1)  # u landed in the renormalization slack
-    # invert the geometric tail: conditional on exceeding the prefix end J,
-    # the degree is J + 1 + G with P(G = g) = (1-c) c^g
-    c = dist.tail_ratio
-    tail_mass = dist._tail_mass_beyond_prefix()
-    u_tail = min((u - cums[-1]) / tail_mass, 1.0 - 1e-16)
-    g = int(math.floor(math.log1p(-u_tail) / math.log(c)))
-    return dist.pmf_prefix.size + g
+    left = 1.0 - rng.random()
+    survival = dist.survival_prefix
+    # the survival falls with j, so the entries below left end the prefix
+    j = survival.size - int(np.searchsorted(survival[::-1], left))
+    if j < survival.size:
+        return j
+    # conditional on exceeding J, the degree is J + 1 + G with
+    # P(G >= g) = c^g, so G = floor(log(left / P(n > J)) / log c)
+    g = math.floor(math.log(left / survival[-1]) / math.log(dist.tail_ratio))
+    return survival.size + g
 
 
 def weighted_coefficients(series: ChebSeries, dist: DegreeDistribution, n: int) -> np.ndarray:

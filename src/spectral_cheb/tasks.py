@@ -434,17 +434,17 @@ def _rbf_kernel(sq: np.ndarray, theta: np.ndarray, exp_term: np.ndarray | None =
     return kernel
 
 
-def _rbf_partials(sq: np.ndarray, theta: np.ndarray, exp_term: np.ndarray,
-                  out: list[np.ndarray] | None = None):
+def _rbf_partials(sq: np.ndarray, theta: np.ndarray, kernel: np.ndarray, exp_term: np.ndarray,
+                  second: np.ndarray | None = None):
     """Dense dA/dphi_i for phi = log theta and i = 1, 2; dA/dphi_0 is
-    2 noise^2 I.  ``out`` receives the pair."""
+    2 noise^2 I.  The first is ``exp_term`` scaled in place; the second,
+    written into ``second`` when given, is kernel * sq / length^2, where
+    sq's zero diagonal drops the noise term."""
     _, scale, length = theta
-    first, second = (None, None) if out is None else out
-    ratio = np.divide(sq, length**2, out=first)  # first's buffer, overwritten last
-    second = np.multiply(exp_term, scale**2, out=second)
-    second *= ratio
-    first = np.multiply(exp_term, 2.0 * scale**2, out=ratio)
-    return [first, second]
+    second = np.divide(sq, length**2, out=second)
+    second *= kernel
+    exp_term *= 2.0 * scale**2
+    return [exp_term, second]
 
 
 @dataclass
@@ -573,33 +573,35 @@ def gp_negloglik(
 def _gp_partials_logspace(gp: GPProblem, theta: np.ndarray):
     """Dense dA/dphi_i for phi = log theta."""
     return [2.0 * theta[0] ** 2 * np.eye(gp.dim),
-            *_rbf_partials(gp.sq_dists, theta, _rbf_exp(gp.sq_dists, theta))]
+            *_rbf_partials(gp.sq_dists, theta, gp.kernel(theta), _rbf_exp(gp.sq_dists, theta))]
 
 
 class _GPIterate:
     """The arrays gp_train needs at one log-parameter iterate, all built at
-    construction: the exp term, the kernel, the partials and the CG
-    solution ``alpha`` of the data term.  Every gradient step reads all of
-    them; the objective log reads the iterate the next step starts from.
+    construction: the kernel, the partials and the CG solution ``alpha``
+    of the data term.  The exp term is formed in the first partial's
+    buffer, the kernel built from it, and then it is scaled into that
+    partial.  Every gradient step reads all of them; the objective log
+    reads the iterate the next step starts from.
 
-    A ``donor`` (the previous iterate) hands over its exp term, kernel and
-    partials, which this iterate overwrites in place instead of allocating
-    four fresh d x d arrays per step (2 MB each at d = 512, which the
-    allocator would otherwise hand back to the system and fault in again).
-    The donor deletes them, so a stale holder of it raises AttributeError
+    A ``donor`` (the previous iterate) hands over its kernel and partials,
+    which this iterate overwrites in place instead of allocating three
+    fresh d x d arrays per step (2 MB each at d = 512, which the allocator
+    would otherwise hand back to the system and fault in again).  The
+    donor deletes them, so a stale holder of it raises AttributeError
     rather than reading overwritten arrays.
     """
 
     def __init__(self, gp: GPProblem, phi: np.ndarray, donor: _GPIterate | None = None):
         self.theta = np.exp(phi)
-        exp_out = kernel_out = partials_out = None
+        kernel_out, (first_out, second_out) = None, (None, None)
         if donor is not None:
-            exp_out, kernel_out, partials_out = donor.exp_term, donor.kernel, donor.partials
-            del donor.exp_term, donor.kernel, donor.partials
+            kernel_out, (first_out, second_out) = donor.kernel, donor.partials
+            del donor.kernel, donor.partials
         sq = gp.sq_dists
-        self.exp_term = _rbf_exp(sq, self.theta, exp_out)
-        self.kernel = _rbf_kernel(sq, self.theta, self.exp_term, kernel_out)
-        self.partials = _rbf_partials(sq, self.theta, self.exp_term, partials_out)
+        exp_term = _rbf_exp(sq, self.theta, first_out)
+        self.kernel = _rbf_kernel(sq, self.theta, exp_term, kernel_out)
+        self.partials = _rbf_partials(sq, self.theta, self.kernel, exp_term, second_out)
         self.alpha = _cg_solve(self.kernel, gp.y)
 
     def partial_mv(self, i: int, x: np.ndarray) -> np.ndarray:
@@ -691,5 +693,6 @@ def gp_train(
     )
     records: list[IterationRecord] = []
     trajectory = sgd_run(obj, phi0, cfg, callback=records.append)
+    current.clear()  # the last iterate's arrays go before the exact curve factors
     nll_curve = np.array([gp_negloglik(gp, np.exp(phi)) for phi in trajectory])
     return GPResult(theta=np.exp(trajectory[-1]), records=records, nll_curve=nll_curve)

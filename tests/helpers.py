@@ -1,9 +1,11 @@
-"""Shared test utilities: scalar Chebyshev polynomials and Clenshaw
-series evaluation, explicit-pmf distributions, a distribution's masses
-q_0..q_n, compensated running sums S_j and their CSV dump, random feasible pmfs, the relaxed variance
-objective the optimal distribution minimizes and the finite-horizon KKT
-solution it is checked against, dense matrix factories, the quadrature used by
-Monte-Carlo variance oracles, the dense check of the second-kind
+"""Shared test utilities: scalar Chebyshev polynomials, the affine map
+onto [-1, 1] and Clenshaw series evaluation, explicit-pmf distributions,
+a distribution's masses q_0..q_n, compensated running sums S_j, the
+forward inverse CDF that sampling is checked against and the CSV dump,
+random feasible pmfs, the relaxed variance objective the optimal
+distribution minimizes and the finite-horizon KKT solution it is checked
+against, dense matrix factories, the quadrature used by Monte-Carlo
+variance oracles, the dense check of the second-kind
 recurrence behind the amortized gradient, the dense matrix of a
 low-rank oracle, the direct three-term
 recurrence the doubled Chebyshev moments are checked against, the
@@ -65,6 +67,11 @@ def eval_U(j: int, x):
     return cur[()] if cur.ndim == 0 else cur
 
 
+def to_unit(iv: Interval, x):
+    """The affine map [a, b] -> [-1, 1]."""
+    return (2.0 * x - (iv.b + iv.a)) / iv.width
+
+
 def eval_series(series: ChebSeries, x):
     """Evaluate the series at x in [a, b] by the Clenshaw recurrence."""
     iv = series.interval
@@ -72,7 +79,7 @@ def eval_series(series: ChebSeries, x):
     if np.any(x_arr < iv.a) or np.any(x_arr > iv.b):
         raise DomainEvalError(f"evaluation point outside [{iv.a}, {iv.b}]")
     c = series.coeffs
-    t = iv.to_unit(x_arr)
+    t = to_unit(iv, x_arr)
     u_next = np.zeros_like(t)
     u = np.zeros_like(t)
     for k in range(c.size - 1, 0, -1):
@@ -110,6 +117,18 @@ def pmf_array(dist: DegreeDistribution, upto: int) -> np.ndarray:
 def cumulative_array(dist: DegreeDistribution, upto: int) -> np.ndarray:
     """Compensated running sums S_0..S_upto."""
     return _kahan_cumsum(pmf_array(dist, upto))
+
+
+def inverse_cdf_degrees(dist: DegreeDistribution, uniforms: np.ndarray) -> np.ndarray:
+    """The forward inverse CDF: for each u the first j with S_j > u, over
+    the running sums of ``cumulative_array`` extended until they pass
+    every u."""
+    upto = dist.pmf_prefix.size
+    while (cums := cumulative_array(dist, upto))[-1] <= np.max(uniforms):
+        if upto > 1 << 20:
+            raise ParameterError("the running sums do not pass the largest uniform")
+        upto *= 2
+    return np.searchsorted(cums, uniforms, side="right")
 
 
 def write_pmf_csv(dist: DegreeDistribution, fh: IO[str], count: int) -> None:

@@ -82,6 +82,7 @@ class TestVarianceBench:
         (["--rho", "1.0"], "rho must be > 1, got 1.0"),
         (["--rho", "2.0", "--dist", "neg(0.5)"], "shape parameter must be >= 1, got 0.5"),
         (["--rho", "inf"], "rho must be finite, got inf"),
+        (["--rho", "2.0", "--dist", "neg(inf)"], "shape parameter r must be finite, got inf"),
     ])
     def test_invalid_distribution_is_config_error(self, tmp_path, capsys, flags, message):
         out = tmp_path / "v.csv"
@@ -103,7 +104,13 @@ class TestVarianceBench:
                 if text == "inf":
                     divergent.add((dist, int(n)))
                     continue
-                assert abs(mp.mpf(text) / want - 1) < 1e-12, (dist, n, text)
+                # the optimal law's rows, summed from its closed-form tail, to
+                # 1e-13, or to 8 ulps of ln V where a row printed from its log
+                # |ln V| cannot carry more (exp past N = 35)
+                tol = 1e-12
+                if dist == "opt":
+                    tol = max(1e-13, 8 * np.finfo(float).eps * abs(float(mp.log(want))))
+                assert abs(mp.mpf(text) / want - 1) < tol, (dist, n, text)
                 # spelled as mp.nstr spells the reference: its exponent,
                 # 17 significant digits at most, no trailing zero
                 spelled = mp.nstr(want, 17, min_fixed=1, max_fixed=0)
@@ -451,6 +458,13 @@ class TestEstimate:
         out = capsys.readouterr()
         assert code == 1 and out.out == ""
         assert f"--N must be at least 1, got {mean}" in out.err and "--rho" not in out.err
+
+    def test_infinite_negative_binomial_shape_is_config_error(self, tmp_path, capsys):
+        code = main(["estimate", str(write_identity(tmp_path, dim=2)), "--func", "exp",
+                     "--a", "0", "--b", "2", "--dist", "neg(inf)"])
+        out = capsys.readouterr()
+        assert code == 1 and out.out == ""
+        assert out.err == "configuration error: shape parameter r must be finite, got inf\n"
 
     def test_asymmetric_matrix_is_data_error(self, tmp_path):
         path = tmp_path / "bad.txt"

@@ -10,6 +10,7 @@ from helpers import (
     conditional_weighted_variance,
     cumulative_array,
     finite_kkt_solution,
+    inverse_cdf_degrees,
     observable_horizon,
     pmf_array,
     random_feasible_pmf,
@@ -77,14 +78,22 @@ class TestOptimalDistribution:
         with pytest.raises(ParameterError):
             optimal_distribution(1.0, 5)
 
-    @pytest.mark.parametrize("rho", [1.0247, 2.0, 1e5, 1e150, 6e153])
-    def test_run_formed_from_rho_minus_one_squared(self, rho):
+    @pytest.mark.parametrize("rho", [1.0247, 2.0, 1e5, 1e150, 6e153, 1e154, 1e300])
+    def test_atom_and_closed_form_tail(self, rho):
+        # the prefix stores q_K and q_{K+1} = c ((rho-1)/rho)^2 only, and the
+        # closed-form tail continues c (rho-1)^2 rho^(K-i-1) past it
         dist = optimal_distribution(rho, 5)
         k_supp = int(dist.params["K"])
-        powers = rho ** -np.arange(2.0, 66.0)
-        powers = powers[powers >= np.finfo(float).tiny]
-        want = (5.0 - k_supp) * (rho - 1.0) ** 2 * powers
-        np.testing.assert_array_equal(dist.pmf_prefix[k_supp + 1:], want)
+        assert dist.pmf_prefix.size == k_supp + 2
+        degrees = range(k_supp + 1, k_supp + 65)
+        with mp.workdps(40):
+            want = np.array([float((5 - k_supp) * (mp.mpf(rho) - 1) ** 2
+                                   * mp.mpf(rho) ** (k_supp - i - 1)) for i in degrees])
+        got = pmf_array(dist, k_supp + 64)[k_supp + 1:]
+        normal = want >= np.finfo(float).tiny
+        assert normal[0]
+        np.testing.assert_allclose(got[normal], want[normal], rtol=1e-13, atol=0)
+        assert np.all(got[~normal] < np.finfo(float).tiny)
 
     @pytest.mark.parametrize("rho", [1e154, 2e154, 1e300])
     def test_huge_rho_run_formed_from_the_ratio(self, rho):
@@ -154,6 +163,14 @@ class TestBaselines:
             assert dist.pmf_prefix.size == length + 1
             want = ref.pmf(np.arange(length + 1))
             assert np.max(np.abs(dist.pmf_prefix - want / want.sum())) <= 1e-14
+
+    def test_negative_binomial_shape_large_but_finite(self):
+        # 1 - p = N / (r + N) is formed without cancellation, so a huge r
+        # keeps its mean, and r = inf is refused
+        for r in (1e8, 1e16, 1e300):
+            assert negbinomial_distribution(15, r).mean() == pytest.approx(15.0, rel=1e-12)
+        with pytest.raises(ParameterError, match="shape parameter r must be finite, got inf"):
+            negbinomial_distribution(15, math.inf)
 
     def test_deterministic(self):
         dist = deterministic_distribution(7)
@@ -264,7 +281,7 @@ class TestLogMasses:
 
     def test_geometric_tail_continues_past_underflow(self):
         dist = optimal_distribution(1e5, 5)
-        # the prefix stops before rho^(K-i-1) leaves the normal range
+        # the stored atom and first tail mass are normal doubles
         assert np.all(dist.pmf_prefix[int(dist.params["K"]):] >= np.finfo(float).tiny)
         log_q = dist.log_masses(220)
         assert np.all(np.isfinite(log_q[4:]))
@@ -300,6 +317,18 @@ class TestSampling:
         rng = np.random.default_rng(3)
         draws = np.array([sample_degree(dist, rng) for _ in range(10**5)])
         assert abs(draws.mean() - 4.0) < 3 * 2.0 / math.sqrt(draws.size)
+
+    @pytest.mark.parametrize("dist", [
+        optimal_distribution(1.0068, 15), optimal_distribution(1.0247, 15),
+        optimal_distribution(1.19, 30), poisson_distribution(15), negbinomial_distribution(15, 5),
+    ], ids=["opt-1.0068", "opt-1.0247", "opt-1.19", "pois", "neg"])
+    def test_draws_match_the_forward_inverse_cdf(self, dist):
+        # the survival boundaries 1 - P(n > j) and the forward running sums
+        # S_j differ by rounding only, so no seeded draw moves
+        uniforms = np.random.default_rng(31).random(10**5)
+        rng = np.random.default_rng(31)
+        draws = np.array([sample_degree(dist, rng) for _ in range(uniforms.size)])
+        assert np.array_equal(draws, inverse_cdf_degrees(dist, uniforms))
 
     def test_deterministic_given_seed(self):
         dist = optimal_distribution(1.8, 6)

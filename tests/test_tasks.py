@@ -431,7 +431,7 @@ class TestGPTraining:
         class Recording(tasks_module._GPIterate):
             def __init__(self, *args):
                 super().__init__(*args)
-                self.built = (self.exp_term, self.kernel, *self.partials)
+                self.built = (self.kernel, *self.partials)
                 self.kernel_exact = np.array_equal(self.kernel, gp.kernel(self.theta))
                 iterates.append(self)
 
