@@ -572,8 +572,10 @@ def gp_negloglik(
 
 def _gp_partials_logspace(gp: GPProblem, theta: np.ndarray):
     """Dense dA/dphi_i for phi = log theta."""
+    exp_term = _rbf_exp(gp.sq_dists, theta)
+    kernel = _rbf_kernel(gp.sq_dists, theta, exp_term)
     return [2.0 * theta[0] ** 2 * np.eye(gp.dim),
-            *_rbf_partials(gp.sq_dists, theta, gp.kernel(theta), _rbf_exp(gp.sq_dists, theta))]
+            *_rbf_partials(gp.sq_dists, theta, kernel, exp_term)]
 
 
 class _GPIterate:

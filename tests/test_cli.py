@@ -106,10 +106,12 @@ class TestVarianceBench:
                     continue
                 # the optimal law's rows, summed from its closed-form tail, to
                 # 1e-13, or to 8 ulps of ln V where a row printed from its log
-                # |ln V| cannot carry more (exp past N = 35)
+                # |ln V| cannot carry more (exp past N = 35), never looser
+                # than the 1e-12 every other row keeps
                 tol = 1e-12
                 if dist == "opt":
-                    tol = max(1e-13, 8 * np.finfo(float).eps * abs(float(mp.log(want))))
+                    tol = min(1e-12, max(1e-13, 8 * np.finfo(float).eps
+                                         * abs(float(mp.log(want)))))
                 assert abs(mp.mpf(text) / want - 1) < tol, (dist, n, text)
                 # spelled as mp.nstr spells the reference: its exponent,
                 # 17 significant digits at most, no trailing zero
