@@ -363,6 +363,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         argv = _apply_config_file(argv, parser)
         args = parser.parse_args(argv)
+        if args.seed < 0:  # NumPy's SeedSequence takes non-negative ints only
+            raise ParameterError(f"--seed must be non-negative, got {args.seed}")
         return _COMMANDS[args.command](args)
     except (NumericError, ConvergenceError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

@@ -7,15 +7,15 @@ degree <= n off w_j = T_j(B) v for j <= J = ceil(n/2).  Its forward pass
 stores w_0..w_J; its backward pass forms the adjoints a_j of the w_j
 from a_j = g_j + 2 B a_{j+1} - a_{j+2}, g_j the direct terms the doubled
 moments put on w_j, starting at a_J = g_J.  Every recurrence step is the
-oracle's ``step(w, w_prev, scale, iv)`` = scale * B w - w_prev, iv the
+oracle's three-term ``step(w, w_prev, iv)`` = 2B w - w_prev, iv the
 interval of the series being differentiated: the expansion owns the
-interval and no oracle stores one.  A step may write its result into
-w_prev, so both passes hand over only a vector already copied into the
-stored sequence or the adjoint block, and the probe block read-only.
-``LowRankPSD`` folds the map into two scalars, c1 theta (theta^T x) +
-c2 x, and the generic ``ParamMatrixOracle`` maps each matvec's result
-in place.  The gradient
-is (2/(b-a)) sum_{j<J}' a_{j+1}^T dA w_j: 2J - 1 matvecs of A per probe
+interval and no oracle stores one; the forward pass halves its first
+step, 2B v, to w_1.  A step may write its result into w_prev, so both
+passes hand over only a vector already copied into the stored sequence
+or the adjoint block, and the probe block read-only.  ``LowRankPSD``
+folds the map into two scalars, c1 theta (theta^T x) + c2 x, and the
+generic ``ParamMatrixOracle`` maps each matvec's result in place.  The
+gradient is (2/(b-a)) sum_{j<J}' a_{j+1}^T dA w_j: 2J - 1 matvecs of A per probe
 (none at n = 1) and J partial matvecs per coordinate.  Each oracle
 contracts it in one place: the generic ``ParamMatrixOracle`` applies
 each coordinate's symmetric partial to a block of stacked a_{j+1} and
@@ -83,11 +83,10 @@ class ParamMatrixOracle:
         _count(self.counter, x)
         return self.apply_partial(i, self.theta, x)
 
-    def step(self, w: np.ndarray, w_prev: np.ndarray | None, scale: float,
-             iv: Interval) -> np.ndarray:
-        """scale * B w - w_prev (no subtraction when ``w_prev`` is None) in
-        a fresh array, mapping the result of one ``mv`` onto iv."""
-        return _mapped_step(self.mv(w), w, w_prev, scale, iv)
+    def step(self, w: np.ndarray, w_prev: np.ndarray | None, iv: Interval) -> np.ndarray:
+        """2B w - w_prev (2B w when ``w_prev`` is None) in a fresh array,
+        mapping the result of one ``mv`` onto iv."""
+        return _mapped_step(self.mv(w), w, w_prev, iv)
 
     def contract(self, w: np.ndarray, a: np.ndarray, weights: np.ndarray) -> np.ndarray:
         """Per-column sum_b weights_b w_b^T (dA/dtheta_i) a_b for (m, blk, d)
@@ -136,15 +135,14 @@ class LowRankPSD:
         _count(self.counter, x)
         return self.theta @ (self.theta.T @ x) + self.epsilon * x
 
-    def step(self, w: np.ndarray, w_prev: np.ndarray | None, scale: float,
-             iv: Interval) -> np.ndarray:
-        """scale * B w - w_prev (no subtraction when ``w_prev`` is None) in
-        a fresh array, as c1 theta (theta^T w) + c2 w - w_prev on iv."""
+    def step(self, w: np.ndarray, w_prev: np.ndarray | None, iv: Interval) -> np.ndarray:
+        """2B w - w_prev (2B w when ``w_prev`` is None) in a fresh array:
+        4/(b-a) theta (theta^T w) + 2(2 eps - (b+a))/(b-a) w - w_prev."""
         _count(self.counter, w)
         inner = self.theta.T @ w
-        inner *= 2.0 * scale / iv.width
+        inner *= 4.0 / iv.width
         y = self.theta @ inner
-        y += np.multiply(w, scale * (2.0 * self.epsilon - (iv.b + iv.a)) / iv.width)
+        y += np.multiply(w, 2.0 * (2.0 * self.epsilon - (iv.b + iv.a)) / iv.width)
         if w_prev is not None:
             y -= w_prev
         return y
@@ -216,7 +214,9 @@ def _adjoint_block(op, iv: Interval, bhat: np.ndarray, n: int,
     prev, cur = None, probes.view()
     cur.flags.writeable = False
     for j in range(1, stored):
-        prev, cur = cur, op.step(cur, prev, 2.0 if j > 1 else 1.0, iv)
+        prev, cur = cur, op.step(cur, prev, iv)
+        if j == 1:
+            cur *= 0.5  # w_1 = B v, half the first step 2B v
         w[:, j] = cur.T
     weights = _sum_prime_weights(half) * (2.0 / iv.width)
     acc = 0.0
@@ -232,7 +232,7 @@ def _adjoint_block(op, iv: Interval, bhat: np.ndarray, n: int,
                 a_j = a[:, j - low].T.copy()
             else:
                 # a_{j+2} is handed over: its block row already holds it
-                a_j = op.step(a_next, a_after, 2.0, iv)
+                a_j = op.step(a_next, a_after, iv)
                 a_j += a[:, j - low].T
                 a[:, j - low] = a_j.T
             a_next, a_after = a_j, a_next

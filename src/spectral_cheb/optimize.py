@@ -1,20 +1,21 @@
 """Projected SGD and SVRG over objectives tr f(A(theta)) + g(theta).
 
-The spectral part of the gradient comes from the unbiased randomized
-estimators; SVRG's control variate evaluates the estimator at the current
-and the anchor parameters with identical probes and an identical drawn
-degree, so the correction vanishes exactly when they coincide.  The model's
-``Expansion`` owns the eigenvalue interval, the series and the degree
-distribution, refreshed on a schedule, not per sample; each step's
-``ProbePlan`` owns its degree and probes, and the drivers read the drawn
-degree back from the plan they built.  Both drivers take their steps
-through one step body: it checks the direction, projects, checks the
-iterate and builds the step's ``IterationRecord`` with its objective-log
-value.
+Every objective has a spectral part, whose gradient comes from the
+unbiased randomized estimators; SVRG's control variate evaluates the
+estimator at the current and the anchor parameters with identical probes
+and an identical drawn degree, so the correction vanishes exactly when
+they coincide.  The model's ``Expansion`` owns the eigenvalue interval,
+the series and the degree distribution, refreshed on a schedule, not per
+sample; each step's ``ProbePlan`` owns its degree and probes, and the
+drivers read the drawn degree back from the plan they built.  Both
+drivers take their steps through one step body: it checks the direction,
+projects, checks the iterate and builds the step's ``IterationRecord``
+with its objective-log value.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Callable, IO, Sequence
@@ -99,7 +100,7 @@ class SpectralModel:
 class Objective:
     """min tr f(A(theta)) + g(theta) over the projection's fixed-point set."""
 
-    spectral: SpectralModel | None = None
+    spectral: SpectralModel
     g_value: Callable[[np.ndarray], float] = lambda theta: 0.0
     g_grad: Callable[[np.ndarray], np.ndarray] = np.zeros_like
     projection: Callable[[np.ndarray], np.ndarray] = lambda theta: theta
@@ -122,10 +123,10 @@ class SGDConfig:
             raise ParameterError(f"need at least one iteration, got T = {self.T}")
         if self.step_rule not in ("exp_decay", "inverse_alpha_t"):
             raise ParameterError(f"unknown step rule {self.step_rule!r}")
-        if self.step_rule == "inverse_alpha_t" and not (self.alpha and self.alpha > 0):
-            raise ParameterError("inverse_alpha_t needs a positive strong-convexity alpha")
-        if not self.step0 > 0:
-            raise ParameterError(f"step size must be positive, got {self.step0}")
+        if self.step_rule == "inverse_alpha_t" and not 0 < (self.alpha or 0) < math.inf:
+            raise ParameterError(f"inverse_alpha_t needs a finite alpha > 0, got {self.alpha}")
+        if not 0 < self.step0 < math.inf:
+            raise ParameterError(f"step size must be positive and finite, got {self.step0}")
         if not 0 < self.decay <= 1:
             raise ParameterError(f"step decay must lie in (0, 1], got {self.decay}")
 
@@ -143,8 +144,8 @@ class SVRGConfig:
     def __post_init__(self):
         if self.S < 1 or self.T < 1:
             raise ParameterError("need at least one outer and one inner iteration")
-        if not self.eta > 0:
-            raise ParameterError(f"step size must be positive, got {self.eta}")
+        if not 0 < self.eta < math.inf:
+            raise ParameterError(f"step size must be positive and finite, got {self.eta}")
 
 
 @dataclass
@@ -205,8 +206,7 @@ def _step_body(
             objective = float("nan")
             if cfg.log_objective:
                 objective = float(obj.g_value(theta))
-                if obj.spectral is not None:
-                    objective += obj.spectral.objective_estimate(theta, log_plan, cfg.N)
+                objective += obj.spectral.objective_estimate(theta, log_plan, cfg.N)
             callback(IterationRecord(phase, epoch, t, theta.copy(), degree, objective,
                                      float(np.linalg.norm(direction)),
                                      (time.perf_counter() - start) * 1e3))
@@ -233,13 +233,10 @@ def sgd_run(
     trajectory[0] = theta
     step = _step_body(obj, cfg, "sgd", callback)
     for t in range(cfg.T):
-        if obj.spectral is not None:
-            obj.spectral.ensure(theta, t, cfg.N)
-            plan = ProbePlan(int(seeds[t]), cfg.M)
-            psi, degree = obj.spectral.grad_sample(theta, plan), plan.degree
-        else:
-            psi, degree = 0.0, -1
-        theta = step(theta, _step_size(cfg, t), psi + obj.g_grad(theta), 0, t, degree)
+        obj.spectral.ensure(theta, t, cfg.N)
+        plan = ProbePlan(int(seeds[t]), cfg.M)
+        psi = obj.spectral.grad_sample(theta, plan)
+        theta = step(theta, _step_size(cfg, t), psi + obj.g_grad(theta), 0, t, plan.degree)
         trajectory[t + 1] = theta
     return trajectory
 
@@ -267,20 +264,15 @@ def svrg_run(
     seeds = _iteration_seeds(cfg.master_seed, cfg.S * cfg.T)
     step = _step_body(obj, cfg, "svrg", callback)
     for s in range(1, cfg.S + 1):
-        if obj.spectral is not None:
-            obj.spectral.ensure(theta_tilde, 0, cfg.N)
+        obj.spectral.ensure(theta_tilde, 0, cfg.N)
         mu = np.asarray(exact_grad(theta_tilde), dtype=float)
         theta = theta_tilde.copy()
         inner_sum = np.zeros_like(theta)
         for t in range(cfg.T):
-            if obj.spectral is not None:
-                plan = ProbePlan(int(seeds[(s - 1) * cfg.T + t]), cfg.M)
-                correction = (obj.spectral.grad_sample(theta, plan)
-                              - obj.spectral.grad_sample(theta_tilde, plan))
-                degree = plan.degree
-            else:
-                correction, degree = 0.0, -1
-            theta = step(theta, cfg.eta, correction + mu + obj.g_grad(theta), s, t, degree)
+            plan = ProbePlan(int(seeds[(s - 1) * cfg.T + t]), cfg.M)
+            correction = (obj.spectral.grad_sample(theta, plan)
+                          - obj.spectral.grad_sample(theta_tilde, plan))
+            theta = step(theta, cfg.eta, correction + mu + obj.g_grad(theta), s, t, plan.degree)
             inner_sum += theta
         theta_tilde = inner_sum / cfg.T
         anchors[s] = theta_tilde

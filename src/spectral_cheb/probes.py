@@ -3,9 +3,10 @@ estimators, certified spectrum ends, and the expansion builder (interval,
 Chebyshev series, degree distribution) that training uses.
 
 The expansion owns the eigenvalue interval [a, b]: no oracle stores one,
-and the drivers hand the series' interval to each recurrence step,
-``step(w, w_prev, scale, iv)`` = scale * B w - w_prev, B = (2A - (b+a)I)/(b-a)
-the interval-mapped operator.  An oracle built from an explicit dense or
+and the drivers hand the series' interval to each three-term step
+``step(w, w_prev, iv)`` = 2B w - w_prev (2B w when w_prev is None),
+B = (2A - (b+a)I)/(b-a); the kernels halve the first step, exactly, to
+T_1 = B v.  An oracle built from an explicit dense or
 sparse matrix folds the map into a copy 2B of it, cached for the last
 interval it was stepped on, so a step is one product and one
 subtraction; an oracle known only through its matvec maps each
@@ -113,15 +114,15 @@ def _count(counter: MatvecCounter | None, x: np.ndarray) -> None:
 
 
 def _mapped_step(y: np.ndarray, w: np.ndarray, w_prev: np.ndarray | None,
-                 scale: float, iv: Interval) -> np.ndarray:
-    """scale * B w - w_prev from y = A w, written into y unless y is not a
-    fresh float array; the recurrence step of an operator known only
-    through its matvec."""
+                 iv: Interval) -> np.ndarray:
+    """2B w - w_prev from y = A w, written into y unless y is not a fresh
+    float array; the recurrence step of an operator known only through its
+    matvec."""
     if (y.dtype != np.float64 or not y.flags.writeable or np.may_share_memory(y, w)
             or (w_prev is not None and np.may_share_memory(y, w_prev))):
         y = np.array(y, dtype=float)  # never overwrite an operand the caller still holds
-    y *= 2.0 * scale / iv.width
-    y += np.multiply(w, -scale * (iv.b + iv.a) / iv.width)
+    y *= 4.0 / iv.width
+    y += np.multiply(w, -2.0 * (iv.b + iv.a) / iv.width)
     if w_prev is not None:
         y -= w_prev
     return y
@@ -202,22 +203,21 @@ class MatrixOracle:
         _count(self.counter, x)
         return self.matvec(x)
 
-    def step(self, w: np.ndarray, w_prev: np.ndarray | None, scale: float,
-             iv: Interval) -> np.ndarray:
-        """scale * B w - w_prev (no subtraction when ``w_prev`` is None),
+    def step(self, w: np.ndarray, w_prev: np.ndarray | None, iv: Interval) -> np.ndarray:
+        """2B w - w_prev (2B w when ``w_prev`` is None),
         B = (2A - (b+a)I)/(b-a) on iv = [a, b]; one matvec per column.
 
-        ``w_prev`` is handed over: a sparse fold at scale 2 negates a
-        writeable, C-contiguous float ``w_prev`` of ``w``'s shape in place,
+        ``w_prev`` is handed over: a sparse fold negates a writeable,
+        C-contiguous float ``w_prev`` of ``w``'s shape in place,
         accumulates 2B w into it and returns it, so a step allocates
         nothing.  Every other step, and every read-only ``w_prev`` such as
         a plan's probe block, gets a fresh array; ``w`` is never written.
         """
         if self.matrix is None:
-            return _mapped_step(self.apply(w), w, w_prev, scale, iv)
+            return _mapped_step(self.apply(w), w, w_prev, iv)
         _count(self.counter, w)
         folded = self._folded(iv)
-        if (scale == 2.0 and w_prev is not None and _issparse(folded)
+        if (w_prev is not None and _issparse(folded)
                 and w_prev.flags.writeable and w_prev.flags.c_contiguous
                 and w_prev.dtype == np.float64 and w_prev.shape == w.shape
                 and not np.may_share_memory(w_prev, w)):
@@ -225,8 +225,6 @@ class MatrixOracle:
             _csr_accumulate(folded, w, w_prev)
             return w_prev
         y = folded @ w
-        if scale != 2.0:
-            y *= 0.5 * scale
         if w_prev is not None:
             y -= w_prev
         return y
@@ -344,7 +342,8 @@ def _bilinear_block(oracle: MatrixOracle, iv: Interval, coeffs: np.ndarray, n: i
     Only w_j = T_j(B) v for j <= ceil(n/2) is formed by the three-term
     recurrence: T_{2j} = 2 T_j^2 - T_0 and T_{2j+1} = 2 T_{j+1} T_j - T_1
     give mu_{2j} = 2 w_j^T w_j - mu_0 and mu_{2j+1} = 2 w_{j+1}^T w_j - mu_1.
-    Each step hands over w_{j-1}, which no later moment reads, so an
+    The first step is the three-term step 2B v, halved in place to w_1.
+    Each later step hands over w_{j-1}, which no later moment reads, so an
     oracle that writes into it rotates two buffers through the chunk; the
     probe block itself is handed over read-only and never written.
     """
@@ -354,12 +353,13 @@ def _bilinear_block(oracle: MatrixOracle, iv: Interval, coeffs: np.ndarray, n: i
         return acc
     probes = probes.view()
     probes.flags.writeable = False
-    w_prev, w = probes, oracle.step(probes, None, 1.0, iv)
+    w_prev, w = probes, oracle.step(probes, None, iv)
+    w *= 0.5
     mu1 = np.einsum("dk,dk->k", probes, w)
     acc = acc + coeffs[1] * mu1
     for k in range(2, n + 1):
         if k % 2:
-            w_prev, w = w, oracle.step(w, w_prev, 2.0, iv)
+            w_prev, w = w, oracle.step(w, w_prev, iv)
             acc += coeffs[k] * (2.0 * np.einsum("dk,dk->k", w, w_prev) - mu1)
         else:
             acc += coeffs[k] * (2.0 * np.einsum("dk,dk->k", w, w) - mu0)

@@ -261,8 +261,9 @@ class CompletionProblem:
         self.theta = np.asarray(self.theta, dtype=float)
         if self.theta.ndim != 2:
             raise ParameterError("factor must be d x r")
-        if not self.epsilon > 0 or not self.lam > 0:
-            raise ParameterError("epsilon and lambda must be positive")
+        for name, value in (("epsilon", self.epsilon), ("lambda", self.lam)):
+            if not 0 < value < math.inf:
+                raise ParameterError(f"{name} must be positive and finite, got {value}")
 
 
 @dataclass
@@ -328,7 +329,7 @@ def completion_train(
     dist_kind: str = "opt",
     svd_rank: int = 10,
 ) -> CompletionResult:
-    """Train the completion factor with SGD or SVRG.
+    """Train the completion factor with SGD or SVRG (``cfg`` its config).
 
     The spectral gradient uses the amortized low-rank estimator; the data
     term has the analytic gradient 2 lambda (theta_ij - R_ij) on observed
@@ -341,6 +342,12 @@ def completion_train(
     """
     if svd_rank < 1:
         raise ParameterError(f"SVD rank must be >= 1, got {svd_rank}")
+    config_type = {"sgd": SGDConfig, "svrg": SVRGConfig}.get(optimizer)
+    if config_type is None:
+        raise ParameterError(f"unknown optimizer {optimizer!r}")
+    if not isinstance(cfg, config_type):
+        raise ParameterError(f"optimizer {optimizer!r} takes an {config_type.__name__}, "
+                             f"got an {type(cfg).__name__}")
     users, items, vals = ratings.split(train=True)
     counter = MatvecCounter()
     model = _completion_model(problem, dist_kind, counter)
@@ -369,7 +376,7 @@ def completion_train(
     if optimizer == "sgd":
         trajectory = sgd_run(obj, problem.theta, cfg, callback=sink)
         theta_raw = trajectory[-1]
-    elif optimizer == "svrg":
+    else:
         anchors = svrg_run(
             obj,
             problem.theta,
@@ -378,8 +385,6 @@ def completion_train(
             callback=sink,
         )
         theta_raw = anchors[-1]
-    else:
-        raise ParameterError(f"unknown optimizer {optimizer!r}")
     theta_final = _truncated_svd(theta_raw, svd_rank)
     return CompletionResult(
         theta_raw=theta_raw,

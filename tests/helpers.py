@@ -373,16 +373,16 @@ def full_recurrence_adjoint_block(op, iv: Interval, bhat: np.ndarray, n: int,
     any correct ``contract`` gives the gradient."""
     w = [probes]
     if n >= 2:
-        w.append(op.step(probes, None, 1.0, iv))
+        w.append(0.5 * op.step(probes, None, iv))
     # both sequences are kept, so each step is handed a copy of the older
     # operand, which the step may write its result into
     for i in range(2, n):
-        w.append(op.step(w[i - 1], w[i - 2].copy(), 2.0, iv))
+        w.append(op.step(w[i - 1], w[i - 2].copy(), iv))
     s = [None] * n
     for i in range(n - 1, -1, -1):
         s[i] = bhat[i + 1] * probes
         if i < n - 1:
-            s[i] += op.step(s[i + 1], s[i + 2].copy() if i < n - 2 else None, 2.0, iv)
+            s[i] += op.step(s[i + 1], s[i + 2].copy() if i < n - 2 else None, iv)
     # (m, n, d) probe-major blocks, the layout ``contract`` takes
     return op.contract(np.stack([x.T for x in w], axis=1), np.stack([x.T for x in s], axis=1),
                        _sum_prime_weights(n) * (2.0 / iv.width))

@@ -257,6 +257,18 @@ class TestEstimate:
         assert proc.stdout.strip() == "5.0"
         assert "sampled degree" in proc.stderr
 
+    def test_degenerate_distribution_is_config_error(self, tmp_path, capsys, monkeypatch):
+        import spectral_cheb.cli as cli
+        from spectral_cheb.exceptions import DegenerateDistributionError
+
+        def degenerate(*args):
+            raise DegenerateDistributionError("no degree mass at or above 4")
+
+        monkeypatch.setattr(cli, "estimate_spectral_sum_unbiased", degenerate)
+        assert main(["estimate", str(write_identity(tmp_path)), "--func", "exp",
+                     "--a", "0", "--b", "2", "--dist", "det", "--N", "3"]) == 1
+        assert capsys.readouterr().err == "configuration error: no degree mass at or above 4\n"
+
     def test_failed_decay_fit_names_its_reason(self, tmp_path):
         # log on [1.5, ~2.2]: the coefficients reach the 1e-14 floor before
         # the fit window starts at degree N
@@ -565,6 +577,45 @@ class TestArgumentHandling:
         assert not out.exists()
         err = capsys.readouterr().err
         assert err.startswith("configuration error: step ")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["mc-train", "--optimizer", "svrg", "--step", "inf"],
+         "step size must be positive and finite, got inf"),
+        (["gp-train", "--step", "inf"], "step size must be positive and finite, got inf"),
+        (["mc-train", "--step", "inf"], "step size must be positive and finite, got inf"),
+        (["mc-train", "--lambda", "inf"], "lambda must be positive and finite, got inf"),
+        (["mc-train", "--epsilon", "inf"], "epsilon must be positive and finite, got inf"),
+    ])
+    def test_infinite_rate_or_weight_is_config_error(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "o.csv"
+        train = FIXTURE_RATINGS if argv[0] == "mc-train" else FIXTURE_GP
+        assert main([*argv, "--train", train, "--epochs", "1", "--inner-iters", "2",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["variance-bench", "estimate", "mc-train", "gp-train"])
+    @pytest.mark.parametrize("via_config", [False, True])
+    def test_negative_seed_is_a_config_error(self, tmp_path, command, via_config):
+        out = str(tmp_path / "o.csv")
+        argv = {
+            "variance-bench": ["variance-bench", "--func", "exp", "--rho", "4.0", "--out", out],
+            "estimate": ["estimate", str(write_identity(tmp_path)), "--func", "exp",
+                         "--a", "0", "--b", "2"],
+            "mc-train": ["mc-train", "--train", FIXTURE_RATINGS, "--out", out],
+            "gp-train": ["gp-train", "--train", FIXTURE_GP, "--out", out],
+        }[command]
+        if via_config:
+            config = tmp_path / "run.cfg"
+            config.write_text("seed=-1\n")
+            argv += ["--config", str(config)]
+        else:
+            argv += ["--seed", "-1"]
+        proc = run_cli(argv)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr == "configuration error: --seed must be non-negative, got -1\n"
+        assert not (tmp_path / "o.csv").exists()
 
     @pytest.mark.parametrize("via_config", [False, True])
     def test_svrg_rejects_step_decay(self, tmp_path, capsys, via_config):

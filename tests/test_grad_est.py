@@ -24,7 +24,7 @@ from spectral_cheb.degree_dist import (
     deterministic_distribution,
     optimal_distribution,
 )
-from spectral_cheb.exceptions import ParameterError
+from spectral_cheb.exceptions import DegenerateDistributionError, ParameterError, SpectralChebError
 from spectral_cheb.grad_est import (
     LowRankPSD,
     ParamMatrixOracle,
@@ -34,7 +34,7 @@ from spectral_cheb.grad_est import (
     grad_estimate_lowrank,
     sample_spectral_grads,
 )
-from spectral_cheb.probes import MatvecCounter, ProbePlan
+from spectral_cheb.probes import MatvecCounter, ProbePlan, estimate_spectral_sum_unbiased
 from spectral_cheb.reference import exact_spectral_grad_lowrank
 
 
@@ -454,3 +454,25 @@ class TestAdjointKernel:
                     scope = parents.get(scope)
                 scopes.append(None if scope is None else scope.name)
         assert scopes and set(scopes) == {"_adjoint_block"}
+
+
+def test_degree_past_the_support_is_a_degenerate_distribution():
+    # a plan pinned past a law's support leaves a coefficient with no
+    # degree mass to re-weight it by; value and gradient estimators both
+    # raise, as a SpectralChebError the CLI reports as a configuration error
+    rng = np.random.default_rng(66)
+    base = random_spd(rng, 6, 0.5, 1.5)
+    oracle = affine_oracle(base, [random_symmetric(rng, 6, 0.05)], [0.2])
+    series = compute_coefficients(np.log, Interval(0.2, 2.0), degree=20)
+    dist = deterministic_distribution(3)
+    estimators = [
+        lambda plan: estimate_spectral_sum_unbiased(oracle, series, dist, plan),
+        lambda plan: grad_estimate_generic(oracle, series, dist, plan),
+        lambda plan: grad_estimate_lowrank(LowRankPSD(rng.uniform(-0.5, 0.5, (6, 2)), 0.3),
+                                           series, dist, plan),
+    ]
+    for estimate in estimators:
+        with pytest.raises(DegenerateDistributionError,
+                           match="no degree mass at or above 4") as exc:
+            estimate(ProbePlan(0, 2, degree=5))
+        assert isinstance(exc.value, SpectralChebError)

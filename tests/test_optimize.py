@@ -12,8 +12,8 @@ from helpers import (
     validate_objective,
 )
 
-from spectral_cheb.chebyshev import Interval, series_from_polynomial
-from spectral_cheb.degree_dist import optimal_distribution
+from spectral_cheb.chebyshev import ChebSeries, Interval, series_from_polynomial
+from spectral_cheb.degree_dist import deterministic_distribution, optimal_distribution
 from spectral_cheb.exceptions import NumericError, ParameterError
 from spectral_cheb.grad_est import ParamMatrixOracle
 from spectral_cheb.optimize import (
@@ -32,8 +32,22 @@ from spectral_cheb.probes import Expansion, ProbePlan
 
 
 def quadratic_objective(target, alpha):
+    """(alpha/2) |theta - target|^2 with a degree-0 spectral model of zero
+    series: its gradient samples are exact zeros, drawn without probes."""
     target = np.asarray(target, dtype=float)
+    interval = Interval(0.5, 2.0)
+
+    def oracle_at(theta):
+        return ParamMatrixOracle(dim=1, param_dim=target.size,
+                                 theta=np.asarray(theta, dtype=float),
+                                 apply=lambda th, x: x,
+                                 apply_partial=lambda i, th, x: np.zeros_like(x))
+
+    def refresh(theta, mean_degree):
+        return Expansion(None, ChebSeries(interval, np.zeros(1)), deterministic_distribution(0))
+
     return Objective(
+        spectral=SpectralModel(oracle_at, refresh),
         g_value=lambda th: float(alpha / 2 * np.sum((th - target) ** 2)),
         g_grad=lambda th: alpha * (th - target),
     )

@@ -108,7 +108,7 @@ def _step_oracles(rng, dim, counter):
 
 
 class TestStep:
-    """``step(w, w_prev, scale, iv)`` = scale * B w - w_prev on every oracle."""
+    """``step(w, w_prev, iv)`` = 2B w - w_prev on every oracle."""
 
     def test_from_matrix_takes_list_array_and_csr(self):
         rows = [[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]]
@@ -121,12 +121,11 @@ class TestStep:
         assert scipy.sparse.issparse(csr.matrix)
         for oracle in (listed, dense, csr):
             assert oracle.dim == 3
-            np.testing.assert_allclose(oracle.step(w, None, 2.0, iv), want, rtol=1e-15)
+            np.testing.assert_allclose(oracle.step(w, None, iv), want, rtol=1e-15)
 
-    @pytest.mark.parametrize("scale", [1.0, 2.0])
     @pytest.mark.parametrize("with_prev", [False, True])
     @pytest.mark.parametrize("cols", [None, 4])
-    def test_matches_unfolded_formula(self, scale, with_prev, cols):
+    def test_matches_unfolded_formula(self, with_prev, cols):
         rng = np.random.default_rng(60)
         dim = 40
         shape = (dim,) if cols is None else (dim, cols)
@@ -140,9 +139,9 @@ class TestStep:
                     arr.flags.writeable = False
             kept = [w.copy(), None if w_prev is None else w_prev.copy()]
             counter.count = 0
-            got = oracle.step(w, w_prev, scale, iv)
+            got = oracle.step(w, w_prev, iv)
             assert counter.count == (1 if cols is None else cols), name
-            want = scale * (2.0 * (matrix @ w) - (iv.b + iv.a) * w) / iv.width
+            want = 2.0 * (2.0 * (matrix @ w) - (iv.b + iv.a) * w) / iv.width
             if with_prev:
                 want = want - w_prev
             norm = np.linalg.norm(matrix, 2)
@@ -153,10 +152,24 @@ class TestStep:
                 np.testing.assert_array_equal(w_prev, kept[1])
                 assert not np.may_share_memory(got, w_prev), name
 
+    @pytest.mark.parametrize("cols", [None, 4])
+    def test_half_the_first_step_is_b_v(self, cols):
+        # the kernels take T_1 = B v as half of the first step 2B v
+        rng = np.random.default_rng(60)
+        dim = 40
+        shape = (dim,) if cols is None else (dim, cols)
+        iv = Interval(0.1, 5.0)
+        for name, matrix, oracle in _step_oracles(rng, dim, None):
+            v = rng.standard_normal(shape)
+            got = 0.5 * oracle.step(v, None, iv)
+            want = (2.0 * (matrix @ v) - (iv.b + iv.a) * v) / iv.width
+            norm = np.linalg.norm(matrix, 2)
+            assert np.max(np.abs(got - want)) <= 1e-14 * norm * np.max(np.abs(v)), name
+
     @pytest.mark.parametrize("layout", ["vector", "C", "F"])
     def test_handed_over_w_prev_holds_the_step(self, layout):
         # w is never written; a writeable w_prev may come back as the
-        # result, and then holds scale * B w - w_prev; the sparse fold
+        # result, and then holds 2B w - w_prev; the sparse fold
         # always reuses a C-ordered one
         rng = np.random.default_rng(63)
         dim = 40
@@ -167,7 +180,7 @@ class TestStep:
                 w = np.asfortranarray(w)
             w_prev = rng.standard_normal(w.shape)
             kept = [w.copy(), w_prev.copy()]
-            got = oracle.step(w, w_prev, 2.0, iv)
+            got = oracle.step(w, w_prev, iv)
             want = 2.0 * (2.0 * (matrix @ kept[0]) - (iv.b + iv.a) * kept[0]) / iv.width
             want -= kept[1]
             norm = np.linalg.norm(matrix, 2)
@@ -197,8 +210,8 @@ class TestStep:
             def __init__(self):
                 self.results = []
 
-            def step(self, w, w_prev, scale, iv):
-                self.results.append(oracle.step(w, w_prev, scale, iv))
+            def step(self, w, w_prev, iv):
+                self.results.append(oracle.step(w, w_prev, iv))
                 return self.results[-1]
 
         held = Holding()
@@ -240,7 +253,7 @@ class TestStep:
         identity = MatrixOracle(dim=5, matvec=lambda x: x)
         w = np.arange(5.0)
         w_prev = np.ones(5)
-        got = identity.step(w, w_prev, 2.0, Interval(0.0, 4.0))  # B = -I/2
+        got = identity.step(w, w_prev, Interval(0.0, 4.0))  # B = -I/2
         np.testing.assert_array_equal(w, np.arange(5.0))
         np.testing.assert_array_equal(w_prev, np.ones(5))
         np.testing.assert_array_equal(got, -w - w_prev)
@@ -249,9 +262,9 @@ class TestStep:
         matrix = np.diag([1.0, 2.0, 3.0])
         oracle = MatrixOracle.from_matrix(matrix)
         w = np.ones(3)
-        np.testing.assert_allclose(oracle.step(w, None, 1.0, Interval(0.0, 4.0)),
+        np.testing.assert_allclose(0.5 * oracle.step(w, None, Interval(0.0, 4.0)),
                                    (2.0 * np.diag(matrix) - 4.0) / 4.0, rtol=0, atol=1e-15)
-        np.testing.assert_allclose(oracle.step(w, None, 1.0, Interval(0.5, 3.5)),
+        np.testing.assert_allclose(0.5 * oracle.step(w, None, Interval(0.5, 3.5)),
                                    (2.0 * np.diag(matrix) - 4.0) / 3.0, rtol=0, atol=1e-15)
 
     def test_refold_under_concurrent_steps(self, monkeypatch):
@@ -264,9 +277,9 @@ class TestStep:
         matrix = grid_laplacian_oracle(12)[0].matvec(np.eye(144))
         oracle = MatrixOracle.from_matrix(scipy.sparse.csr_matrix(matrix))
         w = np.random.default_rng(61).standard_normal((144, 8))
-        oracle.step(w, None, 2.0, Interval(0.4, 9.0))
+        oracle.step(w, None, Interval(0.4, 9.0))
         iv = Interval(0.3, 9.5)
-        serial = MatrixOracle.from_matrix(matrix).step(w, None, 2.0, iv)
+        serial = MatrixOracle.from_matrix(matrix).step(w, None, iv)
         folds = []
         real_fold = probes_module._fold_interval
         monkeypatch.setattr(probes_module, "_fold_interval",
@@ -275,7 +288,7 @@ class TestStep:
 
         def call():
             try:
-                results.append(oracle.step(w, None, 2.0, iv))
+                results.append(oracle.step(w, None, iv))
             except Exception as exc:  # surfaced by the assertion below
                 errors.append(exc)
 
@@ -811,9 +824,9 @@ class TestSingleProbeBuilder:
             def __getattr__(self, name):
                 return getattr(self.op, name)
 
-            def step(self, w, w_prev, scale, iv):
+            def step(self, w, w_prev, iv):
                 self.seen.append(iv)
-                return self.op.step(w, w_prev, scale, iv)
+                return self.op.step(w, w_prev, iv)
 
         rng = np.random.default_rng(62)
         series = compute_coefficients(np.exp, Interval(0.1, 5.0), degree=20)

@@ -217,6 +217,17 @@ class TestCompletionTraining:
         assert result.test_rmse < result.initial_test_rmse
         assert result.matvecs > 0
 
+    @pytest.mark.parametrize("optimizer, cfg, wanted", [
+        ("svrg", SGDConfig(T=2, M=2, N=4, master_seed=1), "SVRGConfig"),
+        ("sgd", SVRGConfig(S=1, T=2, eta=0.05, M=2, N=4, master_seed=1), "SGDConfig"),
+    ])
+    def test_mismatched_config_is_a_parameter_error(self, optimizer, cfg, wanted):
+        rs, problem = self._fixture()
+        with pytest.raises(ParameterError) as exc:
+            completion_train(problem, rs, cfg, optimizer=optimizer)
+        assert str(exc.value) == (f"optimizer '{optimizer}' takes an {wanted}, "
+                                  f"got an {type(cfg).__name__}")
+
     def test_records_and_budget(self):
         rs, problem = self._fixture(seed=5)
         cfg = SGDConfig(T=20, M=4, N=6, master_seed=7, step_rule="exp_decay",
