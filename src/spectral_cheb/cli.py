@@ -135,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config_file(argv: list[str], parser: argparse.ArgumentParser) -> list[str]:
+def _apply_config_file(argv: list[str]) -> list[str]:
     """Read --config key=value defaults and splice them before the flags."""
     if "--config" not in argv:
         return argv
@@ -361,7 +361,7 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        argv = _apply_config_file(argv, parser)
+        argv = _apply_config_file(argv)
         args = parser.parse_args(argv)
         if args.seed < 0:  # NumPy's SeedSequence takes non-negative ints only
             raise ParameterError(f"--seed must be non-negative, got {args.seed}")

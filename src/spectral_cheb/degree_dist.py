@@ -340,10 +340,9 @@ def sample_degree(dist: DegreeDistribution, rng: np.random.Generator) -> int:
     the prefix end J the geometric tail is inverted in closed form, so
     arbitrarily large degrees are reachable without tabulating them; a
     tabulated law's last survival is 0, so its draws stay in the prefix.
-    Zero-mass atoms below the first degree with mass are never returned.
+    Zero-mass atoms below the first degree with mass are never returned,
+    so a point mass at n returns n.
     """
-    if dist.kind is DistributionKind.DETERMINISTIC:
-        return int(dist.params["n"])
     left = 1.0 - rng.random()
     survival = dist.survival_prefix
     # the survival falls with j, so the entries below left end the prefix

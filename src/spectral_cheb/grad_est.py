@@ -119,8 +119,8 @@ class LowRankPSD:
         theta = np.asarray(self.theta, dtype=float)
         if theta.ndim != 2:
             raise ParameterError(f"factor must be d x r, got shape {theta.shape}")
-        if not self.epsilon > 0:
-            raise ParameterError(f"diagonal shift must be positive, got {self.epsilon}")
+        if not 0 < self.epsilon < np.inf:
+            raise ParameterError(f"epsilon must be positive and finite, got {self.epsilon}")
         object.__setattr__(self, "theta", theta)
 
     @property

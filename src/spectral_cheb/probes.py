@@ -326,11 +326,15 @@ def _probe_columns(dim: int, master_seed: int, eval_index: int,
 
 
 def _thread_count() -> int:
+    """SPECTRAL_CHEB_THREADS, an integer >= 1 when set; 1 when unset."""
     raw = os.environ.get("SPECTRAL_CHEB_THREADS", "1")
     try:
-        return max(1, int(raw))
+        workers = int(raw)
     except ValueError:
-        return 1
+        workers = 0
+    if workers < 1:
+        raise ParameterError(f"SPECTRAL_CHEB_THREADS must be an integer >= 1, got {raw!r}")
+    return workers
 
 
 def _bilinear_block(oracle: MatrixOracle, iv: Interval, coeffs: np.ndarray, n: int,

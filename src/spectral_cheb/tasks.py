@@ -10,12 +10,14 @@ by the unbiased spectral estimator.  Each refresh re-bounds the spectrum
 with certified ends: completion's are eps and eps plus the top eigenvalue
 of the factor's smaller-side Gram matrix, the GP's half the noise floor
 and the kernel's infinity norm.  Both run on NumPy alone: the CG is
-written out here, and the exact NLL takes one Cholesky factor of the
-kernel bordered by y.  GP training builds each iterate's kernel, partials
-and CG solve once, when it moves to the iterate, into the previous
-iterate's buffers.  Both drivers return the optimizer's iteration
-records on their result and take no callback; only completion counts
-matvecs.
+written out here, and the exact NLL builds the kernel into the leading
+block of the matrix bordered by y and takes one Cholesky factor of that.
+The RBF kernel, the one array that forms its exp term, is built in place,
+and the dense partials are taken from it.  GP training builds each
+iterate's kernel, partials and CG solve once, when it moves to the
+iterate, into the previous iterate's buffers.  Both drivers return the
+optimizer's iteration records on their result and take no callback; only
+completion counts matvecs.
 """
 
 from __future__ import annotations
@@ -418,38 +420,35 @@ def completion_rmse(theta: np.ndarray, ratings: RatingSet, train: bool = False) 
 
 def _sq_dists(x: np.ndarray) -> np.ndarray:
     diff = x[:, None, :] - x[None, :, :]
-    return np.sum(diff * diff, axis=-1)
+    diff *= diff
+    return np.sum(diff, axis=-1)
 
 
-def _rbf_exp(sq: np.ndarray, theta: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """exp(-sq / (2 length^2)), written into ``out`` when given."""
-    scaled = np.divide(sq, -(2.0 * theta[2] ** 2), out=out)
-    return np.exp(scaled, out=scaled)
-
-
-def _rbf_kernel(sq: np.ndarray, theta: np.ndarray, exp_term: np.ndarray | None = None,
-                out: np.ndarray | None = None):
-    """RBF kernel from squared distances; ``exp_term`` reuses a computed
-    exp(-sq / (2 length^2)) and ``out`` receives the kernel."""
-    noise, scale, _ = theta
-    if exp_term is None:
-        exp_term = _rbf_exp(sq, theta)
-    kernel = np.multiply(exp_term, scale**2, out=out)
+def _rbf_kernel(sq: np.ndarray, theta: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """RBF kernel scale^2 exp(-sq / (2 length^2)) + noise^2 I from squared
+    distances, formed and scaled in ``out`` when given: the one place the
+    exp term is formed."""
+    noise, scale, length = theta
+    kernel = np.divide(sq, -(2.0 * length**2), out=out)
+    np.exp(kernel, out=kernel)
+    kernel *= scale**2
     kernel.flat[:: sq.shape[0] + 1] += noise**2
     return kernel
 
 
-def _rbf_partials(sq: np.ndarray, theta: np.ndarray, kernel: np.ndarray, exp_term: np.ndarray,
-                  second: np.ndarray | None = None):
-    """Dense dA/dphi_i for phi = log theta and i = 1, 2; dA/dphi_0 is
-    2 noise^2 I.  The first is ``exp_term`` scaled in place; the second,
-    written into ``second`` when given, is kernel * sq / length^2, where
-    sq's zero diagonal drops the noise term."""
+def _rbf_partials(sq: np.ndarray, theta: np.ndarray, kernel: np.ndarray, out=(None, None)):
+    """Dense dA/dphi_i for phi = log theta and i = 1, 2, written into the
+    two arrays of ``out`` when given; dA/dphi_0 is 2 noise^2 I.  The first,
+    2 scale^2 exp(-sq / (2 length^2)), is twice the kernel with 2 scale^2
+    on the diagonal: doubling is exact, so it equals the product bit for
+    bit wherever scale^2 exp is a normal double.  The second is
+    kernel * sq / length^2, where sq's zero diagonal drops the noise term."""
     _, scale, length = theta
-    second = np.divide(sq, length**2, out=second)
+    first = np.multiply(kernel, 2.0, out=out[0])
+    first.flat[:: sq.shape[0] + 1] = 2.0 * scale**2
+    second = np.divide(sq, length**2, out=out[1])
     second *= kernel
-    exp_term *= 2.0 * scale**2
-    return [exp_term, second]
+    return [first, second]
 
 
 @dataclass
@@ -534,7 +533,8 @@ def gp_negloglik(
 ) -> float:
     """Negative log marginal likelihood.
 
-    Exact mode factors the kernel bordered by y,
+    Exact mode builds the kernel into the leading block of its matrix
+    bordered by y and factors that,
     [[A, y], [y^T, 1 + 2 ||y||^2 / theta_1^2]] = L L^T: the first d
     diagonal entries of L give log det A, and its last row, L_A^{-1} y,
     has squared norm y^T A^{-1} y (the corner entry keeps the bordered
@@ -545,12 +545,11 @@ def gp_negloglik(
     theta_1^2 below and the kernel's infinity norm above.
     """
     theta = gp.theta if theta is None else np.asarray(theta, dtype=float)
-    a_mat = gp.kernel(theta)
     d = gp.dim
     const = 0.5 * d * math.log(2.0 * math.pi)
     if mode == "exact":
         bordered = np.empty((d + 1, d + 1))
-        bordered[:d, :d] = a_mat
+        _rbf_kernel(gp.sq_dists, theta, bordered[:d, :d])
         bordered[d, :d] = bordered[:d, d] = gp.y
         bordered[d, d] = 1.0 + 2.0 * float(gp.y @ gp.y) / theta[0] ** 2
         try:
@@ -564,6 +563,7 @@ def gp_negloglik(
         return 0.5 * data_fit + 0.5 * logdet + const
     if mode != "estimate":
         raise ParameterError(f"unknown mode {mode!r}")
+    a_mat = gp.kernel(theta)
     alpha = _cg_solve(a_mat, gp.y)
     expansion = expansion_for(np.log, 0.999 * theta[0] ** 2, certified_ends(a_mat)[1],
                               NLL_MEAN_DEGREE)
@@ -577,19 +577,16 @@ def gp_negloglik(
 
 def _gp_partials_logspace(gp: GPProblem, theta: np.ndarray):
     """Dense dA/dphi_i for phi = log theta."""
-    exp_term = _rbf_exp(gp.sq_dists, theta)
-    kernel = _rbf_kernel(gp.sq_dists, theta, exp_term)
-    return [2.0 * theta[0] ** 2 * np.eye(gp.dim),
-            *_rbf_partials(gp.sq_dists, theta, kernel, exp_term)]
+    kernel = _rbf_kernel(gp.sq_dists, theta)
+    return [2.0 * theta[0] ** 2 * np.eye(gp.dim), *_rbf_partials(gp.sq_dists, theta, kernel)]
 
 
 class _GPIterate:
     """The arrays gp_train needs at one log-parameter iterate, all built at
     construction: the kernel, the partials and the CG solution ``alpha``
-    of the data term.  The exp term is formed in the first partial's
-    buffer, the kernel built from it, and then it is scaled into that
-    partial.  Every gradient step reads all of them; the objective log
-    reads the iterate the next step starts from.
+    of the data term.  The kernel is built in place and both partials are
+    taken from it.  Every gradient step reads all of them; the objective
+    log reads the iterate the next step starts from.
 
     A ``donor`` (the previous iterate) hands over its kernel and partials,
     which this iterate overwrites in place instead of allocating three
@@ -601,14 +598,12 @@ class _GPIterate:
 
     def __init__(self, gp: GPProblem, phi: np.ndarray, donor: _GPIterate | None = None):
         self.theta = np.exp(phi)
-        kernel_out, (first_out, second_out) = None, (None, None)
+        kernel_out, partials_out = None, (None, None)
         if donor is not None:
-            kernel_out, (first_out, second_out) = donor.kernel, donor.partials
+            kernel_out, partials_out = donor.kernel, donor.partials
             del donor.kernel, donor.partials
-        sq = gp.sq_dists
-        exp_term = _rbf_exp(sq, self.theta, first_out)
-        self.kernel = _rbf_kernel(sq, self.theta, exp_term, kernel_out)
-        self.partials = _rbf_partials(sq, self.theta, self.kernel, exp_term, second_out)
+        self.kernel = _rbf_kernel(gp.sq_dists, self.theta, kernel_out)
+        self.partials = _rbf_partials(gp.sq_dists, self.theta, self.kernel, partials_out)
         self.alpha = _cg_solve(self.kernel, gp.y)
 
     def partial_mv(self, i: int, x: np.ndarray) -> np.ndarray:

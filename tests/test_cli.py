@@ -449,6 +449,16 @@ class TestEstimate:
             outputs.append(capsys.readouterr())
         assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
+    @pytest.mark.parametrize("threads", ["abc", "0", "-2"])
+    def test_bad_thread_count_is_config_error(self, tmp_path, capsys, monkeypatch, threads):
+        monkeypatch.setenv("SPECTRAL_CHEB_THREADS", threads)
+        assert main(["estimate", str(write_identity(tmp_path)), "--func", "log", "--a", "0.5",
+                     "--b", "2", "--rho", "1.5", "--dist", "det", "--N", "4", "--M", "4"]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == ("configuration error: SPECTRAL_CHEB_THREADS must be an integer "
+                           f">= 1, got '{threads}'\n")
+
     def test_draw_past_provisional_series_extends_it(self, tmp_path, capsys):
         # the series is first built to degree 4N + 120 = 160
         rng = np.random.default_rng(40)

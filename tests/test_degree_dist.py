@@ -171,9 +171,13 @@ class TestBaselines:
             negbinomial_distribution(15, math.inf)
 
     def test_deterministic(self):
-        dist = deterministic_distribution(7)
-        assert sample_degree(dist, np.random.default_rng(0)) == 7
-        assert dist.mean() == 7.0
+        # inverting the survival, 1 below n and 0 at n, returns n for every u
+        for n in (0, 1, 7):
+            dist = deterministic_distribution(n)
+            assert sample_degree(dist, np.random.default_rng(0)) == n
+            for u in (0.0, 0.5, np.nextafter(1.0, 0.0)):
+                assert sample_degree(dist, _FixedUniform(u)) == n
+            assert dist.mean() == n
 
 
 def _mp_survival(dist, j):

@@ -308,6 +308,13 @@ class TestOracleValidation:
         with pytest.raises(ParameterError, match="finite differences"):
             validate_param_oracle(oracle, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("eps", [0.0, -0.1, math.inf, math.nan])
+    def test_lowrank_shift_must_be_positive_and_finite(self, eps):
+        # an infinite shift built and then failed only at the first estimate
+        with pytest.raises(ParameterError, match=f"epsilon must be positive and finite, "
+                                                 f"got {eps}"):
+            LowRankPSD(np.ones((4, 2)), eps)
+
 
 class TestSharedProbePlan:
     def _lowrank(self):

@@ -32,7 +32,7 @@ from spectral_cheb.degree_dist import (
     poisson_distribution,
     sample_degree,
 )
-from spectral_cheb.exceptions import ParseError
+from spectral_cheb.exceptions import ParameterError, ParseError
 from spectral_cheb.grad_est import LowRankPSD, ParamMatrixOracle
 from spectral_cheb.probes import (
     HEADROOM,
@@ -437,6 +437,18 @@ class TestUnbiasedEstimator:
         monkeypatch.setenv("SPECTRAL_CHEB_THREADS", "8")
         threaded = estimate_spectral_sum_unbiased(oracle, series, dist, ProbePlan(9, 130))
         assert serial == threaded
+
+    @pytest.mark.parametrize("threads", ["abc", "0", "-2", ""])
+    def test_thread_count_must_be_a_positive_integer(self, monkeypatch, threads):
+        # a set value that is not an integer >= 1 is refused, not run on one thread
+        rng = np.random.default_rng(17)
+        _, oracle, iv = spd_oracle(rng, 15)
+        series = compute_coefficients(np.exp, iv, degree=40)
+        monkeypatch.setenv("SPECTRAL_CHEB_THREADS", threads)
+        with pytest.raises(ParameterError, match=f"SPECTRAL_CHEB_THREADS must be an integer "
+                                                 f">= 1, got '{threads}'"):
+            estimate_spectral_sum_unbiased(oracle, series, deterministic_distribution(6),
+                                           ProbePlan(9, 4))
 
     def test_concurrent_callers_share_one_pool(self, monkeypatch):
         import sys

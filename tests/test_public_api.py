@@ -170,3 +170,23 @@ def test_no_unused_top_level_imports():
         unused += [f"{path.relative_to(root)}:{line} {name}"
                    for name, line in bound.items() if name not in read]
     assert unused == []
+
+
+def test_every_parameter_is_read():
+    # every def under src/ reads each of its parameters, in its body or a
+    # nested scope; self, cls and names starting with _ are exempt
+    root = Path(__file__).resolve().parents[1]
+    unread = []
+    for path in sorted((root / "src").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = node.args
+            params = [*args.posonlyargs, *args.args, *args.kwonlyargs,
+                      *filter(None, (args.vararg, args.kwarg))]
+            read = {sub.id for stmt in node.body for sub in ast.walk(stmt)
+                    if isinstance(sub, ast.Name)}
+            unread += [f"{path.relative_to(root)}:{node.lineno} {node.name}({arg.arg})"
+                       for arg in params if arg.arg not in ("self", "cls")
+                       and not arg.arg.startswith("_") and arg.arg not in read]
+    assert unread == []

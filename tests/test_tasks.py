@@ -324,6 +324,27 @@ class TestGPNegLogLik:
                     + float(np.sum(np.log(np.diag(chol)))) + 150 * math.log(2 * math.pi))
             assert gp_negloglik(gp, np.array(theta)) == pytest.approx(want, rel=1e-12, abs=0)
 
+    def test_kernel_and_exact_nll_form_each_array_once(self):
+        # gp.kernel() allocates the kernel alone; the exact NLL builds it into
+        # the bordered matrix, so that and its Cholesky factor are all it holds
+        import tracemalloc
+
+        d = 200
+        x, y = synthetic_gp_data(d, [0.3, 1.2, 0.8], seed=11)
+        gp = GPProblem(x, y, np.array([0.3, 1.2, 0.8]))
+
+        def peak_bytes(call):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                call()
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        assert peak_bytes(gp.kernel) <= 1.1 * d * d * 8
+        assert peak_bytes(lambda: gp_negloglik(gp)) <= 2.1 * (d + 1) ** 2 * 8
+
     def test_non_pd_kernel_message(self):
         x = np.zeros((5, 1))  # duplicate inputs, zero noise floor
         gp = GPProblem(x, np.ones(5), np.array([1e-12, 1.0, 1.0]))
@@ -465,6 +486,24 @@ class TestGPTraining:
         for i, partial in enumerate(tasks_module._gp_partials_logspace(gp, last.theta)):
             np.testing.assert_allclose(last.partial_mv(i, probe), partial @ probe,
                                        rtol=1e-14, atol=0)
+
+    def test_partials_equal_their_closed_forms(self):
+        import spectral_cheb.tasks as tasks_module
+
+        x, y = synthetic_gp_data(30, [0.4, 1.0, 0.8], seed=11)
+        gp = GPProblem(x, y, np.array([0.5, 0.8, 1.0]))
+        first = tasks_module._GPIterate(gp, np.log(gp.theta))
+        built = [(first.theta, first.kernel.copy(), [p.copy() for p in first.partials])]
+        donee = tasks_module._GPIterate(gp, np.log([0.4, 1.1, 0.9]), first)
+        built.append((donee.theta, donee.kernel, donee.partials))
+        for theta, kernel, partials in built:
+            noise, scale, length = theta
+            exp_term = np.exp(-gp.sq_dists / (2.0 * length**2))
+            # no subnormal entry, where doubling scale^2 exp would round twice
+            assert (scale**2 * exp_term).min() >= np.finfo(float).tiny
+            np.testing.assert_array_equal(kernel, scale**2 * exp_term + noise**2 * np.eye(30))
+            np.testing.assert_array_equal(partials[0], 2.0 * scale**2 * exp_term)
+            np.testing.assert_array_equal(partials[1], gp.sq_dists / length**2 * kernel)
 
     def test_curve_reproducible(self):
         x, y = synthetic_gp_data(30, [0.4, 1.0, 0.8], seed=11)
