@@ -7,12 +7,16 @@ diverges),
 ``estimate`` runs one unbiased spectral-sum estimate on a matrix file,
 and ``mc-train`` / ``gp-train`` drive the optimization tasks; the two
 share one check of --train/--out and one writer of the metrics CSV,
-``<out>.trajectory.csv`` and ``<out>.theta.txt``.  --dist passes its
-name (opt, pois, neg, neg(r), det) to ``degree_dist``, which parses it;
-``estimate --dist det`` truncates at the degree --N.  A flat key=value
-config file supplies defaults; flags override it.  Every CSV
+``<out>.trajectory.csv`` and ``<out>.theta.txt``.  The ``mc-train``
+metrics CSV has a row per iteration, the ``gp-train`` one a row at each
+exact-NLL checkpoint (iterations 0, 10, 20, ... and the last).  --dist
+passes its name (opt, pois, neg, neg(r), det) to ``degree_dist``, which
+parses it; ``estimate --dist det`` truncates at the degree --N.  A flat
+key=value config file supplies defaults; flags override it.  Every CSV
 output is byte-stable for a fixed --seed (timing columns are zeroed;
-measured times go to stderr).
+measured times go to stderr); the ``gp-train`` metrics CSV only at a
+fixed BLAS thread count, as its exact NLL's Cholesky factor rounds
+differently with BLAS threads.
 
 Exit codes: 1 configuration error, 2 data error, 3 numeric failure.
 """
@@ -284,13 +288,13 @@ def _check_training_args(args) -> None:
                              "--step")
 
 
-def _write_training_outputs(out, records, metrics, theta) -> None:
-    """The metrics CSV at ``out`` (one row per record: its objective
-    estimate and the task's metric), ``<out>.trajectory.csv`` and
-    ``<out>.theta.txt``."""
+def _write_training_outputs(out, records, rows, theta) -> None:
+    """The metrics CSV at ``out`` (one row per ``(i, metric)`` of ``rows``:
+    record i's objective estimate and the task's metric after its step),
+    ``<out>.trajectory.csv`` (every record) and ``<out>.theta.txt``."""
     lines = ["iter,objective,rmse_or_nll,wallclock_ms"]
-    for i, (rec, metric) in enumerate(zip(records, metrics)):
-        lines.append(f"{i},{rec.objective_estimate!r},{float(metric)!r},0")
+    for i, metric in rows:
+        lines.append(f"{i},{records[i].objective_estimate!r},{float(metric)!r},0")
     Path(out).write_text("\n".join(lines) + "\n")
     with open(Path(out).with_suffix(".trajectory.csv"), "w") as fh:
         write_trajectory_csv(records, fh)
@@ -316,7 +320,7 @@ def cmd_mc_train(args) -> int:
     result = completion_train(problem, ratings, cfg, optimizer=args.optimizer,
                               dist_kind=args.dist, svd_rank=args.rank)
     rmse = [completion_rmse(rec.theta, ratings, train=False) for rec in result.records]
-    _write_training_outputs(args.out, result.records, rmse, result.theta)
+    _write_training_outputs(args.out, result.records, enumerate(rmse), result.theta)
     elapsed = time.perf_counter() - started
     print(
         f"{args.optimizer}: test RMSE {result.test_rmse:.6g} "
@@ -339,7 +343,9 @@ def cmd_gp_train(args) -> int:
                     master_seed=args.seed, step_rule="exp_decay",
                     step0=args.step, decay=args.step_decay)
     result = gp_train(gp, cfg)
-    _write_training_outputs(args.out, result.records, result.nll_curve[1:], result.theta)
+    # the exact NLL exists at the checkpoints only; iterate k follows record k - 1
+    rows = zip([k - 1 for k in result.nll_iters[1:]], result.nll_curve[1:])
+    _write_training_outputs(args.out, result.records, rows, result.theta)
     elapsed = time.perf_counter() - started
     print(
         f"sgd: NLL {result.nll_curve[-1]:.6g} (initial {result.nll_curve[0]:.6g}), "

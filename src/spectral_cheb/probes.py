@@ -387,17 +387,16 @@ def _pool(workers: int) -> ThreadPoolExecutor:
         return pool
 
 
-def _map_probe_chunks(plan: ProbePlan, dim: int, block_fn) -> list:
+def _map_probe_chunks(plan: ProbePlan, dim: int, block_fn, workers: int) -> list:
     """``block_fn(probes, start)`` on each fixed chunk of the plan's probes,
-    results in chunk order; chunk boundaries are fixed so the reduction
-    order is independent of the worker count.  Chunks of fewer than
-    ``_MIN_THREADED_ENTRIES`` entries run inline."""
+    results in chunk order, on up to ``workers`` threads; chunk boundaries
+    are fixed so the reduction order is independent of the worker count.
+    Chunks of fewer than ``_MIN_THREADED_ENTRIES`` entries run inline."""
     starts = range(0, plan.M, _CHUNK)
 
     def run(start: int):
         return block_fn(plan.probes(dim, start, min(start + _CHUNK, plan.M)), start)
 
-    workers = _thread_count()
     if workers > 1 and plan.M > _CHUNK and dim * _CHUNK >= _MIN_THREADED_ENTRIES:
         return list(_pool(workers).map(run, starts))
     return [run(s) for s in starts]
@@ -421,8 +420,10 @@ def _evaluate(kernel, op, series: ChebSeries, plan: ProbePlan,
     use) and the coefficients are re-weighted for it; without, the plain
     series is truncated at the given n, leaving the plan's degree alone.
     A degree-0 draw returns ``zero`` when one is given, without building
-    probes or touching the oracle.
+    probes or touching the oracle; SPECTRAL_CHEB_THREADS is read first,
+    so a bad value fails every evaluation alike.
     """
+    workers = _thread_count()
     if dist is None:
         if n < 0 or n > series.degree:
             raise ParameterError(f"degree {n} outside stored series degree {series.degree}")
@@ -433,7 +434,7 @@ def _evaluate(kernel, op, series: ChebSeries, plan: ProbePlan,
             return zero
         coeffs = weighted_coefficients(series, dist, n)
     rows = _map_probe_chunks(plan, op.dim, lambda probes, start: _finite(
-        kernel(op, series.interval, coeffs, n, probes), start, n))
+        kernel(op, series.interval, coeffs, n, probes), start, n), workers)
     return np.concatenate(rows).mean(axis=0)
 
 

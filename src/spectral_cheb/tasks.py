@@ -11,7 +11,8 @@ with certified ends: completion's are eps and eps plus the top eigenvalue
 of the factor's smaller-side Gram matrix, the GP's half the noise floor
 and the kernel's infinity norm.  Both run on NumPy alone: the CG is
 written out here, and the exact NLL builds the kernel into the leading
-block of the matrix bordered by y and takes one Cholesky factor of that.
+block of the matrix bordered by y and takes one Cholesky factor of that;
+GP training takes it only at checkpoints of its trajectory.
 The RBF kernel, the one array that forms its exp term, is built in place,
 and the dense partials are taken from it.  GP training builds each
 iterate's kernel, partials and CG solve once, when it moves to the
@@ -32,6 +33,7 @@ import numpy as np
 from .exceptions import ConvergenceError, ParameterError, ParseError
 from .grad_est import LowRankPSD, ParamMatrixOracle
 from .optimize import (
+    REFRESH_EVERY,
     IterationRecord,
     Objective,
     SGDConfig,
@@ -489,9 +491,15 @@ class GPProblem:
 
 @dataclass
 class GPResult:
+    """The learned hyperparameters, the optimizer's records, and the exact
+    NLL ``nll_curve[k]`` at trajectory iterate ``nll_iters[k]``: iterate 0,
+    the post-step iterate of every record whose iteration
+    ``optimize.REFRESH_EVERY`` divides, and the last iterate."""
+
     theta: np.ndarray
     records: list[IterationRecord]
     nll_curve: np.ndarray
+    nll_iters: list[int]
 
 
 def _cg_solve(a_mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -661,6 +669,11 @@ def gp_train(
     feasible set is a box of half-width ``log_halfwidth`` around the
     starting point, which keeps the spectrum boundable between the interval
     refreshes, every ``optimize.REFRESH_EVERY`` iterations.
+
+    The exact NLL, one O(d^3) Cholesky factor each, is taken after the run
+    at checkpoints only (``GPResult.nll_iters``): the start, the iterate
+    after each refresh step (iterations 0, 10, 20, ...) and the end, 12
+    factors at T = 100 rather than 101.
     """
     current: dict = {"key": None}
 
@@ -696,5 +709,7 @@ def gp_train(
     records: list[IterationRecord] = []
     trajectory = sgd_run(obj, phi0, cfg, callback=records.append)
     current.clear()  # the last iterate's arrays go before the exact curve factors
-    nll_curve = np.array([gp_negloglik(gp, np.exp(phi)) for phi in trajectory])
-    return GPResult(theta=np.exp(trajectory[-1]), records=records, nll_curve=nll_curve)
+    nll_iters = sorted({0, *range(1, cfg.T + 1, REFRESH_EVERY), cfg.T})
+    nll_curve = np.array([gp_negloglik(gp, np.exp(trajectory[k])) for k in nll_iters])
+    return GPResult(theta=np.exp(trajectory[-1]), records=records, nll_curve=nll_curve,
+                    nll_iters=nll_iters)

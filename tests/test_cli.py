@@ -760,6 +760,21 @@ class TestGpTrain:
         assert theta.shape == (3,)
         assert np.all(theta > 0)
 
+    def test_metrics_rows_at_checkpoints_only(self, tmp_path):
+        # gp-train writes a row where it takes the exact NLL; mc-train writes every row
+        iters = {}
+        for command, train in (("gp-train", FIXTURE_GP), ("mc-train", FIXTURE_RATINGS)):
+            out = tmp_path / f"{command}.csv"
+            assert main([command, "--train", train, "--seed", "5", "--epochs", "1",
+                         "--inner-iters", "25", "--step", "3e-4", "--M", "4", "--N", "8",
+                         "--out", str(out)]) == 0
+            lines = out.read_text().strip().split("\n")
+            assert lines[0] == "iter,objective,rmse_or_nll,wallclock_ms"
+            iters[command] = [int(line.split(",")[0]) for line in lines[1:]]
+            traj = out.with_suffix(".trajectory.csv").read_text().strip().split("\n")
+            assert len(traj) == 26
+        assert iters == {"gp-train": [0, 10, 20, 24], "mc-train": list(range(25))}
+
     def test_missing_data_exit_2(self, tmp_path):
         assert main(["gp-train", "--train", "/nope.csv", "--out", str(tmp_path / "g.csv")]) == 2
 

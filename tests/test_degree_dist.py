@@ -247,6 +247,15 @@ class TestSurvivalProperties:
         below = 1.0 - (surv[n - 1] if n >= 1 else 1.0)  # P(degree < n)
         assert below - 1e-13 <= u <= 1.0 - surv[n] + 1e-13
 
+    def test_stored_tail_gives_every_length_the_closed_form_bits(self):
+        dist = optimal_distribution(1.0247, 15)
+        j_end = dist.pmf_prefix.size - 1
+        c = dist.tail_ratio
+        for upto in (j_end + 1, j_end + 40, j_end + 3, j_end + 700, j_end + 41, j_end + 699):
+            powers = c ** np.arange(2, upto - j_end + 2, dtype=float)
+            want = np.append(dist.survival_prefix, dist.pmf_prefix[-1] * powers / (1.0 - c))
+            assert dist.survival_array(upto).tobytes() == want.tobytes(), upto
+
     def test_denominators_deep_in_the_tail(self):
         # the GP start point's distribution: survival 9.4e-12 at j = 999,
         # where 1 - S_j has lost five digits to cancellation

@@ -370,6 +370,19 @@ class TestSharedProbePlan:
             values.append(grad_estimate_lowrank(lr, series, dist, ProbePlan(9, 70, degree=9)))
         assert values[0].tobytes() == values[1].tobytes()
 
+    def test_degree_zero_still_reads_the_thread_count(self, monkeypatch):
+        # the degree-0 shortcut must not skip the check a value estimate makes
+        lr, series, _ = self._lowrank()
+        pm, pm_series, _ = self._generic()
+        point_mass = deterministic_distribution(0)
+        monkeypatch.setenv("SPECTRAL_CHEB_THREADS", "abc")
+        for call in (lambda: grad_estimate_lowrank(lr, series, point_mass, ProbePlan(5, 8)),
+                     lambda: grad_estimate_generic(pm, pm_series, point_mass, ProbePlan(5, 8)),
+                     lambda: estimate_spectral_sum_unbiased(lr, series, point_mass,
+                                                            ProbePlan(5, 8))):
+            with pytest.raises(ParameterError, match="SPECTRAL_CHEB_THREADS must be an integer"):
+                call()
+
 
 class TestAdjointKernel:
     """The single reverse-mode kernel behind every gradient path."""

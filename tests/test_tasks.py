@@ -505,6 +505,30 @@ class TestGPTraining:
             np.testing.assert_array_equal(partials[0], 2.0 * scale**2 * exp_term)
             np.testing.assert_array_equal(partials[1], gp.sq_dists / length**2 * kernel)
 
+    @pytest.mark.parametrize("T, want", [
+        (1, [0, 1]),
+        (12, [0, 1, 11, 12]),
+        (100, [0, *range(1, 92, 10), 100]),
+    ])
+    def test_exact_nll_at_checkpoints_only(self, monkeypatch, T, want):
+        import spectral_cheb.tasks as tasks_module
+
+        x, y = synthetic_gp_data(30, [0.4, 1.0, 0.8], seed=11)
+        gp = GPProblem(x, y, np.array([0.5, 0.8, 1.0]))
+        calls = []
+        real_nll = tasks_module.gp_negloglik
+        monkeypatch.setattr(tasks_module, "gp_negloglik", lambda *args, **kwargs: (
+            calls.append(1) or real_nll(*args, **kwargs)))
+        cfg = SGDConfig(T=T, M=2, N=4, master_seed=13, step_rule="exp_decay", step0=2e-3,
+                        log_objective=False)
+        result = gp_train(gp, cfg)
+        assert result.nll_iters == want
+        assert len(calls) == len(result.nll_curve) == len(want)
+        # iterate k >= 1 is record k - 1's post-step point
+        trajectory = [np.log(gp.theta)] + [rec.theta for rec in result.records]
+        for k, nll in zip(result.nll_iters, result.nll_curve):
+            assert nll == real_nll(gp, np.exp(trajectory[k])), k
+
     def test_curve_reproducible(self):
         x, y = synthetic_gp_data(30, [0.4, 1.0, 0.8], seed=11)
         gp = GPProblem(x, y, np.array([0.5, 0.8, 1.0]))
