@@ -290,7 +290,8 @@ def _check_training_args(args) -> None:
 
 def _write_training_outputs(out, records, rows, theta) -> None:
     """The metrics CSV at ``out`` (one row per ``(i, metric)`` of ``rows``:
-    record i's objective estimate and the task's metric after its step),
+    record i's objective estimate, at the iterate step i started from, and
+    the task's metric after the step),
     ``<out>.trajectory.csv`` (every record) and ``<out>.theta.txt``."""
     lines = ["iter,objective,rmse_or_nll,wallclock_ms"]
     for i, metric in rows:

@@ -25,12 +25,17 @@ a_{j+1} (w_j^T theta)), both halves of the symmetric part, without
 touching a d x d matrix.  Every coordinate shares the plan's degree and
 probe set, which is what the variance reduction downstream relies on;
 the estimators run the kernel through the drivers in ``probes`` and
-return the gradient array, the drawn degree staying on the plan.
+return the gradient array, the drawn degree staying on the plan.  Asked
+for it, the same pass also returns each probe's value v^T p_hat_n(B) v,
+one contraction per block of the direct terms the backward pass builds:
+the unbiased value the optimizers log, for no matvec beyond the step to
+w_1 at n = 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -172,30 +177,34 @@ def _sum_prime_weights(count: int) -> np.ndarray:
 
 
 def _adjoint_block(op, iv: Interval, bhat: np.ndarray, n: int,
-                   probes: np.ndarray) -> np.ndarray:
+                   probes: np.ndarray, value: bool = False):
     """Gradient of v^T p_hat_n(B) v for each column v of a (d, m) probe
     block, n >= 1, B mapped onto iv: one row per column, shaped by the
-    oracle's ``contract``.
+    oracle's ``contract``; with ``value``, the pair (rows, per-column
+    values v^T p_hat_n(B) v).
 
     The reverse-mode derivative of the moment-doubled value of
     ``probes._bilinear_block``, const + (c_1 - sum_{odd k>=3} c_k) v^T w_1
     + sum_{j>=1} (2 c_{2j} w_j^T w_j + 2 c_{2j+1} w_{j+1}^T w_j) in
-    w_j = T_j(B) v, c = bhat.  With J = ceil(n/2), the forward pass
-    stores w_0..w_J (w_0 alone at n = 1, whose value needs no w_1); the
-    backward pass forms the adjoints a_j = g_j + 2 B a_{j+1} - a_{j+2}
-    from j = J down to 1, g_j the direct terms 4 c_{2j} w_j +
-    2 c_{2j+1} w_{j+1} + 2 c_{2j-1} w_{j-1}, with (c_1 - sum_{odd k>=3} c_k)
-    in place of 2 c_1 at j = 1.  Each block of ``_DEGREE_BLOCK`` adjoints
-    starts from its direct terms, built with one array operation per
-    neighbour, and is contracted as soon as the pass completes it: the
-    gradient is (2/(b-a)) sum_{j<J}' a_{j+1}^T dA w_j.
+    w_j = T_j(B) v, c = bhat, const = (c_0 - sum_{j>=1} c_{2j}) v^T v.
+    With J = ceil(n/2), the forward pass stores w_0..w_J (w_0 alone at
+    n = 1 without ``value``, as the gradient needs no w_1); the backward
+    pass forms the adjoints a_j = g_j + 2 B a_{j+1} - a_{j+2} from j = J
+    down to 1, g_j the direct terms 4 c_{2j} w_j + 2 c_{2j+1} w_{j+1} +
+    2 c_{2j-1} w_{j-1}, with (c_1 - sum_{odd k>=3} c_k) in place of 2 c_1
+    at j = 1.  Each block of ``_DEGREE_BLOCK`` adjoints starts from its
+    direct terms, built with one array operation per neighbour, and is
+    contracted as soon as the pass completes it: the gradient is
+    (2/(b-a)) sum_{j<J}' a_{j+1}^T dA w_j.  The value is const +
+    (1/2)(c_1 - sum_{odd k>=3} c_k) v^T w_1 + (1/2) sum_j w_j^T g_j, one
+    contraction per block of direct terms.
 
-    2J - 1 matvecs of A per column (0 at n = 1) and J partial matvecs
-    per coordinate, whatever the oracle.
+    2J - 1 matvecs of A per column (0 at n = 1, 1 with ``value``) and J
+    partial matvecs per coordinate, whatever the oracle.
     """
     d, m = probes.shape
     half = (n + 1) // 2
-    stored = half + 1 if n >= 2 else 1
+    stored = half + 1 if n >= 2 or value else 1
     c = np.zeros(2 * half + 2)
     c[: n + 1] = bhat[: n + 1]
     # direct-term weights of w_{j-1}, w_j and w_{j+1} in g_j, j = 1..J
@@ -218,6 +227,9 @@ def _adjoint_block(op, iv: Interval, bhat: np.ndarray, n: int,
         if j == 1:
             cur *= 0.5  # w_1 = B v, half the first step 2B v
         w[:, j] = cur.T
+    if value:
+        values = (c[0] - c[2::2].sum()) * np.einsum("dk,dk->k", probes, probes)
+        values += 0.5 * lower[0, 0] * np.einsum("kd,kd->k", w[:, 0], w[:, 1])
     weights = _sum_prime_weights(half) * (2.0 / iv.width)
     acc = 0.0
     a_next, a_after = None, None  # a_{j+1}, a_{j+2}
@@ -227,6 +239,8 @@ def _adjoint_block(op, iv: Interval, bhat: np.ndarray, n: int,
         a = w[:, low - 1 : top] * lower[low - 1 : top]
         a += w[:, low : top + 1] * centre[low - 1 : top]
         a += w[:, low + 1 : top + 2] * upper[low - 1 : top]
+        if value:
+            values += 0.5 * np.einsum("kjd,kjd->k", w[:, low : top + 1], a)
         for j in range(top, low - 1, -1):
             if a_next is None:
                 a_j = a[:, j - low].T.copy()
@@ -237,7 +251,21 @@ def _adjoint_block(op, iv: Interval, bhat: np.ndarray, n: int,
                 a[:, j - low] = a_j.T
             a_next, a_after = a_j, a_next
         acc = acc + op.contract(w[:, low - 1 : top], a, weights[low - 1 : top])
-    return acc
+    return (acc, values) if value else acc
+
+
+def _estimate(op, series: ChebSeries, dist: DegreeDistribution, plan: ProbePlan,
+              value: bool = False):
+    """The gradient estimate on ``plan``, or with ``value`` the pair
+    (gradient, unbiased estimate of tr f(A)) from the same pass, the
+    gradient the same bits.  A degree-0 draw builds no probes: the
+    gradient is exact zeros and the value b_0 d, as v^T v = d for every
+    Rademacher probe."""
+    zero = np.zeros(op.grad_shape)
+    if not value:
+        return _evaluate(_adjoint_block, op, series, plan, dist, zero=zero)
+    return _evaluate(partial(_adjoint_block, value=True), op, series, plan, dist,
+                     zero=(zero, series.coeffs[0] * op.dim))
 
 
 def grad_estimate_generic(
@@ -255,7 +283,7 @@ def grad_estimate_generic(
     coordinate for each probe.  A degree-0 draw returns exact zeros
     without building probes or touching the oracle.
     """
-    return _evaluate(_adjoint_block, pm, series, plan, dist, zero=np.zeros(pm.grad_shape))
+    return _estimate(pm, series, dist, plan)
 
 
 def grad_estimate_lowrank(
@@ -269,7 +297,7 @@ def grad_estimate_lowrank(
     parameterization but costs O(M n d r) with no d x d work.  Per-probe
     values are averaged in probe order whatever the thread count; a
     degree-0 draw returns exact zeros without building probes."""
-    return _evaluate(_adjoint_block, lr, series, plan, dist, zero=np.zeros(lr.grad_shape))
+    return _estimate(lr, series, dist, plan)
 
 
 def sample_spectral_grads(

@@ -9,8 +9,11 @@ the series and the degree distribution, refreshed on a schedule, not per
 sample; each step's ``ProbePlan`` owns its degree and probes, and the
 drivers read the drawn degree back from the plan they built.  Both
 drivers take their steps through one step body: it checks the direction,
-projects, checks the iterate and builds the step's ``IterationRecord``
-with its objective-log value.
+projects, checks the iterate and builds the step's ``IterationRecord``.
+The record's objective is g(theta_t) plus the unbiased spectral value
+that the step's own gradient pass reads off at theta_t, the iterate the
+step started from: logging costs no recurrence and no probes of its own,
+and a run that logs nothing computes no value.
 """
 
 from __future__ import annotations
@@ -26,10 +29,9 @@ from .exceptions import NumericError, ParameterError
 from .grad_est import (
     LowRankPSD,
     ParamMatrixOracle,
-    grad_estimate_generic,
-    grad_estimate_lowrank,
+    _estimate,
 )
-from .probes import Expansion, ProbePlan, estimate_spectral_sum_fixed
+from .probes import Expansion, ProbePlan
 
 __all__ = [
     "SpectralModel",
@@ -79,21 +81,24 @@ class SpectralModel:
         it already holds one, so a plan shared with an earlier estimate
         (SVRG's anchor) reuses that estimate's degree and probe block.
         """
+        return self._sample(theta, plan, value=False)
+
+    def _sample(self, theta: np.ndarray, plan: ProbePlan, value: bool):
+        """``grad_sample``'s gradient, or with ``value`` the pair (gradient,
+        unbiased estimate of tr f(A(theta))) from the same pass."""
         degree = plan.draw_degree(self.expansion.dist)
         if degree > self.expansion.series.degree:
             # geometric tails occasionally out-draw the stored expansion
             self.extend_series(degree)
-        oracle = self.oracle_at(theta)
-        series, dist = self.expansion.series, self.expansion.dist
-        if isinstance(oracle, LowRankPSD):
-            return grad_estimate_lowrank(oracle, series, dist, plan)
-        return grad_estimate_generic(oracle, series, dist, plan)
+        return _estimate(self.oracle_at(theta), self.expansion.series, self.expansion.dist,
+                         plan, value)
 
-    def objective_estimate(self, theta: np.ndarray, plan: ProbePlan, degree: int) -> float:
-        """Fixed-degree estimate of tr f(A(theta)) on ``plan``'s probes."""
-        series = self.expansion.series
-        return estimate_spectral_sum_fixed(self.oracle_at(theta), series,
-                                           min(degree, series.degree), plan)
+    def objective_estimate(self, theta: np.ndarray, plan: ProbePlan) -> float:
+        """Unbiased estimate of tr f(A(theta)) on ``plan``'s degree and
+        probes, the value a logged step reads off its own gradient pass.
+        No package path calls it: it stays only because the benchmark's
+        tracer (``bench/tracer.py``) binds it by name."""
+        return float(self._sample(theta, plan, value=True)[1])
 
 
 @dataclass
@@ -150,6 +155,10 @@ class SVRGConfig:
 
 @dataclass
 class IterationRecord:
+    """One step: ``theta`` is the iterate it ended at, and
+    ``objective_estimate`` is g plus the spectral value at the iterate it
+    started from (nan when the run does not log the objective)."""
+
     phase: str
     epoch: int
     iteration: int
@@ -182,37 +191,41 @@ def _step_body(
     cfg: SGDConfig | SVRGConfig,
     phase: str,
     callback: Callable[[IterationRecord], None] | None,
-) -> Callable[[np.ndarray, float, np.ndarray, int, int, int], np.ndarray]:
-    """The projected step both optimizers take.
+):
+    """The current evaluation and the projected step both optimizers take.
 
-    ``step(theta, rate, direction, epoch, t, degree)`` checks the
-    direction, projects ``theta - rate * direction``, checks the iterate
-    and, when there is a callback, hands it the step's record.  Its
-    objective estimate runs on the one probe plan of the run's log, seeded
-    by ``cfg.master_seed + 0x5EED``.  Errors name the iteration, and under
-    SVRG the epoch too.
+    ``sample(theta, plan)`` is a step's own spectral evaluation at theta:
+    the gradient paired with its unbiased value when the run logs the
+    objective (a callback and ``cfg.log_objective``), with nan otherwise,
+    computing no value.  ``step(theta, rate, direction, epoch, t, degree,
+    value)`` checks the direction, projects ``theta - rate * direction``,
+    checks the iterate and, when there is a callback, hands it the step's
+    record, whose objective is g(theta) + value at the theta it was
+    given.  Errors name the iteration, and under SVRG the epoch too.
     """
-    log_plan = ProbePlan(cfg.master_seed + 0x5EED, cfg.M)
+    logged = callback is not None and cfg.log_objective
     start = time.perf_counter()
 
-    def step(theta, rate, direction, epoch, t, degree):
+    def sample(theta, plan):
+        if logged:
+            return obj.spectral._sample(theta, plan, value=True)
+        return obj.spectral.grad_sample(theta, plan), math.nan
+
+    def step(theta, rate, direction, epoch, t, degree, value):
         where = f"iteration {t}" if phase == "sgd" else f"epoch {epoch}, iteration {t}"
         if not np.isfinite(direction).all():
             raise NumericError(f"non-finite gradient at {where}")
+        objective = float(obj.g_value(theta)) + float(value) if logged else math.nan
         theta = obj.projection(theta - rate * direction)
         if not np.isfinite(theta).all():
             raise NumericError(f"non-finite iterate at {where}")
         if callback is not None:
-            objective = float("nan")
-            if cfg.log_objective:
-                objective = float(obj.g_value(theta))
-                objective += obj.spectral.objective_estimate(theta, log_plan, cfg.N)
             callback(IterationRecord(phase, epoch, t, theta.copy(), degree, objective,
                                      float(np.linalg.norm(direction)),
                                      (time.perf_counter() - start) * 1e3))
         return theta
 
-    return step
+    return sample, step
 
 
 def sgd_run(
@@ -231,12 +244,13 @@ def sgd_run(
     seeds = _iteration_seeds(cfg.master_seed, cfg.T)
     trajectory = np.empty((cfg.T + 1,) + theta.shape)
     trajectory[0] = theta
-    step = _step_body(obj, cfg, "sgd", callback)
+    sample, step = _step_body(obj, cfg, "sgd", callback)
     for t in range(cfg.T):
         obj.spectral.ensure(theta, t, cfg.N)
         plan = ProbePlan(int(seeds[t]), cfg.M)
-        psi = obj.spectral.grad_sample(theta, plan)
-        theta = step(theta, _step_size(cfg, t), psi + obj.g_grad(theta), 0, t, plan.degree)
+        psi, value = sample(theta, plan)
+        theta = step(theta, _step_size(cfg, t), psi + obj.g_grad(theta), 0, t, plan.degree,
+                     value)
         trajectory[t + 1] = theta
     return trajectory
 
@@ -254,15 +268,16 @@ def svrg_run(
     gradient; every inner step draws one probe set and one degree and
     evaluates the estimator at both the current iterate and the anchor
     with that identical randomness, the anchor running on the current
-    evaluation's plan.  The epoch output is the average of the inner
-    iterates.  The expansion is refreshed at each epoch's anchor.  Returns
-    the anchors theta_tilde^(0..S).
+    evaluation's plan.  A logged step's value is the current evaluation's;
+    the anchor's computes none.  The epoch output is the average of the
+    inner iterates.  The expansion is refreshed at each epoch's anchor.
+    Returns the anchors theta_tilde^(0..S).
     """
     theta_tilde = np.asarray(theta0, dtype=float).copy()
     anchors = np.empty((cfg.S + 1,) + theta_tilde.shape)
     anchors[0] = theta_tilde
     seeds = _iteration_seeds(cfg.master_seed, cfg.S * cfg.T)
-    step = _step_body(obj, cfg, "svrg", callback)
+    sample, step = _step_body(obj, cfg, "svrg", callback)
     for s in range(1, cfg.S + 1):
         obj.spectral.ensure(theta_tilde, 0, cfg.N)
         mu = np.asarray(exact_grad(theta_tilde), dtype=float)
@@ -270,9 +285,10 @@ def svrg_run(
         inner_sum = np.zeros_like(theta)
         for t in range(cfg.T):
             plan = ProbePlan(int(seeds[(s - 1) * cfg.T + t]), cfg.M)
-            correction = (obj.spectral.grad_sample(theta, plan)
-                          - obj.spectral.grad_sample(theta_tilde, plan))
-            theta = step(theta, cfg.eta, correction + mu + obj.g_grad(theta), s, t, plan.degree)
+            current, value = sample(theta, plan)
+            correction = current - obj.spectral.grad_sample(theta_tilde, plan)
+            theta = step(theta, cfg.eta, correction + mu + obj.g_grad(theta), s, t, plan.degree,
+                         value)
             inner_sum += theta
         theta_tilde = inner_sum / cfg.T
         anchors[s] = theta_tilde

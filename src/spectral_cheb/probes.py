@@ -402,9 +402,13 @@ def _map_probe_chunks(plan: ProbePlan, dim: int, block_fn, workers: int) -> list
     return [run(s) for s in starts]
 
 
-def _finite(rows: np.ndarray, start: int, n: int) -> np.ndarray:
-    if not np.all(np.isfinite(rows)):
-        raise NumericError(f"non-finite estimate in probe block starting at {start}, degree {n}")
+def _finite(rows, start: int, n: int):
+    """``rows``, a kernel's per-column array or tuple of arrays, once all
+    of it is finite."""
+    for part in rows if isinstance(rows, tuple) else (rows,):
+        if not np.all(np.isfinite(part)):
+            raise NumericError(
+                f"non-finite estimate in probe block starting at {start}, degree {n}")
     return rows
 
 
@@ -412,8 +416,9 @@ def _evaluate(kernel, op, series: ChebSeries, plan: ProbePlan,
               dist: DegreeDistribution | None = None, n: int | None = None, zero=None):
     """One evaluation: the mean over the plan's probes of the rows
     ``kernel(op, series.interval, coeffs, n, probes)``, (m,) + shape for a
-    (d, m) block; the kernels are ``_bilinear_block`` and
-    ``grad_est._adjoint_block``, and the series' interval is the only one
+    (d, m) block, or of each array when the kernel returns a tuple of
+    them; the kernels are ``_bilinear_block`` and ``grad_est._adjoint_block``
+    (with its values or without), and the series' interval is the only one
     their steps see.
 
     With ``dist``, n is the plan's degree (drawn from ``dist`` on first
@@ -435,6 +440,8 @@ def _evaluate(kernel, op, series: ChebSeries, plan: ProbePlan,
         coeffs = weighted_coefficients(series, dist, n)
     rows = _map_probe_chunks(plan, op.dim, lambda probes, start: _finite(
         kernel(op, series.interval, coeffs, n, probes), start, n), workers)
+    if isinstance(rows[0], tuple):
+        return tuple(np.concatenate(part).mean(axis=0) for part in zip(*rows))
     return np.concatenate(rows).mean(axis=0)
 
 

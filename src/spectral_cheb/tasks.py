@@ -593,8 +593,8 @@ class _GPIterate:
     """The arrays gp_train needs at one log-parameter iterate, all built at
     construction: the kernel, the partials and the CG solution ``alpha``
     of the data term.  The kernel is built in place and both partials are
-    taken from it.  Every gradient step reads all of them; the objective
-    log reads the iterate the next step starts from.
+    taken from it.  Every gradient step reads all of them, and the
+    objective log reads ``alpha`` at the iterate the step starts from.
 
     A ``donor`` (the previous iterate) hands over its kernel and partials,
     which this iterate overwrites in place instead of allocating three

@@ -29,6 +29,7 @@ from spectral_cheb.grad_est import (
     LowRankPSD,
     ParamMatrixOracle,
     _adjoint_block,
+    _estimate,
     _sum_prime_weights,
     grad_estimate_generic,
     grad_estimate_lowrank,
@@ -474,6 +475,51 @@ class TestAdjointKernel:
                     scope = parents.get(scope)
                 scopes.append(None if scope is None else scope.name)
         assert scopes and set(scopes) == {"_adjoint_block"}
+
+
+class TestFusedValue:
+    """The unbiased value the gradient pass reads off its own recurrence."""
+
+    def _operator(self, kind):
+        rng = np.random.default_rng(81)
+        if kind == "lowrank":
+            op = LowRankPSD(rng.uniform(0.0, 0.4, size=(7, 3)), 0.1)
+            return op, grad_estimate_lowrank, Interval(0.05, 2.5)
+        base = random_spd(rng, 8, 0.5, 1.5)
+        partials = [random_symmetric(rng, 8, 0.05) for _ in range(2)]
+        return affine_oracle(base, partials, [0.2, -0.1]), grad_estimate_generic, Interval(0.2, 2.0)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 15, 40])
+    @pytest.mark.parametrize("kind", ["lowrank", "generic"])
+    def test_value_matches_the_unbiased_estimator(self, kind, n):
+        # 40 probes span two chunks; only n = 1 pays a matvec for the value
+        # (the step to w_1), and n = 0 builds no probes at all
+        op, grad_estimate, iv = self._operator(kind)
+        series = compute_coefficients(np.sqrt, iv, degree=60)
+        dist = optimal_distribution(2.0, 5)
+        op.counter = MatvecCounter()
+        grad, value = _estimate(op, series, dist, ProbePlan(82, 40, degree=n), value=True)
+        fused_cols = op.counter.count
+        op.counter.count = 0
+        want_grad = grad_estimate(op, series, dist, ProbePlan(82, 40, degree=n))
+        assert op.counter.count + (40 if n == 1 else 0) == fused_cols
+        want = estimate_spectral_sum_unbiased(op, series, dist, ProbePlan(82, 40, degree=n))
+        assert abs(value - want) <= 1e-12 * abs(want)
+        np.testing.assert_array_equal(grad, want_grad)
+
+    def test_degree_zero_value_is_b0_times_dim(self, monkeypatch):
+        import spectral_cheb.probes as probes_module
+
+        streams = []
+        real = probes_module.probe_rng
+        monkeypatch.setattr(probes_module, "probe_rng",
+                            lambda *args: streams.append(args) or real(*args))
+        op, _, iv = self._operator("lowrank")
+        series = compute_coefficients(np.sqrt, iv, degree=60)
+        grad, value = _estimate(op, series, optimal_distribution(2.0, 5),
+                                ProbePlan(3, 8, degree=0), value=True)
+        assert value == series.coeffs[0] * op.dim and streams == []
+        np.testing.assert_array_equal(grad, np.zeros(op.grad_shape))
 
 
 def test_degree_past_the_support_is_a_degenerate_distribution():

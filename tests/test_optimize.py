@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 from helpers import (
+    eval_series,
     exact_spectral_grad_generic,
     random_spd,
     random_symmetric,
@@ -28,7 +29,8 @@ from spectral_cheb.optimize import (
     svrg_run,
     write_trajectory_csv,
 )
-from spectral_cheb.probes import Expansion, ProbePlan
+from spectral_cheb.probes import Expansion, ProbePlan, expansion_for
+from spectral_cheb.reference import exact_spectral_sum
 
 
 def quadratic_objective(target, alpha):
@@ -293,7 +295,7 @@ class TestSVRG:
             assert dist[2] < dist[1]
 
     def test_probe_streams_per_run_and_per_step(self, monkeypatch):
-        # the objective log builds its M probes once per run, and the
+        # the objective log draws no probes of its own, and the
         # current/anchor pair of a step shares one probe block
         import spectral_cheb.probes as probes_module
 
@@ -306,10 +308,9 @@ class TestSVRG:
         records = []
         svrg_run(obj, np.array([0.3, 0.3]), cfg, exact_grad, callback=records.append)
         assert len(records) == 12
-        assert seeds.count(cfg.master_seed + 0x5EED) == cfg.M
         probed_steps = sum(rec.degree > 0 for rec in records)
         assert 0 < probed_steps < len(records)
-        assert len(seeds) - cfg.M == cfg.M * probed_steps
+        assert len(seeds) == cfg.M * probed_steps
 
     def test_refreshes_at_every_anchor(self):
         obj, exact_grad, _, _ = self._setup()
@@ -327,6 +328,63 @@ class TestSVRG:
         obj2, exact_grad2, _, _ = self._setup()
         b = svrg_run(obj2, np.array([0.3, 0.3]), cfg, exact_grad2)
         assert np.array_equal(a, b)
+
+
+class TestObjectiveLog:
+    """Each record logs g plus the step's own unbiased spectral value."""
+
+    def test_logged_value_is_unbiased(self):
+        # log det at a fixed theta, spectrum down to 0.02: the mean of the
+        # logged values lies within 3 s.e. of the exact tr f, which the
+        # degree-N truncation misses by more than that
+        rng = np.random.default_rng(61)
+        dim = 8
+        basis, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+        base = (basis * np.linspace(0.02, 2.0, dim)) @ basis.T
+        partials = [random_symmetric(rng, dim, 0.02) for _ in range(2)]
+        theta = np.array([0.3, -0.2])
+        dense = base + theta[0] * partials[0] + theta[1] * partials[1]
+        eigs = np.linalg.eigvalsh(dense)
+        expansion = expansion_for(np.log, 0.9 * eigs[0], eigs[-1], 3)
+
+        def oracle_at(th):
+            return ParamMatrixOracle(
+                dim=dim, param_dim=2, theta=np.asarray(th, dtype=float),
+                apply=lambda t, x: (base + t[0] * partials[0] + t[1] * partials[1]) @ x,
+                apply_partial=lambda i, t, x: partials[i] @ x)
+
+        obj = Objective(spectral=SpectralModel(oracle_at, lambda th, n: expansion))
+        logged = []
+        for seed in range(1200):
+            cfg = SGDConfig(T=1, M=4, N=3, master_seed=seed)
+            sgd_run(obj, theta, cfg, callback=lambda rec: logged.append(rec.objective_estimate))
+        logged = np.array(logged)
+        exact = exact_spectral_sum(dense, np.log)
+        se = logged.std(ddof=1) / math.sqrt(logged.size)
+        assert abs(logged.mean() - exact) <= 3.0 * se
+        truncated = ChebSeries(expansion.interval, expansion.series.coeffs[: cfg.N + 1])
+        assert abs(float(np.sum(eval_series(truncated, eigs))) - exact) > 3.0 * se
+
+    def test_logging_leaves_trajectories_alone(self):
+        def run(optimizer, log_objective, callback):
+            obj, exact_grad, _, _ = TestSVRG()._setup(seed=57)
+            theta0 = np.array([0.3, -0.3])
+            if optimizer == "sgd":
+                cfg = SGDConfig(T=30, M=3, N=1, master_seed=9, log_objective=log_objective)
+                return sgd_run(obj, theta0, cfg, callback=callback)
+            cfg = SVRGConfig(S=2, T=15, eta=0.02, M=3, N=1, master_seed=9,
+                             log_objective=log_objective)
+            return svrg_run(obj, theta0, cfg, exact_grad, callback=callback)
+
+        for optimizer in ("sgd", "svrg"):
+            records = []
+            logged = run(optimizer, True, records.append)
+            assert all(math.isfinite(rec.objective_estimate) for rec in records)
+            assert {0, 1} < {rec.degree for rec in records}
+            unlogged = []
+            np.testing.assert_array_equal(logged, run(optimizer, False, unlogged.append))
+            assert all(math.isnan(rec.objective_estimate) for rec in unlogged)
+            np.testing.assert_array_equal(logged, run(optimizer, True, None))
 
 
 class TestObjectiveValidation:

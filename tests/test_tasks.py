@@ -415,9 +415,10 @@ class TestGPTraining:
         monkeypatch.setattr(tasks_module, "gp_negloglik", lambda gp, theta: 0.0)
         cfg = SGDConfig(T=12, M=4, N=6, master_seed=13, step_rule="exp_decay", step0=2e-3)
         gp_train(gp, cfg)
-        # every iterate takes a gradient step and all but the first are logged
-        assert len(kernels) == len(set(kernels)) == cfg.T + 1
-        assert len(solves) == len(set(solves)) == cfg.T + 1
+        # every iterate a step starts from is built once, for its gradient
+        # and its log; the last iterate, which no step starts from, never is
+        assert len(kernels) == len(set(kernels)) == cfg.T
+        assert len(solves) == len(set(solves)) == cfg.T
         assert partials == kernels
 
     def test_iterate_builds_once_under_concurrent_readers(self, monkeypatch):
@@ -470,7 +471,7 @@ class TestGPTraining:
         monkeypatch.setattr(tasks_module, "_GPIterate", Recording)
         cfg = SGDConfig(T=6, M=2, N=6, master_seed=13, step_rule="exp_decay", step0=2e-3)
         gp_train(gp, cfg)
-        assert len(iterates) == cfg.T + 1
+        assert len(iterates) == cfg.T
         assert all(iterate.kernel_exact for iterate in iterates)
         probe = np.linspace(-1.0, 1.0, 30)
         for donor, iterate in zip(iterates, iterates[1:]):
