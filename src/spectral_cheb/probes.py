@@ -24,18 +24,21 @@ chunk of probes is filled in one pass from the raw words of those
 streams, bit for bit the vectors ``rademacher_probe`` draws from them.
 A ``ProbePlan`` owns the randomness of its evaluation, and callers read
 the drawn degree back from it: the truncation degree, pinned or drawn
-once on first use, and the probe block, whose fixed-size chunks of
-columns are built once, on first use, kept read-only on the plan and
-handed to every estimator that shares the plan, as SVRG's current and
-anchor evaluations do.  Every value and gradient estimate runs through
+once on first use, and the probe block, whose chunks of columns are
+built once, on first use, kept read-only on the plan and handed to every
+estimator that shares the plan, as SVRG's current and anchor
+evaluations do.  Every value and gradient estimate runs through
 one of two drivers here: ``_evaluate`` (one evaluation on a plan) and
 ``_evaluate_batch`` (independent evaluations grouped by degree), each
 taking a per-block kernel, the bilinear sums below or ``grad_est``'s
 adjoint pass.  The probe loop
 parallelizes over a plan's chunks, capped by the SPECTRAL_CHEB_THREADS
 environment variable, on one thread pool per process and worker count,
-with a deterministic ordered reduction; chunks too small for a second
-thread to pay off run inline.
+with a deterministic ordered reduction.  A chunk is as many 32-column
+blocks as fit in 2^15 entries, at least one, so a small operator's
+probes run as one block, one recurrence per evaluation, and a plan that
+fits in one chunk runs inline; the boundaries depend on (dim, M) alone,
+never on the thread count.
 
 The module imports NumPy alone: ``scipy.io`` and ``scipy.sparse`` load
 on the first MatrixMarket read, and an input counts as a scipy sparse
@@ -89,12 +92,20 @@ __all__ = [
 # spectrum: it covers the iterates that step on it until the next refresh
 HEADROOM = 1.1
 
-_CHUNK = 32  # probes per work unit; fixed so thread count never changes results
-# dim * chunk width below which chunks run inline: under ~2^15 entries a
-# chunk's NumPy calls are too short to release the GIL for long, and a
-# second thread only adds hand-offs (2 vCPUs, estimates at M = 64: blocks
-# of d = 16 to 576 ran up to 2.4x slower at 2 threads, sparse d >= 1024
-# up to 2x faster)
+# chunk widths are multiples of this many probes, so a large operator's
+# chunk, and with it the kernels' per-chunk stores, stays 32 columns wide,
+# and dgemm sees aligned blocks (2 vCPUs, OpenBLAS 0.3.31, dense d = 800 at
+# one thread: 64 columns split 41 + 23 took 3.03 ms, 40 + 24 2.33 ms,
+# 32 + 32 2.21 ms)
+_CHUNK = 32
+# entries a chunk fills with 32-column blocks: a second chunk only
+# repeats each step's Python overhead, and every chunk but a plan's last
+# then holds more than 2^14 entries, enough for a second thread to pay
+# off (2 vCPUs, estimates at M = 64, two 32-column chunks on 2 threads
+# against inline: dense d = 576 1.8x and d = 800 2.0x faster, sparse
+# d = 576 even, d = 900 1.2x and d >= 1024 up to 2x faster; smaller
+# blocks, whose NumPy calls are too short to release the GIL for long,
+# ran up to 2.4x slower)
 _MIN_THREADED_ENTRIES = 1 << 15
 
 
@@ -388,16 +399,20 @@ def _pool(workers: int) -> ThreadPoolExecutor:
 
 
 def _map_probe_chunks(plan: ProbePlan, dim: int, block_fn, workers: int) -> list:
-    """``block_fn(probes, start)`` on each fixed chunk of the plan's probes,
-    results in chunk order, on up to ``workers`` threads; chunk boundaries
-    are fixed so the reduction order is independent of the worker count.
-    Chunks of fewer than ``_MIN_THREADED_ENTRIES`` entries run inline."""
-    starts = range(0, plan.M, _CHUNK)
+    """``block_fn(probes, start)`` on each chunk of the plan's probes,
+    results in chunk order, on up to ``workers`` threads.  A chunk is as
+    many 32-column blocks as fit in 2^15 entries, at least one, the last
+    chunk narrower: no chunk holds more than max(32 dim, 2^15) entries,
+    and every chunk but the last more than 2^14.  The boundaries depend
+    on (dim, M) alone, so the reduction order is independent of the
+    worker count.  A plan of one chunk runs inline."""
+    width = _CHUNK * max(1, _MIN_THREADED_ENTRIES // (_CHUNK * dim))
+    starts = range(0, plan.M, width)
 
     def run(start: int):
-        return block_fn(plan.probes(dim, start, min(start + _CHUNK, plan.M)), start)
+        return block_fn(plan.probes(dim, start, min(start + width, plan.M)), start)
 
-    if workers > 1 and plan.M > _CHUNK and dim * _CHUNK >= _MIN_THREADED_ENTRIES:
+    if workers > 1 and plan.M > width:
         return list(_pool(workers).map(run, starts))
     return [run(s) for s in starts]
 

@@ -13,9 +13,9 @@ full-length adjoint recurrence the gradient kernel is checked against,
 the dense cosine-table quadrature sum the FFT coefficients are checked
 against, the dense generic spectral gradient, finite-difference checks
 of a parametric oracle and of an objective, the matrix-polynomial
-perturbation and trace-nuclear checks, and the mpmath evaluation of the
+perturbation and trace-nuclear checks, the mpmath evaluation of the
 weighted-variance closed form that ``variance-bench`` is checked
-against."""
+against, and a recorder of the probe loop's thread pools."""
 
 import math
 from typing import IO, Callable
@@ -578,3 +578,21 @@ def _mp_survival(dist: DegreeDistribution, upto: int) -> list:
         out.append(1 - cum)
         q = step(i, q)
     return out
+
+
+def record_thread_pools(monkeypatch, min_entries: int | None = None) -> list:
+    """The list the keyword arguments of every thread pool the probe loop
+    builds from now on are appended to, its pool cache emptied first.
+    With ``min_entries``, chunks wider than 32 columns are sized by that
+    entry count instead of 2^15, so 0 splits a small operator's plan into
+    32-column chunks."""
+    import spectral_cheb.probes as probes_module
+
+    built = []
+    real_pool = probes_module.ThreadPoolExecutor
+    monkeypatch.setattr(probes_module, "ThreadPoolExecutor",
+                        lambda **kw: built.append(kw) or real_pool(**kw))
+    monkeypatch.setattr(probes_module, "_POOLS", {})
+    if min_entries is not None:
+        monkeypatch.setattr(probes_module, "_MIN_THREADED_ENTRIES", min_entries)
+    return built

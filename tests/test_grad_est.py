@@ -11,6 +11,7 @@ from helpers import (
     full_recurrence_adjoint_block,
     random_spd,
     random_symmetric,
+    record_thread_pools,
     second_kind_vector_identity_check,
     validate_param_oracle,
 )
@@ -365,11 +366,13 @@ class TestSharedProbePlan:
 
     def test_lowrank_thread_count_does_not_change_bits(self, monkeypatch):
         lr, series, dist = self._lowrank()
+        built = record_thread_pools(monkeypatch, min_entries=0)  # three 32-column chunks
         values = []
         for threads in ("1", "2"):
             monkeypatch.setenv("SPECTRAL_CHEB_THREADS", threads)
             values.append(grad_estimate_lowrank(lr, series, dist, ProbePlan(9, 70, degree=9)))
         assert values[0].tobytes() == values[1].tobytes()
+        assert len(built) == 1  # the two-thread run did use the pool
 
     def test_degree_zero_still_reads_the_thread_count(self, monkeypatch):
         # the degree-0 shortcut must not skip the check a value estimate makes
@@ -451,12 +454,14 @@ class TestAdjointKernel:
         oracle = affine_oracle(base, [random_symmetric(rng, 8, 0.05)], [0.2])
         series = compute_coefficients(np.log, Interval(0.2, 2.0), degree=60)
         dist = optimal_distribution(1.8, 5)
+        built = record_thread_pools(monkeypatch, min_entries=0)  # three 32-column chunks
         values = []
         for threads in ("1", "2"):
             monkeypatch.setenv("SPECTRAL_CHEB_THREADS", threads)
             values.append(grad_estimate_generic(oracle, series, dist,
                                                 ProbePlan(9, 70, degree=45)))
         np.testing.assert_array_equal(values[0], values[1])
+        assert len(built) == 1  # the two-thread run did use the pool
 
     def test_only_the_kernel_runs_the_recurrence(self):
         import ast
@@ -491,9 +496,13 @@ class TestFusedValue:
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 15, 40])
     @pytest.mark.parametrize("kind", ["lowrank", "generic"])
-    def test_value_matches_the_unbiased_estimator(self, kind, n):
-        # 40 probes span two chunks; only n = 1 pays a matvec for the value
-        # (the step to w_1), and n = 0 builds no probes at all
+    def test_value_matches_the_unbiased_estimator(self, kind, n, monkeypatch):
+        # 40 probes span two 32-column chunks with no entry target; only
+        # n = 1 pays a matvec for the value (the step to w_1), and n = 0
+        # builds no probes at all
+        import spectral_cheb.probes as probes_module
+
+        monkeypatch.setattr(probes_module, "_MIN_THREADED_ENTRIES", 0)
         op, grad_estimate, iv = self._operator(kind)
         series = compute_coefficients(np.sqrt, iv, degree=60)
         dist = optimal_distribution(2.0, 5)

@@ -12,6 +12,7 @@ from helpers import (
     eval_series,
     random_spd,
     random_symmetric,
+    record_thread_pools,
     to_unit,
 )
 from hypothesis import example, given, settings
@@ -432,11 +433,13 @@ class TestUnbiasedEstimator:
         _, oracle, iv = spd_oracle(rng, 15)
         series = compute_coefficients(np.exp, iv, degree=40)
         dist = optimal_distribution(2.0, 6)
+        built = record_thread_pools(monkeypatch, min_entries=0)  # five 32-column chunks
         monkeypatch.setenv("SPECTRAL_CHEB_THREADS", "1")
         serial = estimate_spectral_sum_unbiased(oracle, series, dist, ProbePlan(9, 130))
         monkeypatch.setenv("SPECTRAL_CHEB_THREADS", "8")
         threaded = estimate_spectral_sum_unbiased(oracle, series, dist, ProbePlan(9, 130))
         assert serial == threaded
+        assert len(built) == 1  # the eight-thread run did use the pool
 
     @pytest.mark.parametrize("threads", ["abc", "0", "-2", ""])
     def test_thread_count_must_be_a_positive_integer(self, monkeypatch, threads):
@@ -460,12 +463,7 @@ class TestUnbiasedEstimator:
         dist = optimal_distribution(2.0, 6)
         monkeypatch.setenv("SPECTRAL_CHEB_THREADS", "1")
         serial = estimate_spectral_sum_unbiased(oracle, series, dist, ProbePlan(9, 130))
-        built = []
-        real_pool = probes_module.ThreadPoolExecutor
-        monkeypatch.setattr(probes_module, "_MIN_THREADED_ENTRIES", 0)
-        monkeypatch.setattr(probes_module, "ThreadPoolExecutor",
-                            lambda **kw: built.append(kw) or real_pool(**kw))
-        monkeypatch.setattr(probes_module, "_POOLS", {})
+        built = record_thread_pools(monkeypatch, min_entries=0)
         monkeypatch.setenv("SPECTRAL_CHEB_THREADS", "3")
         results = []
 
@@ -550,11 +548,7 @@ class TestMomentDoubling:
         oracle, iv = grid_laplacian_oracle(40)  # one chunk is 1600 x 32, above the inline limit
         series = compute_coefficients(np.log, iv, degree=80)
         dist = optimal_distribution(rho_from_endpoint_singularity(iv), 12)
-        built = []
-        real_pool = probes_module.ThreadPoolExecutor
-        monkeypatch.setattr(probes_module, "ThreadPoolExecutor",
-                            lambda **kw: built.append(kw) or real_pool(**kw))
-        monkeypatch.setattr(probes_module, "_POOLS", {})
+        built = record_thread_pools(monkeypatch)
         runs = []
         for threads in ("1", "2", "1", "2"):
             monkeypatch.setenv("SPECTRAL_CHEB_THREADS", threads)
@@ -569,7 +563,8 @@ class TestMomentDoubling:
         _, oracle, iv = spd_oracle(np.random.default_rng(23), 30)
         series = compute_coefficients(np.exp, iv, degree=30)
         monkeypatch.setattr(probes_module, "ThreadPoolExecutor",
-                            lambda **kw: pytest.fail("a 30 x 32 chunk started a thread pool"))
+                            lambda **kw: pytest.fail("a 30 x 64 plan, one chunk, started a "
+                                                     "thread pool"))
         monkeypatch.setattr(probes_module, "_POOLS", {})
         monkeypatch.setenv("SPECTRAL_CHEB_THREADS", "2")
         threaded = estimate_spectral_sum_fixed(oracle, series, 15, ProbePlan(6, 64))
@@ -582,6 +577,89 @@ class TestMomentDoubling:
         series = compute_coefficients(np.exp, iv, degree=12)
         est = estimate_spectral_sum_fixed(identity, series, 12, ProbePlan(2, 3))
         assert est == pytest.approx(5 * float(eval_series(series, np.array([1.0]))[0]), rel=1e-13)
+
+
+class TestChunks:
+    """Chunk widths are set in one place from (dim, M) alone, and every
+    kernel's rows on a 64-column block equal those on its 32-column
+    halves."""
+
+    @pytest.mark.parametrize("name, kernel", [
+        *((name, "bilinear") for name in ("csr", "dense", "callable", "lowrank", "param")),
+        *((name, kernel) for name in ("lowrank", "param")
+          for kernel in ("adjoint", "adjoint_value")),
+    ])
+    def test_one_block_equals_its_32_column_slices(self, name, kernel):
+        # small operators run their probes as one block wider than 32
+        # columns, so an estimate keeps the bits of 32-column chunking
+        # only if every kernel's rows are independent of the block width,
+        # down to how BLAS rounds each column.  A ragged tail is not
+        # pinned: with OpenBLAS 0.3.31's Haswell kernels the parametric
+        # oracle's stacked partial matvec rounds the rows of a 6-column
+        # block differently from the same rows of a 70-column block
+        from spectral_cheb.grad_est import _adjoint_block
+
+        rng = np.random.default_rng(90)
+        matrix, oracle = {n: (a, o) for n, a, o in _step_oracles(rng, 30, None)}[name]
+        eigs = np.linalg.eigvalsh(matrix)
+        iv = Interval(eigs[0] - 0.1, eigs[-1] + 0.1)
+        coeffs = compute_coefficients(np.exp, iv, degree=80).coeffs
+        probes = probes_module._probe_columns(30, 91, 0, 0, 64)
+        run = {"bilinear": probes_module._bilinear_block,
+               "adjoint": _adjoint_block,
+               "adjoint_value": lambda *args: _adjoint_block(*args, value=True)}[kernel]
+        for n in (1, 2, 9, 80):
+            whole = run(oracle, iv, coeffs, n, probes)
+            parts = [run(oracle, iv, coeffs, n, probes[:, s : s + 32]) for s in range(0, 64, 32)]
+            for got, want in zip(whole if isinstance(whole, tuple) else (whole,),
+                                 zip(*parts) if isinstance(whole, tuple) else (parts,)):
+                assert np.concatenate(want).tobytes() == got.tobytes(), n
+
+    def test_boundaries_depend_on_dim_and_probe_count_alone(self, monkeypatch):
+        def boundaries(dim, M, workers):
+            plan = ProbePlan(0, M)
+            plan.probes = lambda dim, start, stop: (start, stop)
+            return probes_module._map_probe_chunks(plan, dim, lambda pair, start: pair, workers)
+
+        built = record_thread_pools(monkeypatch)
+        for dim in (7, 30, 512, 1024, 19881):
+            for M in (1, 16, 64, 130, 5000):
+                chunks = boundaries(dim, M, 1)
+                assert boundaries(dim, M, 4) == chunks
+                assert chunks[0][0] == 0 and chunks[-1][1] == M
+                assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
+                # every chunk but the last is whole 32-column blocks, more
+                # than 2^14 entries, with no room for another block under
+                # the 2^15-entry cap, which no chunk passes unless 32
+                # columns do
+                widths = [stop - start for start, stop in chunks]
+                assert all(w % 32 == 0 and dim * w > 2**14 and dim * (w + 32) > 2**15
+                           for w in widths[:-1])
+                assert all(dim * w <= max(32 * dim, 2**15) for w in widths)
+        assert boundaries(30, 64, 4) == [(0, 64)]
+        assert boundaries(19881, 64, 4) == [(0, 32), (32, 64)]
+        assert boundaries(512, 64, 4) == [(0, 64)]
+        assert boundaries(800, 64, 4) == [(0, 32), (32, 64)]
+        assert len(built) == 1  # plans of two or more chunks ran on the pool
+
+    def test_only_the_chunk_map_reads_the_chunk_sizes(self):
+        import ast
+        from pathlib import Path
+
+        scopes = []
+        for path in Path(probes_module.__file__).parent.glob("*.py"):
+            tree = ast.parse(path.read_text())
+            parents = {child: node for node in ast.walk(tree)
+                       for child in ast.iter_child_nodes(node)}
+            for node in ast.walk(tree):
+                name = (node.id if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                        else node.attr if isinstance(node, ast.Attribute) else None)
+                if name in ("_CHUNK", "_MIN_THREADED_ENTRIES"):
+                    scope = parents.get(node)
+                    while scope is not None and not isinstance(scope, ast.FunctionDef):
+                        scope = parents.get(scope)
+                    scopes.append(None if scope is None else scope.name)
+        assert scopes and set(scopes) == {"_map_probe_chunks"}
 
 
 class TestHutchinsonMoments:
