@@ -80,9 +80,8 @@ class DegreeDistribution:
     q_J * tail_ratio**m) or is zero.  ``survival_prefix`` holds the
     survivals P(n > j), j = 0..J: one compensated sum from the tail
     inward, exactly 1 below the first degree with mass.  Sampling and
-    re-weighting both read it.  Past the prefix, ``survival_array`` slices
-    a stored run of the geometric tail's survivals, grown when a longer
-    one is asked for.
+    re-weighting both read it; past the prefix, ``survival_array`` forms
+    the geometric tail's survivals in closed form.
     """
 
     kind: DistributionKind
@@ -91,7 +90,6 @@ class DegreeDistribution:
     tail_ratio: float | None = None
     survival_prefix: np.ndarray = field(init=False)
     _mass: float = field(init=False, repr=False)
-    _tail_survival: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         q = np.asarray(self.pmf_prefix, dtype=float)
@@ -110,7 +108,6 @@ class DegreeDistribution:
         survival[: np.argmax(q > 0.0)] = 1.0
         object.__setattr__(self, "survival_prefix", survival)
         object.__setattr__(self, "_mass", float(at_least[0]))
-        object.__setattr__(self, "_tail_survival", np.zeros(0))
         if abs(self._mass - 1.0) > 1e-12:
             raise ParameterError(f"total mass must be 1 within 1e-12, got {self._mass!r}")
 
@@ -152,8 +149,8 @@ class DegreeDistribution:
         Summing small positives from the tail inward avoids the
         cancellation that 1 - S_j suffers once S_j saturates; the result
         stays accurate even when the survival is far below machine eps.
-        The tail's entries are elementwise in j, so the stored run, at
-        least doubled whenever it grows, gives every length the same bits.
+        The tail is formed elementwise in j on every call, so every length
+        gives each entry the same bits.
         """
         j_end = self.pmf_prefix.size - 1
         if upto <= j_end:
@@ -161,15 +158,9 @@ class DegreeDistribution:
         out = np.zeros(upto + 1)
         out[: j_end + 1] = self.survival_prefix
         if self.tail_ratio is not None:
-            # one read of the stored run, so a concurrent caller's shorter
-            # replacement cannot cut this slice short
-            tail = self._tail_survival
-            if tail.size < upto - j_end:
-                c = self.tail_ratio
-                powers = c ** np.arange(2, max(upto - j_end, 2 * tail.size) + 2, dtype=float)
-                tail = self.pmf_prefix[-1] * powers / (1.0 - c)
-                object.__setattr__(self, "_tail_survival", tail)
-            out[j_end + 1 :] = tail[: upto - j_end]
+            c = self.tail_ratio
+            powers = c ** np.arange(2, upto - j_end + 2, dtype=float)
+            out[j_end + 1 :] = self.pmf_prefix[-1] * powers / (1.0 - c)
         return out
 
     @property

@@ -263,9 +263,9 @@ def _estimate(op, series: ChebSeries, dist: DegreeDistribution, plan: ProbePlan,
     Rademacher probe."""
     zero = np.zeros(op.grad_shape)
     if not value:
-        return _evaluate(_adjoint_block, op, series, plan, dist, zero=zero)
-    return _evaluate(partial(_adjoint_block, value=True), op, series, plan, dist,
-                     zero=(zero, series.coeffs[0] * op.dim))
+        return _evaluate(_adjoint_block, op, series, dist, plan, zero)
+    return _evaluate(partial(_adjoint_block, value=True), op, series, dist, plan,
+                     (zero, series.coeffs[0] * op.dim))
 
 
 def grad_estimate_generic(
@@ -313,4 +313,4 @@ def sample_spectral_grads(
     or grad_estimate_lowrank at evaluation index t, grouped by degree in
     blocks of about 256 probe columns."""
     return _evaluate_batch(_adjoint_block, 256, op, series, dist, master_seed, num_samples, M,
-                           zero=np.zeros(op.grad_shape))
+                           np.zeros(op.grad_shape))

@@ -71,7 +71,8 @@ class SpectralModel:
             self.expansion = self.refresh(theta, mean_degree)
 
     def extend_series(self, degree: int) -> None:
-        """Extend the series to ``degree``; kept until the next refresh."""
+        """Extend the series to reach ``degree`` when a draw out-runs it
+        (``Expansion.to_degree`` decides); kept until the next refresh."""
         self.expansion = self.expansion.to_degree(degree)
 
     def grad_sample(self, theta: np.ndarray, plan: ProbePlan) -> np.ndarray:
@@ -86,10 +87,7 @@ class SpectralModel:
     def _sample(self, theta: np.ndarray, plan: ProbePlan, value: bool):
         """``grad_sample``'s gradient, or with ``value`` the pair (gradient,
         unbiased estimate of tr f(A(theta))) from the same pass."""
-        degree = plan.draw_degree(self.expansion.dist)
-        if degree > self.expansion.series.degree:
-            # geometric tails occasionally out-draw the stored expansion
-            self.extend_series(degree)
+        self.extend_series(plan.draw_degree(self.expansion.dist))
         return _estimate(self.oracle_at(theta), self.expansion.series, self.expansion.dist,
                          plan, value)
 

@@ -31,7 +31,10 @@ evaluations do.  Every value and gradient estimate runs through
 one of two drivers here: ``_evaluate`` (one evaluation on a plan) and
 ``_evaluate_batch`` (independent evaluations grouped by degree), each
 taking a per-block kernel, the bilinear sums below or ``grad_est``'s
-adjoint pass.  The probe loop
+adjoint pass.  Both keep one rule: the degree n is drawn from a law, a
+fixed degree being a point mass, and each b_j is re-weighted by
+1/P(n >= j); a degree-0 draw returns the caller's exact value (b_0 d for
+a value, zeros for a gradient) and builds no probes.  The probe loop
 parallelizes over a plan's chunks, capped by the SPECTRAL_CHEB_THREADS
 environment variable, on one thread pool per process and worker count,
 with a deterministic ordered reduction.  A chunk is as many 32-column
@@ -62,6 +65,7 @@ import numpy as np
 from .chebyshev import ChebSeries, Interval, compute_coefficients, rho_from_endpoint_singularity
 from .degree_dist import (
     DegreeDistribution,
+    deterministic_distribution,
     make_degree_distribution,
     sample_degree,
     weighted_coefficients,
@@ -418,17 +422,17 @@ def _map_probe_chunks(plan: ProbePlan, dim: int, block_fn, workers: int) -> list
 
 
 def _finite(rows, start: int, n: int):
-    """``rows``, a kernel's per-column array or tuple of arrays, once all
-    of it is finite."""
+    """``rows``, a kernel's per-column array or a degree-0 value, or a
+    tuple of them, once all of it is finite."""
     for part in rows if isinstance(rows, tuple) else (rows,):
-        if not np.all(np.isfinite(part)):
+        if not np.isfinite(part).all():
             raise NumericError(
                 f"non-finite estimate in probe block starting at {start}, degree {n}")
     return rows
 
 
-def _evaluate(kernel, op, series: ChebSeries, plan: ProbePlan,
-              dist: DegreeDistribution | None = None, n: int | None = None, zero=None):
+def _evaluate(kernel, op, series: ChebSeries, dist: DegreeDistribution, plan: ProbePlan,
+              zero):
     """One evaluation: the mean over the plan's probes of the rows
     ``kernel(op, series.interval, coeffs, n, probes)``, (m,) + shape for a
     (d, m) block, or of each array when the kernel returns a tuple of
@@ -436,23 +440,18 @@ def _evaluate(kernel, op, series: ChebSeries, plan: ProbePlan,
     (with its values or without), and the series' interval is the only one
     their steps see.
 
-    With ``dist``, n is the plan's degree (drawn from ``dist`` on first
-    use) and the coefficients are re-weighted for it; without, the plain
-    series is truncated at the given n, leaving the plan's degree alone.
-    A degree-0 draw returns ``zero`` when one is given, without building
-    probes or touching the oracle; SPECTRAL_CHEB_THREADS is read first,
-    so a bad value fails every evaluation alike.
+    n is the plan's degree, drawn from ``dist`` on first use, and the
+    coefficients are re-weighted for it; a fixed degree is a plan pinned
+    at n under its point mass.  A degree-0 draw returns ``zero``, checked
+    finite, without building probes or touching the oracle.
+    SPECTRAL_CHEB_THREADS is read first, so a bad value fails every
+    evaluation alike.
     """
     workers = _thread_count()
-    if dist is None:
-        if n < 0 or n > series.degree:
-            raise ParameterError(f"degree {n} outside stored series degree {series.degree}")
-        coeffs = series.coeffs
-    else:
-        n = plan.draw_degree(dist)
-        if n == 0 and zero is not None:
-            return zero
-        coeffs = weighted_coefficients(series, dist, n)
+    n = plan.draw_degree(dist)
+    if n == 0:
+        return _finite(zero, 0, 0)
+    coeffs = weighted_coefficients(series, dist, n)
     rows = _map_probe_chunks(plan, op.dim, lambda probes, start: _finite(
         kernel(op, series.interval, coeffs, n, probes), start, n), workers)
     if isinstance(rows[0], tuple):
@@ -462,30 +461,29 @@ def _evaluate(kernel, op, series: ChebSeries, plan: ProbePlan,
 
 def _evaluate_batch(kernel, block_cols: int, op, series: ChebSeries,
                     dist: DegreeDistribution, master_seed: int, num_samples: int, M: int,
-                    zero=None) -> np.ndarray:
+                    zero: np.ndarray) -> np.ndarray:
     """Independent evaluations t = 0..num_samples-1 on M probes each; row
     t reproduces ``_evaluate`` at evaluation index t, bit for bit when its
     block holds that sample alone.  Samples are grouped by drawn degree
-    into blocks of about ``block_cols`` probe columns; ``zero`` is the
-    degree-0 rule of ``_evaluate``."""
+    into blocks of about ``block_cols`` probe columns; degree-0 rows are
+    ``zero``, as in ``_evaluate``."""
     degrees = np.array(
         [sample_degree(dist, degree_rng(master_seed, t)) for t in range(num_samples)]
     )
-    shape = () if zero is None else zero.shape
-    out = np.empty((num_samples,) + shape)
+    out = np.empty((num_samples,) + zero.shape)
     block_samples = max(1, block_cols // M)
     for n in np.unique(degrees):
         n = int(n)
         idx = np.nonzero(degrees == n)[0]
-        if n == 0 and zero is not None:
-            out[idx] = zero
+        if n == 0:
+            out[idx] = _finite(zero, 0, 0)
             continue
         coeffs = weighted_coefficients(series, dist, n)
         for start in range(0, idx.size, block_samples):
             chunk = idx[start : start + block_samples]
             probes = np.hstack([_probe_columns(op.dim, master_seed, int(t), 0, M) for t in chunk])
             rows = _finite(kernel(op, series.interval, coeffs, n, probes), 0, n)
-            out[chunk] = rows.reshape((chunk.size, M) + shape).mean(axis=1)
+            out[chunk] = rows.reshape((chunk.size, M) + zero.shape).mean(axis=1)
     return out
 
 
@@ -494,13 +492,17 @@ def estimate_spectral_sum_fixed(
 ) -> float:
     """Fixed-degree estimate (1/M) sum_k v_k^T p_n(A) v_k.
 
-    Biased unless f is a polynomial of degree <= n; the building block of
-    the unbiased estimator below.  ``A`` may be any oracle with ``dim``
-    and ``step``: a ``MatrixOracle``, ``LowRankPSD`` or
-    ``ParamMatrixOracle``; the series' interval must contain its spectrum.
-    Leaves the plan's degree alone.
+    Biased unless f is a polynomial of degree <= n; the unbiased estimator
+    below under a point mass at n, whose survivals below n are exactly 1,
+    so the coefficients are the plain series'.  It runs on a copy of the
+    plan pinned at n, leaving the plan's degree alone.  ``A`` may be any
+    oracle with ``dim`` and ``step``: a ``MatrixOracle``, ``LowRankPSD``
+    or ``ParamMatrixOracle``; the series' interval must contain its
+    spectrum.
     """
-    return float(_evaluate(_bilinear_block, A, series, plan, n=n))
+    return float(_evaluate(_bilinear_block, A, series, deterministic_distribution(n),
+                           ProbePlan(plan.master_seed, plan.M, degree=n),
+                           series.coeffs[0] * A.dim))
 
 
 def estimate_spectral_sum_unbiased(
@@ -510,9 +512,10 @@ def estimate_spectral_sum_unbiased(
 
     Truncates at the plan's degree (drawn from ``dist`` unless the plan
     already holds one), re-weights the coefficients, and averages the
-    randomized bilinear forms over the plan's probes.
+    randomized bilinear forms over the plan's probes.  A degree-0 draw
+    is b_0 d, as v^T v = d for every Rademacher probe.
     """
-    return float(_evaluate(_bilinear_block, A, series, plan, dist))
+    return float(_evaluate(_bilinear_block, A, series, dist, plan, series.coeffs[0] * A.dim))
 
 
 def sample_spectral_sums(
@@ -530,16 +533,17 @@ def sample_spectral_sums(
     stream and per-probe streams, grouped by drawn degree so the
     recurrences run on blocks of about 512 columns.
     """
-    return _evaluate_batch(_bilinear_block, 512, A, series, dist, master_seed, num_samples, M)
+    return _evaluate_batch(_bilinear_block, 512, A, series, dist, master_seed, num_samples, M,
+                           series.coeffs[0] * A.dim)
 
 
 def power_method_bound(A: MatrixOracle, iters: int, seed: int) -> float:
     """Estimate of the largest eigenvalue: the Rayleigh quotient after
     ``iters`` power iterations times a 1.1 safety factor.  Not a bound:
     the quotient approaches the top eigenvalue from below, and the factor
-    only covers a slow start.  No package path calls it; acceptance
-    criterion 11 and ``demos/unbiased_logdet.py`` do.  The package takes
-    certified ends instead (``certified_ends``)."""
+    only covers a slow start.  No package path or demo calls it;
+    acceptance criterion 11, the tests and the benchmark's tracer read it.
+    The package takes certified ends instead (``certified_ends``)."""
     if iters < 1:
         raise ParameterError(f"need at least one iteration, got {iters}")
     if A.dim < 1:

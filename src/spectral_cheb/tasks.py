@@ -361,7 +361,8 @@ def completion_train(
 
     def g_grad(theta):
         grad = np.zeros_like(theta)
-        np.add.at(grad, (users, items), 2.0 * problem.lam * (theta[users, items] - vals))
+        # no pair repeats within a split (RatingSet.__post_init__), so nothing accumulates
+        grad[users, items] = 2.0 * problem.lam * (theta[users, items] - vals)
         return grad
 
     obj = Objective(

@@ -33,7 +33,7 @@ from spectral_cheb.degree_dist import (
     poisson_distribution,
     sample_degree,
 )
-from spectral_cheb.exceptions import ParameterError, ParseError
+from spectral_cheb.exceptions import NumericError, ParameterError, ParseError
 from spectral_cheb.grad_est import LowRankPSD, ParamMatrixOracle
 from spectral_cheb.probes import (
     HEADROOM,
@@ -553,8 +553,7 @@ class TestMomentDoubling:
         for threads in ("1", "2", "1", "2"):
             monkeypatch.setenv("SPECTRAL_CHEB_THREADS", threads)
             plan = ProbePlan(4, 70)
-            fixed = probes_module._evaluate(probes_module._bilinear_block, oracle, series, plan,
-                                            n=31)
+            fixed = estimate_spectral_sum_fixed(oracle, series, 31, plan)
             runs.append((fixed, estimate_spectral_sum_unbiased(oracle, series, dist, plan)))
         assert len(built) == 1  # the two-thread runs did use the pool
         assert runs[1:] == runs[:1] * 3
@@ -837,6 +836,52 @@ class TestProbePlan:
             assert estimate_spectral_sum_fixed(oracle, series, n, shared) == fresh
 
 
+class TestDegreeZero:
+    """A degree-0 value draw is b_0 d, as v^T v = d for every Rademacher
+    probe, and builds no probes: the gradients' rule."""
+
+    def _setup(self, monkeypatch):
+        _, oracle, iv = spd_oracle(np.random.default_rng(31), 9)
+        series = compute_coefficients(np.log, iv, degree=30)
+        built = []
+        probe_columns = probes_module._probe_columns
+
+        def recorded(dim, master_seed, eval_index, start, stop):
+            built.append(eval_index)
+            return probe_columns(dim, master_seed, eval_index, start, stop)
+
+        monkeypatch.setattr(probes_module, "_probe_columns", recorded)
+        return oracle, series, built
+
+    def test_builds_no_probes_and_returns_b0_d(self, monkeypatch):
+        oracle, series, built = self._setup(monkeypatch)
+        exact = series.coeffs[0] * 9
+        assert estimate_spectral_sum_unbiased(
+            oracle, series, deterministic_distribution(0), ProbePlan(3, 7)) == exact
+        assert estimate_spectral_sum_fixed(oracle, series, 0, ProbePlan(3, 7)) == exact
+        assert built == []
+        dist = poisson_distribution(1.0)  # q_0 = 1/e
+        degrees = [sample_degree(dist, probes_module.degree_rng(5, t)) for t in range(40)]
+        rows = sample_spectral_sums(oracle, series, dist, 5, 40, M=7)
+        zeros = [t for t, n in enumerate(degrees) if n == 0]
+        assert zeros and all(rows[t] == exact for t in zeros)
+        assert sorted(built) == [t for t, n in enumerate(degrees) if n > 0]
+
+    def test_non_finite_b0_still_raises(self, monkeypatch):
+        oracle, series, built = self._setup(monkeypatch)
+        coeffs = series.coeffs.copy()
+        coeffs[0] = np.inf
+        bad = ChebSeries(series.interval, coeffs)
+        point_mass = deterministic_distribution(0)
+        for call in (lambda: estimate_spectral_sum_unbiased(oracle, bad, point_mass,
+                                                            ProbePlan(3, 7)),
+                     lambda: estimate_spectral_sum_fixed(oracle, bad, 0, ProbePlan(3, 7)),
+                     lambda: sample_spectral_sums(oracle, bad, point_mass, 3, 4, M=7)):
+            with pytest.raises(NumericError, match="non-finite estimate .* degree 0"):
+                call()
+        assert built == []
+
+
 def package_references(names):
     """(module file name, line, enclosing function name or None) of every
     reference to one of ``names`` inside the package; ``__init__``'s
@@ -891,6 +936,17 @@ class TestSingleProbeBuilder:
         assert offenders == []
         drawn_in = {scope for path, _, scope in refs if path == "probes.py"}
         assert drawn_in == {None, "draw_degree", "_evaluate_batch"}
+
+    def test_coefficients_only_reweighted_in_the_drivers(self):
+        # every evaluation, fixed-degree ones too, re-weights its series in
+        # one of the two drivers; no law-free truncation path remains
+        import inspect
+
+        refs = package_references({"weighted_coefficients"})
+        # its import at the top of probes, then one read in each driver
+        assert sorted((path, str(scope)) for path, _, scope in refs) == [
+            ("probes.py", "None"), ("probes.py", "_evaluate"), ("probes.py", "_evaluate_batch")]
+        assert "n" not in inspect.signature(probes_module._evaluate).parameters
 
     def test_step_takes_the_series_interval(self):
         # no oracle declares an interval of its own: every step, value or
