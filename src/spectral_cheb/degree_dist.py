@@ -358,6 +358,12 @@ def sample_degree(dist: DegreeDistribution, rng: np.random.Generator) -> int:
     return survival.size + g
 
 
+def _check_series_degree(series: ChebSeries, n: int) -> None:
+    """Raise ParameterError unless 0 <= n <= the series' degree."""
+    if n < 0 or n > series.degree:
+        raise ParameterError(f"degree {n} outside stored series degree {series.degree}")
+
+
 def weighted_coefficients(series: ChebSeries, dist: DegreeDistribution, n: int) -> np.ndarray:
     """Coefficients bhat_j = b_j / P(n >= j), j = 0..n, re-weighted for the
     degree-n randomized truncation.
@@ -366,8 +372,7 @@ def weighted_coefficients(series: ChebSeries, dist: DegreeDistribution, n: int) 
     below the optimal distribution's support the weights are exactly 1
     and bhat_j == b_j bit for bit.
     """
-    if n < 0 or n > series.degree:
-        raise ParameterError(f"degree {n} outside stored series degree {series.degree}")
+    _check_series_degree(series, n)
     denom = np.ones(n + 1)
     if n >= 1:
         denom[1:] = dist.survival_array(n - 1)

@@ -7,22 +7,26 @@ degree <= n off w_j = T_j(B) v for j <= J = ceil(n/2).  Its forward pass
 stores w_0..w_J; its backward pass forms the adjoints a_j of the w_j
 from a_j = g_j + 2 B a_{j+1} - a_{j+2}, g_j the direct terms the doubled
 moments put on w_j, starting at a_J = g_J.  Every recurrence step is the
-oracle's three-term ``step(w, w_prev, iv)`` = 2B w - w_prev, iv the
-interval of the series being differentiated: the expansion owns the
+oracle's three-term ``step(w, w_prev, iv, out)`` = 2B w - w_prev, iv
+the interval of the series being differentiated: the expansion owns the
 interval and no oracle stores one; the forward pass halves its first
-step, 2B v, to w_1.  A step may write its result into w_prev, so both
-passes hand over only a vector already copied into the stored sequence
-or the adjoint block, and the probe block read-only.  ``LowRankPSD``
-folds the map into two scalars, c1 theta (theta^T x) + c2 x, and the
-generic ``ParamMatrixOracle`` maps each matvec's result in place.  The
+step, 2B v, to w_1.  Both passes keep degree-major blocks, one
+contiguous (m, d) slot of probe rows per degree, and every step writes
+into ``out``: a forward step straight into its slot, a backward step
+into one scratch slot that is then added to the adjoint's slot in its
+block.  ``LowRankPSD`` (A = theta theta^T + eps I) steps with one
+product by its folded d x d matrix 2B where d <= 2r, and with its two
+thin products, the map folded into two scalars, on a taller factor, so
+a folded step copies and allocates nothing; the generic ``ParamMatrixOracle``
+copies each matvec's fresh result into ``out`` and maps it there.  The
 gradient is (2/(b-a)) sum_{j<J}' a_{j+1}^T dA w_j: 2J - 1 matvecs of A per probe
 (none at n = 1) and J partial matvecs per coordinate.  Each oracle
 contracts it in one place: the generic ``ParamMatrixOracle`` applies
 each coordinate's symmetric partial to a block of stacked a_{j+1} and
-dots it column-wise with the w_j; ``LowRankPSD`` (A = theta theta^T +
-eps I) folds the rank-one partials into sum_j' (w_j (a_{j+1}^T theta) +
-a_{j+1} (w_j^T theta)), both halves of the symmetric part, without
-touching a d x d matrix.  Every coordinate shares the plan's degree and
+dots it column-wise with the w_j; ``LowRankPSD`` folds the rank-one
+partials into sum_j' (w_j (a_{j+1}^T theta) + a_{j+1} (w_j^T theta)),
+both halves of the symmetric part, one probe at a time on the probe's
+rows as the slots hold them.  Every coordinate shares the plan's degree and
 probe set, which is what the variance reduction downstream relies on;
 the estimators run the kernel through the drivers in ``probes`` and
 return the gradient array, the drawn degree staying on the plan.  Asked
@@ -34,7 +38,8 @@ w_1 at n = 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import threading
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
 
@@ -56,6 +61,11 @@ __all__ = [
 # adjoints a_j per contraction: the backward pass never holds more than
 # this many next to the stored forward sequence w_0..w_J
 _DEGREE_BLOCK = 32
+# LowRankPSD.contract stacks the w and a rows of blocks at most this many
+# degrees wide (30 x 20 factor, M = 64, one BLAS thread: gradients at
+# n = 3-7 took 190-300 us stacked against 470-570 us unstacked, while at
+# n >= 11 the unstacked products were as fast or faster, up to 18%)
+_STACKED_DEGREES = 4
 
 
 @dataclass
@@ -88,23 +98,25 @@ class ParamMatrixOracle:
         _count(self.counter, x)
         return self.apply_partial(i, self.theta, x)
 
-    def step(self, w: np.ndarray, w_prev: np.ndarray | None, iv: Interval) -> np.ndarray:
-        """2B w - w_prev (2B w when ``w_prev`` is None) in a fresh array,
-        mapping the result of one ``mv`` onto iv."""
-        return _mapped_step(self.mv(w), w, w_prev, iv)
+    def step(self, w: np.ndarray, w_prev: np.ndarray | None, iv: Interval,
+             out: np.ndarray | None = None) -> np.ndarray:
+        """2B w - w_prev (2B w when ``w_prev`` is None), mapping the result
+        of one ``mv`` onto iv, into ``out`` when given and otherwise into
+        that result; ``w`` and ``w_prev`` are never written."""
+        return _mapped_step(self.mv(w), w, w_prev, iv, out)
 
     def contract(self, w: np.ndarray, a: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """Per-column sum_b weights_b w_b^T (dA/dtheta_i) a_b for (m, blk, d)
-        blocks w and a, shape (m, param_dim): one partial matvec per
-        coordinate on the stacked adjoints a.  Each partial is symmetric,
-        so the one product covers both halves of the symmetric part of
-        sum_b a_b w_b^T."""
-        m, blk, d = a.shape
-        flat = a.reshape(m * blk, d).T
+        """Per-column sum_b weights_b w_b^T (dA/dtheta_i) a_b for (blk, m, d)
+        blocks w and a, slot b holding the m probes' rows, shape
+        (m, param_dim): one partial matvec per coordinate on the stacked
+        adjoints a.  Each partial is symmetric, so the one product covers
+        both halves of the symmetric part of sum_b a_b w_b^T."""
+        blk, m, d = a.shape
+        flat = a.reshape(blk * m, d).T
         out = np.empty((m, self.param_dim))
         for i in range(self.param_dim):
-            da = self.mv_partial(i, flat).T.reshape(m, blk, d)
-            out[:, i] = np.einsum("kbd,kbd->kb", w, da) @ weights
+            da = self.mv_partial(i, flat).T.reshape(blk, m, d)
+            out[:, i] = np.einsum("bkd,bkd->kb", w, da) @ weights
         return out
 
 
@@ -112,13 +124,22 @@ class ParamMatrixOracle:
 class LowRankPSD:
     """A = theta theta^T + epsilon I for a d x r factor.
 
-    ``step`` folds the interval map into two scalars, so a recurrence
-    step costs the two thin products of ``mv`` and no extra pass for the
-    shift."""
+    Where d <= 2r, ``step`` multiplies by the folded
+    2B = (4 theta theta^T + 2(2 eps - (b+a)) I)/(b-a), built once per
+    interval (under a lock, as probe chunks step from several threads)
+    and kept until a step asks for another: the d x d product costs no
+    more flops than the two thin ones, the fold at most twice theta's
+    memory, and a step is one product and one subtraction.  A taller
+    factor keeps the two thin products of ``mv`` with the map folded into
+    two scalars, the one path that stays O(dr) in memory.  The choice
+    reads theta's shape alone."""
 
     theta: np.ndarray
     epsilon: float
     counter: MatvecCounter | None = None
+    _fold: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _fold_lock: threading.Lock = field(default_factory=threading.Lock, init=False,
+                                       repr=False, compare=False)
 
     def __post_init__(self):
         theta = np.asarray(self.theta, dtype=float)
@@ -140,24 +161,61 @@ class LowRankPSD:
         _count(self.counter, x)
         return self.theta @ (self.theta.T @ x) + self.epsilon * x
 
-    def step(self, w: np.ndarray, w_prev: np.ndarray | None, iv: Interval) -> np.ndarray:
-        """2B w - w_prev (2B w when ``w_prev`` is None) in a fresh array:
-        4/(b-a) theta (theta^T w) + 2(2 eps - (b+a))/(b-a) w - w_prev."""
+    def _folded(self, iv: Interval) -> np.ndarray | None:
+        """2B on iv for a factor with d <= 2r, None for a taller one."""
+        d, r = self.theta.shape
+        if d > 2 * r:
+            return None
+        fold = self._fold  # replaced whole, so a step reads a finished fold
+        if fold is not None and fold[0] is iv:
+            return fold[1]
+        with self._fold_lock:
+            if self._fold is None or self._fold[0] != iv:
+                folded = 4.0 * (self.theta @ self.theta.T)
+                folded[np.diag_indices(d)] += 2.0 * (2.0 * self.epsilon - (iv.b + iv.a))
+                folded /= iv.width
+                self._fold = (iv, folded)
+            return self._fold[1]
+
+    def step(self, w: np.ndarray, w_prev: np.ndarray | None, iv: Interval,
+             out: np.ndarray | None = None) -> np.ndarray:
+        """2B w - w_prev (2B w when ``w_prev`` is None), into ``out`` when
+        given and otherwise into a fresh array; ``w`` and ``w_prev`` are
+        never written.  One product with the fold, or for a tall factor
+        4/(b-a) theta (theta^T w) + 2(2 eps - (b+a))/(b-a) w."""
         _count(self.counter, w)
-        inner = self.theta.T @ w
-        inner *= 4.0 / iv.width
-        y = self.theta @ inner
-        y += np.multiply(w, 2.0 * (2.0 * self.epsilon - (iv.b + iv.a)) / iv.width)
+        folded = self._folded(iv)
+        if folded is not None:
+            y = np.matmul(folded, w, out=out)
+        else:
+            inner = self.theta.T @ w
+            inner *= 4.0 / iv.width
+            y = np.matmul(self.theta, inner, out=out)
+            y += np.multiply(w, 2.0 * (2.0 * self.epsilon - (iv.b + iv.a)) / iv.width)
         if w_prev is not None:
             y -= w_prev
         return y
 
     def contract(self, w: np.ndarray, a: np.ndarray, weights: np.ndarray) -> np.ndarray:
         """Per-column sum_b weights_b (w_b (a_b^T theta) + a_b (w_b^T theta))
-        for (m, blk, d) blocks w and a, shape (m, d, r).  Each partial of
+        for (blk, m, d) blocks w and a, slot b holding the m probes' rows,
+        shape (m, d, r).  Each partial of
         theta theta^T contributes (w a^T + a w^T) theta; sum_b a_b w_b^T
-        is not symmetric, so both halves are formed."""
+        is not symmetric, so both halves are formed, one probe at a time:
+        every product has sizes that do not depend on m, so a probe's row
+        keeps its bits in any block width, and takes the probe's rows as
+        they lie.  A narrow block stacks each probe's w and a rows, so one
+        product forms both halves: its inner dimension is then never 1,
+        which NumPy runs without BLAS, and no second (m, d, r) array is
+        allocated."""
         scale = weights[:, None]
+        blk = a.shape[0]
+        w, a = w.transpose(1, 0, 2), a.transpose(1, 0, 2)  # each probe's rows
+        if blk <= _STACKED_DEGREES:
+            stacked = np.concatenate((w, a), axis=1)
+            inner = np.matmul(stacked, self.theta)  # w_b^T theta, then a_b^T theta
+            inner *= np.concatenate((scale, scale))
+            return np.matmul(stacked.transpose(0, 2, 1), np.roll(inner, blk, axis=1))
         w_theta = np.matmul(w, self.theta)
         w_theta *= scale
         a_theta = np.matmul(a, self.theta)
@@ -194,7 +252,8 @@ def _adjoint_block(op, iv: Interval, bhat: np.ndarray, n: int,
     2 c_{2j-1} w_{j-1}, with (c_1 - sum_{odd k>=3} c_k) in place of 2 c_1
     at j = 1.  Each block of ``_DEGREE_BLOCK`` adjoints starts from its
     direct terms, built with one array operation per neighbour, and is
-    contracted as soon as the pass completes it: the gradient is
+    contracted with its forward slots as soon as the pass completes it:
+    the gradient is
     (2/(b-a)) sum_{j<J}' a_{j+1}^T dA w_j.  The value is const +
     (1/2)(c_1 - sum_{odd k>=3} c_k) v^T w_1 + (1/2) sum_j w_j^T g_j, one
     contraction per block of direct terms.
@@ -207,50 +266,47 @@ def _adjoint_block(op, iv: Interval, bhat: np.ndarray, n: int,
     stored = half + 1 if n >= 2 or value else 1
     c = np.zeros(2 * half + 2)
     c[: n + 1] = bhat[: n + 1]
-    # direct-term weights of w_{j-1}, w_j and w_{j+1} in g_j, j = 1..J
-    lower = 2.0 * c[1 : 2 * half : 2, None]
+    # direct-term weights of w_{j-1}, w_j and w_{j+1} in g_j, j = 1..J,
+    # one per (m, d) slot
+    lower = 2.0 * c[1 : 2 * half : 2, None, None]
     lower[0] = c[1] - c[3::2].sum()
-    centre = 4.0 * c[2 : 2 * half + 1 : 2, None]
-    upper = 2.0 * c[3 : 2 * half + 2 : 2, None]
-    # probe-major storage: w[:, j] holds T_j(B) v for every probe as an
-    # (m, d) row block, zero past the last one formed (the direct terms
-    # weigh those slots by zero); each step reads the contiguous (d, m)
-    # results of the two steps before it and hands over the older one,
-    # already copied into w (the probe block read-only, never written)
-    w = np.empty((m, half + 2, d))
-    w[:, stored:] = 0.0
-    w[:, 0] = probes.T
-    prev, cur = None, probes.view()
-    cur.flags.writeable = False
-    for j in range(1, stored):
-        prev, cur = cur, op.step(cur, prev, iv)
-        if j == 1:
-            cur *= 0.5  # w_1 = B v, half the first step 2B v
-        w[:, j] = cur.T
+    centre = 4.0 * c[2 : 2 * half + 1 : 2, None, None]
+    upper = 2.0 * c[3 : 2 * half + 2 : 2, None, None]
+    # degree-major storage: slot w[j] holds T_j(B) v for every probe as one
+    # contiguous (m, d) block of probe rows, zero past the last one formed
+    # (the direct terms weigh those slots by zero); each step reads the
+    # (d, m) views of the two slots before it and writes into the next
+    w = np.empty((half + 2, m, d))
+    w[stored:] = 0.0
+    w[0] = probes.T
+    cols = w.transpose(0, 2, 1)
+    if stored > 1:
+        op.step(cols[0], None, iv, out=cols[1])
+        w[1] *= 0.5  # w_1 = B v, half the first step 2B v
+    for j in range(2, stored):
+        op.step(cols[j - 1], cols[j - 2], iv, out=cols[j])
     if value:
         values = (c[0] - c[2::2].sum()) * np.einsum("dk,dk->k", probes, probes)
-        values += 0.5 * lower[0, 0] * np.einsum("kd,kd->k", w[:, 0], w[:, 1])
+        values += 0.5 * lower[0, 0, 0] * np.einsum("kd,kd->k", w[0], w[1])
     weights = _sum_prime_weights(half) * (2.0 / iv.width)
+    scratch = np.empty((m, d)).T
     acc = 0.0
-    a_next, a_after = None, None  # a_{j+1}, a_{j+2}
+    a_next, a_after = None, None  # (d, m) views of a_{j+1}, a_{j+2}
     for top in range(half, 0, -_DEGREE_BLOCK):
         low = max(1, top - _DEGREE_BLOCK + 1)
-        # the direct terms g_j, j = low..top, overwritten by a_j below
-        a = w[:, low - 1 : top] * lower[low - 1 : top]
-        a += w[:, low : top + 1] * centre[low - 1 : top]
-        a += w[:, low + 1 : top + 2] * upper[low - 1 : top]
+        # the direct terms g_j, j = low..top, in slot j - low, each turned
+        # into a_j in place: the step goes to the scratch slot, then is added
+        a = w[low - 1 : top] * lower[low - 1 : top]
+        a += w[low : top + 1] * centre[low - 1 : top]
+        a += w[low + 1 : top + 2] * upper[low - 1 : top]
         if value:
-            values += 0.5 * np.einsum("kjd,kjd->k", w[:, low : top + 1], a)
-        for j in range(top, low - 1, -1):
-            if a_next is None:
-                a_j = a[:, j - low].T.copy()
-            else:
-                # a_{j+2} is handed over: its block row already holds it
-                a_j = op.step(a_next, a_after, iv)
-                a_j += a[:, j - low].T
-                a[:, j - low] = a_j.T
-            a_next, a_after = a_j, a_next
-        acc = acc + op.contract(w[:, low - 1 : top], a, weights[low - 1 : top])
+            values += 0.5 * np.einsum("jkd,jkd->k", w[low : top + 1], a)
+        for row in a.transpose(0, 2, 1)[::-1]:
+            if a_next is not None:
+                op.step(a_next, a_after, iv, out=scratch)
+                row += scratch
+            a_next, a_after = row, a_next
+        acc = acc + op.contract(w[low - 1 : top], a, weights[low - 1 : top])
     return (acc, values) if value else acc
 
 
@@ -294,7 +350,9 @@ def grad_estimate_lowrank(
 ) -> np.ndarray:
     """Amortized gradient of tr f(theta theta^T + eps I) w.r.t. the
     factor; algebraically identical to the generic path on the flattened
-    parameterization but costs O(M n d r) with no d x d work.  Per-probe
+    parameterization but costs O(M n d r): with no d x d work for a factor
+    taller than twice its width, and otherwise with its folded d x d
+    matrix, whose steps cost at most the two thin products.  Per-probe
     values are averaged in probe order whatever the thread count; a
     degree-0 draw returns exact zeros without building probes."""
     return _estimate(lr, series, dist, plan)

@@ -65,6 +65,7 @@ import numpy as np
 from .chebyshev import ChebSeries, Interval, compute_coefficients, rho_from_endpoint_singularity
 from .degree_dist import (
     DegreeDistribution,
+    _check_series_degree,
     deterministic_distribution,
     make_degree_distribution,
     sample_degree,
@@ -129,11 +130,15 @@ def _count(counter: MatvecCounter | None, x: np.ndarray) -> None:
 
 
 def _mapped_step(y: np.ndarray, w: np.ndarray, w_prev: np.ndarray | None,
-                 iv: Interval) -> np.ndarray:
-    """2B w - w_prev from y = A w, written into y unless y is not a fresh
-    float array; the recurrence step of an operator known only through its
-    matvec."""
-    if (y.dtype != np.float64 or not y.flags.writeable or np.may_share_memory(y, w)
+                 iv: Interval, out: np.ndarray | None = None) -> np.ndarray:
+    """2B w - w_prev from y = A w, written into ``out`` when given (y is
+    copied there first, so every later operation runs in out's layout),
+    else into y unless y is not a fresh float array; the recurrence step
+    of an operator known only through its matvec."""
+    if out is not None:
+        np.copyto(out, y)
+        y = out
+    elif (y.dtype != np.float64 or not y.flags.writeable or np.may_share_memory(y, w)
             or (w_prev is not None and np.may_share_memory(y, w_prev))):
         y = np.array(y, dtype=float)  # never overwrite an operand the caller still holds
     y *= 4.0 / iv.width
@@ -422,13 +427,22 @@ def _map_probe_chunks(plan: ProbePlan, dim: int, block_fn, workers: int) -> list
 
 
 def _finite(rows, start: int, n: int):
-    """``rows``, a kernel's per-column array or a degree-0 value, or a
-    tuple of them, once all of it is finite."""
+    """``rows``, a kernel's per-column array or a scalar, or a tuple of
+    them, once all of it is finite."""
     for part in rows if isinstance(rows, tuple) else (rows,):
         if not np.isfinite(part).all():
             raise NumericError(
                 f"non-finite estimate in probe block starting at {start}, degree {n}")
     return rows
+
+
+def _degree_zero(zero):
+    """``zero``, a driver's degree-0 result, once its b_0 d is finite: a
+    gradient's zeros are exact, so only the scalar value is checked."""
+    for part in zero if isinstance(zero, tuple) else (zero,):
+        if not isinstance(part, np.ndarray):
+            _finite(part, 0, 0)
+    return zero
 
 
 def _evaluate(kernel, op, series: ChebSeries, dist: DegreeDistribution, plan: ProbePlan,
@@ -442,15 +456,15 @@ def _evaluate(kernel, op, series: ChebSeries, dist: DegreeDistribution, plan: Pr
 
     n is the plan's degree, drawn from ``dist`` on first use, and the
     coefficients are re-weighted for it; a fixed degree is a plan pinned
-    at n under its point mass.  A degree-0 draw returns ``zero``, checked
-    finite, without building probes or touching the oracle.
+    at n under its point mass.  A degree-0 draw returns ``zero``, its b_0 d
+    checked finite, without building probes or touching the oracle.
     SPECTRAL_CHEB_THREADS is read first, so a bad value fails every
     evaluation alike.
     """
     workers = _thread_count()
     n = plan.draw_degree(dist)
     if n == 0:
-        return _finite(zero, 0, 0)
+        return _degree_zero(zero)
     coeffs = weighted_coefficients(series, dist, n)
     rows = _map_probe_chunks(plan, op.dim, lambda probes, start: _finite(
         kernel(op, series.interval, coeffs, n, probes), start, n), workers)
@@ -476,7 +490,7 @@ def _evaluate_batch(kernel, block_cols: int, op, series: ChebSeries,
         n = int(n)
         idx = np.nonzero(degrees == n)[0]
         if n == 0:
-            out[idx] = _finite(zero, 0, 0)
+            out[idx] = _degree_zero(zero)
             continue
         coeffs = weighted_coefficients(series, dist, n)
         for start in range(0, idx.size, block_samples):
@@ -498,8 +512,10 @@ def estimate_spectral_sum_fixed(
     plan pinned at n, leaving the plan's degree alone.  ``A`` may be any
     oracle with ``dim`` and ``step``: a ``MatrixOracle``, ``LowRankPSD``
     or ``ParamMatrixOracle``; the series' interval must contain its
-    spectrum.
+    spectrum.  n is checked against the series before the point mass,
+    whose build is O(n), is made.
     """
+    _check_series_degree(series, n)
     return float(_evaluate(_bilinear_block, A, series, deterministic_distribution(n),
                            ProbePlan(plan.master_seed, plan.M, degree=n),
                            series.coeffs[0] * A.dim))

@@ -383,8 +383,8 @@ def full_recurrence_adjoint_block(op, iv: Interval, bhat: np.ndarray, n: int,
         s[i] = bhat[i + 1] * probes
         if i < n - 1:
             s[i] += op.step(s[i + 1], s[i + 2].copy() if i < n - 2 else None, iv)
-    # (m, n, d) probe-major blocks, the layout ``contract`` takes
-    return op.contract(np.stack([x.T for x in w], axis=1), np.stack([x.T for x in s], axis=1),
+    # (n, m, d) blocks of probe rows, the layout ``contract`` takes
+    return op.contract(np.stack([x.T for x in w]), np.stack([x.T for x in s]),
                        _sum_prime_weights(n) * (2.0 / iv.width))
 
 

@@ -218,6 +218,40 @@ class TestLowRankGradient:
         gen = grad_estimate_generic(lowrank_as_generic(lr), series, dist, ProbePlan(46, 3))
         np.testing.assert_allclose(low, gen.reshape(6, 2), atol=1e-10)
 
+    @pytest.mark.parametrize("value", [False, True])
+    @pytest.mark.parametrize("n", [1, 2, 3, 15, 80])
+    def test_folded_factor_matches_generic(self, n, value):
+        # a 30 x 20 factor steps with its folded 30 x 30 matrix; the generic
+        # path maps each matvec of the flattened parameterization
+        rng = np.random.default_rng(53)
+        theta = rng.uniform(-0.3, 0.3, size=(30, 20))
+        lr = LowRankPSD(theta, 0.2)
+        b_hi = 0.2 + float(np.linalg.norm(theta, 2)) ** 2
+        series = compute_coefficients(np.sqrt, Interval(0.2 * 0.999, b_hi * 1.05), degree=80)
+        dist = deterministic_distribution(n)
+        low = _estimate(lr, series, dist, ProbePlan(54, 40), value=value)
+        gen = _estimate(lowrank_as_generic(lr), series, dist, ProbePlan(54, 40), value=value)
+        if value:
+            (low, low_value), (gen, gen_value) = low, gen
+            assert abs(low_value - gen_value) <= 1e-10 * abs(gen_value)
+        np.testing.assert_allclose(low, gen.reshape(30, 20), rtol=0, atol=1e-10)
+
+    def test_fold_reads_the_factor_shape(self):
+        # d <= 2r folds 2B into one d x d matrix, once per interval; a
+        # taller factor keeps its two thin products
+        rng = np.random.default_rng(55)
+        iv = Interval(0.1, 4.0)
+        for shape, folds in (((30, 20), True), ((30, 15), True), ((30, 14), False),
+                             ((30, 3), False)):
+            lr = LowRankPSD(rng.uniform(-0.3, 0.3, size=shape), 0.1)
+            folded = lr._folded(iv)
+            assert (folded is not None) == folds, shape
+            if folds:
+                want = (4.0 * dense_lowrank(lr) - 2.0 * (iv.b + iv.a) * np.eye(30)) / iv.width
+                np.testing.assert_allclose(folded, want, rtol=0, atol=1e-14)
+                assert lr._folded(iv) is folded
+                assert lr._folded(Interval(0.1, 5.0)) is not folded
+
     def test_zero_factor_gives_zero_gradient(self):
         lr = LowRankPSD(np.zeros((5, 2)), 0.5)
         series = compute_coefficients(np.sqrt, Interval(0.25, 1.0), degree=30)

@@ -85,7 +85,9 @@ class TestRademacher:
 
 def _step_oracles(rng, dim, counter):
     """(name, dense A, oracle) for every kind of recurrence step: a folded
-    CSR and dense matrix, a callable matvec, a low-rank factor and a
+    CSR and dense matrix, a callable matvec, a low-rank factor on both
+    sides of its rule (dim x 3 steps with two thin products, dim x 20
+    with its folded dim x dim matrix at every dim <= 40 used here) and a
     parametric oracle."""
     theta = rng.uniform(-0.6, 0.6, size=(dim, 3))
     lowrank = LowRankPSD(theta, 0.3, counter=counter)
@@ -93,6 +95,7 @@ def _step_oracles(rng, dim, counter):
     sparse = scipy.sparse.random(dim, dim, density=0.2, random_state=rng)
     sparse = (sparse + sparse.T + 3.0 * scipy.sparse.identity(dim)).tocsr()
     partial = random_symmetric(rng, dim, 0.1)
+    folded = LowRankPSD(rng.uniform(-0.3, 0.3, size=(dim, 20)), 0.3, counter=counter)
     param = ParamMatrixOracle(
         dim=dim, param_dim=1, theta=np.array([0.5]),
         apply=lambda th, x: dense @ x + th[0] * (partial @ x),
@@ -104,6 +107,7 @@ def _step_oracles(rng, dim, counter):
         ("callable", dense, MatrixOracle(dim=dim, matvec=lambda x: dense @ x,
                                          counter=counter)),
         ("lowrank", dense_lowrank(lowrank), lowrank),
+        ("lowrank_folded", dense_lowrank(folded), folded),
         ("param", dense + 0.5 * partial, param),
     ]
 
@@ -367,6 +371,17 @@ class TestFixedEstimator:
         estimate_spectral_sum_fixed(oracle, series, 17, ProbePlan(1, 5))
         assert counter.count == 9 * 5
 
+    def test_degree_past_the_series_rejected_before_its_law(self, monkeypatch):
+        # the point mass at n costs O(n) to build, so n is checked against
+        # the series first, with the error re-weighting raises
+        _, oracle, iv = spd_oracle(np.random.default_rng(24), 6)
+        series = compute_coefficients(np.exp, iv, degree=30)
+        monkeypatch.setattr(probes_module, "deterministic_distribution",
+                            lambda n: pytest.fail(f"built the point mass at {n}"))
+        with pytest.raises(ParameterError,
+                           match="degree 10000000 outside stored series degree 30"):
+            estimate_spectral_sum_fixed(oracle, series, 10**7, ProbePlan(1, 4))
+
     def test_error_shrinks_with_probes(self):
         rng = np.random.default_rng(12)
         matrix, oracle, iv = spd_oracle(rng, 20)
@@ -584,8 +599,9 @@ class TestChunks:
     halves."""
 
     @pytest.mark.parametrize("name, kernel", [
-        *((name, "bilinear") for name in ("csr", "dense", "callable", "lowrank", "param")),
-        *((name, kernel) for name in ("lowrank", "param")
+        *((name, "bilinear") for name in ("csr", "dense", "callable", "lowrank",
+                                          "lowrank_folded", "param")),
+        *((name, kernel) for name in ("lowrank", "lowrank_folded", "param")
           for kernel in ("adjoint", "adjoint_value")),
     ])
     def test_one_block_equals_its_32_column_slices(self, name, kernel):
@@ -970,9 +986,9 @@ class TestSingleProbeBuilder:
             def __getattr__(self, name):
                 return getattr(self.op, name)
 
-            def step(self, w, w_prev, iv):
+            def step(self, w, w_prev, iv, **out):
                 self.seen.append(iv)
-                return self.op.step(w, w_prev, iv)
+                return self.op.step(w, w_prev, iv, **out)
 
         rng = np.random.default_rng(62)
         series = compute_coefficients(np.exp, Interval(0.1, 5.0), degree=20)
