@@ -15,9 +15,10 @@ contiguous (m, d) slot of probe rows per degree, and every step writes
 into ``out``: a forward step straight into its slot, a backward step
 into one scratch slot that is then added to the adjoint's slot in its
 block.  ``LowRankPSD`` (A = theta theta^T + eps I) steps with one
-product by its folded d x d matrix 2B where d <= 2r, and with its two
-thin products, the map folded into two scalars, on a taller factor, so
-a folded step copies and allocates nothing; the generic ``ParamMatrixOracle``
+product by its folded d x d matrix 2B where one step on the block's
+m columns repays the fold's build, m (2r - d) > d r, and elsewhere with
+its two thin products, the map folded into two scalars, so a folded
+step copies and allocates nothing; the generic ``ParamMatrixOracle``
 copies each matvec's fresh result into ``out`` and maps it there.  The
 gradient is (2/(b-a)) sum_{j<J}' a_{j+1}^T dA w_j: 2J - 1 matvecs of A per probe
 (none at n = 1) and J partial matvecs per coordinate.  Each oracle
@@ -61,11 +62,6 @@ __all__ = [
 # adjoints a_j per contraction: the backward pass never holds more than
 # this many next to the stored forward sequence w_0..w_J
 _DEGREE_BLOCK = 32
-# LowRankPSD.contract stacks the w and a rows of blocks at most this many
-# degrees wide (30 x 20 factor, M = 64, one BLAS thread: gradients at
-# n = 3-7 took 190-300 us stacked against 470-570 us unstacked, while at
-# n >= 11 the unstacked products were as fast or faster, up to 18%)
-_STACKED_DEGREES = 4
 
 
 @dataclass
@@ -124,15 +120,19 @@ class ParamMatrixOracle:
 class LowRankPSD:
     """A = theta theta^T + epsilon I for a d x r factor.
 
-    Where d <= 2r, ``step`` multiplies by the folded
-    2B = (4 theta theta^T + 2(2 eps - (b+a)) I)/(b-a), built once per
-    interval (under a lock, as probe chunks step from several threads)
-    and kept until a step asks for another: the d x d product costs no
-    more flops than the two thin ones, the fold at most twice theta's
-    memory, and a step is one product and one subtraction.  A taller
-    factor keeps the two thin products of ``mv`` with the map folded into
-    two scalars, the one path that stays O(dr) in memory.  The choice
-    reads theta's shape alone."""
+    A step on m columns multiplies by the folded
+    2B = (4 theta theta^T + 2(2 eps - (b+a)) I)/(b-a) where m (2r - d) > d r:
+    there the one step's d^2 m multiply-adds, against the thin products'
+    2 d r m, save more than the d^2 r of building the fold, so it never
+    costs more multiply-adds than the thin path, however few steps use it,
+    and holds less than twice theta's memory.  It is built once per
+    interval (under a lock, as probe chunks step from several threads) and
+    kept until a step asks for another; a folded step is one product and
+    one subtraction.  Elsewhere, and always for d >= 2r, a step keeps the two
+    thin products of ``mv`` with the map folded into two scalars, the
+    path that stays O(dr) in memory.  The choice reads theta's shape and
+    the block's column count alone, so every step of a block takes the
+    same path."""
 
     theta: np.ndarray
     epsilon: float
@@ -161,17 +161,19 @@ class LowRankPSD:
         _count(self.counter, x)
         return self.theta @ (self.theta.T @ x) + self.epsilon * x
 
-    def _folded(self, iv: Interval) -> np.ndarray | None:
-        """2B on iv for a factor with d <= 2r, None for a taller one."""
+    def _folded(self, iv: Interval, columns: int) -> np.ndarray | None:
+        """2B on iv when one step on ``columns`` columns saves the d^2 r
+        multiply-adds of building it, m (2r - d) > d r; None otherwise."""
         d, r = self.theta.shape
-        if d > 2 * r:
+        if columns * (2 * r - d) <= d * r:
             return None
         fold = self._fold  # replaced whole, so a step reads a finished fold
         if fold is not None and fold[0] is iv:
             return fold[1]
         with self._fold_lock:
             if self._fold is None or self._fold[0] != iv:
-                folded = 4.0 * (self.theta @ self.theta.T)
+                folded = self.theta @ self.theta.T
+                folded *= 4.0
                 folded[np.diag_indices(d)] += 2.0 * (2.0 * self.epsilon - (iv.b + iv.a))
                 folded /= iv.width
                 self._fold = (iv, folded)
@@ -181,10 +183,10 @@ class LowRankPSD:
              out: np.ndarray | None = None) -> np.ndarray:
         """2B w - w_prev (2B w when ``w_prev`` is None), into ``out`` when
         given and otherwise into a fresh array; ``w`` and ``w_prev`` are
-        never written.  One product with the fold, or for a tall factor
+        never written.  One product with the fold, or elsewhere
         4/(b-a) theta (theta^T w) + 2(2 eps - (b+a))/(b-a) w."""
         _count(self.counter, w)
-        folded = self._folded(iv)
+        folded = self._folded(iv, w.size // w.shape[0])
         if folded is not None:
             y = np.matmul(folded, w, out=out)
         else:
@@ -204,18 +206,16 @@ class LowRankPSD:
         is not symmetric, so both halves are formed, one probe at a time:
         every product has sizes that do not depend on m, so a probe's row
         keeps its bits in any block width, and takes the probe's rows as
-        they lie.  A narrow block stacks each probe's w and a rows, so one
-        product forms both halves: its inner dimension is then never 1,
-        which NumPy runs without BLAS, and no second (m, d, r) array is
-        allocated."""
+        they lie.  A block one degree wide stacks each probe's w and a
+        rows, so one product of inner dimension 2 forms both halves: NumPy
+        runs a product of inner dimension 1 without BLAS."""
         scale = weights[:, None]
-        blk = a.shape[0]
         w, a = w.transpose(1, 0, 2), a.transpose(1, 0, 2)  # each probe's rows
-        if blk <= _STACKED_DEGREES:
+        if len(weights) == 1:
             stacked = np.concatenate((w, a), axis=1)
-            inner = np.matmul(stacked, self.theta)  # w_b^T theta, then a_b^T theta
-            inner *= np.concatenate((scale, scale))
-            return np.matmul(stacked.transpose(0, 2, 1), np.roll(inner, blk, axis=1))
+            inner = np.matmul(stacked, self.theta)  # w^T theta, then a^T theta
+            inner *= scale
+            return np.matmul(stacked.transpose(0, 2, 1), np.roll(inner, 1, axis=1))
         w_theta = np.matmul(w, self.theta)
         w_theta *= scale
         a_theta = np.matmul(a, self.theta)
@@ -350,9 +350,9 @@ def grad_estimate_lowrank(
 ) -> np.ndarray:
     """Amortized gradient of tr f(theta theta^T + eps I) w.r.t. the
     factor; algebraically identical to the generic path on the flattened
-    parameterization but costs O(M n d r): with no d x d work for a factor
-    taller than twice its width, and otherwise with its folded d x d
-    matrix, whose steps cost at most the two thin products.  Per-probe
+    parameterization but costs O(M n d r): with no d x d work unless a
+    block's columns m satisfy m (2r - d) > d r, where one step with the
+    folded d x d matrix saves more than its build.  Per-probe
     values are averaged in probe order whatever the thread count; a
     degree-0 draw returns exact zeros without building probes."""
     return _estimate(lr, series, dist, plan)

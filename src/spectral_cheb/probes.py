@@ -436,15 +436,6 @@ def _finite(rows, start: int, n: int):
     return rows
 
 
-def _degree_zero(zero):
-    """``zero``, a driver's degree-0 result, once its b_0 d is finite: a
-    gradient's zeros are exact, so only the scalar value is checked."""
-    for part in zero if isinstance(zero, tuple) else (zero,):
-        if not isinstance(part, np.ndarray):
-            _finite(part, 0, 0)
-    return zero
-
-
 def _evaluate(kernel, op, series: ChebSeries, dist: DegreeDistribution, plan: ProbePlan,
               zero):
     """One evaluation: the mean over the plan's probes of the rows
@@ -464,7 +455,8 @@ def _evaluate(kernel, op, series: ChebSeries, dist: DegreeDistribution, plan: Pr
     workers = _thread_count()
     n = plan.draw_degree(dist)
     if n == 0:
-        return _degree_zero(zero)
+        _finite(series.coeffs[0] * op.dim, 0, 0)
+        return zero
     coeffs = weighted_coefficients(series, dist, n)
     rows = _map_probe_chunks(plan, op.dim, lambda probes, start: _finite(
         kernel(op, series.interval, coeffs, n, probes), start, n), workers)
@@ -490,7 +482,8 @@ def _evaluate_batch(kernel, block_cols: int, op, series: ChebSeries,
         n = int(n)
         idx = np.nonzero(degrees == n)[0]
         if n == 0:
-            out[idx] = _degree_zero(zero)
+            _finite(series.coeffs[0] * op.dim, 0, 0)
+            out[idx] = zero
             continue
         coeffs = weighted_coefficients(series, dist, n)
         for start in range(0, idx.size, block_samples):

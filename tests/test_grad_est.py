@@ -17,6 +17,7 @@ from helpers import (
 )
 
 from spectral_cheb.chebyshev import (
+    ChebSeries,
     Interval,
     compute_coefficients,
     series_from_polynomial,
@@ -25,7 +26,12 @@ from spectral_cheb.degree_dist import (
     deterministic_distribution,
     optimal_distribution,
 )
-from spectral_cheb.exceptions import DegenerateDistributionError, ParameterError, SpectralChebError
+from spectral_cheb.exceptions import (
+    DegenerateDistributionError,
+    NumericError,
+    ParameterError,
+    SpectralChebError,
+)
 from spectral_cheb.grad_est import (
     LowRankPSD,
     ParamMatrixOracle,
@@ -221,36 +227,42 @@ class TestLowRankGradient:
     @pytest.mark.parametrize("value", [False, True])
     @pytest.mark.parametrize("n", [1, 2, 3, 15, 80])
     def test_folded_factor_matches_generic(self, n, value):
-        # a 30 x 20 factor steps with its folded 30 x 30 matrix; the generic
-        # path maps each matvec of the flattened parameterization
+        # a 30 x 20 factor steps 64 probes with its folded 30 x 30 matrix;
+        # the generic path maps each matvec of the flattened parameterization
         rng = np.random.default_rng(53)
         theta = rng.uniform(-0.3, 0.3, size=(30, 20))
         lr = LowRankPSD(theta, 0.2)
         b_hi = 0.2 + float(np.linalg.norm(theta, 2)) ** 2
         series = compute_coefficients(np.sqrt, Interval(0.2 * 0.999, b_hi * 1.05), degree=80)
         dist = deterministic_distribution(n)
-        low = _estimate(lr, series, dist, ProbePlan(54, 40), value=value)
-        gen = _estimate(lowrank_as_generic(lr), series, dist, ProbePlan(54, 40), value=value)
+        low = _estimate(lr, series, dist, ProbePlan(54, 64), value=value)
+        gen = _estimate(lowrank_as_generic(lr), series, dist, ProbePlan(54, 64), value=value)
+        # n = 1 without the value takes no step, so builds no fold
+        assert (lr._fold is not None) == (n > 1 or value)
         if value:
             (low, low_value), (gen, gen_value) = low, gen
             assert abs(low_value - gen_value) <= 1e-10 * abs(gen_value)
         np.testing.assert_allclose(low, gen.reshape(30, 20), rtol=0, atol=1e-10)
 
-    def test_fold_reads_the_factor_shape(self):
-        # d <= 2r folds 2B into one d x d matrix, once per interval; a
-        # taller factor keeps its two thin products
+    def test_fold_only_where_one_step_pays_for_it(self):
+        # 2B is folded into one d x d matrix, once per interval, only where
+        # one step on m columns saves the d^2 r multiply-adds of its build:
+        # m (2r - d) > d r, from 61 columns at 30 x 20 and 21 at 30 x 60;
+        # a factor with d >= 2r never folds
         rng = np.random.default_rng(55)
         iv = Interval(0.1, 4.0)
-        for shape, folds in (((30, 20), True), ((30, 15), True), ((30, 14), False),
-                             ((30, 3), False)):
+        for shape, fewest in (((30, 20), 61), ((30, 60), 21), ((30, 15), None),
+                              ((30, 3), None)):
             lr = LowRankPSD(rng.uniform(-0.3, 0.3, size=shape), 0.1)
-            folded = lr._folded(iv)
-            assert (folded is not None) == folds, shape
-            if folds:
-                want = (4.0 * dense_lowrank(lr) - 2.0 * (iv.b + iv.a) * np.eye(30)) / iv.width
-                np.testing.assert_allclose(folded, want, rtol=0, atol=1e-14)
-                assert lr._folded(iv) is folded
-                assert lr._folded(Interval(0.1, 5.0)) is not folded
+            if fewest is None:
+                assert lr._folded(iv, 10**9) is None, shape
+                continue
+            assert lr._folded(iv, fewest - 1) is None, shape
+            folded = lr._folded(iv, fewest)
+            want = (4.0 * dense_lowrank(lr) - 2.0 * (iv.b + iv.a) * np.eye(30)) / iv.width
+            np.testing.assert_allclose(folded, want, rtol=0, atol=1e-14)
+            assert lr._folded(iv, fewest) is folded
+            assert lr._folded(Interval(0.1, 5.0), fewest) is not folded
 
     def test_zero_factor_gives_zero_gradient(self):
         lr = LowRankPSD(np.zeros((5, 2)), 0.5)
@@ -564,6 +576,19 @@ class TestFusedValue:
         assert value == series.coeffs[0] * op.dim and streams == []
         np.testing.assert_array_equal(grad, np.zeros(op.grad_shape))
 
+
+def test_degree_zero_gradient_checks_b0():
+    # a degree-0 draw checks b_0 d whether or not the value is asked for,
+    # on the single and the batched path alike
+    op = LowRankPSD(np.random.default_rng(81).uniform(0.0, 0.4, size=(7, 3)), 0.1)
+    coeffs = compute_coefficients(np.sqrt, Interval(0.05, 2.5), degree=60).coeffs.copy()
+    coeffs[0] = np.nan
+    bad = ChebSeries(Interval(0.05, 2.5), coeffs)
+    point_mass = deterministic_distribution(0)
+    for call in (lambda: grad_estimate_lowrank(op, bad, point_mass, ProbePlan(3, 8)),
+                 lambda: sample_spectral_grads(op, bad, point_mass, 3, 4, M=8)):
+        with pytest.raises(NumericError, match="non-finite estimate .* degree 0"):
+            call()
 
 def test_degree_past_the_support_is_a_degenerate_distribution():
     # a plan pinned past a law's support leaves a coefficient with no

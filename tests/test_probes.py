@@ -86,16 +86,16 @@ class TestRademacher:
 def _step_oracles(rng, dim, counter):
     """(name, dense A, oracle) for every kind of recurrence step: a folded
     CSR and dense matrix, a callable matvec, a low-rank factor on both
-    sides of its rule (dim x 3 steps with two thin products, dim x 20
-    with its folded dim x dim matrix at every dim <= 40 used here) and a
-    parametric oracle."""
+    sides of its rule (dim x 3 steps with two thin products at every dim
+    used here, dim x 2dim with its folded dim x dim matrix on more than
+    2dim/3 columns) and a parametric oracle."""
     theta = rng.uniform(-0.6, 0.6, size=(dim, 3))
     lowrank = LowRankPSD(theta, 0.3, counter=counter)
     dense = random_spd(rng, dim, 0.3, 4.0)
     sparse = scipy.sparse.random(dim, dim, density=0.2, random_state=rng)
     sparse = (sparse + sparse.T + 3.0 * scipy.sparse.identity(dim)).tocsr()
     partial = random_symmetric(rng, dim, 0.1)
-    folded = LowRankPSD(rng.uniform(-0.3, 0.3, size=(dim, 20)), 0.3, counter=counter)
+    folded = LowRankPSD(rng.uniform(-0.3, 0.3, size=(dim, 2 * dim)), 0.3, counter=counter)
     param = ParamMatrixOracle(
         dim=dim, param_dim=1, theta=np.array([0.5]),
         apply=lambda th, x: dense @ x + th[0] * (partial @ x),
@@ -129,7 +129,7 @@ class TestStep:
             np.testing.assert_allclose(oracle.step(w, None, iv), want, rtol=1e-15)
 
     @pytest.mark.parametrize("with_prev", [False, True])
-    @pytest.mark.parametrize("cols", [None, 4])
+    @pytest.mark.parametrize("cols", [None, 4, 64])
     def test_matches_unfolded_formula(self, with_prev, cols):
         rng = np.random.default_rng(60)
         dim = 40
@@ -157,7 +157,7 @@ class TestStep:
                 np.testing.assert_array_equal(w_prev, kept[1])
                 assert not np.may_share_memory(got, w_prev), name
 
-    @pytest.mark.parametrize("cols", [None, 4])
+    @pytest.mark.parametrize("cols", [None, 4, 64])
     def test_half_the_first_step_is_b_v(self, cols):
         # the kernels take T_1 = B v as half of the first step 2B v
         rng = np.random.default_rng(60)
