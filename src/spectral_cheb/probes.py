@@ -19,9 +19,12 @@ estimate costs ceil(n/2) matvecs per probe: with w_j = T_j(B) v, the
 moments mu_k = v^T T_k(B) v follow from mu_{2j} = 2 w_j^T w_j - mu_0
 and mu_{2j+1} = 2 w_{j+1}^T w_j - mu_1.
 Every probe owns an rng stream derived from (master_seed, evaluation
-index, probe index), so results do not depend on evaluation order; a
-chunk of probes is filled in one pass from the raw words of those
-streams, bit for bit the vectors ``rademacher_probe`` draws from them.
+index, probe index), so results do not depend on evaluation order: NumPy's
+``SeedSequence``/``PCG64`` stream of that spawn key, whose seed sequences
+are computed 32 probes at a time (``tests/test_probes.py`` pins them
+against NumPy's own, which NumPy keeps stream-compatible).  A chunk of
+probes is filled in one pass from the raw words of those streams, bit for
+bit the vectors ``rademacher_probe`` draws from them.
 A ``ProbePlan`` owns the randomness of its evaluation, and callers read
 the drawn degree back from it: the truncation degree, pinned or drawn
 once on first use, and the probe block, whose chunks of columns are
@@ -50,7 +53,9 @@ matrix only once ``scipy.sparse`` is loaded, since none exists before.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import os
 import sys
 import threading
@@ -112,6 +117,17 @@ _CHUNK = 32
 # blocks, whose NumPy calls are too short to release the GIL for long,
 # ran up to 2.4x slower)
 _MIN_THREADED_ENTRIES = 1 << 15
+# probe streams seeded per pass; 2^32 is a multiple of it, so an aligned
+# block's indices share their words above the lowest 32 bits
+_SEED_BLOCK = 32
+
+# NumPy's SeedSequence (numpy/random/bit_generator.pyx) at its default pool
+# of four 32-bit words: entropy hash, output hash and mix multipliers
+_POOL = 4
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 
 
 class MatvecCounter:
@@ -303,11 +319,131 @@ class ProbePlan:
         return block
 
 
+def _words32(n: int) -> list[int]:
+    """The little-endian 32-bit words of a non-negative int, [0] for 0, as
+    ``SeedSequence`` splits its entropy and each spawn-key entry."""
+    n = operator.index(n)
+    if n < 0:
+        raise ValueError("expected non-negative integer")
+    words = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+def _hash(value, xor, mult):
+    """SeedSequence's hash: h = (value ^ xor) * mult mod 2^32, then
+    h ^ (h >> 16), on ints or, elementwise, on uint32 arrays, whose products
+    wrap as the C arithmetic does."""
+    value = (value ^ xor) * mult & _MASK32
+    return value ^ (value >> 16)
+
+
+def _mix(x, y):
+    """SeedSequence's mix of pool word x with hashed word y."""
+    value = ((_MIX_L * x & _MASK32) - (_MIX_R * y & _MASK32)) & _MASK32
+    return value ^ (value >> 16)
+
+
+def _hash_constants(const: int, mult: int, count: int) -> list[int]:
+    """``count`` hash constants from ``const``, each the one before times
+    ``mult`` mod 2^32; hash i runs under (xor, mult) = (c_i, c_{i+1})."""
+    consts = [const]
+    for _ in range(count - 1):
+        consts.append(consts[-1] * mult & _MASK32)
+    return consts
+
+
+# the output hash's constants, which no data changes
+_OUT_HASH = np.array(_hash_constants(_INIT_B, _MULT_B, 2 * _POOL + 1), dtype=np.uint32)
+
+
+def _spawn_words(master_seed: int, key: tuple, last: range) -> np.ndarray:
+    """Row i is ``SeedSequence(master_seed, spawn_key=key + (last[i],))
+    .generate_state(4, np.uint64)``, for a ``last`` whose entries share
+    their words above the lowest 32 bits.
+
+    The entropy is the master seed's words zero-padded to the pool size,
+    then every key entry's.  Its first pool-size words fill the pool, the
+    pool words are mixed into one another in turn, and every later word is
+    hashed and mixed into each pool word.  All but the last entry's words
+    are shared by the rows and run once, in Python ints; the last entry's
+    run on uint32 arrays, over the rows and the four pool words at once."""
+    high = _words32(last.start)[1:]
+    if (last.stop - 1) >> 32 != last.start >> 32:
+        raise ValueError(f"{last} crosses a 32-bit word boundary")
+    entropy = _words32(master_seed)
+    entropy += [0] * (_POOL - len(entropy))
+    for entry in key:
+        entropy += _words32(entry)
+    low = last.start & _MASK32
+    own = [np.arange(low, low + len(last), dtype=np.uint32)[:, None], *high]
+    consts = _hash_constants(_INIT_A, _MULT_A, _POOL * (len(entropy) + len(own)) + 1)
+    pool = [_hash(word, consts[i], consts[i + 1]) for i, word in enumerate(entropy[:_POOL])]
+    i = _POOL
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hash(pool[src], consts[i], consts[i + 1]))
+                i += 1
+    for word in entropy[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = _mix(pool[dst], _hash(word, consts[i], consts[i + 1]))
+            i += 1
+    # the last entry's words, one row per entry and one column per pool word
+    pool = np.array(pool, dtype=np.uint32)
+    consts = np.array(consts[i:], dtype=np.uint32)
+    for j, word in enumerate(own):
+        j *= _POOL
+        pool = _mix(pool, _hash(word, consts[j : j + _POOL], consts[j + 1 : j + _POOL + 1]))
+    # the eight 32-bit output words cycle through the pool twice
+    state = _hash(np.concatenate((pool, pool), axis=1), _OUT_HASH[:-1], _OUT_HASH[1:])
+    return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+
+
+@functools.lru_cache(maxsize=8)
+def _probe_seed_block(master_seed: int, eval_index: int, block: int) -> np.ndarray:
+    """Read-only state words of probes 32 block .. 32 block + 31 of an
+    evaluation, one row each; eight blocks, 8 KB, are kept."""
+    rows = _spawn_words(master_seed, (eval_index, 0),
+                        range(block * _SEED_BLOCK, (block + 1) * _SEED_BLOCK))
+    rows.flags.writeable = False
+    return rows
+
+
+@functools.cache
+def _seed_words_type() -> type:
+    """The seed sequence type that hands ``PCG64`` words already computed,
+    made on first use: subclassing NumPy's ``ISeedSequence`` loads
+    ``numpy.random``, which importing this module does not."""
+
+    class SeedWords(np.random.bit_generator.ISeedSequence):
+        """``PCG64`` asks for four 64-bit words and gets this row; any
+        other request raises."""
+
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != self.words.size or dtype is not np.uint64:
+                raise ValueError(f"holds {self.words.size} uint64 words, not {n_words} {dtype}")
+            return self.words
+
+    return SeedWords
+
+
 def probe_rng(master_seed: int, k: int, eval_index: int = 0) -> np.random.Generator:
-    """Stream of probe k within evaluation ``eval_index``."""
-    return np.random.default_rng(
-        np.random.SeedSequence(master_seed, spawn_key=(eval_index, 0, k))
-    )
+    """Stream of probe k within evaluation ``eval_index``: bit for bit
+    ``np.random.default_rng(np.random.SeedSequence(master_seed,
+    spawn_key=(eval_index, 0, k)))``, NumPy's SeedSequence and PCG64, with
+    the seed sequences of 32 consecutive probes computed in one pass and
+    kept (``tests/test_probes.py`` pins the streams against NumPy's own)."""
+    block, row = divmod(operator.index(k), _SEED_BLOCK)
+    # the cache is keyed by ints, so a float seed is refused, never served
+    # the block of the int it equals
+    rows = _probe_seed_block(operator.index(master_seed), operator.index(eval_index), block)
+    return np.random.Generator(np.random.PCG64(_seed_words_type()(rows[row])))
 
 
 def degree_rng(master_seed: int, eval_index: int = 0) -> np.random.Generator:
@@ -333,16 +469,18 @@ def _probe_columns(dim: int, master_seed: int, eval_index: int,
     Column k equals ``rademacher_probe(dim, probe_rng(master_seed, k,
     eval_index))``: ``Generator.integers(0, 2)`` returns the top bit of
     each 32-bit half of the stream's raw 64-bit words, low half first, so
-    ceil(dim/2) words per probe are read and the block converted at once.
+    ceil(dim/2) words per probe are read, their top bits turned into int8
+    signs, and the block cast to float once, transposed.
     """
     half = (dim + 1) // 2
     words = np.empty((stop - start, half), dtype="<u8")
     for row, k in enumerate(range(start, stop)):
         words[row] = probe_rng(master_seed, k, eval_index).bit_generator.random_raw(half)
-    bits = words.view("<u4")[:, :dim] >> 31
-    block = np.multiply(bits.T, 2.0, order="C")
-    block -= 1.0
-    return block
+    signs = np.empty((stop - start, dim), dtype=np.int8)
+    np.right_shift(words.view("<u4")[:, :dim], 31, out=signs, casting="unsafe")
+    signs *= 2
+    signs -= 1
+    return signs.T.astype(np.float64, order="C")
 
 
 def _thread_count() -> int:
@@ -427,13 +565,20 @@ def _map_probe_chunks(plan: ProbePlan, dim: int, block_fn, workers: int) -> list
 
 
 def _finite(rows, start: int, n: int):
-    """``rows``, a kernel's per-column array or a scalar, or a tuple of
-    them, once all of it is finite."""
+    """``rows``, a kernel's per-column array or a tuple of them, once all
+    of it is finite."""
     for part in rows if isinstance(rows, tuple) else (rows,):
         if not np.isfinite(part).all():
             raise NumericError(
                 f"non-finite estimate in probe block starting at {start}, degree {n}")
     return rows
+
+
+def _finite_b0(series: ChebSeries, dim: int) -> None:
+    """Check a degree-0 draw's value b_0 d as ``_finite`` checks a block,
+    with ``math.isfinite`` on the scalar."""
+    if not math.isfinite(series.coeffs[0] * dim):
+        raise NumericError("non-finite estimate in probe block starting at 0, degree 0")
 
 
 def _evaluate(kernel, op, series: ChebSeries, dist: DegreeDistribution, plan: ProbePlan,
@@ -455,7 +600,7 @@ def _evaluate(kernel, op, series: ChebSeries, dist: DegreeDistribution, plan: Pr
     workers = _thread_count()
     n = plan.draw_degree(dist)
     if n == 0:
-        _finite(series.coeffs[0] * op.dim, 0, 0)
+        _finite_b0(series, op.dim)
         return zero
     coeffs = weighted_coefficients(series, dist, n)
     rows = _map_probe_chunks(plan, op.dim, lambda probes, start: _finite(
@@ -482,7 +627,7 @@ def _evaluate_batch(kernel, block_cols: int, op, series: ChebSeries,
         n = int(n)
         idx = np.nonzero(degrees == n)[0]
         if n == 0:
-            _finite(series.coeffs[0] * op.dim, 0, 0)
+            _finite_b0(series, op.dim)
             out[idx] = zero
             continue
         coeffs = weighted_coefficients(series, dist, n)

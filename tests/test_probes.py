@@ -329,6 +329,146 @@ class TestProbeFill:
         np.testing.assert_array_equal(plan.probes(9, 37, 64), whole[:, 37:64])
 
 
+def numpy_probe_rng(master_seed, k, eval_index):
+    """NumPy's own stream for probe k of evaluation ``eval_index``."""
+    return np.random.default_rng(
+        np.random.SeedSequence(master_seed, spawn_key=(eval_index, 0, k)))
+
+
+def assert_same_stream(got, want):
+    assert got.bit_generator.state == want.bit_generator.state
+    np.testing.assert_array_equal(got.bit_generator.random_raw(5),
+                                  want.bit_generator.random_raw(5))
+
+
+class TestProbeSeeding:
+    """``probe_rng`` computes NumPy's SeedSequence state itself, 32 probes
+    at a time; these pin its streams against NumPy's, which NumPy keeps
+    stream-compatible across releases."""
+
+    # master seeds of 1 to 5 words, eval indices of 1 and 2 words, probe
+    # indices at block edges and on both sides of the 32-bit word boundary
+    SEEDS = (0, 2**32 - 1, 2**32, 2**64 - 1, 2**128 + 3)
+    EVALS = (0, 5, 2**32 + 7)
+    PROBES = (0, 31, 32, 2**32 - 1, 2**32, 2**32 + 33)
+
+    @pytest.mark.parametrize("master_seed", SEEDS)
+    def test_streams_are_numpys(self, master_seed):
+        for eval_index in self.EVALS:
+            for k in self.PROBES:
+                assert_same_stream(probe_rng(master_seed, k, eval_index),
+                                   numpy_probe_rng(master_seed, k, eval_index))
+
+    @settings(max_examples=200, deadline=None)
+    @given(master_seed=st.integers(0, 2**128 + 3), eval_index=st.integers(0, 2**32 + 7),
+           k=st.integers(0, 2**32 + 33))
+    def test_streams_are_numpys_property(self, master_seed, eval_index, k):
+        assert_same_stream(probe_rng(master_seed, k, eval_index),
+                           numpy_probe_rng(master_seed, k, eval_index))
+
+    def test_numpy_integer_arguments(self):
+        # NumPy integers stand for the ints they hold, as in SeedSequence
+        assert_same_stream(probe_rng(np.uint64(2**63 + 5), np.int64(40), np.int64(3)),
+                           numpy_probe_rng(2**63 + 5, 40, 3))
+
+    def test_float_master_seed_raises_with_its_int_cached(self):
+        probe_rng(3, 0)
+        with pytest.raises(TypeError):
+            numpy_probe_rng(3.0, 0, 0)
+        with pytest.raises(TypeError):
+            probe_rng(3.0, 0)
+
+    def test_negative_master_seed_raises(self):
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            numpy_probe_rng(-1, 0, 0)
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            probe_rng(-1, 0, 0)
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            probe_rng(-(2**64), 0, 0)
+
+    def test_negative_eval_index_raises(self):
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            numpy_probe_rng(7, 0, -1)
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            probe_rng(7, 0, -1)
+
+    @pytest.mark.parametrize("k", [-1, -31, -32, -33, -(2**32)])
+    def test_negative_probe_index_raises(self, k):
+        # k = -1 falls in block -1, whose indices must raise, not wrap
+        # through uint32 into the streams of probes 2^32 - 32 .. 2^32 - 1
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            numpy_probe_rng(7, k, 0)
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            probe_rng(7, k, 0)
+
+    def test_a_block_never_crosses_a_word_boundary(self):
+        spawn_words = probes_module._spawn_words
+        with pytest.raises(ValueError, match="crosses a 32-bit word boundary"):
+            spawn_words(7, (0, 0), range(2**32 - 16, 2**32 + 16))
+        rows = spawn_words(7, (0, 0), range(2**32, 2**32 + 32))
+        want = np.random.SeedSequence(7, spawn_key=(0, 0, 2**32 + 31)).generate_state(4, np.uint64)
+        np.testing.assert_array_equal(rows[31], want)
+
+    def test_import_leaves_numpy_random_unloaded(self):
+        # the seed-word type subclasses NumPy's ISeedSequence only once a
+        # probe stream is asked for
+        import subprocess
+        import sys
+
+        code = "import sys, spectral_cheb.cli; print('numpy.random' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              check=True)
+        assert proc.stdout == "False\n"
+
+    def test_cached_rows_are_read_only(self):
+        rows = probes_module._probe_seed_block(8101, 0, 0)
+        assert rows.shape == (32, 4) and rows.dtype == np.uint64
+        assert not rows.flags.writeable
+        with pytest.raises(ValueError):
+            rows[0, 0] = 0
+        assert probes_module._probe_seed_block.cache_info().maxsize == 8
+
+    def test_seed_words_serve_only_pcg64s_request(self):
+        words = probes_module._seed_words_type()(probes_module._probe_seed_block(8101, 0, 0)[5])
+        assert words.generate_state(4, np.uint64) is words.words
+        for n_words, dtype in ((8, np.uint32), (4, np.uint32), (2, np.uint64)):
+            with pytest.raises(ValueError, match="holds 4 uint64 words"):
+                words.generate_state(n_words, dtype)
+
+    def test_concurrent_streams_of_one_uncached_block(self):
+        # every thread asks for probes of one block that no call has seeded
+        # yet; each gets NumPy's streams whichever thread seeds the block
+        import sys
+        import threading
+
+        seed = 8_102_030_405
+        probes_module._probe_seed_block.cache_clear()
+        want = [numpy_probe_rng(seed, k, 4).bit_generator.random_raw(3) for k in range(32, 64)]
+        results, errors = [], []
+
+        def call():
+            try:
+                results.append([probe_rng(seed, k, 4).bit_generator.random_raw(3)
+                                for k in range(32, 64)])
+            except Exception as exc:  # surfaced by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=call) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and errors == []
+        assert len(results) == 8
+        for got in results:
+            np.testing.assert_array_equal(np.array(got), np.array(want))
+
+
 class TestFixedEstimator:
     def test_identity_trace_exact(self):
         iv = Interval(0.0, 2.0)
